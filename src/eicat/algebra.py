@@ -126,9 +126,12 @@ class FiniteDimAlgebra:
         if len(obj["unit"]) != d:
             raise AlgebraError("unit vector length mismatch")
         mult = [[[] for _ in range(d)] for _ in range(d)]
-        for i, j, pairs in obj["table"]:
-            mult[i][j] = [(k, f.of(_scalar_from_json(c))) for k, c in pairs]
-        unit = [f.of(_scalar_from_json(x)) for x in obj["unit"]]
+        try:
+            for i, j, pairs in obj["table"]:
+                mult[i][j] = [(k, f.of(_scalar_from_json(c))) for k, c in pairs]
+            unit = [f.of(_scalar_from_json(x)) for x in obj["unit"]]
+        except TypeError as e:
+            raise AlgebraError(f"bad scalar: {e}") from e
         return cls(f, basis, mult, unit)
 
 
@@ -173,10 +176,16 @@ def group_algebra(g, f: Field) -> FiniteDimAlgebra:
 
 
 def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
-    """The opposite algebra: c'_{ij}^k = c_{ji}^k."""
+    """The opposite algebra: c'_{ij}^k = c_{ji}^k.
+
+    It is given the radical and the orthogonal idempotent system of `a`, each
+    computed and verified once, on `a`: J(A^op) = J(A) as a subspace, since
+    "two-sided nilpotent ideal" reads the same on both sides, and a
+    decomposition of 1 into orthogonal idempotents of A is one of A^op."""
     d = a.dim
     mult = [[list(a.mult[j][i]) for j in range(d)] for i in range(d)]
-    return FiniteDimAlgebra(a.field, list(a.basis), mult, list(a.unit))
+    return FiniteDimAlgebra(a.field, list(a.basis), mult, list(a.unit),
+                            _radical=radical(a), _prims=primitive_idempotents(a))
 
 
 def _trace_vector(a):

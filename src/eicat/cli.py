@@ -142,6 +142,9 @@ def cmd_matrix(args):
 
 
 def cmd_oracle(args):
+    for flag, value in (("--cap", args.cap), ("--limit", args.limit)):
+        if value < 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
     raw = _load_json(args.path)
     f = _field(args)
     report = None

@@ -1,23 +1,50 @@
-"""Exact dense linear algebra over Q and the prime fields F_p.
+"""Exact linear algebra over Q and the prime fields F_p.
 
 Scalars are `fractions.Fraction` in characteristic 0 and plain ints in
-[0, p) in characteristic p.  Everything is exact; no floats anywhere.
+[0, p) in characteristic p.  Everything is exact; no floats anywhere:
+`Field.of` refuses floats and bools.
+
+Matrices are stored dense, row-major.  `Matrix.mul_vec` works from a
+column-sparse view (per column, the (row, value) pairs with nonzero value)
+that is built on the first call and cached on the matrix.  So a matrix must
+not be written in place after its first `mul_vec`; every in-place write to
+`.data` happens in a builder before the matrix is handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
+# The first 13 primes.  Miller-Rabin with these bases is exact below
+# PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -28,6 +55,9 @@ class Field:
     characteristic: int = 0
 
     def __post_init__(self):
+        if self.characteristic >= PRIME_BOUND:
+            raise ValueError(f"characteristic must be below {PRIME_BOUND}, "
+                             f"the bound of the primality test, got {self.characteristic}")
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {self.characteristic}")
 
@@ -40,15 +70,22 @@ class Field:
         return 1 if self.characteristic else Fraction(1)
 
     def of(self, n):
-        """Canonicalize an int or Fraction into this field."""
+        """Canonicalize an int or Fraction into this field.  A scalar that is
+        already canonical comes back as it is; anything else, floats and
+        bools included, raises TypeError."""
         p = self.characteristic
         if p:
-            if isinstance(n, Fraction):
+            if type(n) is int:
+                return n % p
+            if type(n) is Fraction:
                 if n.denominator % p == 0:
                     raise ZeroDivisionError(f"denominator {n.denominator} not invertible mod {p}")
                 return (n.numerator * pow(n.denominator, -1, p)) % p
-            return n % p
-        return Fraction(n)
+        elif type(n) is Fraction:
+            return n
+        elif type(n) is int:
+            return Fraction(n)
+        raise TypeError(f"scalar must be an int or a Fraction, got {type(n).__name__} {n!r}")
 
     def add(self, a, b):
         p = self.characteristic
@@ -87,15 +124,17 @@ QQ = Field(0)
 
 
 class Matrix:
-    """Dense matrix over a Field; row-major list-of-lists storage."""
+    """Dense matrix over a Field; row-major list-of-lists storage, plus the
+    column-sparse view `mul_vec` builds on first use."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_sparse")
 
     def __init__(self, field: Field, data):
         self.field = field
         self.data = [[field.of(x) for x in row] for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
+        self._sparse = None
         for row in self.data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
@@ -106,6 +145,7 @@ class Matrix:
         m.field = field
         m.rows = rows
         m.cols = cols
+        m._sparse = None
         z = field.zero
         m.data = [[z] * cols for _ in range(rows)]
         return m
@@ -132,6 +172,7 @@ class Matrix:
         m.field = self.field
         m.rows = self.rows
         m.cols = self.cols
+        m._sparse = None
         m.data = [row[:] for row in self.data]
         return m
 
@@ -197,18 +238,43 @@ class Matrix:
                         orow[j] = orow[j] + a * brow[j]
         return out
 
+    def _sparse_view(self):
+        """(columns, scale): per column the (row, value) pairs with nonzero
+        value, as integers value * scale; scale is 1 in characteristic p and
+        the lcm of the denominators in characteristic 0."""
+        if self._sparse is None:
+            scale = 1 if self.field.characteristic else \
+                lcm(*(x.denominator for row in self.data for x in row if x))
+            columns = [[] for _ in range(self.cols)]
+            for i, row in enumerate(self.data):
+                for j, a in enumerate(row):
+                    if a:
+                        columns[j].append((i, int(a * scale)))
+            self._sparse = (columns, scale)
+        return self._sparse
+
     def mul_vec(self, v):
-        f = self.field
+        """self * v, touching only the nonzero v_j and the nonzeros of their
+        columns.  In characteristic 0 the denominators of v and of the matrix
+        are cleared first, so the loop runs on ints and each entry becomes a
+        Fraction once, at the end; in characteristic p it reduces once."""
         if len(v) != self.cols:
             raise ValueError("length mismatch")
-        out = []
-        for row in self.data:
-            s = f.zero
-            for a, x in zip(row, v):
-                if a != 0 and x != 0:
-                    s = f.add(s, f.mul(a, x))
-            out.append(s)
-        return out
+        columns, scale = self._sparse_view()
+        p = self.field.characteristic
+        den = 1 if p else lcm(*(x.denominator for x in v if x))
+        acc = [0] * self.rows
+        for x, col in zip(v, columns):
+            if x:
+                if not p:
+                    x = x.numerator * (den // x.denominator)
+                for i, a in col:
+                    acc[i] += a * x
+        if p:
+            return [s % p for s in acc]
+        den *= scale
+        zero = Fraction(0)
+        return [Fraction(s, den) if s else zero for s in acc]
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -126,6 +127,36 @@ def test_oracle_dimension_limit(chain_file, capsys):
 
 def test_bad_characteristic_is_usage_error(chain_file):
     assert main(["classify", chain_file, "--char", "4"]) == 2
+
+
+def test_large_characteristic_is_decided_quickly(chain_file, capsys):
+    t0 = time.perf_counter()
+    assert main(["classify", chain_file, "--char", str(2 ** 61 - 1)]) == 0
+    assert time.perf_counter() - t0 < 1
+    assert json.loads(capsys.readouterr().out)["characteristic"] == 2 ** 61 - 1
+    t0 = time.perf_counter()
+    assert main(["classify", chain_file, "--char", str((2 ** 31 - 1) * (2 ** 61 - 1))]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert "below" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--cap", "--limit"])
+def test_oracle_rejects_negative_cap_and_limit(chain_file, flag, capsys):
+    assert main(["oracle", chain_file, flag, "-1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be >= 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scalar", [1.0, 0.5])
+def test_oracle_rejects_float_scalars_in_matrix_export(chain_file, tmp_path, capsys, scalar):
+    mat = tmp_path / "alg.json"
+    assert main(["matrix", chain_file, "--out", str(mat)]) == 0
+    obj = json.loads(mat.read_text())
+    obj["unit"][obj["unit"].index(1)] = scalar
+    mat.write_text(json.dumps(obj))
+    assert main(["oracle", str(mat)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("AlgebraError: bad scalar") and "Traceback" not in err
 
 
 def test_gen_named_poset_matches_library(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eicat.linalg import QQ, Field, Matrix, QuotientSpace, Subspace
+from eicat.linalg import PRIME_BOUND, QQ, Field, Matrix, QuotientSpace, Subspace, _is_prime
 
 FIELDS = [Field(0), Field(2), Field(3), Field(5)]
 
@@ -25,6 +25,37 @@ def test_field_rejects_composite_characteristic():
         Field(4)
     with pytest.raises(ValueError):
         Field(6)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(10 ** 4) if _is_prime(n)] == [n for n in range(10 ** 4) if trial(n)]
+    # strong pseudoprimes to the first few prime bases
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+
+
+def test_field_accepts_large_primes_and_refuses_above_the_bound():
+    assert Field(2 ** 61 - 1).of(-1) == 2 ** 61 - 2
+    assert Field(2 ** 31 - 1).characteristic == 2 ** 31 - 1
+    with pytest.raises(ValueError):
+        Field((2 ** 31 - 1) * (2 ** 19 - 1))
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        Field((2 ** 31 - 1) * (2 ** 61 - 1))
+
+
+def test_field_of_keeps_canonical_scalars_and_rejects_floats_and_bools():
+    half = Fraction(1, 2)
+    assert QQ.of(half) is half
+    assert Field(3).of(7) == 1
+    for f in (QQ, Field(3)):
+        for bad in (0.5, 1.0, True, False):
+            with pytest.raises(TypeError):
+                f.of(bad)
+    with pytest.raises(TypeError):
+        Matrix(QQ, [[1, 0.5]])
 
 
 def test_field_arithmetic_mod_p():
@@ -122,3 +153,67 @@ def test_quotient_space_project_lift_roundtrip():
         diff = [f.sub(a, b) for a, b in zip(q.lift(c), v)]
         assert q.sub.contains(diff) or all(x == 0 for x in diff)
     assert q.project([1, 1, 0]) == [0, 0]
+
+
+def _dense_mul_vec(f, m, v):
+    """Reference product: the schoolbook row-by-column sum."""
+    out = []
+    for row in m.data:
+        s = f.zero
+        for a, x in zip(row, v):
+            s = f.add(s, f.mul(a, x))
+        out.append(s)
+    return out
+
+
+def _assert_canonical(f, vec):
+    p = f.characteristic
+    if p:
+        assert all(type(x) is int and 0 <= x < p for x in vec)
+    else:
+        assert all(type(x) is Fraction for x in vec)
+
+
+@given(st.sampled_from([QQ, Field(2), Field(3)]), st.integers(0, 6), st.integers(0, 6),
+       st.data())
+@settings(max_examples=120, deadline=None)
+def test_mul_vec_matches_dense_reference(f, rows, cols, data):
+    scalar = st.integers(-4, 4)
+    if f.characteristic == 0:
+        scalar |= st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+    def vector(n):
+        return [f.of(x) for x in data.draw(st.lists(scalar, min_size=n, max_size=n))]
+
+    m = Matrix.zeros(f, rows, cols)
+    m.data = [vector(cols) for _ in range(rows)]
+    for i in data.draw(st.sets(st.integers(0, rows - 1))) if rows else ():
+        m.data[i] = [f.zero] * cols  # zero rows
+    for j in data.draw(st.sets(st.integers(0, cols - 1))) if cols else ():
+        for row in m.data:
+            row[j] = f.zero  # zero columns
+    for _ in range(3):
+        v = vector(cols)
+        got = m.mul_vec(v)
+        assert got == _dense_mul_vec(f, m, v)
+        _assert_canonical(f, got)
+
+
+def test_mul_vec_empty_shapes():
+    for f in (QQ, Field(2), Field(3)):
+        assert Matrix.zeros(f, 0, 4).mul_vec([f.one] * 4) == []
+        assert Matrix.zeros(f, 3, 0).mul_vec([]) == [f.zero] * 3
+        assert Matrix.from_columns(f, [[], []]).mul_vec([f.one, f.one]) == []
+        with pytest.raises(ValueError):
+            Matrix.zeros(f, 2, 2).mul_vec([f.one])
+
+
+def test_mul_vec_on_a_copy_of_a_multiplied_matrix():
+    for f in (QQ, Field(2), Field(3)):
+        m = Matrix(f, [[1, 0, 2], [0, 0, 1], [1, 1, 0]])
+        v = [f.one, f.of(2), f.zero]
+        before = m.mul_vec(v)
+        c = m.copy()
+        c.data[1][0] = f.one  # a copy starts without the cached view
+        assert c.mul_vec(v) == _dense_mul_vec(f, c, v) != before
+        assert m.mul_vec(v) == before == _dense_mul_vec(f, m, v)
