@@ -200,10 +200,6 @@ def _trace_vector(a):
     return out
 
 
-def _span(f, vectors, ambient):
-    return Subspace(f, ambient, vectors)
-
-
 def _is_nilpotent_ideal(a, vectors):
     """Whether the span of `vectors` is a two-sided nilpotent ideal."""
     f = a.field

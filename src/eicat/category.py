@@ -4,6 +4,8 @@ skeletalization, and the admissible object ordering."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .groups import BiSet, GroupTable
 
@@ -71,27 +73,59 @@ class FiniteCategory:
         return len(self.morphisms)
 
 
+def _is_name(x):
+    """Whether x can name an object or a morphism: it must be hashable."""
+    try:
+        hash(x)
+    except TypeError:
+        return False
+    return True
+
+
 def validate(raw) -> FiniteCategory:
     """Validate a raw description {objects, morphisms, composition}.
 
     Compositions with identities may be omitted; they are inferred.  Reports
-    every violation found via ValidationError."""
+    every violation found via ValidationError, malformed JSON shapes
+    included."""
+    if not isinstance(raw, dict):
+        raise ValidationError([f"a category must be a JSON object, not {type(raw).__name__}"])
     errs = []
     unknown = set(raw) - {"objects", "morphisms", "composition"}
     if unknown:
         raise ValidationError([f"unknown top-level keys: {sorted(unknown)}"])
-    objects = list(raw.get("objects", []))
+    sections = {}
+    for key in ("objects", "morphisms", "composition"):
+        sections[key] = raw.get(key, [])
+        if not isinstance(sections[key], (list, tuple)):
+            errs.append(f"{key!r} must be a list, not {type(sections[key]).__name__}")
+            sections[key] = []
+    objects = [x for x in sections["objects"] if _is_name(x)]
+    if len(objects) != len(sections["objects"]):
+        errs.append("object names must be strings or numbers")
     if len(set(objects)) != len(objects):
         errs.append("duplicate object names")
 
     morphisms = []
     names = set()
-    for rec in raw.get("morphisms", []):
+    for k, rec in enumerate(sections["morphisms"]):
+        if not isinstance(rec, dict):
+            errs.append(f"morphism record {k} is not an object")
+            continue
         bad_keys = set(rec) - {"id", "src", "dst", "identity"}
         if bad_keys:
             errs.append(f"unknown morphism keys: {sorted(bad_keys)}")
+        if "id" not in rec or "src" not in rec or "dst" not in rec:
+            missing = [key for key in ("id", "src", "dst") if key not in rec]
+            errs.append(f"morphism record {k} lacks keys {missing}")
+            continue
         name = rec["id"]
-        if name in names:
+        try:
+            duplicate = name in names
+        except TypeError:  # an unhashable id
+            errs.append(f"morphism record {k} has an id that is not a string or number")
+            continue
+        if duplicate:
             errs.append(f"duplicate morphism id {name!r}")
         names.add(name)
         if rec["src"] not in objects or rec["dst"] not in objects:
@@ -118,8 +152,16 @@ def validate(raw) -> FiniteCategory:
         raise ValidationError(errs)
 
     comp = {}
-    for f, g, h in raw.get("composition", []):
-        if f not in by_name or g not in by_name or h not in by_name:
+    for k, entry in enumerate(sections["composition"]):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            errs.append(f"IncompleteComposition: entry {k} is not a triple [f, g, f∘g]")
+            continue
+        f, g, h = entry
+        try:
+            known = f in by_name and g in by_name and h in by_name
+        except TypeError:  # an unhashable name
+            known = False
+        if not known:
             errs.append(f"IncompleteComposition: unknown morphism in ({f!r}, {g!r}, {h!r})")
             continue
         if by_name[f].src != by_name[g].dst:
@@ -208,10 +250,44 @@ def skeletalize(c: FiniteCategory):
     return FiniteCategory(keep, morphisms, comp), rep
 
 
+class Factorizations(NamedTuple):
+    """How the morphisms of a category factor through non-isomorphisms.
+
+    `non_isos` lists the non-isomorphisms in morphism order.
+    `unfactorizable` holds those that are not the composite of two
+    non-isomorphisms.  `first_steps[alpha]` lists, in composition-table
+    order, the pairs (a1, a2) with alpha = a2∘a1 and a1 unfactorizable."""
+
+    non_isos: tuple
+    unfactorizable: frozenset
+    first_steps: dict
+
+
+def factorizations(c: FiniteCategory) -> Factorizations:
+    """`Factorizations` of c from one pass over its composition table, with
+    one isomorphism test per morphism (`freeness.is_unfactorizable` is the
+    reference definition of an unfactorizable morphism)."""
+    iso = {m: c.is_isomorphism(m) for m in c.morphisms}
+    composites = set()
+    steps = {}  # h -> (g, f) with h = f∘g, g a non-isomorphism
+    for (f, g), h in c.comp.items():
+        if iso[g]:
+            continue
+        steps.setdefault(h, []).append((g, f))
+        if not iso[f]:
+            composites.add(h)
+    unf = frozenset(m for m in c.morphisms if not iso[m] and m not in composites)
+    first = {h: tuple(s for s in pairs if s[0] in unf) for h, pairs in steps.items()}
+    return Factorizations(tuple(m for m in c.morphisms if not iso[m]), unf, first)
+
+
 @dataclass
 class SkeletalEIPresentation:
     """A skeletal EI category with the admissible ordering x_1..x_n:
-    Hom(x_i, x_j) is empty whenever i < j."""
+    Hom(x_i, x_j) is empty whenever i < j.
+
+    Assumed immutable once built, like its category; `factorizations` is
+    computed on first use and kept for the presentation's lifetime."""
 
     category: FiniteCategory
     ordering: list  # object names, x_1 first
@@ -224,6 +300,16 @@ class SkeletalEIPresentation:
     def hom_set(self, i, j):
         """Hom(x_j, x_i) for 0-based i <= j (morphisms x_j -> x_i)."""
         return self.category.hom(self.ordering[j], self.ordering[i])
+
+    @cached_property
+    def factorizations(self) -> Factorizations:
+        return factorizations(self.category)
+
+    def unfactorizable_homs(self, i, j):
+        """The unfactorizable morphisms x_j -> x_i, in hom-set order (a new
+        list)."""
+        unf = self.factorizations.unfactorizable
+        return [m for m in self.hom_set(i, j) if m in unf]
 
     def aut_group(self, i) -> GroupTable:
         return self.aut[self.ordering[i]]

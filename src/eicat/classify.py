@@ -4,9 +4,9 @@ self-injective dimension bound."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .category import FiniteCategory, NotEI, is_ei, presentation_of, skeletalize
+from .category import FiniteCategory, SkeletalEIPresentation, presentation_of
 from .freeness import decompose, is_free, unfactorizables
 from .groups import is_projective_over, morphism_stabilizers
 from .linalg import Field
@@ -33,6 +33,8 @@ class ClassificationReport:
     zero_gorenstein: bool
     hereditary: bool
     gorenstein_dim_bound: object  # int or "n/a"
+    # the presentation the flags were read from, for `explain`; not reported
+    presentation: SkeletalEIPresentation = field(default=None, repr=False, compare=False)
 
     def to_json(self):
         return {
@@ -66,13 +68,11 @@ def classify(c: FiniteCategory, f: Field) -> ClassificationReport:
     gorenstein iff the category is projective over k (all morphism stabilizer
     orders invertible); one_gorenstein iff additionally free; hereditary iff
     free with all |Aut(x_i)| invertible; zero_gorenstein iff there are no
-    non-endomorphisms (a product of group algebras, quasi-Frobenius)."""
-    ok, witness = is_ei(c)
-    if not ok:
-        raise NotEI(f"endomorphism {witness!r} is not an isomorphism")
-    sk, _ = skeletalize(c)
-    skeletal = len(sk.objects) == len(c.objects)
+    non-endomorphisms (a product of group algebras, quasi-Frobenius).
+
+    Raises NotEI when c is not EI."""
     p = presentation_of(c)
+    skeletal = p.n == len(c.objects)
 
     projective, witnesses = is_projective_over(p, f)
     freeness = is_free(p)
@@ -103,6 +103,7 @@ def classify(c: FiniteCategory, f: Field) -> ClassificationReport:
         zero_gorenstein=zero_g,
         hereditary=hereditary,
         gorenstein_dim_bound=bound,
+        presentation=p,
     )
     assert not report.one_gorenstein or report.gorenstein
     assert not report.hereditary or report.one_gorenstein
@@ -129,12 +130,17 @@ def gorenstein_bound(d, mstar_projective: bool) -> int:
     return cur
 
 
-def explain(c: FiniteCategory, f: Field):
+def explain(c: FiniteCategory, f: Field, *, report: ClassificationReport | None = None):
     """Witness detail for a classification: stabilizer orders of projectivity
-    witnesses, a decomposition of the freeness counterexample morphism, and
-    the per-t dimension ledger for the M_t^* projectivity test."""
-    p = presentation_of(c)
-    report = classify(c, f)
+    witnesses, a decomposition of the freeness counterexample morphism, the
+    unfactorizable morphisms per hom-set, and the per-t dimension ledger for
+    the M_t^* projectivity test.
+
+    `report` is `classify(c, f)` when the caller already has it; its
+    presentation is then reused, so nothing is classified twice."""
+    if report is None:
+        report = classify(c, f)
+    p = report.presentation
     out = {"stabilizer_orders": {}, "counterexample_decomposition": None,
            "mstar_ledger": {}, "unfactorizables": {}}
     for w in report.projectivity_witnesses:

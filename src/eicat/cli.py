@@ -87,10 +87,11 @@ def cmd_validate(args):
 def cmd_classify(args):
     c = _load_category(args.path)
     f = _field(args)
-    report = classify(c, f).to_json()
+    report = classify(c, f)
+    out = report.to_json()
     if args.explain:
-        report["explain"] = explain(c, f)
-    _emit(report, args.out)
+        out["explain"] = explain(c, f, report=report)
+    _emit(out, args.out)
     return 0
 
 

@@ -14,11 +14,13 @@ class IsIsomorphism(Exception):
     pass
 
 
-def _non_isos(c):
-    return [name for name in c.morphisms if not c.is_isomorphism(name)]
-
-
 def is_unfactorizable(c, alpha) -> bool:
+    """Whether alpha is a non-isomorphism that is not the composite of two
+    non-isomorphisms (Li 2011).
+
+    The reference definition: it scans the whole composition table, so it
+    is for tests and single queries.  Everything else reads the one-pass
+    `SkeletalEIPresentation.factorizations`."""
     if c.is_isomorphism(alpha):
         return False
     for (f, g), h in c.comp.items():
@@ -28,13 +30,18 @@ def is_unfactorizable(c, alpha) -> bool:
 
 
 def unfactorizables(p: SkeletalEIPresentation):
-    """The table (i, j) -> Hom^0(x_j, x_i) of unfactorizable morphisms."""
-    c = p.category
-    table = {}
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            table[(i, j)] = [m for m in p.hom_set(i, j) if is_unfactorizable(c, m)]
-    return table
+    """The table (i, j) -> Hom^0(x_j, x_i) of unfactorizable morphisms for
+    0-based i < j, each a list in hom-set order.
+
+    Read from the presentation's factorizations, which are computed once;
+    every call returns new lists, so callers may change them freely."""
+    return {(i, j): p.unfactorizable_homs(i, j)
+            for i in range(p.n) for j in range(i + 1, p.n)}
+
+
+def _ordered_unfactorizables(p):
+    unf = p.factorizations.unfactorizable
+    return [m for m in p.category.morphisms if m in unf]
 
 
 def decompose(p: SkeletalEIPresentation, alpha):
@@ -43,7 +50,7 @@ def decompose(p: SkeletalEIPresentation, alpha):
     c = p.category
     if c.is_isomorphism(alpha):
         raise IsIsomorphism(alpha)
-    unf = [m for m in c.morphisms if is_unfactorizable(c, m)]
+    unf = _ordered_unfactorizables(p)
     src = c.morphisms[alpha].src
     queue = [([u], c.morphisms[u].dst) for u in unf if c.morphisms[u].src == src]
     while queue:
@@ -61,15 +68,6 @@ def decompose(p: SkeletalEIPresentation, alpha):
     raise AssertionError(f"no decomposition found for {alpha!r}")
 
 
-def _first_step_factorizations(c, alpha):
-    """All (a1, a2) with alpha = a2 ∘ a1 and a1 unfactorizable."""
-    out = []
-    for (f, g), h in c.comp.items():
-        if h == alpha and is_unfactorizable(c, g):
-            out.append((g, f))
-    return out
-
-
 def is_free_from(p: SkeletalEIPresentation, x):
     """Whether any two first-step factorizations of a non-isomorphism out of x
     agree up to an automorphism of the intermediate object.
@@ -77,10 +75,11 @@ def is_free_from(p: SkeletalEIPresentation, x):
     Returns (flag, counterexample); the counterexample is
     (alpha, (a1, a2), (b1, b2))."""
     c = p.category
-    for alpha in _non_isos(c):
+    fz = p.factorizations
+    for alpha in fz.non_isos:
         if c.morphisms[alpha].src != x:
             continue
-        facts = _first_step_factorizations(c, alpha)
+        facts = fz.first_steps.get(alpha, ())
         for (a1, a2), (b1, b2) in product(facts, repeat=2):
             z1 = c.morphisms[a1].dst
             if c.morphisms[b1].dst != z1:
@@ -171,8 +170,8 @@ def ufp_direct(p: SkeletalEIPresentation) -> bool:
     """Brute-force unique factorization property: every pair of maximal
     decompositions of every non-isomorphism is conjugate."""
     c = p.category
-    unf = [m for m in c.morphisms if is_unfactorizable(c, m)]
-    for alpha in _non_isos(c):
+    unf = _ordered_unfactorizables(p)
+    for alpha in p.factorizations.non_isos:
         decs = _all_decompositions(c, alpha, unf)
         for d1 in decs:
             for d2 in decs:

@@ -195,15 +195,6 @@ class BiSet:
                         raise GroupError(f"actions do not commute at ({g!r},{s!r},{h!r})")
         return self
 
-    def left_action(self):
-        return GroupAction(self.left_group, self.set, dict(self.left_act))
-
-    def right_action_as_left(self):
-        """The right action viewed as a left action of the opposite group via h.s = s.h^-1."""
-        act = {(h, s): self.right_act[(s, self.right_group.inverse(h))]
-               for h in self.right_group.elements for s in self.set}
-        return GroupAction(self.right_group, self.set, act)
-
 
 def stabilizer_order(a: GroupAction, x) -> int:
     if x not in set(a.set):

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 from .algebra import ModuleRep, algebra_from_category, group_algebra, regular_module
 from .category import SkeletalEIPresentation, full_subcategory
-from .freeness import unfactorizables
 from .groups import is_projective_over
 from .linalg import Field, Matrix, QuotientSpace, Subspace
 
@@ -473,7 +472,7 @@ def dual_vertex_module(tp: TriangularPresentation, t: int) -> ModuleRep:
 def unfactorizable_left_module(tp: TriangularPresentation, l: int, j: int):
     """The span of unfactorizables in Hom(x_{j+1}, x_{l+1}) as a left
     R_l-module (0-based slots l < j).  Returns (basis names, action mats)."""
-    unf = unfactorizables(tp.pres)[(l, j)]
+    unf = tp.pres.unfactorizable_homs(l, j)
     index = {m: x for x, m in enumerate(unf)}
     f = tp.field
     mats = []

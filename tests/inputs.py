@@ -1,0 +1,82 @@
+"""Inputs the corpus lacks, shared by several test modules: the Boolean
+lattice of subsets and the transporter category of S3 permuting {1, 2, 3}
+acting on its subsets, both built from `eicat.families`, and malformed
+category JSON.  Collects no tests itself."""
+
+from __future__ import annotations
+
+import itertools
+
+from eicat.families import Poset, transporter_category
+from eicat.groups import GroupAction, symmetric_group_3
+
+
+def _subsets(n, max_size):
+    pts = range(1, n + 1)
+    return [s for k in range(max_size + 1) for s in itertools.combinations(pts, k)]
+
+
+def _subset_name(s):
+    return "s" + "".join(map(str, s)) if s else "s0"
+
+
+def boolean_poset(n, max_size=None):
+    """Subsets of {1..n} of size <= max_size (all when None), ordered by
+    inclusion."""
+    subs = _subsets(n, n if max_size is None else max_size)
+    pairs = [(_subset_name(a), _subset_name(b)) for a in subs for b in subs
+             if a != b and set(a) <= set(b)]
+    return Poset.from_pairs([_subset_name(s) for s in subs], pairs)
+
+
+def s3_transporter(max_size):
+    """S3 permuting {1, 2, 3}, acting on its subsets of size <= max_size."""
+    g = symmetric_group_3()
+    perm = {"e": (1, 2, 3), "r": (2, 3, 1), "r2": (3, 1, 2),
+            "s": (2, 1, 3), "sr": (1, 3, 2), "sr2": (3, 2, 1)}
+    subs = _subsets(3, max_size)
+    act = {(e, _subset_name(s)): _subset_name(tuple(sorted(perm[e][i - 1] for i in s)))
+           for e in g.elements for s in subs}
+    p = boolean_poset(3, max_size)
+    return transporter_category(g, p, GroupAction(g, list(p.elements), act))
+
+
+def _chain_raw():
+    return {
+        "objects": ["x", "y"],
+        "morphisms": [
+            {"id": "ix", "src": "x", "dst": "x", "identity": True},
+            {"id": "iy", "src": "y", "dst": "y", "identity": True},
+            {"id": "f", "src": "x", "dst": "y"},
+        ],
+        "composition": [],
+    }
+
+
+def _with(**changes):
+    raw = _chain_raw()
+    raw.update(changes)
+    return raw
+
+
+def _without(key):
+    raw = _chain_raw()
+    del raw["morphisms"][2][key]
+    return raw
+
+
+# name -> (category JSON, a fragment of the violation it must report)
+HOSTILE_CATEGORIES = {
+    "top_level_number": (5, "must be a JSON object"),
+    "top_level_list": ([1, 2], "must be a JSON object"),
+    "record_not_object": (_with(morphisms=_chain_raw()["morphisms"] + ["g"]),
+                          "morphism record 3 is not an object"),
+    "record_without_id": (_without("id"), "lacks keys ['id']"),
+    "record_without_src": (_without("src"), "lacks keys ['src']"),
+    "record_without_dst": (_without("dst"), "lacks keys ['dst']"),
+    "composition_pair": (_with(composition=[["f", "ix"]]), "entry 0 is not a triple"),
+    "composition_string": (_with(composition=["f∘ix=f"]), "entry 0 is not a triple"),
+    "composition_unhashable_name": (_with(composition=[["f", ["ix"], "f"]]),
+                                    "unknown morphism in ('f', ['ix'], 'f')"),
+    "section_not_list": (_with(morphisms={"id": "f"}), "'morphisms' must be a list, not dict"),
+}

@@ -1,4 +1,5 @@
 import pytest
+from inputs import HOSTILE_CATEGORIES
 
 from eicat.category import (
     NotEI,
@@ -42,6 +43,27 @@ def test_validate_rejects_unknown_keys():
     raw["extra"] = []
     with pytest.raises(ValidationError):
         validate(raw)
+
+
+@pytest.mark.parametrize("case", HOSTILE_CATEGORIES)
+def test_validate_rejects_malformed_json(case):
+    raw, fragment = HOSTILE_CATEGORIES[case]
+    with pytest.raises(ValidationError) as exc:
+        validate(raw)
+    assert any(fragment in v for v in exc.value.violations), exc.value.violations
+
+
+def test_validate_reports_every_malformed_record():
+    raw = chain_raw()
+    raw["objects"].append(["not", "a", "name"])
+    raw["morphisms"][3:5] = [7, {"id": "g", "dst": "z"}]
+    with pytest.raises(ValidationError) as exc:
+        validate(raw)
+    assert exc.value.violations == [
+        "object names must be strings or numbers",
+        "morphism record 3 is not an object",
+        "morphism record 4 lacks keys ['src']",
+    ]
 
 
 def test_validate_reports_missing_identity():

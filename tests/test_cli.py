@@ -1,7 +1,9 @@
+import importlib
 import json
 import time
 
 import pytest
+from inputs import HOSTILE_CATEGORIES
 
 from eicat.category import category_to_json
 from eicat.cli import main
@@ -48,6 +50,40 @@ def test_malformed_json_is_usage_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("case", HOSTILE_CATEGORIES)
+def test_malformed_category_is_domain_error(case, tmp_path, capsys):
+    raw, fragment = HOSTILE_CATEGORIES[case]
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "classify"):
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValidationError: ") and fragment in err
+        assert "Traceback" not in err
+
+
+def test_classify_explain_builds_presentation_and_factorizations_once(
+        tmp_path, monkeypatch, capsys):
+    calls = {"presentation_of": 0, "factorizations": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    category = importlib.import_module("eicat.category")
+    presentation_of = counted("presentation_of", category.presentation_of)
+    for module in ("eicat.classify", "eicat.cli"):
+        monkeypatch.setattr(importlib.import_module(module), "presentation_of", presentation_of)
+    monkeypatch.setattr(category, "factorizations",
+                        counted("factorizations", category.factorizations))
+    path = write_category(tmp_path, poset_category(diamond_poset()))
+    assert main(["classify", path, "--explain"]) == 0
+    assert json.loads(capsys.readouterr().out)["explain"]["unfactorizables"]
+    assert calls == {"presentation_of": 1, "factorizations": 1}
 
 
 def test_missing_subcommand_is_usage_error():

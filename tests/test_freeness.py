@@ -1,4 +1,5 @@
 import pytest
+from inputs import boolean_poset, s3_transporter
 
 from eicat.category import presentation_of
 from eicat.families import (
@@ -28,6 +29,15 @@ def chain():
 @pytest.fixture(scope="module")
 def diamond():
     return presentation_of(poset_category(diamond_poset()))
+
+
+@pytest.fixture(scope="module")
+def larger_presentations():
+    """Instances beyond the corpus's size limits."""
+    extra = [("chain_8", poset_category(chain_poset(8))),
+             ("boolean_4", poset_category(boolean_poset(4))),
+             ("s3_all_subsets", s3_transporter(3))]
+    return [(name, presentation_of(c)) for name, c in extra]
 
 
 def test_unfactorizables_on_chain(chain):
@@ -132,3 +142,28 @@ def test_empty_hom_pairs_satisfy_disjoint_union(presentations):
             for i in range(j):
                 if not p.hom_set(i, j):
                     assert disjoint_union_holds(p, i, j), (name, i, j)
+
+
+def test_factorizations_match_reference_definition(presentations, larger_presentations):
+    for name, p in [(name, p) for name, _, p in presentations] + larger_presentations:
+        c = p.category
+        fz = p.factorizations
+        assert fz.non_isos == tuple(m for m in c.morphisms if not c.is_isomorphism(m)), name
+        unf = {m for m in c.morphisms if is_unfactorizable(c, m)}
+        assert fz.unfactorizable == unf, name
+        for alpha in c.morphisms:
+            scan = [(g, f) for (f, g), h in c.comp.items() if h == alpha and g in unf]
+            assert list(fz.first_steps.get(alpha, ())) == scan, (name, alpha)
+
+
+def test_unfactorizables_returns_fresh_lists(diamond):
+    table = unfactorizables(diamond)
+    for homs in table.values():
+        homs.append("junk")
+    assert unfactorizables(diamond) != table
+    assert all("junk" not in homs for homs in unfactorizables(diamond).values())
+
+
+def test_ufp_direct_agrees_with_is_free_on_larger_instances(larger_presentations):
+    for name, p in larger_presentations:
+        assert ufp_direct(p) == is_free(p).free, name
