@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Field, Matrix, QuotientSpace, Subspace
+from .linalg import Field, Matrix, QuotientSpace, Subspace, unit_vector
 
 
 class AlgebraError(Exception):
@@ -81,7 +81,7 @@ class FiniteDimAlgebra:
         f = self.field
         d = self.dim
         for i in range(d):
-            ei = [f.one if t == i else f.zero for t in range(d)]
+            ei = unit_vector(f, d, i)
             if self.product_vec(self.unit, ei) != ei or self.product_vec(ei, self.unit) != ei:
                 raise AlgebraError(f"unit law fails at basis element {i}")
 
@@ -171,7 +171,7 @@ def group_algebra(g, f: Field) -> FiniteDimAlgebra:
     index = {e: i for i, e in enumerate(g.elements)}
     d = len(g.elements)
     mult = [[[(index[g.mul(a, b)], f.one)] for b in g.elements] for a in g.elements]
-    unit = [f.one if e == g.identity else f.zero for e in g.elements]
+    unit = unit_vector(f, d, index[g.identity])
     return FiniteDimAlgebra(f, list(g.elements), mult, unit)
 
 
@@ -189,15 +189,9 @@ def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
 
 
 def _trace_vector(a):
-    f = a.field
-    out = []
-    for k in range(a.dim):
-        lk = a.left_mult_matrix(k)
-        t = f.zero
-        for r in range(a.dim):
-            t = f.add(t, lk.data[r][r])
-        out.append(t)
-    return out
+    """tr(L_{e_k}) for every basis element e_k, as unreduced scalars."""
+    return [sum(c for j, pairs in enumerate(row) for t, c in pairs if t == j)
+            for row in a.mult]
 
 
 def _is_nilpotent_ideal(a, vectors):
@@ -207,7 +201,7 @@ def _is_nilpotent_ideal(a, vectors):
     sub = Subspace(f, d, vectors)
     basis = sub.basis
     for i in range(d):
-        ei = [f.one if t == i else f.zero for t in range(d)]
+        ei = unit_vector(f, d, i)
         for v in basis:
             if not sub.contains(a.product_vec(ei, v)) or not sub.contains(a.product_vec(v, ei)):
                 return False
@@ -221,114 +215,118 @@ def _is_nilpotent_ideal(a, vectors):
 
 
 def radical(a: FiniteDimAlgebra):
-    """Basis of the Jacobson radical.
+    """Basis of the Jacobson radical, in reduced row echelon form.
 
-    Characteristic 0: kernel of the trace form of the regular representation.
-    Characteristic p: iterated p-trace refinement of the trace-form kernel.
-    The candidate is re-verified to be a nilpotent ideal in either case."""
+    Both characteristics start from the kernel of the trace form of the
+    regular representation, I_0 = {x : tr(L_{x e_j}) = 0 for every j}.  In
+    characteristic 0 that is the radical (Dickson); in characteristic p it is
+    the first member of the chain of `_radical_mod_p`.  Each returned radical
+    is verified to be a nilpotent ideal exactly once: here in characteristic
+    0, in `_radical_mod_p` in characteristic p."""
     if a._radical is not None:
         return a._radical
     f = a.field
     d = a.dim
-    if d == 0:
-        a._radical = []
-        return a._radical
-    traces = _trace_vector(a)
-    p = f.characteristic
-
-    if p == 0:
-        gram = Matrix.zeros(f, d, d)
-        for i in range(d):
-            for j in range(d):
-                s = f.zero
-                for k, c in a.mult[i][j]:
-                    s = f.add(s, f.mul(c, traces[k]))
-                gram.data[i][j] = s
-        cand = gram.kernel_basis()
+    whole = Subspace(f, d, [unit_vector(f, d, i) for i in range(d)])
+    level0 = _form_kernel(a, whole, _trace_vector(a))
+    if f.characteristic:
+        a._radical = _radical_mod_p(a, level0)
+    elif _is_nilpotent_ideal(a, level0.basis):
+        a._radical = level0.basis
     else:
-        cand = _radical_mod_p(a, traces)
-
-    if not _is_nilpotent_ideal(a, cand):
         raise RadicalVerificationFailed("radical candidate is not a nilpotent ideal")
-    a._radical = Subspace(f, d, cand).basis
     return a._radical
 
 
-def _p_power_trace(intmat, q):
-    """tr(M^q) for an integer matrix, q a power of p."""
-    d = len(intmat)
-    result = None
-    base = [row[:] for row in intmat]
-    e = q
-    # repeated squaring; q is small (<= dim rounded up to a p-power)
-    mats = []
-    while e:
-        mats.append((e & 1, base))
-        base = _int_matmul(base, base)
-        e >>= 1
-    acc = None
-    for bit, m in mats:
-        if bit:
-            acc = m if acc is None else _int_matmul(acc, m)
-    result = sum(acc[i][i] for i in range(d)) if acc is not None else d
-    return result
+def _form_kernel(a, space, values):
+    """The Subspace {x in space : g(x e_j) = 0 for every j}, for a form g
+    that is linear on the ideal `space` and takes `values` on its rref basis.
+
+    The coordinates of a member v of `space` are its entries at the pivots,
+    so g(v) = sum_k v_k w_k, with w_k the value at pivot k and 0 off the
+    pivots.  As x e_j lies in `space` for x in `space`, g(x e_j) is
+    sum_i x_i t_ij with t_ij = sum_k c_ij^k w_k, linear in x."""
+    f = a.field
+    d = a.dim
+    w = [f.zero] * d
+    for pc, g in zip(space.pivots, values):
+        w[pc] = g
+    supports = [[(i, x) for i, x in enumerate(b) if x] for b in space.basis]
+    rows = []
+    for j in range(d):
+        t = [sum(c * w[k] for k, c in a.mult[i][j]) for i in range(d)]
+        rows.append([sum(x * t[i] for i, x in nz) for nz in supports])
+    ker = Matrix(f, rows).kernel_basis()
+    return Subspace(f, d, [space.from_coords(co) for co in ker])
 
 
-def _int_matmul(x, y):
-    n = len(x)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        xi = x[i]
-        oi = out[i]
-        for t in range(n):
-            a = xi[t]
-            if a:
-                yt = y[t]
-                for j in range(n):
-                    oi[j] += a * yt[j]
-    return out
+def _radical_mod_p(a, space):
+    """The radical in characteristic p, from I_0 = `space` (Ronyai,
+    "Computing the structure of finite algebras", 1990; Cohen, Ivanyos and
+    Wales, "Finding the radical of an algebra of linear transformations",
+    1997).
 
-
-def _radical_mod_p(a, traces):
-    """Friedl-Ronyai chain: refine the trace-form kernel with p-power traces.
-
-    Each intermediate space contains the radical, so a nilpotent-ideal
-    intermediate equals the radical and we can stop early."""
+    For q = p^i and z in A, let g_i(z) = tr(L_z^q) / q mod p, with L_z lifted
+    to an integer matrix (g_0 is the trace).  g_i is linear on I_{i-1}, and
+    I_i = {x in I_{i-1} : g_i(x e_j) = 0 for every j} is an ideal containing
+    the radical; so g_i is taken once per basis vector of I_{i-1}, not once
+    per pair (`_form_kernel`).  I_l is the radical for l = floor(log_p dim A).
+    Each I_i is verified once: the first nilpotent ideal among them is the
+    radical and ends the chain.  If I_l is not one, or a trace is not
+    divisible by q, the computation is refused."""
     f = a.field
     p = f.characteristic
-    d = a.dim
-    space = Subspace(f, d, [[f.one if t == i else f.zero for t in range(d)] for i in range(d)])
     q = 1
-    while True:
-        rows = []
-        for y in space.basis:
-            row = []
-            for x in space.basis:
-                z = a.product_vec(x, y)
-                if q == 1:
-                    val = f.zero
-                    for k, c in enumerate(z):
-                        if c != 0:
-                            val = f.add(val, f.mul(c, traces[k]))
-                else:
-                    lz = a.element_matrix(z)
-                    intmat = [[int(e) for e in r] for r in lz.data]
-                    t = _p_power_trace(intmat, q)
-                    if t % q != 0:
-                        raise RadicalVerificationFailed(
-                            f"p-power trace not divisible by {q}")
-                    val = (t // q) % p
-                row.append(val)
-            rows.append(row)
-        ker = Matrix(f, rows).kernel_basis() if rows else []
-        vectors = [space.from_coords(co) for co in ker]
-        nxt = Subspace(f, d, vectors)
-        if _is_nilpotent_ideal(a, nxt.basis):
-            return nxt.basis
-        if q >= d:
-            return nxt.basis  # final chain member per the p-trace theorem
-        space = nxt
+    while not _is_nilpotent_ideal(a, space.basis):
+        if q * p > a.dim:
+            raise RadicalVerificationFailed(
+                f"last chain member (q = {q}) is not a nilpotent ideal")
         q *= p
+        values = []
+        for b in space.basis:
+            t = _p_power_trace(a.element_matrix(b).data, q, p * q)
+            if t % q:
+                raise RadicalVerificationFailed(f"p-power trace not divisible by {q}")
+            values.append(t // q)
+        space = _form_kernel(a, space, values)
+    return space.basis
+
+
+def _p_power_trace(intmat, q, modulus):
+    """tr(M^q) mod `modulus` for an integer matrix M and q >= 1, every
+    product reduced mod `modulus`.  With modulus p*q: t is divisible by q iff
+    t mod p*q is, and then (t mod p*q) / q = t / q mod p."""
+    m = [[x % modulus for x in row] for row in intmat]
+    if q == 1:
+        return sum(row[i] for i, row in enumerate(m)) % modulus
+    # tr(M^q) = tr(H K) with H = M^(q//2), K = M^(q - q//2): no last product
+    half = None
+    base, e = m, q // 2
+    while e:
+        if e & 1:
+            half = base if half is None else _int_matmul(half, base, modulus)
+        e >>= 1
+        if e:
+            base = _int_matmul(base, base, modulus)
+    other = half if q % 2 == 0 else _int_matmul(half, m, modulus)
+    return sum(x * y for hrow, kcol in zip(half, zip(*other))
+               for x, y in zip(hrow, kcol)) % modulus
+
+
+def _int_matmul(x, y, modulus):
+    """x * y mod `modulus` for square integer matrices, over the nonzero
+    entries only."""
+    n = len(x)
+    ynz = [[(j, b) for j, b in enumerate(row) if b] for row in y]
+    out = []
+    for xi in x:
+        acc = [0] * n
+        for a, yt in zip(xi, ynz):
+            if a:
+                for j, b in yt:
+                    acc[j] += a * b
+        out.append([s % modulus for s in acc])
+    return out
 
 
 # small dense polynomial helpers (coefficient lists, low degree first)
@@ -440,17 +438,56 @@ def _rational_roots(poly):
     return sorted(roots)
 
 
+def _poly_powmod(f, base, e, modulus):
+    """base^e mod `modulus`, by repeated squaring."""
+    result = [f.one]
+    base = _poly_divmod(f, base, modulus)[1]
+    while e:
+        if e & 1:
+            result = _poly_divmod(f, _poly_mul(f, result, base), modulus)[1]
+        e >>= 1
+        if e:
+            base = _poly_divmod(f, _poly_mul(f, base, base), modulus)[1]
+    return result
+
+
 def _field_roots(f, poly):
-    if f.characteristic == 0:
+    """The distinct roots of poly in the field, ascending."""
+    p = f.characteristic
+    if p == 0:
         return _rational_roots(poly)
+    if p == 2:  # the splitting needs p odd; F_2 has two elements to try
+        return [r for r, value in ((0, poly[0]), (1, sum(poly))) if value % 2 == 0]
+    return _roots_by_splitting(f, poly)
+
+
+def _roots_by_splitting(f, poly):
+    """The distinct roots of poly in F_p, p odd, ascending, in time
+    polynomial in log p: g = gcd(poly, x^p - x) is the product of the distinct
+    linear factors, and gcd(g, (x + a)^((p-1)/2) - 1) for a = 0, 1, ...
+    splits it (equal-degree splitting, Cantor and Zassenhaus 1981, with the
+    shifts a tried in order instead of at random).  Two distinct roots r, s
+    go apart at any a with (r + a)/(s + a) a non-square, and as a runs over
+    F_p that ratio, 1 + (r - s)/(s + a), takes every value but 1."""
+    p = f.characteristic
+    x = [f.zero, f.one]
+    g = _poly_xgcd(f, poly, _poly_sub(f, _poly_powmod(f, x, p, poly), x))[0]
     roots = []
-    for r in range(f.characteristic):
-        val = f.zero
-        for c in reversed(poly):
-            val = f.add(f.mul(val, r), c)
-        if val == 0:
-            roots.append(r)
-    return roots
+    stack = [g]
+    while stack:
+        g = stack.pop()
+        if len(g) < 3:
+            roots += [f.neg(g[0])] if len(g) == 2 else []
+            continue
+        for a in range(p):
+            shifted = _poly_powmod(f, [a, f.one], (p - 1) // 2, g)
+            h = _poly_xgcd(f, g, _poly_sub(f, shifted, [f.one]))[0]
+            if 1 < len(h) < len(g):
+                stack += [h, _poly_divmod(f, g, h)[0]]
+                break
+        else:
+            raise AlgebraError(f"no shift splits {g} over F_{p}")
+    return sorted(roots)
 
 
 def primitive_idempotents(a: FiniteDimAlgebra):
@@ -475,7 +512,7 @@ def primitive_idempotents(a: FiniteDimAlgebra):
         ebar = quo.project(e)
         corner_vecs = []
         for i in range(d):
-            ei = [f.one if t == i else f.zero for t in range(d)]
+            ei = unit_vector(f, d, i)
             corner_vecs.append(quo.project(a.product_vec(a.product_vec(e, ei), e)))
         corner = Subspace(f, quo.dim, corner_vecs)
         if corner.dim <= 1:
@@ -554,7 +591,7 @@ def _unit_idempotent_seeds(a):
         for j in support:
             if j != i and a.mult[i][j]:
                 return [list(a.unit)]
-        seeds.append([f.one if t == i else f.zero for t in range(d)])
+        seeds.append(unit_vector(f, d, i))
     return seeds or [list(a.unit)]
 
 
@@ -659,7 +696,7 @@ def submodule(m: ModuleRep, vectors):
     f = m.algebra.field
     sub = Subspace(f, m.dim, vectors)
     cols = sub.basis
-    incl = Matrix.from_columns(f, cols, rows=m.dim) if cols else Matrix.zeros(f, m.dim, 0)
+    incl = Matrix.from_columns(f, cols, rows=m.dim)
     action = []
     for mat in m.action:
         new_cols = []
@@ -668,8 +705,7 @@ def submodule(m: ModuleRep, vectors):
             if co is None:
                 raise AlgebraError("subspace is not invariant")
             new_cols.append(co)
-        action.append(Matrix.from_columns(f, new_cols, rows=sub.dim)
-                      if new_cols else Matrix.zeros(f, 0, 0))
+        action.append(Matrix.from_columns(f, new_cols, rows=sub.dim))
     return ModuleRep(m.algebra, sub.dim, action), incl
 
 
@@ -681,8 +717,7 @@ def quotient_module(m: ModuleRep, vectors):
     sub = Subspace(f, m.dim, vectors)
     comp = sub.complement_pivots()
     # full change of basis [sub | complement e_i], projection = last coords
-    cols = [list(b) for b in sub.basis] + \
-        [[f.one if t == i else f.zero for t in range(m.dim)] for i in comp]
+    cols = [list(b) for b in sub.basis] + [unit_vector(f, m.dim, i) for i in comp]
     basis_mat = Matrix.from_columns(f, cols, rows=m.dim)
     qdim = len(comp)
     # invert [sub | complement] once; projection = last qdim rows of the inverse
@@ -695,10 +730,9 @@ def quotient_module(m: ModuleRep, vectors):
     for mat in m.action:
         cols_q = []
         for i in comp:
-            ei = [f.one if t == i else f.zero for t in range(m.dim)]
+            ei = unit_vector(f, m.dim, i)
             cols_q.append(proj.mul_vec(mat.mul_vec(ei)))
-        action.append(Matrix.from_columns(f, cols_q, rows=qdim)
-                      if cols_q else Matrix.zeros(f, 0, 0))
+        action.append(Matrix.from_columns(f, cols_q, rows=qdim))
     return ModuleRep(m.algebra, qdim, action), proj
 
 
@@ -714,7 +748,7 @@ def radical_submodule_vectors(m: ModuleRep):
     vecs = []
     for r in rad:
         for i in range(m.dim):
-            ei = [f.one if t == i else f.zero for t in range(m.dim)]
+            ei = unit_vector(f, m.dim, i)
             vecs.append(m.act(r, ei))
     return vecs
 

@@ -21,7 +21,7 @@ from .algebra import (
     submodule,
     top_module,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, unit_vector
 
 
 class ZaksViolation(AlgebraError):
@@ -61,7 +61,7 @@ def _principal_data(a: FiniteDimAlgebra):
     f = a.field
     out = []
     for e in primitive_idempotents(a):
-        cols = [a.product_vec([f.one if t == i else f.zero for t in range(a.dim)], e)
+        cols = [a.product_vec(unit_vector(f, a.dim, i), e)
                 for i in range(a.dim)]
         sub = Subspace(f, a.dim, cols)
         rep, _ = submodule(regular_module(a), sub.basis)
@@ -118,7 +118,7 @@ def _minimal_generators(a, mod, data, rng):
         rng.shuffle(order)
     kept = []
     for i in order:
-        ei = [f.one if t == i else f.zero for t in range(mod.dim)]
+        ei = unit_vector(f, mod.dim, i)
         if span.contains(ei):
             continue
         for idx, (e, _, _, _) in enumerate(data):
@@ -164,8 +164,7 @@ def _cover_matrix(a, mod, data, kept):
     for idx, g in kept:
         for w in data[idx][1].basis:
             cols.append(mod.act(w, g))
-    return Matrix.from_columns(f, cols, rows=mod.dim) if cols \
-        else Matrix.zeros(f, mod.dim, 0)
+    return Matrix.from_columns(f, cols, rows=mod.dim)
 
 
 def projective_resolution(a: FiniteDimAlgebra, m: ModuleRep, length, rng=None) -> ResolutionTrace:
@@ -229,7 +228,7 @@ def _hom_blocks(a, m, data, needed):
         e = data[idx][0]
         cols = []
         for i in range(m.dim):
-            ei = [f.one if t == i else f.zero for t in range(m.dim)]
+            ei = unit_vector(f, m.dim, i)
             cols.append(m.act(e, ei))
         out[idx] = Subspace(f, m.dim, cols)
     return out
@@ -280,8 +279,7 @@ def ext_dims_from_trace(a, trace, m, cap):
                     if co is None:
                         raise AlgebraError("Hom differential leaves its block")
                     cols.append(co)
-                row_blocks.append(Matrix.from_columns(f, cols, rows=homs[idxp].dim)
-                                  if cols else Matrix.zeros(f, homs[idxp].dim, 0))
+                row_blocks.append(Matrix.from_columns(f, cols, rows=homs[idxp].dim))
             for r in range(homs[idxp].dim):
                 rows.append([x for blk in row_blocks for x in blk.data[r]])
         diff.append(Matrix(f, rows) if rows else None)

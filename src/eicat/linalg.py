@@ -123,6 +123,13 @@ class Field:
 QQ = Field(0)
 
 
+def unit_vector(f: Field, n: int, i: int):
+    """The i-th standard basis vector of f^n."""
+    v = [f.zero] * n
+    v[i] = f.one
+    return v
+
+
 class Matrix:
     """Dense matrix over a Field; row-major list-of-lists storage, plus the
     column-sparse view `mul_vec` builds on first use."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .algebra import ModuleRep, algebra_from_category, group_algebra, regular_module
 from .category import SkeletalEIPresentation, full_subcategory
 from .groups import is_projective_over
-from .linalg import Field, Matrix, QuotientSpace, Subspace
+from .linalg import Field, Matrix, QuotientSpace, Subspace, unit_vector
 
 
 class TriangularError(Exception):
@@ -290,15 +290,14 @@ def build_i_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> Co
             for g in tp.vertex_group(j).elements:
                 cols = []
                 for co in range(q.dim):
-                    amb = q.lift([f.one if x == co else f.zero for x in range(q.dim)])
+                    amb = q.lift(unit_vector(f, q.dim, co))
                     mapped = [f.zero] * len(amb)
                     for x, c in enumerate(amb):
                         if c != 0:
                             mi, bi = divmod(x, da)
                             mapped[index_jt[tp.compose(g, basis_jt[mi])] * da + bi] = c
                     cols.append(q.project(mapped))
-                act[g] = Matrix.from_columns(f, cols, rows=q.dim) if cols \
-                    else Matrix.zeros(f, 0, 0)
+                act[g] = Matrix.from_columns(f, cols, rows=q.dim)
             comp_action.append(act)
         elif j == t0:
             group = tp.vertex_group(j)
@@ -319,15 +318,14 @@ def build_i_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> Co
                     index_jt = {m: x for x, m in enumerate(basis_jt)}
                     cols = []
                     for co in range(ql.dim):
-                        amb = ql.lift([f.one if x == co else f.zero for x in range(ql.dim)])
+                        amb = ql.lift(unit_vector(f, ql.dim, co))
                         mapped = [f.zero] * (len(basis_jt) * da)
                         for x, c in enumerate(amb):
                             if c != 0:
                                 mi, bi = divmod(x, da)
                                 mapped[index_jt[tp.compose(mu, basis_lt[mi])] * da + bi] = c
                         cols.append(qj.project(mapped))
-                    table[mu] = Matrix.from_columns(f, cols, rows=qj.dim) if cols \
-                        else Matrix.zeros(f, qj.dim, 0)
+                    table[mu] = Matrix.from_columns(f, cols, rows=qj.dim)
                 elif l == t0:
                     qj = quotients[j]
                     basis_jt = tp.hom_basis(j, t0)
@@ -337,8 +335,7 @@ def build_i_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> Co
                         amb = [f.zero] * (len(basis_jt) * da)
                         amb[index_jt[mu] * da + b] = f.one
                         cols.append(qj.project(amb))
-                    table[mu] = Matrix.from_columns(f, cols, rows=qj.dim) if cols \
-                        else Matrix.zeros(f, qj.dim, 0)
+                    table[mu] = Matrix.from_columns(f, cols, rows=qj.dim)
                 else:
                     table[mu] = Matrix.zeros(f, dims[j], dims[l])
             phi[(j, l)] = table
@@ -376,8 +373,7 @@ def build_j_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> Co
                             row[rr * dm + c] = f.sub(row[rr * dm + c], lg.data[r][rr])
                     rows.append(row)
         kernel = Matrix(f, rows).kernel_basis() if rows and da * dm else \
-            ([[f.one if i == j else f.zero for i in range(da * dm)]
-              for j in range(da * dm)] if da * dm else [])
+            [unit_vector(f, da * dm, j) for j in range(da * dm)]
         hom_spaces[l] = (Subspace(f, da * dm, kernel), dm)
 
     dims = [0] * upto
@@ -409,8 +405,7 @@ def build_j_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> Co
                     if co is None:
                         raise IncompatibleMaps("Hom space not invariant")
                     cols.append(co)
-                act[h] = Matrix.from_columns(f, cols, rows=sub.dim) if cols \
-                    else Matrix.zeros(f, 0, 0)
+                act[h] = Matrix.from_columns(f, cols, rows=sub.dim)
             comp_action.append(act)
 
     phi = {}
@@ -429,8 +424,7 @@ def build_j_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> Co
                     for b in range(sub.dim):
                         fb = as_matrix(sub.basis[b], dm)
                         cols.append(fb.column(mu_idx))
-                    table[mu] = Matrix.from_columns(f, cols, rows=da) if cols \
-                        else Matrix.zeros(f, da, 0)
+                    table[mu] = Matrix.from_columns(f, cols, rows=da)
                 else:
                     # f -> (m_tj -> f(m_tj o mu))
                     sub_l, dm_l = hom_spaces[l]
@@ -449,8 +443,7 @@ def build_j_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> Co
                         if co is None:
                             raise IncompatibleMaps("evaluation leaves the Hom space")
                         cols.append(co)
-                    table[mu] = Matrix.from_columns(f, cols, rows=sub_j.dim) if cols \
-                        else Matrix.zeros(f, sub_j.dim, 0)
+                    table[mu] = Matrix.from_columns(f, cols, rows=sub_j.dim)
             phi[(j, l)] = table
     return ColumnModule(tp, upto, dims, comp_action, phi)
 

@@ -4,11 +4,21 @@ and the dimension bound, over the full corpus sweep."""
 
 import random
 
-from eicat.algebra import dual_module, group_algebra, regular_module, top_module
+import pytest
+
+from eicat.algebra import (
+    algebra_from_category,
+    dual_module,
+    group_algebra,
+    regular_module,
+    top_module,
+)
 from eicat.category import presentation_of
+from eicat.classify import classify
 from eicat.families import (
     Poset,
     chain_poset,
+    corpus,
     diamond_poset,
     diamond_transporter_category,
     poset_category,
@@ -17,7 +27,7 @@ from eicat.families import (
 )
 from eicat.freeness import is_free, ufp_direct
 from eicat.groups import cyclic_group, is_projective_over
-from eicat.homology import ext_dims, is_module_projective
+from eicat.homology import ext_dims, is_gorenstein_oracle, is_module_projective
 from eicat.linalg import Field
 from eicat.triangular import (
     build_i_t,
@@ -167,3 +177,16 @@ def test_criterion_7_bound_consistency(sweep):
             ok = ok and v.left.finite and v.left.value <= bound
             ok = ok and v.right.finite and v.right.value <= bound
     _verdict_line(7, "dimension bound dominates oracle", ok)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_agreement_on_more_corpus_seeds_in_positive_characteristic(seed):
+    """Other random posets, transporters and bisets than seed 0, each through
+    the characteristic-p radical."""
+    for name, c in corpus(seed):
+        p = presentation_of(c)
+        for ch in (2, 3, 5):
+            f = Field(ch)
+            r = classify(c, f)
+            v = is_gorenstein_oracle(algebra_from_category(p.category, f), 8)
+            assert r.gorenstein == v.gorenstein, (seed, name, ch)

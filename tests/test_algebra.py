@@ -1,11 +1,17 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from inputs import s3_transporter
 
+import eicat.algebra as algebra
 from eicat.algebra import (
     AlgebraError,
     _check_orthogonal_system,
+    _field_roots,
+    _p_power_trace,
+    _roots_by_splitting,
     FiniteDimAlgebra,
     algebra_from_category,
     dual_module,
@@ -22,7 +28,7 @@ from eicat.algebra import (
 from eicat.category import presentation_of
 from eicat.families import chain_poset, poset_category
 from eicat.groups import cyclic_group, symmetric_group_3
-from eicat.linalg import QQ, Field, Subspace
+from eicat.linalg import QQ, Field, Subspace, _is_prime, unit_vector
 
 
 def chain_algebra(f):
@@ -110,8 +116,7 @@ def test_radical_chain_algebra_is_span_of_non_identities():
         assert len(rad) == 3
         sub = Subspace(f, a.dim, rad)
         for i, name in enumerate(a.basis):
-            ei = [f.one if t == i else f.zero for t in range(a.dim)]
-            assert sub.contains(ei) == (not name.startswith("id_"))
+            assert sub.contains(unit_vector(f, a.dim, i)) == (not name.startswith("id_"))
 
 
 def test_radical_dimension_matches_opposite(sweep):
@@ -227,3 +232,108 @@ def test_submodule_and_quotient_split_dimensions():
     quo.validate()
     assert sub.dim + quo.dim == m.dim
     assert incl.cols == sub.dim and proj.rows == quo.dim
+
+
+def test_radical_dims_of_modular_group_algebras():
+    cases = [(cyclic_group(4), 2, 3), (cyclic_group(3), 3, 2), (cyclic_group(6), 2, 3),
+             (symmetric_group_3(), 2, 1), (symmetric_group_3(), 3, 4)]
+    for g, p, dim in cases:
+        assert len(radical(group_algebra(g, Field(p)))) == dim, (g.order, p)
+
+
+def test_radical_is_span_of_non_isomorphisms_when_p_divides_no_aut_order(sweep):
+    """For a skeletal EI category with every |Aut(x)| invertible in k, each
+    k Aut(x) is semisimple (Maschke), so rad kC is the span of the
+    non-isomorphisms."""
+    checked = 0
+    for (name, ch), entry in sweep.items():
+        pres = entry["pres"]
+        if ch == 0 or any(g.order % ch == 0 for g in pres.aut.values()):
+            continue
+        assert len(radical(entry["algebra"])) == len(pres.factorizations.non_isos), (name, ch)
+        checked += 1
+    assert checked >= 60
+
+
+def _larger_char_p_algebras():
+    return [("chain_8", algebra_from_category(
+                presentation_of(poset_category(chain_poset(8))).category, Field(2)), 28)] + \
+        [(f"s3_subsets_le2@{p}", algebra_from_category(
+            presentation_of(s3_transporter(2)).category, Field(p)), dim)
+         for p, dim in ((2, 19), (3, 20))]
+
+
+def test_radical_dims_past_level_zero():
+    """These three run the characteristic-p chain past its first member."""
+    for name, a, dim in _larger_char_p_algebras():
+        assert len(radical(a)) == dim, name
+
+
+def test_p_power_trace_matches_unbounded_powers():
+    rng = random.Random(4)
+    for p in (2, 3, 5):
+        for q in (1, p, p * p, p ** 3):
+            for n in (1, 2, 5, 8):
+                m = [[rng.choice([0, 0, rng.randrange(-9, 10)]) for _ in range(n)]
+                     for _ in range(n)]
+                power = [[int(i == j) for j in range(n)] for i in range(n)]
+                for _ in range(q):
+                    power = [[sum(power[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+                             for i in range(n)]
+                expect = sum(power[i][i] for i in range(n)) % (p * q)
+                assert _p_power_trace(m, q, p * q) == expect, (p, q, n)
+
+
+def test_chain_evaluates_each_level_on_a_basis_and_verifies_once(monkeypatch):
+    """The p-power trace is taken once per basis vector of the previous chain
+    member, never per pair of them, and each level is checked once."""
+    a = _larger_char_p_algebras()[0][1]
+    traces_at, checks = {}, []
+
+    def counted_trace(m, q, *rest):
+        traces_at[q] = traces_at.get(q, 0) + 1
+        return _p_power_trace(m, q, *rest)
+
+    def counted_check(*args):
+        checks.append(args)
+        return is_nilpotent_ideal(*args)
+
+    is_nilpotent_ideal = algebra._is_nilpotent_ideal
+    monkeypatch.setattr(algebra, "_p_power_trace", counted_trace)
+    monkeypatch.setattr(algebra, "_is_nilpotent_ideal", counted_check)
+    assert len(radical(a)) == 28
+    assert traces_at and all(n < a.dim for n in traces_at.values()), traces_at
+    assert len(checks) == len(traces_at) + 1  # levels 0, p, p^2, ...
+
+
+def _scan_roots(p, poly):
+    return [r for r in range(p) if sum(c * r ** i for i, c in enumerate(poly)) % p == 0]
+
+
+def test_field_roots_match_a_scan_of_the_field():
+    rng = random.Random(7)
+    for p in [n for n in range(60) if _is_prime(n)]:
+        f = Field(p)
+        for _ in range(30):
+            # a product of random linear factors, with repeats, and a random cofactor
+            poly = [rng.randrange(p) for _ in range(rng.randint(0, 4))] + [rng.randrange(1, p)]
+            for _ in range(rng.randint(0, 5)):
+                r = rng.randrange(min(p, 4)) if rng.random() < 0.3 else rng.randrange(p)
+                poly = algebra._poly_mul(f, poly, [f.neg(r), f.one])
+            if len(poly) < 2:
+                continue
+            expect = _scan_roots(p, poly)
+            assert _field_roots(f, poly) == expect, (p, poly)
+            if p > 2:
+                assert _roots_by_splitting(f, poly) == expect, (p, poly)
+
+
+def test_field_roots_in_a_large_prime_field():
+    p = 1000000007
+    f = Field(p)
+    roots = [3, 17, p - 1, 123456789]
+    poly = [f.one]
+    for r in roots + [17]:
+        poly = algebra._poly_mul(f, poly, [f.neg(r), f.one])
+    poly = algebra._poly_mul(f, poly, [1, 0, 1])  # x^2 + 1, no root as p = 3 mod 4
+    assert _field_roots(f, poly) == sorted(roots)

@@ -176,6 +176,16 @@ def test_large_characteristic_is_decided_quickly(chain_file, capsys):
     assert "below" in capsys.readouterr().err
 
 
+def test_oracle_in_a_large_prime_field_is_quick(tmp_path, capsys):
+    """Idempotents split by polynomial roots in F_p, found without a scan of F_p."""
+    path = tmp_path / "z3.json"
+    assert main(["gen", "group", "z3", "--out", str(path)]) == 0
+    t0 = time.perf_counter()
+    assert main(["oracle", str(path), "--char", "1000000007"]) == 0
+    assert time.perf_counter() - t0 < 2
+    assert json.loads(capsys.readouterr().out)["agrees"] is True
+
+
 @pytest.mark.parametrize("flag", ["--cap", "--limit"])
 def test_oracle_rejects_negative_cap_and_limit(chain_file, flag, capsys):
     assert main(["oracle", chain_file, flag, "-1"]) == 2
