@@ -4,9 +4,10 @@
 These are the numbers frozen into the test suite; rerun this script after
 touching the resolution or Ext code to confirm nothing drifted."""
 
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from eicat.algebra import algebra_from_category, group_algebra
 from eicat.category import presentation_of

@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
 """Sweep the example corpus over several characteristics, comparing the
 combinatorial classifier with the homological oracle, and print a summary
-table plus any disagreements.
+table plus the number of disagreements.  The check column reads "ok" when
+the oracle bears out the classifier, "cap" when the classifier says
+Gorenstein but the oracle stopped at the cap, and "MISMATCH" otherwise; only
+MISMATCH rows count as disagreements.
 
 Usage: python3 scripts/run_corpus.py [--seed N] [--cap N] [--chars 0,2,3,5]
 """
 
 import argparse
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from eicat.algebra import algebra_from_category
-from eicat.category import presentation_of
-from eicat.classify import classify
+from eicat.cli import sweep
 from eicat.families import corpus
-from eicat.homology import global_dimension, is_gorenstein_oracle
-from eicat.linalg import Field
+
+CHECK = {True: "ok", None: "cap", False: "MISMATCH"}
 
 
 def main():
@@ -28,24 +30,15 @@ def main():
     args = ap.parse_args()
     chars = [int(c) for c in args.chars.split(",")]
 
-    rows = []
-    disagreements = []
     t0 = time.time()
-    for name, c in corpus(args.seed):
-        p = presentation_of(c)
-        for ch in chars:
-            f = Field(ch)
-            report = classify(c, f)
-            alg = algebra_from_category(p.category, f)
-            verdict = is_gorenstein_oracle(alg, args.cap)
-            gldim = global_dimension(alg, args.cap)
-            agrees = report.gorenstein == verdict.gorenstein
-            if not agrees:
-                disagreements.append((name, ch, report, verdict))
-            rows.append((name, ch, alg.dim, report.free, report.gorenstein,
-                         report.one_gorenstein, report.hereditary,
-                         verdict.left.value, verdict.right.value, gldim.value,
-                         "ok" if agrees else "MISMATCH"))
+    results = sweep(corpus(args.seed), chars, args.cap)
+    rows = []
+    for (name, ch), r in results.items():
+        rep, verdict = r.report, r.verdict
+        rows.append((name, ch, r.algebra.dim, rep.free, rep.gorenstein,
+                     rep.one_gorenstein, rep.hereditary, verdict.left.value,
+                     verdict.right.value, r.gldim.value, CHECK[r.agrees]))
+    disagreements = [r for r in results.values() if r.agrees is False]
     elapsed = time.time() - t0
 
     hdr = ("instance", "char", "dim", "free", "gor", "1gor", "her",

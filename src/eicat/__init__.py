@@ -41,11 +41,11 @@ from .homology import (
     DimensionVerdict,
     ZaksViolation,
     ext_dims,
-    free_resolution,
     global_dimension,
     injective_dimension,
     is_gorenstein_oracle,
     is_module_projective,
+    projective_resolution,
 )
 from .linalg import Field, Matrix, QQ
 from .triangular import (

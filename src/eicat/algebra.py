@@ -3,6 +3,7 @@ by action matrices, and exact radical computation in any characteristic."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,6 +18,22 @@ class RadicalVerificationFailed(AlgebraError):
     pass
 
 
+def memoised(fn):
+    """Memoise fn(a, *args) on the algebra a, in `a._memo` under the key
+    (fn.__name__, *args): the one cache of per-algebra results."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(a, *args):
+        key = (name, *args)
+        memo = a._memo
+        if key not in memo:
+            memo[key] = fn(a, *args)
+        return memo[key]
+
+    return wrapper
+
+
 @dataclass
 class FiniteDimAlgebra:
     """An associative unital algebra given by sparse structure constants.
@@ -27,9 +44,7 @@ class FiniteDimAlgebra:
     basis: list
     mult: list  # mult[i][j] = [(k, scalar), ...]
     unit: list  # vector of scalars
-    _left_mats: dict = field(default_factory=dict, repr=False)
-    _radical: list | None = field(default=None, repr=False)
-    _prims: list | None = field(default=None, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -50,16 +65,15 @@ class FiniteDimAlgebra:
                     out[k] = f.add(out[k], f.mul(ab, c))
         return out
 
+    @memoised
     def left_mult_matrix(self, i) -> Matrix:
         """Matrix of x -> e_i * x on the regular module."""
-        if i not in self._left_mats:
-            f = self.field
-            m = Matrix.zeros(f, self.dim, self.dim)
-            for j in range(self.dim):
-                for k, c in self.mult[i][j]:
-                    m.data[k][j] = f.add(m.data[k][j], c)
-            self._left_mats[i] = m
-        return self._left_mats[i]
+        f = self.field
+        m = Matrix.zeros(f, self.dim, self.dim)
+        for j in range(self.dim):
+            for k, c in self.mult[i][j]:
+                m.data[k][j] = f.add(m.data[k][j], c)
+        return m
 
     def element_matrix(self, v) -> Matrix:
         """Left multiplication matrix of the element with coefficient vector v."""
@@ -178,14 +192,17 @@ def group_algebra(g, f: Field) -> FiniteDimAlgebra:
 def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
     """The opposite algebra: c'_{ij}^k = c_{ji}^k.
 
-    It is given the radical and the orthogonal idempotent system of `a`, each
-    computed and verified once, on `a`: J(A^op) = J(A) as a subspace, since
-    "two-sided nilpotent ideal" reads the same on both sides, and a
-    decomposition of 1 into orthogonal idempotents of A is one of A^op."""
+    Its memo is seeded with the radical and the orthogonal idempotent system
+    of `a`, each computed and verified once, on `a`: J(A^op) = J(A) as a
+    subspace, since "two-sided nilpotent ideal" reads the same on both
+    sides, and a decomposition of 1 into orthogonal idempotents of A is one
+    of A^op."""
     d = a.dim
     mult = [[list(a.mult[j][i]) for j in range(d)] for i in range(d)]
-    return FiniteDimAlgebra(a.field, list(a.basis), mult, list(a.unit),
-                            _radical=radical(a), _prims=primitive_idempotents(a))
+    b = FiniteDimAlgebra(a.field, list(a.basis), mult, list(a.unit))
+    b._memo[("radical",)] = radical(a)
+    b._memo[("primitive_idempotents",)] = primitive_idempotents(a)
+    return b
 
 
 def _trace_vector(a):
@@ -214,6 +231,7 @@ def _is_nilpotent_ideal(a, vectors):
     return True
 
 
+@memoised
 def radical(a: FiniteDimAlgebra):
     """Basis of the Jacobson radical, in reduced row echelon form.
 
@@ -223,19 +241,15 @@ def radical(a: FiniteDimAlgebra):
     the first member of the chain of `_radical_mod_p`.  Each returned radical
     is verified to be a nilpotent ideal exactly once: here in characteristic
     0, in `_radical_mod_p` in characteristic p."""
-    if a._radical is not None:
-        return a._radical
     f = a.field
     d = a.dim
     whole = Subspace(f, d, [unit_vector(f, d, i) for i in range(d)])
     level0 = _form_kernel(a, whole, _trace_vector(a))
     if f.characteristic:
-        a._radical = _radical_mod_p(a, level0)
-    elif _is_nilpotent_ideal(a, level0.basis):
-        a._radical = level0.basis
-    else:
+        return _radical_mod_p(a, level0)
+    if not _is_nilpotent_ideal(a, level0.basis):
         raise RadicalVerificationFailed("radical candidate is not a nilpotent ideal")
-    return a._radical
+    return level0.basis
 
 
 def _form_kernel(a, space, values):
@@ -490,6 +504,7 @@ def _roots_by_splitting(f, poly):
     return sorted(roots)
 
 
+@memoised
 def primitive_idempotents(a: FiniteDimAlgebra):
     """A complete set of orthogonal idempotents, refined towards primitivity.
 
@@ -498,8 +513,6 @@ def primitive_idempotents(a: FiniteDimAlgebra):
     lifted to an exact idempotent along the nilpotent radical.  Corners where
     no split is found are accepted as-is; the result is always a valid
     orthogonal decomposition of the unit, merely possibly non-primitive."""
-    if a._prims is not None:
-        return a._prims
     f = a.field
     d = a.dim
     quo = QuotientSpace(f, d, radical(a))
@@ -574,7 +587,6 @@ def primitive_idempotents(a: FiniteDimAlgebra):
         else:
             stack.extend(got)
     _check_orthogonal_system(a, prims)
-    a._prims = prims
     return prims
 
 
@@ -753,6 +765,7 @@ def radical_submodule_vectors(m: ModuleRep):
     return vecs
 
 
+@memoised
 def top_module(a: FiniteDimAlgebra) -> ModuleRep:
     """The left module A / rad(A); contains every simple as a summand."""
     rep, _ = quotient_module(regular_module(a), radical(a))

@@ -241,13 +241,7 @@ def skeletalize(c: FiniteCategory):
             if _isomorphic(c, y, x):
                 rep[x] = y
                 break
-    keep = sorted(set(rep.values()), key=c.objects.index)
-    keep_set = set(keep)
-    morphisms = [m for m in c.morphisms.values() if m.src in keep_set and m.dst in keep_set]
-    names = {m.name for m in morphisms}
-    comp = {pair: h for pair, h in c.comp.items()
-            if pair[0] in names and pair[1] in names}
-    return FiniteCategory(keep, morphisms, comp), rep
+    return full_subcategory(c, rep.values()), rep
 
 
 class Factorizations(NamedTuple):
@@ -363,8 +357,8 @@ def presentation_of(c: FiniteCategory) -> SkeletalEIPresentation:
 
 
 def full_subcategory(c: FiniteCategory, objects) -> FiniteCategory:
-    keep = [x for x in c.objects if x in set(objects)]
-    keep_set = set(keep)
+    keep_set = set(objects)
+    keep = [x for x in c.objects if x in keep_set]
     morphisms = [m for m in c.morphisms.values() if m.src in keep_set and m.dst in keep_set]
     names = {m.name for m in morphisms}
     comp = {pair: h for pair, h in c.comp.items() if pair[0] in names and pair[1] in names}

@@ -9,10 +9,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 from .algebra import AlgebraError, FiniteDimAlgebra, algebra_from_category
 from .category import CategoryError, category_to_json, presentation_of, validate
-from .classify import classify, explain
+from .classify import ClassificationReport, classify, explain
 from .families import (
     FamilyError,
     Poset,
@@ -29,7 +30,8 @@ from .families import (
 from .freeness import is_free, unfactorizables
 from .groups import GroupAction, GroupError, GroupTable, cyclic_group, \
     is_projective_over, morphism_stabilizers, symmetric_group_3
-from .homology import ZaksViolation, global_dimension, is_gorenstein_oracle
+from .homology import DimensionVerdict, GorensteinVerdict, ZaksViolation, \
+    global_dimension, is_gorenstein_oracle
 from .linalg import Field
 from .triangular import build_triangular, mstar_dim, phi_domain_dim
 
@@ -39,6 +41,50 @@ DEFAULT_DIM_LIMIT = 64
 
 class DimensionLimitExceeded(AlgebraError):
     pass
+
+
+def _run_oracle(alg: FiniteDimAlgebra, cap: int, limit=None):
+    """(Gorenstein verdict, global dimension) of alg, checked, up to the cap;
+    an algebra of dimension above `limit` (None: no limit) is refused."""
+    if limit is not None and alg.dim > limit:
+        raise DimensionLimitExceeded(f"algebra dimension {alg.dim} exceeds limit {limit}")
+    alg.validate()
+    return is_gorenstein_oracle(alg, cap), global_dimension(alg, cap)
+
+
+@dataclass
+class Comparison:
+    """The classifier's report and the oracle's verdicts on one category
+    algebra over one field."""
+
+    report: ClassificationReport
+    algebra: FiniteDimAlgebra
+    verdict: GorensteinVerdict
+    gldim: DimensionVerdict
+
+    @property
+    def agrees(self):
+        """Whether the oracle bears out the classifier's Gorenstein flag.  A
+        "not Gorenstein" agrees unless both self-injective dimensions are
+        finite; a "Gorenstein" agrees if they are, and is None (unknown) when
+        a side stopped at the cap, since ">cap" proves no infinite dimension."""
+        if not self.report.gorenstein:
+            return not self.verdict.gorenstein
+        return True if self.verdict.gorenstein else None
+
+
+def compare(c, f: Field, cap: int, limit=None) -> Comparison:
+    """Classify c over f, then run the oracle (`_run_oracle`) on the algebra of
+    the skeletal category the classifier's presentation was read from."""
+    report = classify(c, f)
+    alg = algebra_from_category(report.presentation.category, f)
+    return Comparison(report, alg, *_run_oracle(alg, cap, limit))
+
+
+def sweep(items, chars, cap: int) -> dict:
+    """`compare` on every (name, category) of items in every characteristic
+    of chars, keyed by (name, char) in item-then-characteristic order."""
+    return {(name, ch): compare(c, Field(ch), cap) for name, c in items for ch in chars}
 
 
 def _field(args):
@@ -148,28 +194,15 @@ def cmd_oracle(args):
             raise UsageError(f"{flag} must be >= 0, got {value}")
     raw = _load_json(args.path)
     f = _field(args)
-    report = None
     if "basis" in raw:  # structure-constant input, as emitted by `matrix`
         raw = {k: v for k, v in raw.items() if k != "mstar_dims"}
-        alg = FiniteDimAlgebra.from_json(raw, f)
+        verdict, gldim = _run_oracle(FiniteDimAlgebra.from_json(raw, f), args.cap, args.limit)
+        extra = {}
     else:
-        c = validate(raw)
-        report = classify(c, f)
-        alg = algebra_from_category(presentation_of(c).category, f)
-    if alg.dim > args.limit:
-        raise DimensionLimitExceeded(
-            f"algebra dimension {alg.dim} exceeds limit {args.limit}")
-    alg.validate()
-    verdict = is_gorenstein_oracle(alg, args.cap)
-    gldim = global_dimension(alg, args.cap)
+        r = compare(validate(raw), f, args.cap, args.limit)
+        verdict, gldim, extra = r.verdict, r.gldim, {"agrees": r.agrees}
     out = {"left": verdict.left.to_json(), "right": verdict.right.to_json(),
-           "gldim": gldim.to_json(), "cap": args.cap}
-    if report is not None:
-        if report.gorenstein:
-            agrees = verdict.gorenstein
-        else:
-            agrees = not verdict.left.finite or not verdict.right.finite
-        out["agrees"] = agrees
+           "gldim": gldim.to_json(), "cap": args.cap, **extra}
     _emit(out, args.out)
     return 0
 

@@ -69,12 +69,7 @@ class GroupTable:
         return self.table[(g, h)]
 
     def inverse(self, g):
-        if not self._inverse:
-            for a in self.elements:
-                for b in self.elements:
-                    if self.table[(a, b)] == self.identity and self.table[(b, a)] == self.identity:
-                        self._inverse[a] = b
-                        break
+        """g^-1, from the inverses `validate` records."""
         return self._inverse[g]
 
     @classmethod

@@ -8,14 +8,15 @@ covers are (close to) minimal, which keeps ranks from exploding."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .algebra import (
     AlgebraError,
     FiniteDimAlgebra,
     ModuleRep,
+    memoised,
     opposite,
     primitive_idempotents,
-    radical,
     radical_submodule_vectors,
     regular_module,
     submodule,
@@ -52,12 +53,10 @@ class DimensionVerdict:
         return self.value
 
 
+@memoised
 def _principal_data(a: FiniteDimAlgebra):
     """Per idempotent f: (f vector, basis subspace of A·f, A·f as ModuleRep,
     coordinates of the generator f itself)."""
-    cached = getattr(a, "_principal", None)
-    if cached is not None:
-        return cached
     f = a.field
     out = []
     for e in primitive_idempotents(a):
@@ -69,7 +68,6 @@ def _principal_data(a: FiniteDimAlgebra):
         if gen is None:
             raise AlgebraError("idempotent outside its own principal module")
         out.append((e, sub, rep, gen))
-    a._principal = out
     return out
 
 
@@ -136,13 +134,15 @@ def _minimal_generators(a, mod, data, rng):
     return kept
 
 
+def _offsets(data, idxs):
+    """Start of each summand of ⊕ A·f_idx, then the total dimension."""
+    return [0, *accumulate(data[idx][1].dim for idx in idxs)]
+
+
 def _block_sum(a, data, idxs) -> ModuleRep:
     f = a.field
-    dims = [data[i][2].dim for i in idxs]
-    total = sum(dims)
-    offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d)
+    offsets = _offsets(data, idxs)
+    total = offsets[-1]
     action = []
     for t in range(a.dim):
         m = Matrix.zeros(f, total, total)
@@ -210,9 +210,6 @@ def projective_resolution(a: FiniteDimAlgebra, m: ModuleRep, length, rng=None) -
                            degree, finished)
 
 
-free_resolution = projective_resolution
-
-
 def ext_dims(a: FiniteDimAlgebra, n: ModuleRep, m: ModuleRep, cap: int, rng=None):
     """dim Ext^i(n, m) for i = 0..cap via the Hom complex of a projective
     resolution of n."""
@@ -248,12 +245,8 @@ def ext_dims_from_trace(a, trace, m, cap):
             diff.append(None)
             continue
         boundary = trace.boundaries[i]
-        src_offsets = [0]
-        for idx in gens[i]:
-            src_offsets.append(src_offsets[-1] + data[idx][1].dim)
-        col_offsets = [0]
-        for idx in gens[i + 1]:
-            col_offsets.append(col_offsets[-1] + data[idx][1].dim)
+        src_offsets = _offsets(data, gens[i])
+        col_offsets = _offsets(data, gens[i + 1])
         rows = []
         for jp, idxp in enumerate(gens[i + 1]):
             # image in P_i of the generator f of block jp of P_{i+1}
@@ -294,15 +287,9 @@ def ext_dims_from_trace(a, trace, m, cap):
     return out
 
 
-def _top_resolution(a, length, rng=None):
-    if rng is not None:
-        return projective_resolution(a, top_module(a), length, rng=rng)
-    cached = getattr(a, "_top_res", None)
-    if cached is not None and cached[0] >= length:
-        return cached[1]
-    trace = projective_resolution(a, top_module(a), length)
-    a._top_res = (length, trace)
-    return trace
+@memoised
+def _top_resolution(a, length):
+    return projective_resolution(a, top_module(a), length)
 
 
 def _verdict_from_ext(ext, cap):

@@ -111,9 +111,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def invertible(self, n: int) -> bool:
         """Whether the integer n is invertible in this field."""
         p = self.characteristic
@@ -186,9 +183,6 @@ class Matrix:
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def transpose(self):
         return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
                                    for j in range(self.cols)])
@@ -208,13 +202,6 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        f = self.field
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.data, other.data)])
 
     def scale(self, c):
@@ -290,11 +277,6 @@ class Matrix:
         if self.rows != other.rows:
             raise ValueError("row mismatch")
         return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)])
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("col mismatch")
-        return Matrix(self.field, self.data + other.data)
 
     def rref(self):
         """Reduced row echelon form.  Returns (matrix, rank, pivot_columns)."""

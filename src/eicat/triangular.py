@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import ModuleRep, algebra_from_category, group_algebra, regular_module
+from .algebra import ModuleRep, algebra_from_category, group_algebra
 from .category import SkeletalEIPresentation, full_subcategory
 from .groups import is_projective_over
 from .linalg import Field, Matrix, QuotientSpace, Subspace, unit_vector
@@ -89,12 +89,6 @@ class TriangularPresentation:
         for t, m in enumerate(basis):
             mat.data[index[self.compose(m, h)]][t] = self.field.one
         return mat
-
-    def left_module(self, i, j) -> ModuleRep:
-        """M_ij as a left module over R_i."""
-        g = self.vertex_group(i)
-        return ModuleRep(self.vertex_algebra(i), len(self.hom_basis(i, j)),
-                         [self.left_perm(i, j, e) for e in g.elements])
 
     def right_mats(self, i, j):
         """Right action of the R_j basis on M_ij, one matrix per group element."""

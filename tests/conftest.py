@@ -1,11 +1,8 @@
 import pytest
 
-from eicat.algebra import algebra_from_category
+from eicat import cli
 from eicat.category import presentation_of
-from eicat.classify import classify
 from eicat.families import corpus
-from eicat.homology import global_dimension, is_gorenstein_oracle
-from eicat.linalg import Field
 
 CHARACTERISTICS = (0, 2, 3, 5)
 CAP = 8
@@ -22,21 +19,8 @@ def presentations(corpus_items):
 
 
 @pytest.fixture(scope="session")
-def sweep(presentations):
-    """Classifier report and oracle verdicts for every corpus instance and
-    characteristic; shared so the expensive runs happen once."""
-    out = {}
-    for name, c, p in presentations:
-        for ch in CHARACTERISTICS:
-            f = Field(ch)
-            a = algebra_from_category(p.category, f)
-            out[(name, ch)] = {
-                "category": c,
-                "pres": p,
-                "field": f,
-                "algebra": a,
-                "report": classify(c, f),
-                "verdict": is_gorenstein_oracle(a, CAP),
-                "gldim": global_dimension(a, CAP),
-            }
-    return out
+def sweep(corpus_items):
+    """Classifier report and oracle verdicts (`eicat.cli.Comparison`) for
+    every corpus instance and characteristic; shared so the expensive runs
+    happen once."""
+    return cli.sweep(corpus_items, CHARACTERISTICS, CAP)

@@ -6,15 +6,9 @@ import random
 
 import pytest
 
-from eicat.algebra import (
-    algebra_from_category,
-    dual_module,
-    group_algebra,
-    regular_module,
-    top_module,
-)
+from eicat import cli
+from eicat.algebra import dual_module, group_algebra, regular_module, top_module
 from eicat.category import presentation_of
-from eicat.classify import classify
 from eicat.families import (
     Poset,
     chain_poset,
@@ -27,7 +21,7 @@ from eicat.families import (
 )
 from eicat.freeness import is_free, ufp_direct
 from eicat.groups import cyclic_group, is_projective_over
-from eicat.homology import ext_dims, is_gorenstein_oracle, is_module_projective
+from eicat.homology import ext_dims, is_module_projective
 from eicat.linalg import Field
 from eicat.triangular import (
     build_i_t,
@@ -48,19 +42,19 @@ def test_criterion_1_gorenstein_agreement(sweep, corpus_items):
     ok = len(corpus_items) >= 30
     ok = ok and {ch for _, ch in sweep} == {0, 2, 3, 5}
     for (name, ch), entry in sweep.items():
-        r, v = entry["report"], entry["verdict"]
+        r, v = entry.report, entry.verdict
         if v.left.finite and v.right.finite:
             ok = ok and r.gorenstein
         if not r.gorenstein:
             ok = ok and (not v.left.finite or not v.right.finite)
-        ok = ok and (r.gorenstein == v.gorenstein)
+        ok = ok and (r.gorenstein == v.gorenstein) and entry.agrees is True
     _verdict_line(1, "Gorenstein classifier vs oracle", ok)
 
 
 def test_criterion_2_one_gorenstein_agreement(sweep):
     ok = True
     for (name, ch), entry in sweep.items():
-        r, v = entry["report"], entry["verdict"]
+        r, v = entry.report, entry.verdict
         oracle_one_g = (v.left.finite and v.left.value <= 1 and
                         v.right.finite and v.right.value <= 1)
         ok = ok and (r.one_gorenstein == oracle_one_g)
@@ -70,26 +64,26 @@ def test_criterion_2_one_gorenstein_agreement(sweep):
 def test_criterion_3_hereditary_agreement(sweep):
     ok = True
     for (name, ch), entry in sweep.items():
-        r, g = entry["report"], entry["gldim"]
+        r, g = entry.report, entry.gldim
         ok = ok and (r.hereditary == (g.finite and g.value <= 1))
     _verdict_line(3, "hereditary classifier vs oracle gldim", ok)
 
 
 def test_criterion_4_named_instances(sweep):
     def v(name, ch):
-        return sweep[(name, ch)]["verdict"]
+        return sweep[(name, ch)].verdict
 
     def g(name, ch):
-        return sweep[(name, ch)]["gldim"]
+        return sweep[(name, ch)].gldim
 
     ok = True
     ok = ok and v("chain_a3", 0).left == 1 and v("chain_a3", 0).right == 1
     ok = ok and g("chain_a3", 0) == 1
     ok = ok and v("diamond", 0).left == 2 and v("diamond", 0).right == 2
-    ok = ok and not sweep[("diamond", 0)]["report"].one_gorenstein
+    ok = ok and not sweep[("diamond", 0)].report.one_gorenstein
     ok = ok and v("group_z2", 2).left == 0 and g("group_z2", 2).value == ">8"
     ok = ok and v("regular_orbit", 2).left == 1 and g("regular_orbit", 2).value == ">8"
-    r = sweep[("regular_orbit", 2)]["report"]
+    r = sweep[("regular_orbit", 2)].report
     ok = ok and r.one_gorenstein and not r.hereditary
     ok = ok and v("stabilized_alpha", 2).left.value == ">8"
     ok = ok and v("stabilized_alpha", 2).right.value == ">8"
@@ -132,7 +126,7 @@ def test_criterion_6_homological_invariants(sweep, presentations):
     ok = True
     # two-sided agreement whenever both sides are finite
     for entry in sweep.values():
-        v = entry["verdict"]
+        v = entry.verdict
         if v.left.finite and v.right.finite:
             ok = ok and v.left.value == v.right.value
     # induction sends projectives to projectives, coinduction sends
@@ -163,14 +157,14 @@ def test_criterion_6_homological_invariants(sweep, presentations):
     for (name, ch), entry in sweep.items():
         if name not in checked:
             checked.add(name)
-            entry["algebra"].validate()
+            entry.algebra.validate()
     _verdict_line(6, "homological invariant suite", ok)
 
 
 def test_criterion_7_bound_consistency(sweep):
     ok = True
     for (name, ch), entry in sweep.items():
-        r, v = entry["report"], entry["verdict"]
+        r, v = entry.report, entry.verdict
         bound = r.gorenstein_dim_bound
         if isinstance(bound, int):
             ok = ok and bound <= 1
@@ -183,10 +177,5 @@ def test_criterion_7_bound_consistency(sweep):
 def test_agreement_on_more_corpus_seeds_in_positive_characteristic(seed):
     """Other random posets, transporters and bisets than seed 0, each through
     the characteristic-p radical."""
-    for name, c in corpus(seed):
-        p = presentation_of(c)
-        for ch in (2, 3, 5):
-            f = Field(ch)
-            r = classify(c, f)
-            v = is_gorenstein_oracle(algebra_from_category(p.category, f), 8)
-            assert r.gorenstein == v.gorenstein, (seed, name, ch)
+    for (name, ch), entry in cli.sweep(corpus(seed), (2, 3, 5), 8).items():
+        assert entry.agrees is True, (seed, name, ch)

@@ -70,6 +70,25 @@ def test_opposite_is_involutive_and_reverses_products():
     op.validate()
 
 
+def test_equality_ignores_memoised_results():
+    a, b = chain_algebra(Field(2)), chain_algebra(Field(2))
+    radical(a)
+    top_module(a)
+    assert a == b
+    assert repr(a) == repr(b)
+
+
+def test_memo_returns_the_same_object_and_opposite_reuses_the_radical():
+    a = chain_algebra(Field(3))
+    for fn in (radical, primitive_idempotents, top_module):
+        assert fn(a) is fn(a)
+    assert a.left_mult_matrix(1) is a.left_mult_matrix(1)
+    op = opposite(a)
+    assert radical(op) is radical(a)
+    assert primitive_idempotents(op) is primitive_idempotents(a)
+    assert top_module(op) is not top_module(a)
+
+
 def test_json_roundtrip_with_fractional_scalars():
     f = QQ
     half = Fraction(1, 2)
@@ -126,7 +145,7 @@ def test_radical_dimension_matches_opposite(sweep):
     for (name, ch), entry in sweep.items():
         if ch == 5:
             continue
-        a = entry["algebra"]
+        a = entry.algebra
         f, d = a.field, a.dim
         fresh = FiniteDimAlgebra(f, list(a.basis),
                                  [[list(a.mult[j][i]) for j in range(d)] for i in range(d)],
@@ -197,7 +216,7 @@ def test_primitive_idempotent_system_is_orthogonal(sweep):
     for (name, ch), entry in sweep.items():
         if ch != 2:
             continue
-        a = entry["algebra"]
+        a = entry.algebra
         prims = primitive_idempotents(a)
         f = a.field
         total = [f.zero] * a.dim
@@ -247,10 +266,10 @@ def test_radical_is_span_of_non_isomorphisms_when_p_divides_no_aut_order(sweep):
     non-isomorphisms."""
     checked = 0
     for (name, ch), entry in sweep.items():
-        pres = entry["pres"]
+        pres = entry.report.presentation
         if ch == 0 or any(g.order % ch == 0 for g in pres.aut.values()):
             continue
-        assert len(radical(entry["algebra"])) == len(pres.factorizations.non_isos), (name, ch)
+        assert len(radical(entry.algebra)) == len(pres.factorizations.non_isos), (name, ch)
         checked += 1
     assert checked >= 60
 

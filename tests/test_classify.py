@@ -102,7 +102,7 @@ def test_gorenstein_bound_never_exceeds_max_plus_one():
 
 def test_report_implications_on_corpus(sweep):
     for (name, ch), entry in sweep.items():
-        r = entry["report"]
+        r = entry.report
         if r.hereditary:
             assert r.one_gorenstein, (name, ch)
         if r.one_gorenstein:
@@ -117,8 +117,8 @@ def test_classifier_matches_oracle_on_corpus(sweep):
     """Gorenstein per the classifier iff both one-sided self-injective
     dimensions are finite per the independent homological oracle."""
     for (name, ch), entry in sweep.items():
-        r = entry["report"]
-        v = entry["verdict"]
+        r = entry.report
+        v = entry.verdict
         assert r.gorenstein == v.gorenstein, (name, ch, v)
         if not r.gorenstein:
             assert not v.left.finite or not v.right.finite, (name, ch)
@@ -126,8 +126,8 @@ def test_classifier_matches_oracle_on_corpus(sweep):
 
 def test_one_gorenstein_bound_holds_in_oracle(sweep):
     for (name, ch), entry in sweep.items():
-        r = entry["report"]
-        v = entry["verdict"]
+        r = entry.report
+        v = entry.verdict
         if r.one_gorenstein:
             assert v.left.finite and v.left.value <= 1, (name, ch, v)
             assert v.right.finite and v.right.value <= 1, (name, ch, v)
@@ -137,15 +137,15 @@ def test_one_gorenstein_bound_holds_in_oracle(sweep):
 
 def test_hereditary_matches_global_dimension(sweep):
     for (name, ch), entry in sweep.items():
-        r = entry["report"]
-        g = entry["gldim"]
+        r = entry.report
+        g = entry.gldim
         assert r.hereditary == (g.finite and g.value <= 1), (name, ch, g)
 
 
 def test_bound_dominates_oracle_dimension(sweep):
     for (name, ch), entry in sweep.items():
-        r = entry["report"]
-        v = entry["verdict"]
+        r = entry.report
+        v = entry.verdict
         if isinstance(r.gorenstein_dim_bound, int):
             assert v.left.finite and v.left.value <= r.gorenstein_dim_bound, (name, ch)
 

@@ -5,6 +5,7 @@ import time
 import pytest
 from inputs import HOSTILE_CATEGORIES
 
+from eicat import cli
 from eicat.category import category_to_json
 from eicat.cli import main
 from eicat.families import chain_poset, diamond_poset, poset_category, stabilized_alpha_category
@@ -155,6 +156,54 @@ def test_oracle_cap_semantics(tmp_path, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["left"] == ">4" and verdict["cap"] == 4
     assert verdict["agrees"] is True
+
+
+@pytest.mark.parametrize("cap, agrees, left", [(1, None, ">1"), (2, None, ">2"), (3, True, 2)])
+def test_oracle_agreement_is_unknown_when_a_gorenstein_verdict_hits_the_cap(
+        diamond_file, capsys, cap, agrees, left):
+    # the diamond algebra is Gorenstein with id = 2 on both sides; the oracle
+    # proves id = 2 only once Ext^3 = 0 is within the cap
+    assert main(["oracle", diamond_file, "--cap", str(cap)]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["agrees"] is agrees
+    assert verdict["left"] == verdict["right"] == left
+
+
+def test_oracle_builds_one_presentation_and_one_top_module_per_side(
+        diamond_file, monkeypatch, capsys):
+    algebra = importlib.import_module("eicat.algebra")
+    category = importlib.import_module("eicat.category")
+    presentation_of, quotient_module = category.presentation_of, algebra.quotient_module
+    presentations, tops = [], []
+
+    def counted_presentation_of(c):
+        presentations.append(c)
+        return presentation_of(c)
+
+    def counted_quotient_module(m, vectors):  # top_module's one quotient A / rad A
+        tops.append(m.algebra)
+        return quotient_module(m, vectors)
+
+    for module in ("eicat.classify", "eicat.cli"):
+        monkeypatch.setattr(importlib.import_module(module), "presentation_of",
+                            counted_presentation_of)
+    monkeypatch.setattr(algebra, "quotient_module", counted_quotient_module)
+    assert main(["oracle", diamond_file, "--char", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["agrees"] is True
+    assert len(presentations) == 1
+    assert len(tops) == 2 and tops[0] is not tops[1]
+
+
+def test_sweep_keys_items_then_characteristics():
+    items = [("chain", poset_category(chain_poset(3))), ("diamond", poset_category(diamond_poset()))]
+    results = cli.sweep(items, (3, 0), 4)
+    assert list(results) == [("chain", 3), ("chain", 0), ("diamond", 3), ("diamond", 0)]
+    for (name, ch), r in results.items():
+        assert r.algebra.field.characteristic == r.report.characteristic == ch
+        assert r.algebra.basis == list(r.report.presentation.category.morphisms)
+        assert r.agrees is True
+    assert results[("diamond", 0)].verdict.left == 2
+    assert results[("chain", 3)].gldim == 1
 
 
 def test_oracle_dimension_limit(chain_file, capsys):

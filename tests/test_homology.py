@@ -24,7 +24,6 @@ from eicat.homology import (
     DimensionVerdict,
     ZaksViolation,
     ext_dims,
-    free_resolution,
     global_dimension,
     injective_dimension,
     is_gorenstein_oracle,
@@ -55,7 +54,7 @@ def test_resolution_trace_verifies_on_corpus_samples(sweep):
     for (name, ch), entry in sweep.items():
         if ch != 3:
             continue
-        a = entry["algebra"]
+        a = entry.algebra
         tr = projective_resolution(a, top_module(a), 3)
         tr.verify()
 
@@ -155,16 +154,12 @@ def test_verdict_semantics_and_side_validation():
         injective_dimension(a, "middle", CAP)
 
 
-def test_free_resolution_alias():
-    assert free_resolution is projective_resolution
-
-
 def test_oracle_agrees_between_sides_on_corpus(sweep):
     """Finite left and right self-injective dimensions always coincide; the
     oracle raises if its own two sides disagree, so surviving the sweep is
     the certificate."""
     for (name, ch), entry in sweep.items():
-        v = entry["verdict"]
+        v = entry.verdict
         if v.left.finite and v.right.finite:
             assert v.left.value == v.right.value, (name, ch)
 
@@ -178,8 +173,8 @@ def test_opposite_oracle_swaps_sides():
 
 def test_gldim_bounds_injective_dimension_when_finite(sweep):
     for (name, ch), entry in sweep.items():
-        g = entry["gldim"]
-        v = entry["verdict"]
+        g = entry.gldim
+        v = entry.verdict
         if g.finite:
             assert v.left.finite and v.left.value <= g.value, (name, ch)
             assert v.right.finite and v.right.value <= g.value, (name, ch)
