@@ -6,8 +6,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .linalg import Field, Matrix, QuotientSpace, Subspace, unit_vector
+from .linalg import QQ, Field, Matrix, QuotientSpace, Subspace, mul_vec_sum, unit_vector
 
 
 class AlgebraError(Exception):
@@ -50,20 +51,33 @@ class FiniteDimAlgebra:
     def dim(self):
         return len(self.basis)
 
+    @memoised
+    def _int_mult(self):
+        """(scale, table): table[i][j] lists the (k, c * scale) of mult[i][j]
+        as ints; scale is 1 in characteristic p and the lcm of the
+        denominators of the structure constants in characteristic 0."""
+        if self.field.characteristic:
+            return 1, self.mult
+        scale = lcm(*(c.denominator for row in self.mult for pairs in row for _, c in pairs))
+        return scale, [[[(k, c.numerator * (scale // c.denominator)) for k, c in pairs]
+                        for pairs in row] for row in self.mult]
+
     def product_vec(self, u, v):
-        """Product of two elements given as coefficient vectors."""
+        """Product of two elements given as coefficient vectors, on ints over
+        `_int_mult`, each entry made canonical once, at the end."""
         f = self.field
-        out = [f.zero] * self.dim
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                ab = f.mul(a, b)
-                for k, c in self.mult[i][j]:
-                    out[k] = f.add(out[k], f.mul(ab, c))
-        return out
+        scale, table = self._int_mult()
+        wu, du = f.to_ints(u)
+        wv, dv = f.to_ints(v)
+        nzv = [(j, b) for j, b in enumerate(wv) if b]
+        acc = [0] * self.dim
+        for a, row in zip(wu, table):
+            if a:
+                for j, b in nzv:
+                    ab = a * b
+                    for k, c in row[j]:
+                        acc[k] += ab * c
+        return f.from_ints(acc, du * dv * scale)
 
     @memoised
     def left_mult_matrix(self, i) -> Matrix:
@@ -76,20 +90,11 @@ class FiniteDimAlgebra:
         return m
 
     def element_matrix(self, v) -> Matrix:
-        """Left multiplication matrix of the element with coefficient vector v."""
+        """Left multiplication matrix of the element with coefficient vector
+        v: column j is v * e_j."""
         f = self.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for i, a in enumerate(v):
-            if a == 0:
-                continue
-            li = self.left_mult_matrix(i)
-            for r in range(self.dim):
-                row = out.data[r]
-                lrow = li.data[r]
-                for c in range(self.dim):
-                    if lrow[c] != 0:
-                        row[c] = f.add(row[c], f.mul(a, lrow[c]))
-        return out
+        return Matrix.from_columns(f, [self.product_vec(v, unit_vector(f, self.dim, j))
+                                       for j in range(self.dim)], rows=self.dim)
 
     def validate(self):
         f = self.field
@@ -99,24 +104,29 @@ class FiniteDimAlgebra:
             if self.product_vec(self.unit, ei) != ei or self.product_vec(ei, self.unit) != ei:
                 raise AlgebraError(f"unit law fails at basis element {i}")
 
+        p = f.characteristic
+        _, table = self._int_mult()
+
         def sparse_combine(pairs, pick):
-            # sum_k c * pick(k) with sparse (k, c) inputs, as a dict
+            # sum_k c * pick(k) with sparse (k, c) int inputs, as a dict of
+            # the nonzero entries (both sides carry the same scale squared)
             out = {}
             for k, c in pairs:
                 for k2, c2 in pick(k):
-                    v = f.add(out.get(k2, f.zero), f.mul(c, c2))
-                    if v == 0:
-                        out.pop(k2, None)
-                    else:
-                        out[k2] = v
-            return out
+                    out[k2] = out.get(k2, 0) + c * c2
+            if p:
+                out = {k: x % p for k, x in out.items()}
+            return {k: x for k, x in out.items() if x}
 
         for i in range(d):
             for j in range(d):
-                mij = self.mult[i][j]
+                mij = table[i][j]
                 for t in range(d):
-                    left = sparse_combine(mij, lambda k: self.mult[k][t])
-                    right = sparse_combine(self.mult[j][t], lambda k: self.mult[i][k])
+                    mjt = table[j][t]
+                    if not mij and not mjt:
+                        continue  # both sides are 0
+                    left = sparse_combine(mij, lambda k: table[k][t])
+                    right = sparse_combine(mjt, lambda k: table[i][k])
                     if left != right:
                         raise AlgebraError(f"associativity fails at ({i}, {j}, {t})")
         return self
@@ -262,15 +272,21 @@ def _form_kernel(a, space, values):
     sum_i x_i t_ij with t_ij = sum_k c_ij^k w_k, linear in x."""
     f = a.field
     d = a.dim
-    w = [f.zero] * d
-    for pc, g in zip(space.pivots, values):
+    # one scale for all of w, the basis and the structure constants, so the
+    # int matrix below is a multiple of the form's and has the same kernel
+    _, table = a._int_mult()
+    w = [0] * d
+    for pc, g in zip(space.pivots, f.to_ints(values)[0]):
         w[pc] = g
-    supports = [[(i, x) for i, x in enumerate(b) if x] for b in space.basis]
-    rows = []
+    basis = f.to_ints([x for b in space.basis for x in b])[0]
+    supports = [[(i, x) for i, x in enumerate(basis[r * d:(r + 1) * d]) if x]
+                for r in range(space.dim)]
+    columns = [[0] * d for _ in supports]
     for j in range(d):
-        t = [sum(c * w[k] for k, c in a.mult[i][j]) for i in range(d)]
-        rows.append([sum(x * t[i] for i, x in nz) for nz in supports])
-    ker = Matrix(f, rows).kernel_basis()
+        t = [sum(c * w[k] for k, c in table[i][j]) for i in range(d)]
+        for col, nz in zip(columns, supports):
+            col[j] = sum(x * t[i] for i, x in nz)
+    ker = Matrix.from_columns(f, [f.from_ints(col) for col in columns], rows=d).kernel_basis()
     return Subspace(f, d, [space.from_coords(co) for co in ker])
 
 
@@ -422,11 +438,7 @@ def _poly_eval_element(f, poly, powers):
 
 def _rational_roots(poly):
     """All rational roots of a Fraction-coefficient polynomial."""
-    from math import gcd
-    lcm = 1
-    for c in poly:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in poly]
+    ints = QQ.to_ints(poly)[0]
     roots = set()
     while ints and ints[0] == 0:
         roots.add(Fraction(0))
@@ -650,33 +662,26 @@ class ModuleRep:
     def validate(self):  # ModuleRep
         a = self.algebra
         f = a.field
-        ident = Matrix.identity(f, self.dim)
-        acc = Matrix.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(a.unit):
-            if c != 0:
-                acc = acc + self.action[i].scale(c)
-        if acc != ident:
+        if self._matrix_of(a.unit) != Matrix.identity(f, self.dim):
             raise AlgebraError("unit does not act as identity")
-        for i in range(a.dim):
-            for j in range(a.dim):
-                lhs = self.action[i] * self.action[j]
-                rhs = Matrix.zeros(f, self.dim, self.dim)
-                for k, c in a.mult[i][j]:
-                    rhs = rhs + self.action[k].scale(c)
-                if lhs != rhs:
+        basis = [unit_vector(f, a.dim, i) for i in range(a.dim)]
+        for i, ei in enumerate(basis):
+            for j, ej in enumerate(basis):
+                if self.action[i] * self.action[j] != self._matrix_of(a.product_vec(ei, ej)):
                     raise AlgebraError(f"action incompatible with product ({i}, {j})")
         return self
 
+    def _matrix_of(self, avec):
+        """The action matrix of the algebra element avec."""
+        f = self.algebra.field
+        return Matrix.from_columns(f, [self.act(avec, unit_vector(f, self.dim, t))
+                                       for t in range(self.dim)], rows=self.dim)
+
     def act(self, avec, v):
         """Apply the algebra element with coefficient vector avec to v."""
-        f = self.algebra.field
-        out = [f.zero] * self.dim
-        for i, c in enumerate(avec):
-            if c == 0:
-                continue
-            w = self.action[i].mul_vec(v)
-            out = [f.add(x, f.mul(c, y)) for x, y in zip(out, w)]
-        return out
+        if len(v) != self.dim:
+            raise ValueError("length mismatch")
+        return mul_vec_sum(self.algebra.field, zip(avec, self.action), v, self.dim)
 
 
 def regular_module(a: FiniteDimAlgebra) -> ModuleRep:
@@ -726,26 +731,12 @@ def quotient_module(m: ModuleRep, vectors):
 
     Returns (rep, projection matrix)."""
     f = m.algebra.field
-    sub = Subspace(f, m.dim, vectors)
-    comp = sub.complement_pivots()
-    # full change of basis [sub | complement e_i], projection = last coords
-    cols = [list(b) for b in sub.basis] + [unit_vector(f, m.dim, i) for i in comp]
-    basis_mat = Matrix.from_columns(f, cols, rows=m.dim)
-    qdim = len(comp)
-    # invert [sub | complement] once; projection = last qdim rows of the inverse
-    aug, rank, _ = basis_mat.hstack(Matrix.identity(f, m.dim)).rref()
-    if rank != m.dim:
-        raise AlgebraError("not a basis")
-    inv = Matrix(f, [row[m.dim:] for row in aug.data])
-    proj = Matrix(f, inv.data[sub.dim:]) if qdim else Matrix.zeros(f, 0, m.dim)
-    action = []
-    for mat in m.action:
-        cols_q = []
-        for i in comp:
-            ei = unit_vector(f, m.dim, i)
-            cols_q.append(proj.mul_vec(mat.mul_vec(ei)))
-        action.append(Matrix.from_columns(f, cols_q, rows=qdim))
-    return ModuleRep(m.algebra, qdim, action), proj
+    quo = QuotientSpace(f, m.dim, vectors)
+    proj = Matrix.from_columns(f, [quo.project(unit_vector(f, m.dim, i))
+                                   for i in range(m.dim)], rows=quo.dim)
+    action = [Matrix.from_columns(f, [quo.project(mat.column(i)) for i in quo.reps],
+                                  rows=quo.dim) for mat in m.action]
+    return ModuleRep(m.algebra, quo.dim, action), proj
 
 
 def dual_module(m: ModuleRep) -> ModuleRep:

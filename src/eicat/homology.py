@@ -108,9 +108,7 @@ def _minimal_generators(a, mod, data, rng):
     mod; greedy over the submodule generated so far, so no generator is
     redundant at the time it is added."""
     f = a.field
-    rad_vecs = radical_submodule_vectors(mod)
-    span = Subspace(f, mod.dim, rad_vecs)
-    vectors = list(span.basis)
+    span = Subspace(f, mod.dim, radical_submodule_vectors(mod))
     order = list(range(mod.dim))
     if rng is not None:
         rng.shuffle(order)
@@ -124,9 +122,7 @@ def _minimal_generators(a, mod, data, rng):
             if all(x == 0 for x in v) or span.contains(v):
                 continue
             kept.append((idx, v))
-            for t in range(a.dim):
-                vectors.append(mod.action[t].mul_vec(v))
-            span = Subspace(f, mod.dim, vectors)
+            span = Subspace(f, mod.dim, span.basis + [mat.mul_vec(v) for mat in mod.action])
             if span.contains(ei):
                 break
         if not span.contains(ei):
@@ -247,35 +243,26 @@ def ext_dims_from_trace(a, trace, m, cap):
         boundary = trace.boundaries[i]
         src_offsets = _offsets(data, gens[i])
         col_offsets = _offsets(data, gens[i + 1])
-        rows = []
+        # column (l, w) of the differential, one segment per block jp of rows
+        columns = [[] for idxl in gens[i] for _ in homs[idxl].basis]
         for jp, idxp in enumerate(gens[i + 1]):
             # image in P_i of the generator f of block jp of P_{i+1}
+            x = [f.zero] * boundary.cols
             gen_coords = data[idxp][3]
-            v = [f.zero] * boundary.rows
-            for s, c in enumerate(gen_coords):
-                if c != 0:
-                    col = boundary.column(col_offsets[jp] + s)
-                    v = [f.add(x, f.mul(c, y)) for x, y in zip(v, col)]
-            row_blocks = []
+            x[col_offsets[jp]:col_offsets[jp] + len(gen_coords)] = gen_coords
+            v = boundary.mul_vec(x)
+            k = 0
             for l, idxl in enumerate(gens[i]):
-                sub = data[idxl][1]
-                z = [f.zero] * a.dim  # algebra element carried by block l
-                for s in range(sub.dim):
-                    c = v[src_offsets[l] + s]
-                    if c != 0:
-                        w = sub.basis[s]
-                        z = [f.add(x, f.mul(c, y)) for x, y in zip(z, w)]
-                cols = []
+                # algebra element carried by block l
+                z = data[idxl][1].from_coords(v[src_offsets[l]:src_offsets[l + 1]])
                 for w in homs[idxl].basis:
-                    u = m.act(z, w)
-                    co = homs[idxp].coords(u)
+                    co = homs[idxp].coords(m.act(z, w))
                     if co is None:
                         raise AlgebraError("Hom differential leaves its block")
-                    cols.append(co)
-                row_blocks.append(Matrix.from_columns(f, cols, rows=homs[idxp].dim))
-            for r in range(homs[idxp].dim):
-                rows.append([x for blk in row_blocks for x in blk.data[r]])
-        diff.append(Matrix(f, rows) if rows else None)
+                    columns[k] += co
+                    k += 1
+        height = sum(homs[idxp].dim for idxp in gens[i + 1])
+        diff.append(Matrix.from_columns(f, columns, rows=height) if height else None)
 
     out = []
     prev_rank = 0

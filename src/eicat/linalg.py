@@ -1,27 +1,43 @@
 """Exact linear algebra over Q and the prime fields F_p.
 
-Scalars are `fractions.Fraction` in characteristic 0 and plain ints in
-[0, p) in characteristic p.  Everything is exact; no floats anywhere:
-`Field.of` refuses floats and bools.
+At the API edge, scalars are `fractions.Fraction` in characteristic 0 and
+plain ints in [0, p) in characteristic p.  Inside, every reduction and every
+product runs on Python ints.  In characteristic 0 a vector is an int vector
+with one denominator (`Field.to_ints`), and a result becomes Fractions once,
+entry by entry, on the way out (`Field.from_ints`); in characteristic p the
+scalars are the ints, and a product is reduced mod p once, at the end.
+Everything is exact; no floats anywhere.  `Field.of`, `Matrix(...)` and
+`FiniteDimAlgebra.from_json` refuse floats and bools; everything else takes
+the canonical scalars they and this module hand out.
 
-Matrices are stored dense, row-major.  `Matrix.mul_vec` works from a
-column-sparse view (per column, the (row, value) pairs with nonzero value)
-that is built on the first call and cached on the matrix.  So a matrix must
-not be written in place after its first `mul_vec`; every in-place write to
-`.data` happens in a builder before the matrix is handed out.
+Matrices are stored dense, row-major.  `rref`, `rank`, `kernel_basis`,
+`solve` and `Subspace` share one fraction-free elimination (`_echelon`).
+Products work from a column-sparse int view of the matrix (per column, the
+(row, value) pairs with nonzero value, all times one scale) that is built on
+first use and cached on the matrix.  A `Subspace` keeps an int view of its
+rref basis, which `coords`, `contains`, `from_coords` and
+`QuotientSpace.project` share.  So neither a matrix whose view is cached nor
+a `Subspace.basis` may be written in place; every in-place write to `.data`
+happens in a builder before the matrix is handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 # The first 13 primes.  Miller-Rabin with these bases is exact below
 # PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
 # Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
+
+# The zero and one of Q, shared (Fractions are immutable).  The zeros this
+# module makes in characteristic 0 are all _ZERO, so the int conversions can
+# pass over them with an identity test; any other zero still converts to 0.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _is_prime(n: int) -> bool:
@@ -63,11 +79,11 @@ class Field:
 
     @property
     def zero(self):
-        return 0 if self.characteristic else Fraction(0)
+        return 0 if self.characteristic else _ZERO
 
     @property
     def one(self):
-        return 1 if self.characteristic else Fraction(1)
+        return 1 if self.characteristic else _ONE
 
     def of(self, n):
         """Canonicalize an int or Fraction into this field.  A scalar that is
@@ -84,7 +100,7 @@ class Field:
         elif type(n) is Fraction:
             return n
         elif type(n) is int:
-            return Fraction(n)
+            return Fraction(n) if n else _ZERO
         raise TypeError(f"scalar must be an int or a Fraction, got {type(n).__name__} {n!r}")
 
     def add(self, a, b):
@@ -116,6 +132,27 @@ class Field:
         p = self.characteristic
         return n % p != 0 if p else n != 0
 
+    def to_ints(self, v):
+        """(w, den) with v = w / den: in characteristic 0, w holds ints and
+        den is the lcm of the denominators of v; in characteristic p, w is v
+        itself (ints, reduced or not) and den is 1."""
+        if self.characteristic:
+            return v, 1
+        den = lcm(*(x.denominator for x in v if x is not _ZERO))
+        if den == 1:
+            return [0 if x is _ZERO else x.numerator for x in v], 1
+        return [0 if x is _ZERO else x.numerator * (den // x.denominator) for x in v], den
+
+    def from_ints(self, w, den=1):
+        """The canonical vector w / den for ints w; den is 1 in
+        characteristic p, where w is reduced mod p."""
+        p = self.characteristic
+        if p:
+            return [x % p for x in w]
+        if den == 1:
+            return [Fraction(x) if x else _ZERO for x in w]
+        return [Fraction(x, den) if x else _ZERO for x in w]
+
 
 QQ = Field(0)
 
@@ -127,9 +164,81 @@ def unit_vector(f: Field, n: int, i: int):
     return v
 
 
+def _int_rows(f: Field, vectors, n):
+    """Fresh int rows spanning the same rows as `vectors` (each of length
+    n): a row of Fractions is cleared of its own denominators, a row mod p
+    is reduced."""
+    p = f.characteristic
+    rows = []
+    for v in vectors:
+        if len(v) != n:
+            raise ValueError(f"vector of length {len(v)} in a space of dimension {n}")
+        rows.append([x % p for x in v] if p else f.to_ints(v)[0])
+    return rows
+
+
+def _echelon(p, rows, ncols):
+    """Gauss-Jordan elimination, in place, of int rows (reduced mod p in
+    characteristic p); returns the pivot columns.  rows[:rank] are then the
+    reduced rows: row r has its pivot at pivots[r] and zeros at the other
+    pivots.  In characteristic p the pivot is 1.  In characteristic 0 the
+    elimination is fraction-free (Bareiss 1968 without the exact divisor):
+    row i becomes a*row_i - row_i[c]*pivot_row for the pivot a at column c,
+    divided by its content; the pivot is positive and the row primitive, so
+    row / pivot is the rref row in lowest terms."""
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        a = prow[c]
+        if p:
+            if a != 1:
+                inv = pow(a, -1, p)
+                prow = [x * inv % p for x in prow]
+        elif a < 0:
+            prow = [-x for x in prow]
+            a = -a
+        rows[r] = prow
+        nz = [(j, y) for j, y in enumerate(prow) if y]
+        for i in range(nrows):
+            row = rows[i]
+            b = row[c]
+            if not b or i == r:
+                continue
+            if p:
+                for j, y in nz:
+                    row[j] = (row[j] - b * y) % p
+            elif a == 1:
+                for j, y in nz:
+                    row[j] -= b * y
+            else:
+                row = [a * x for x in row]
+                for j, y in nz:
+                    row[j] -= b * y
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    if not p:
+        for i in range(r):
+            g = gcd(*rows[i])
+            if g > 1:
+                rows[i] = [x // g for x in rows[i]]
+    return pivots
+
+
 class Matrix:
     """Dense matrix over a Field; row-major list-of-lists storage, plus the
-    column-sparse view `mul_vec` builds on first use."""
+    column-sparse int view the products build on first use."""
 
     __slots__ = ("field", "rows", "cols", "data", "_sparse")
 
@@ -144,15 +253,21 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     @classmethod
-    def zeros(cls, field, rows, cols):
+    def _of(cls, field, data, cols):
+        """The matrix on `data`, rows of `cols` canonical scalars, taken as
+        they are: the constructor for what this module computes."""
         m = cls.__new__(cls)
         m.field = field
-        m.rows = rows
+        m.data = data
+        m.rows = len(data)
         m.cols = cols
         m._sparse = None
-        z = field.zero
-        m.data = [[z] * cols for _ in range(rows)]
         return m
+
+    @classmethod
+    def zeros(cls, field, rows, cols):
+        z = field.zero
+        return cls._of(field, [[z] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field, n):
@@ -164,28 +279,20 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, columns, rows=None):
+        """The matrix with the given columns of canonical scalars; `rows` is
+        the height when there are no columns."""
         if not columns:
             return cls.zeros(field, rows or 0, 0)
-        nr = len(columns[0])
-        if nr == 0:
-            return cls.zeros(field, 0, len(columns))
-        return cls(field, [[col[i] for col in columns] for i in range(nr)])
+        return cls._of(field, [list(r) for r in zip(*columns)], len(columns))
 
     def copy(self):
-        m = Matrix.__new__(Matrix)
-        m.field = self.field
-        m.rows = self.rows
-        m.cols = self.cols
-        m._sparse = None
-        m.data = [row[:] for row in self.data]
-        return m
+        return Matrix._of(self.field, [row[:] for row in self.data], self.cols)
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
     def transpose(self):
-        return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)])
+        return Matrix._of(self.field, [self.column(j) for j in range(self.cols)], self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -197,132 +304,77 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data})"
 
-    def __add__(self, other):
-        f = self.field
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
-
-    def scale(self, c):
-        f = self.field
-        c = f.of(c)
-        return Matrix(f, [[f.mul(c, x) for x in row] for row in self.data])
-
     def __mul__(self, other):
-        f = self.field
+        """self * other, column by column through `mul_vec`."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        p = f.characteristic
-        out = Matrix.zeros(f, self.rows, other.cols)
-        bdata = other.data
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for t in range(self.cols):
-                a = arow[t]
-                if a == 0:
-                    continue
-                brow = bdata[t]
-                if p:
-                    for j in range(other.cols):
-                        orow[j] = (orow[j] + a * brow[j]) % p
-                else:
-                    for j in range(other.cols):
-                        orow[j] = orow[j] + a * brow[j]
-        return out
+        return Matrix.from_columns(self.field, [self.mul_vec(other.column(j))
+                                                for j in range(other.cols)], rows=self.rows)
 
     def _sparse_view(self):
         """(columns, scale): per column the (row, value) pairs with nonzero
         value, as integers value * scale; scale is 1 in characteristic p and
         the lcm of the denominators in characteristic 0."""
         if self._sparse is None:
-            scale = 1 if self.field.characteristic else \
-                lcm(*(x.denominator for row in self.data for x in row if x))
+            p = self.field.characteristic
+            scale = 1 if p else lcm(*(x.denominator for row in self.data for x in row
+                                      if x is not _ZERO))
             columns = [[] for _ in range(self.cols)]
             for i, row in enumerate(self.data):
                 for j, a in enumerate(row):
-                    if a:
-                        columns[j].append((i, int(a * scale)))
+                    if a is not _ZERO and a:
+                        columns[j].append((i, a if p else a.numerator * (scale // a.denominator)))
             self._sparse = (columns, scale)
         return self._sparse
 
     def mul_vec(self, v):
         """self * v, touching only the nonzero v_j and the nonzeros of their
-        columns.  In characteristic 0 the denominators of v and of the matrix
-        are cleared first, so the loop runs on ints and each entry becomes a
-        Fraction once, at the end; in characteristic p it reduces once."""
+        columns: on ints, with each entry made canonical once, at the end."""
         if len(v) != self.cols:
             raise ValueError("length mismatch")
+        f = self.field
+        w, den = f.to_ints(v)
         columns, scale = self._sparse_view()
-        p = self.field.characteristic
-        den = 1 if p else lcm(*(x.denominator for x in v if x))
         acc = [0] * self.rows
-        for x, col in zip(v, columns):
-            if x:
-                if not p:
-                    x = x.numerator * (den // x.denominator)
-                for i, a in col:
-                    acc[i] += a * x
-        if p:
-            return [s % p for s in acc]
-        den *= scale
-        zero = Fraction(0)
-        return [Fraction(s, den) if s else zero for s in acc]
+        _accumulate(acc, columns, [(j, x) for j, x in enumerate(w) if x], 1)
+        return f.from_ints(acc, den * scale)
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+    def _reduced_rows(self):
+        """(int rows, pivot columns) of `_echelon` on the rows of self."""
+        rows = _int_rows(self.field, self.data, self.cols)
+        return rows, _echelon(self.field.characteristic, rows, self.cols)
 
     def rref(self):
         """Reduced row echelon form.  Returns (matrix, rank, pivot_columns)."""
         f = self.field
-        m = self.copy()
-        data = m.data
-        pivots = []
-        r = 0
-        for c in range(m.cols):
-            piv = None
-            for i in range(r, m.rows):
-                if data[i][c] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            data[r], data[piv] = data[piv], data[r]
-            inv = f.inv(data[r][c])
-            if inv != 1:
-                data[r] = [f.mul(inv, x) for x in data[r]]
-            for i in range(m.rows):
-                if i != r and data[i][c] != 0:
-                    fac = data[i][c]
-                    row_r = data[r]
-                    data[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(data[i], row_r)]
-            pivots.append(c)
-            r += 1
-            if r == m.rows:
-                break
-        return m, r, pivots
+        rows, pivots = self._reduced_rows()
+        rank = len(pivots)
+        data = [f.from_ints(row, row[c]) for row, c in zip(rows, pivots)]
+        z = f.zero
+        data += [[z] * self.cols for _ in range(self.rows - rank)]
+        return Matrix._of(f, data, self.cols), rank, pivots
 
     def rank(self):
-        return self.rref()[1]
+        return len(self._reduced_rows()[1])
 
     def kernel_basis(self):
         """Basis (list of column vectors) of the right null space."""
         f = self.field
-        R, rank, pivots = self.rref()
+        p = f.characteristic
+        rows, pivots = self._reduced_rows()
         pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
         basis = []
-        for c in free:
-            v = [f.zero] * self.cols
-            v[c] = f.one
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.data[r][c])
+        for c in range(self.cols):
+            if c in pivset:
+                continue
+            v = unit_vector(f, self.cols, c)
+            for row, pc in zip(rows, pivots):
+                x = row[c]
+                if x:
+                    v[pc] = (-x) % p if p else Fraction(-x, row[pc])
             basis.append(v)
         return basis
 
@@ -331,59 +383,119 @@ class Matrix:
         f = self.field
         if len(b) != self.rows:
             raise ValueError("length mismatch")
-        aug = Matrix(f, [row + [bi] for row, bi in zip(self.data, b)]) \
-            if self.rows else Matrix.zeros(f, 0, self.cols + 1)
-        R, rank, pivots = aug.rref()
-        if self.cols in pivots:
+        n = self.cols
+        rows = _int_rows(f, [row + [bi] for row, bi in zip(self.data, b)], n + 1)
+        pivots = _echelon(f.characteristic, rows, n + 1)
+        if n in pivots:
             return None
-        x = [f.zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.data[r][self.cols]
+        x = [f.zero] * n
+        for row, pc in zip(rows, pivots):
+            x[pc] = f.from_ints([row[n]], row[pc])[0]
         return x
 
 
+def _accumulate(acc, columns, nz, factor):
+    """acc += factor * M * w on ints, for M given by the columns of its
+    sparse view and w by the (index, value) pairs nz of its nonzero
+    entries."""
+    for j, x in nz:
+        col = columns[j]
+        if col:
+            x *= factor
+            for i, a in col:
+                acc[i] += a * x
+
+
+def mul_vec_sum(f: Field, terms, v, rows):
+    """The sum of c * m.mul_vec(v) over the (c, m) of `terms`, for rows x
+    len(v) matrices m over f: one int accumulator, one lcm of the matrices'
+    scales, and each entry made canonical once, at the end."""
+    w, den = f.to_ints(v)
+    nz = [(j, x) for j, x in enumerate(w) if x]
+    terms = [(c, m) for c, m in terms if c]
+    if any(m.cols != len(v) for _, m in terms):
+        raise ValueError("length mismatch")
+    cs, cden = f.to_ints([c for c, _ in terms])
+    views = [m._sparse_view() for _, m in terms]
+    scale = lcm(*(s for _, s in views))
+    acc = [0] * rows
+    for c, (columns, s) in zip(cs, views):
+        _accumulate(acc, columns, nz, c * (scale // s))
+    return f.from_ints(acc, den * cden * scale)
+
+
 class Subspace:
-    """Subspace of k^n held as a reduced row echelon basis."""
+    """Subspace of k^n held as a reduced row echelon basis.
+
+    As the basis is reduced, the coordinates of a member v are its entries
+    at the pivots, and the residual v - sum_r v[pivots[r]] * basis[r]
+    vanishes on the pivots.  `_residual` computes it on the other columns,
+    `complement_pivots()`, from an int view of the basis: one scale D
+    (`_scale`) and, per basis vector, the nonzero entries of D times it off
+    the pivots (`_rows`, indexed by position in `complement_pivots()`).
+    `coords`, `contains`, `from_coords` and `QuotientSpace.project` all work
+    from that view."""
 
     def __init__(self, field: Field, ambient_dim: int, vectors=()):
         self.field = field
         self.ambient_dim = ambient_dim
-        if vectors:
-            R, rank, pivots = Matrix(field, list(vectors)).rref()
-            self.basis = R.data[:rank]
-            self.pivots = pivots
-        else:
-            self.basis = []
-            self.pivots = []
+        p = field.characteristic
+        rows = _int_rows(field, vectors, ambient_dim)
+        self.pivots = _echelon(p, rows, ambient_dim)
+        rows = rows[:len(self.pivots)]
+        self.basis = [field.from_ints(row, row[c]) for row, c in zip(rows, self.pivots)]
+        self._comp = self.complement_pivots()
+        self._scale = 1 if p else lcm(*(row[c] for row, c in zip(rows, self.pivots)))
+        self._rows = [[(k, row[j] * (self._scale // row[c])) for k, j in enumerate(self._comp)
+                       if row[j]] for row, c in zip(rows, self.pivots)]
 
     @property
     def dim(self):
         return len(self.basis)
 
+    def _residual(self, v):
+        """(w, den, res): v = w / den on ints, and res on ints with
+        res[k] / (den * D) the residual of v at complement_pivots()[k]."""
+        if len(v) != self.ambient_dim:
+            raise ValueError(f"vector of length {len(v)} in a space of dimension {self.ambient_dim}")
+        w, den = self.field.to_ints(v)
+        scale = self._scale
+        res = [w[j] * scale for j in self._comp]
+        for pc, row in zip(self.pivots, self._rows):
+            a = w[pc]
+            if a:
+                for k, b in row:
+                    res[k] -= a * b
+        return w, den, res
+
+    def _inside(self, res):
+        p = self.field.characteristic
+        return not any(x % p for x in res) if p else not any(res)
+
     def contains(self, v):
-        return self.coords(v) is not None
+        return self._inside(self._residual(v)[2])
 
     def coords(self, v):
         """Coordinates of v in the rref basis, or None if v is outside."""
-        f = self.field
-        c = [f.of(x) for x in v]
-        out = []
-        for row, pc in zip(self.basis, self.pivots):
-            a = c[pc]
-            out.append(a)
-            if a != 0:
-                c = [f.sub(x, f.mul(a, y)) for x, y in zip(c, row)]
-        if any(x != 0 for x in c):
+        w, den, res = self._residual(v)
+        if not self._inside(res):
             return None
-        return out
+        return self.field.from_ints([w[pc] for pc in self.pivots], den)
 
     def from_coords(self, coords):
+        """The member of the subspace with the given coordinates."""
+        if len(coords) != self.dim:
+            raise ValueError(f"{len(coords)} coordinates in a subspace of dimension {self.dim}")
         f = self.field
-        v = [f.zero] * self.ambient_dim
-        for a, row in zip(coords, self.basis):
-            if a != 0:
-                v = [f.add(x, f.mul(a, y)) for x, y in zip(v, row)]
-        return v
+        c, den = f.to_ints(coords)
+        scale, comp = self._scale, self._comp
+        out = [0] * self.ambient_dim
+        for a, pc, row in zip(c, self.pivots, self._rows):
+            if a:
+                out[pc] = a * scale
+                for k, b in row:
+                    out[comp[k]] += a * b
+        return f.from_ints(out, den * scale)
 
     def complement_pivots(self):
         """Standard coordinates not used as pivots; their e_i span a complement."""
@@ -403,19 +515,16 @@ class QuotientSpace:
         self.dim = len(self.reps)
 
     def project(self, v):
-        """Coordinates of the class of v in the representative basis."""
-        f = self.field
-        c = [f.of(x) for x in v]
-        for row, pc in zip(self.sub.basis, self.sub.pivots):
-            a = c[pc]
-            if a != 0:
-                c = [f.sub(x, f.mul(a, y)) for x, y in zip(c, row)]
-        return [c[i] for i in self.reps]
+        """Coordinates of the class of v in the representative basis: the
+        residual of v modulo the relations, at the representatives."""
+        _, den, res = self.sub._residual(v)
+        return self.field.from_ints(res, den * self.sub._scale)
 
     def lift(self, coords):
         """The representative of a class: a combination of the chosen e_i."""
-        f = self.field
-        v = [f.zero] * self.ambient_dim
+        if len(coords) != self.dim:
+            raise ValueError(f"{len(coords)} coordinates in a quotient of dimension {self.dim}")
+        v = [self.field.zero] * self.ambient_dim
         for a, i in zip(coords, self.reps):
             v[i] = a
         return v

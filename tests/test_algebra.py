@@ -13,6 +13,7 @@ from eicat.algebra import (
     _p_power_trace,
     _roots_by_splitting,
     FiniteDimAlgebra,
+    ModuleRep,
     algebra_from_category,
     dual_module,
     free_module,
@@ -28,7 +29,7 @@ from eicat.algebra import (
 from eicat.category import presentation_of
 from eicat.families import chain_poset, poset_category
 from eicat.groups import cyclic_group, symmetric_group_3
-from eicat.linalg import QQ, Field, Subspace, _is_prime, unit_vector
+from eicat.linalg import QQ, Field, Matrix, Subspace, _is_prime, unit_vector
 
 
 def chain_algebra(f):
@@ -241,6 +242,21 @@ def test_module_constructions_validate():
     dual_module(regular_module(a)).validate()
 
 
+@pytest.mark.parametrize("char", [0, 2])
+def test_module_validate_rejects_a_broken_action(char):
+    f = Field(char)
+    a = chain_algebra(f)
+    m = regular_module(a)
+    zero = ModuleRep(a, m.dim, [Matrix.zeros(f, m.dim, m.dim) for _ in m.action])
+    with pytest.raises(AlgebraError, match="unit does not act"):
+        zero.validate()
+    action = [mat.copy() for mat in m.action]
+    non_identity = next(i for i in range(a.dim) if a.unit[i] == 0)
+    action[non_identity].data[0][0] = f.one if action[non_identity].data[0][0] == 0 else f.zero
+    with pytest.raises(AlgebraError, match="incompatible with product"):
+        ModuleRep(a, m.dim, action).validate()
+
+
 def test_submodule_and_quotient_split_dimensions():
     a = group_algebra(cyclic_group(2), Field(2))
     m = regular_module(a)
@@ -251,6 +267,35 @@ def test_submodule_and_quotient_split_dimensions():
     quo.validate()
     assert sub.dim + quo.dim == m.dim
     assert incl.cols == sub.dim and proj.rows == quo.dim
+
+
+def _inverse_projection(f, n, vectors):
+    """The projection onto k^n / span(vectors) as the last rows of the
+    inverse of the adapted basis [rref basis of the span | complement e_i]."""
+    sub = Subspace(f, n, vectors)
+    cols = sub.basis + [unit_vector(f, n, i) for i in sub.complement_pivots()]
+    basis = Matrix.from_columns(f, cols, rows=n)
+    aug = Matrix(f, [row + unit_vector(f, n, i) for i, row in enumerate(basis.data)])
+    inverse, rank, _ = aug.rref()
+    assert rank == n
+    return [row[n:] for row in inverse.data[sub.dim:]]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_quotient_projection_inverts_the_adapted_basis(char):
+    f = Field(char)
+    for a in (chain_algebra(f), group_algebra(symmetric_group_3(), f)):
+        m = regular_module(a)
+        whole = [unit_vector(f, a.dim, i) for i in range(a.dim)]
+        for vectors in (radical(a), [], whole, [a.unit]):
+            quo, proj = quotient_module(m, vectors)
+            assert (proj.rows, proj.cols) == (quo.dim, m.dim)
+            assert proj.data == _inverse_projection(f, m.dim, vectors)
+            if vectors is radical(a):
+                reps = Subspace(f, m.dim, vectors).complement_pivots()
+                for mat, qmat in zip(m.action, quo.action):
+                    assert [qmat.column(k) for k in range(quo.dim)] == \
+                        [proj.mul_vec(mat.column(i)) for i in reps]
 
 
 def test_radical_dims_of_modular_group_algebras():

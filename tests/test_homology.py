@@ -178,3 +178,24 @@ def test_gldim_bounds_injective_dimension_when_finite(sweep):
         if g.finite:
             assert v.left.finite and v.left.value <= g.value, (name, ch)
             assert v.right.finite and v.right.value <= g.value, (name, ch)
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_oracle_leaves_canonicalization_to_the_edge(char, monkeypatch):
+    """The oracle's linear algebra runs on ints and makes each result
+    canonical as a whole vector; Field.of, one scalar at a time, is for
+    inputs.  Canonicalizing every entry of every intermediate vector through
+    it takes tens of thousands of calls on this algebra."""
+    a = cat_algebra(poset_category(chain_poset(5)), Field(char))
+    assert a.dim == 15
+    calls = []
+    of = Field.of
+
+    def counted(self, n):
+        calls.append(n)
+        return of(self, n)
+
+    monkeypatch.setattr(Field, "of", counted)
+    verdict = is_gorenstein_oracle(a, CAP)
+    assert (verdict.left, verdict.right) == (1, 1)
+    assert len(calls) < 500

@@ -217,3 +217,77 @@ def test_mul_vec_on_a_copy_of_a_multiplied_matrix():
         c.data[1][0] = f.one  # a copy starts without the cached view
         assert c.mul_vec(v) == _dense_mul_vec(f, c, v) != before
         assert m.mul_vec(v) == before == _dense_mul_vec(f, m, v)
+
+
+def test_subspace_and_quotient_refuse_vectors_of_the_wrong_length():
+    s = Subspace(QQ, 3, [[1, 0, 0]])
+    q = QuotientSpace(QQ, 3, [[1, 0, 0]])
+    for bad in ([1, 0, 0, 5], [1, 0]):
+        with pytest.raises(ValueError):
+            s.coords(bad)
+        with pytest.raises(ValueError):
+            s.contains(bad)
+        with pytest.raises(ValueError):
+            q.project(bad)
+    with pytest.raises(ValueError):
+        s.from_coords([1, 2])
+    with pytest.raises(ValueError):
+        q.lift([1])
+    with pytest.raises(ValueError):
+        Subspace(QQ, 3, [[1, 0, 0, 0]])
+    assert s.coords([2, 0, 0]) == [2]
+    assert q.project([1, 2, 3]) == [2, 3]
+
+
+@given(st.sampled_from(FIELDS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_subspace_coords_project_and_from_coords_agree(f, data):
+    n = data.draw(st.integers(0, 5))
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    s = Subspace(f, n, [[f.of(x) for x in v] for v in data.draw(st.lists(entries, max_size=4))])
+    q = QuotientSpace(f, n, s.basis)
+    v = [f.of(x) for x in data.draw(entries)]
+    co = s.coords(v)
+    assert s.contains(v) == (co is not None) == (not any(q.project(v)))
+    if co is not None:
+        assert s.from_coords(co) == v
+    # v minus the lift of its class lies in the subspace
+    assert s.contains([f.sub(x, y) for x, y in zip(v, q.lift(q.project(v)))])
+
+
+# -- cross-check against sympy's DomainMatrix ---------------------------------
+
+
+def _scalars(f):
+    if f.characteristic:
+        return st.integers(0, f.characteristic - 1)
+    return st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 5), st.integers(0, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rref_rank_and_kernel_match_sympy(f, rows, cols, data):
+    sympy_matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import GF
+    from sympy import QQ as SQQ
+    p = f.characteristic
+    grid = [[f.of(x) for x in data.draw(st.lists(_scalars(f), min_size=cols, max_size=cols))]
+            for _ in range(rows)]
+    for i in data.draw(st.sets(st.integers(0, rows - 1))) if rows else ():
+        grid[i] = [f.zero] * cols  # zero rows
+    m = Matrix(f, grid) if rows else Matrix.zeros(f, 0, cols)
+    dom = GF(p) if p else SQQ
+    dm = sympy_matrices.DomainMatrix(
+        [[dom(x) if p else dom(x.numerator, x.denominator) for x in row] for row in grid],
+        (rows, cols), dom)
+
+    def theirs(x):
+        return int(x) % p if p else Fraction(int(x.numerator), int(x.denominator))
+
+    R, rank, pivots = m.rref()
+    sR, spivots = dm.rref()
+    assert (R.rows, R.cols) == (rows, cols)
+    assert R.data == [[theirs(x) for x in row] for row in sR.to_list()]
+    assert pivots == list(spivots)
+    assert rank == m.rank() == dm.rank()
+    assert len(m.kernel_basis()) == dm.nullspace().shape[0] == cols - rank
