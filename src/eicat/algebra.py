@@ -6,9 +6,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
-from .linalg import QQ, Field, Matrix, QuotientSpace, Subspace, mul_vec_sum, unit_vector
+from .linalg import (QQ, Field, Matrix, QuotientSpace, Subspace, combination, mul_vec_sum,
+                     unit_vector)
 
 
 class AlgebraError(Exception):
@@ -65,6 +67,9 @@ class FiniteDimAlgebra:
     def product_vec(self, u, v):
         """Product of two elements given as coefficient vectors, on ints over
         `_int_mult`, each entry made canonical once, at the end."""
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError(f"factors of lengths {len(u)} and {len(v)} "
+                             f"in an algebra of dimension {self.dim}")
         f = self.field
         scale, table = self._int_mult()
         wu, du = f.to_ints(u)
@@ -82,19 +87,9 @@ class FiniteDimAlgebra:
     @memoised
     def left_mult_matrix(self, i) -> Matrix:
         """Matrix of x -> e_i * x on the regular module."""
-        f = self.field
-        m = Matrix.zeros(f, self.dim, self.dim)
-        for j in range(self.dim):
-            for k, c in self.mult[i][j]:
-                m.data[k][j] = f.add(m.data[k][j], c)
-        return m
-
-    def element_matrix(self, v) -> Matrix:
-        """Left multiplication matrix of the element with coefficient vector
-        v: column j is v * e_j."""
-        f = self.field
-        return Matrix.from_columns(f, [self.product_vec(v, unit_vector(f, self.dim, j))
-                                       for j in range(self.dim)], rows=self.dim)
+        d = self.dim
+        return Matrix.from_entries(self.field, d, d, ((k, j, c) for j in range(d)
+                                                      for k, c in self.mult[i][j]))
 
     def validate(self):
         f = self.field
@@ -306,6 +301,7 @@ def _radical_mod_p(a, space):
     divisible by q, the computation is refused."""
     f = a.field
     p = f.characteristic
+    reg = regular_module(a)
     q = 1
     while not _is_nilpotent_ideal(a, space.basis):
         if q * p > a.dim:
@@ -314,7 +310,7 @@ def _radical_mod_p(a, space):
         q *= p
         values = []
         for b in space.basis:
-            t = _p_power_trace(a.element_matrix(b).data, q, p * q)
+            t = _p_power_trace(reg.matrix_of(b).data, q, p * q)
             if t % q:
                 raise RadicalVerificationFailed(f"p-power trace not divisible by {q}")
             values.append(t // q)
@@ -662,48 +658,50 @@ class ModuleRep:
     def validate(self):  # ModuleRep
         a = self.algebra
         f = a.field
-        if self._matrix_of(a.unit) != Matrix.identity(f, self.dim):
+        if self.matrix_of(a.unit) != Matrix.identity(f, self.dim):
             raise AlgebraError("unit does not act as identity")
         basis = [unit_vector(f, a.dim, i) for i in range(a.dim)]
         for i, ei in enumerate(basis):
             for j, ej in enumerate(basis):
-                if self.action[i] * self.action[j] != self._matrix_of(a.product_vec(ei, ej)):
+                if self.action[i] * self.action[j] != self.matrix_of(a.product_vec(ei, ej)):
                     raise AlgebraError(f"action incompatible with product ({i}, {j})")
         return self
 
-    def _matrix_of(self, avec):
-        """The action matrix of the algebra element avec."""
-        f = self.algebra.field
-        return Matrix.from_columns(f, [self.act(avec, unit_vector(f, self.dim, t))
-                                       for t in range(self.dim)], rows=self.dim)
+    def _terms(self, avec):
+        """The (coefficient, action matrix) pairs of the algebra element with
+        coefficient vector avec."""
+        if len(avec) != self.algebra.dim:
+            raise ValueError(f"coefficient vector of length {len(avec)} "
+                             f"for an algebra of dimension {self.algebra.dim}")
+        return zip(avec, self.action)
+
+    def matrix_of(self, avec) -> Matrix:
+        """The action matrix of the algebra element with coefficient vector
+        avec: column t is avec . e_t."""
+        return combination(self.algebra.field, self._terms(avec), self.dim, self.dim)
 
     def act(self, avec, v):
         """Apply the algebra element with coefficient vector avec to v."""
         if len(v) != self.dim:
             raise ValueError("length mismatch")
-        return mul_vec_sum(self.algebra.field, zip(avec, self.action), v, self.dim)
+        return mul_vec_sum(self.algebra.field, self._terms(avec), v, self.dim)
 
 
 def regular_module(a: FiniteDimAlgebra) -> ModuleRep:
     return ModuleRep(a, a.dim, [a.left_mult_matrix(i) for i in range(a.dim)])
 
 
-def free_module(a: FiniteDimAlgebra, r: int) -> ModuleRep:
-    """A^r with block-diagonal regular action."""
-    f = a.field
-    d = a.dim
-    action = []
-    for i in range(a.dim):
-        li = a.left_mult_matrix(i)
-        m = Matrix.zeros(f, r * d, r * d)
-        for b in range(r):
-            for x in range(d):
-                row = li.data[x]
-                for y in range(d):
-                    if row[y] != 0:
-                        m.data[b * d + x][b * d + y] = row[y]
-        action.append(m)
-    return ModuleRep(a, r * d, action)
+def direct_sum(a: FiniteDimAlgebra, reps) -> ModuleRep:
+    """The direct sum of the modules `reps` over a, with block-diagonal
+    action."""
+    offsets = [0, *accumulate(m.dim for m in reps)]
+    total = offsets[-1]
+    return ModuleRep(a, total, [
+        Matrix.from_entries(a.field, total, total,
+                            ((o + r, o + c, x) for m, o in zip(reps, offsets)
+                             for r, row in enumerate(m.action[t].data)
+                             for c, x in enumerate(row) if x))
+        for t in range(a.dim)])
 
 
 def submodule(m: ModuleRep, vectors):
@@ -746,14 +744,7 @@ def dual_module(m: ModuleRep) -> ModuleRep:
 
 def radical_submodule_vectors(m: ModuleRep):
     """Spanning set of rad(A)·M."""
-    rad = radical(m.algebra)
-    f = m.algebra.field
-    vecs = []
-    for r in rad:
-        for i in range(m.dim):
-            ei = unit_vector(f, m.dim, i)
-            vecs.append(m.act(r, ei))
-    return vecs
+    return [col for r in radical(m.algebra) for col in m.matrix_of(r).transpose().data]
 
 
 @memoised

@@ -184,21 +184,20 @@ def validate(raw) -> FiniteCategory:
             else:
                 comp[pair] = expected
 
+    into = {}  # object -> the morphisms into it, in by_name order
+    for m in by_name.values():
+        into.setdefault(m.dst, []).append(m)
     for f in by_name.values():
-        for g in by_name.values():
-            if f.src == g.dst and (f.name, g.name) not in comp:
+        for g in into.get(f.src, ()):
+            if (f.name, g.name) not in comp:
                 errs.append(f"IncompleteComposition: ({f.name!r}, {g.name!r})")
     if errs:
         raise ValidationError(errs)
 
     for f in by_name.values():
-        for g in by_name.values():
-            if f.src != g.dst:
-                continue
+        for g in into.get(f.src, ()):
             fg = comp[(f.name, g.name)]
-            for h in by_name.values():
-                if g.src != h.dst:
-                    continue
+            for h in into.get(g.src, ()):
                 gh = comp[(g.name, h.name)]
                 if comp[(fg, h.name)] != comp[(f.name, gh)]:
                     errs.append(f"NonAssociative: ({f.name!r}, {g.name!r}, {h.name!r})")
@@ -231,7 +230,8 @@ def skeletalize(c: FiniteCategory):
     """Full subcategory on one representative per isomorphism class.
 
     The representative is the earliest object in input order.  Returns
-    (skeletal category, object -> representative map)."""
+    (skeletal category, object -> representative map); the category is c
+    itself when no two of its objects are isomorphic."""
     ok, witness = is_ei(c)
     if not ok:
         raise NotEI(f"endomorphism {witness!r} is not an isomorphism")
@@ -241,6 +241,8 @@ def skeletalize(c: FiniteCategory):
             if _isomorphic(c, y, x):
                 rep[x] = y
                 break
+    if all(rep[x] == x for x in c.objects):
+        return c, rep
     return full_subcategory(c, rep.values()), rep
 
 
@@ -330,7 +332,11 @@ def admissible_order(c: FiniteCategory) -> SkeletalEIPresentation:
         for y in c.objects:
             if x != y and _isomorphic(c, x, y):
                 raise NotSkeletal(f"{x!r} and {y!r} are isomorphic")
+    return _ordered(c)
 
+
+def _ordered(c: FiniteCategory) -> SkeletalEIPresentation:
+    """`admissible_order` of c, known to be skeletal and EI."""
     remaining = list(c.objects)
     ordering = []
     while remaining:
@@ -351,9 +357,10 @@ def admissible_order(c: FiniteCategory) -> SkeletalEIPresentation:
 
 
 def presentation_of(c: FiniteCategory) -> SkeletalEIPresentation:
-    """Skeletalize if needed, then take the admissible ordering."""
+    """Skeletalize if needed, then take the admissible ordering; the EI
+    check runs once, in `skeletalize`."""
     sk, _ = skeletalize(c)
-    return admissible_order(sk)
+    return _ordered(sk)
 
 
 def full_subcategory(c: FiniteCategory, objects) -> FiniteCategory:

@@ -14,6 +14,7 @@ from .algebra import (
     AlgebraError,
     FiniteDimAlgebra,
     ModuleRep,
+    direct_sum,
     memoised,
     opposite,
     primitive_idempotents,
@@ -109,6 +110,8 @@ def _minimal_generators(a, mod, data, rng):
     redundant at the time it is added."""
     f = a.field
     span = Subspace(f, mod.dim, radical_submodule_vectors(mod))
+    # candidates[idx][i] = f_idx . e_i
+    candidates = [mod.matrix_of(e).transpose().data for e, _, _, _ in data]
     order = list(range(mod.dim))
     if rng is not None:
         rng.shuffle(order)
@@ -117,8 +120,8 @@ def _minimal_generators(a, mod, data, rng):
         ei = unit_vector(f, mod.dim, i)
         if span.contains(ei):
             continue
-        for idx, (e, _, _, _) in enumerate(data):
-            v = mod.act(e, ei)
+        for idx, columns in enumerate(candidates):
+            v = columns[i]
             if all(x == 0 for x in v) or span.contains(v):
                 continue
             kept.append((idx, v))
@@ -133,24 +136,6 @@ def _minimal_generators(a, mod, data, rng):
 def _offsets(data, idxs):
     """Start of each summand of ⊕ A·f_idx, then the total dimension."""
     return [0, *accumulate(data[idx][1].dim for idx in idxs)]
-
-
-def _block_sum(a, data, idxs) -> ModuleRep:
-    f = a.field
-    offsets = _offsets(data, idxs)
-    total = offsets[-1]
-    action = []
-    for t in range(a.dim):
-        m = Matrix.zeros(f, total, total)
-        for b, idx in enumerate(idxs):
-            blk = data[idx][2].action[t]
-            for r in range(blk.rows):
-                row = blk.data[r]
-                for c in range(blk.cols):
-                    if row[c] != 0:
-                        m.data[offsets[b] + r][offsets[b] + c] = row[c]
-        action.append(m)
-    return ModuleRep(a, total, action)
 
 
 def _cover_matrix(a, mod, data, kept):
@@ -196,7 +181,7 @@ def projective_resolution(a: FiniteDimAlgebra, m: ModuleRep, length, rng=None) -
         if not kernel:
             finished = True
             break
-        p = _block_sum(a, data, [idx for idx, _ in kept])
+        p = direct_sum(a, [data[idx][2] for idx, _ in kept])
         syzygy, incl_prev = submodule(p, kernel)
         current = syzygy
     if augmentation is None:  # m was the zero module
@@ -215,16 +200,8 @@ def ext_dims(a: FiniteDimAlgebra, n: ModuleRep, m: ModuleRep, cap: int, rng=None
 
 def _hom_blocks(a, m, data, needed):
     """For each idempotent index: basis of f·m as a Subspace of m."""
-    f = a.field
-    out = {}
-    for idx in needed:
-        e = data[idx][0]
-        cols = []
-        for i in range(m.dim):
-            ei = unit_vector(f, m.dim, i)
-            cols.append(m.act(e, ei))
-        out[idx] = Subspace(f, m.dim, cols)
-    return out
+    return {idx: Subspace(a.field, m.dim, m.matrix_of(data[idx][0]).transpose().data)
+            for idx in needed}
 
 
 def ext_dims_from_trace(a, trace, m, cap):

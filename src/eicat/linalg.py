@@ -17,8 +17,10 @@ Products work from a column-sparse int view of the matrix (per column, the
 first use and cached on the matrix.  A `Subspace` keeps an int view of its
 rref basis, which `coords`, `contains`, `from_coords` and
 `QuotientSpace.project` share.  So neither a matrix whose view is cached nor
-a `Subspace.basis` may be written in place; every in-place write to `.data`
-happens in a builder before the matrix is handed out.
+a `Subspace.basis` may be written in place.  A matrix is built whole and
+never changed: `Matrix.from_entries` (scattered entries, repeats adding up),
+`Matrix.from_columns` and `combination` (a sum of c * M) are the builders,
+and nothing outside this module writes `.data`.
 """
 
 from __future__ import annotations
@@ -271,11 +273,21 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
         one = field.one
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        return cls.from_entries(field, n, n, ((i, i, one) for i in range(n)))
+
+    @classmethod
+    def from_entries(cls, field, rows, cols, entries):
+        """The rows x cols matrix with the canonical scalar x at (r, c) for
+        each (r, c, x) of `entries`, zero elsewhere; entries at the same
+        position add up."""
+        z = field.zero
+        data = [[z] * cols for _ in range(rows)]
+        for r, c, x in entries:
+            row = data[r]
+            # the first write assigns: no Fraction sum with the shared zero
+            row[c] = x if row[c] is z else field.add(row[c], x) or z
+        return cls._of(field, data, cols)
 
     @classmethod
     def from_columns(cls, field, columns, rows=None):
@@ -406,22 +418,45 @@ def _accumulate(acc, columns, nz, factor):
                 acc[i] += a * x
 
 
+def _scaled_views(f: Field, terms, cols):
+    """(views, den) with sum c * m = sum factor * view / den over the (c, m)
+    of `terms`, m of `cols` columns: per nonzero c, the columns of m's
+    sparse view and an int factor, all over one lcm of the views' scales."""
+    terms = [(c, m) for c, m in terms if c]
+    if any(m.cols != cols for _, m in terms):
+        raise ValueError("length mismatch")
+    cs, cden = f.to_ints([c for c, _ in terms])
+    views = [m._sparse_view() for _, m in terms]
+    scale = lcm(*(s for _, s in views))
+    return [(columns, c * (scale // s)) for c, (columns, s) in zip(cs, views)], cden * scale
+
+
 def mul_vec_sum(f: Field, terms, v, rows):
     """The sum of c * m.mul_vec(v) over the (c, m) of `terms`, for rows x
     len(v) matrices m over f: one int accumulator, one lcm of the matrices'
     scales, and each entry made canonical once, at the end."""
     w, den = f.to_ints(v)
     nz = [(j, x) for j, x in enumerate(w) if x]
-    terms = [(c, m) for c, m in terms if c]
-    if any(m.cols != len(v) for _, m in terms):
-        raise ValueError("length mismatch")
-    cs, cden = f.to_ints([c for c, _ in terms])
-    views = [m._sparse_view() for _, m in terms]
-    scale = lcm(*(s for _, s in views))
+    views, vden = _scaled_views(f, terms, len(v))
     acc = [0] * rows
-    for c, (columns, s) in zip(cs, views):
-        _accumulate(acc, columns, nz, c * (scale // s))
-    return f.from_ints(acc, den * cden * scale)
+    for columns, factor in views:
+        _accumulate(acc, columns, nz, factor)
+    return f.from_ints(acc, den * vden)
+
+
+def combination(f: Field, terms, rows, cols):
+    """The rows x cols matrix sum c * m over the (c, m) of `terms`: per
+    column, one int accumulator over the sparse views and one conversion to
+    canonical scalars."""
+    views, den = _scaled_views(f, terms, cols)
+    columns = []
+    for j in range(cols):
+        acc = [0] * rows
+        unit = [(j, 1)]
+        for view, factor in views:
+            _accumulate(acc, view, unit, factor)
+        columns.append(f.from_ints(acc, den))
+    return Matrix.from_columns(f, columns, rows=rows)
 
 
 class Subspace:

@@ -74,21 +74,11 @@ class TriangularPresentation:
 
     def left_perm(self, i, j, g) -> Matrix:
         """Post-composition with g in Aut(x_i) as a permutation of M_ij."""
-        basis = self.hom_basis(i, j)
-        index = {m: t for t, m in enumerate(basis)}
-        mat = Matrix.zeros(self.field, len(basis), len(basis))
-        for t, m in enumerate(basis):
-            mat.data[index[self.compose(g, m)]][t] = self.field.one
-        return mat
+        return _map_matrix(self.field, self.hom_basis(i, j), lambda m: self.compose(g, m))
 
     def right_perm(self, i, j, h) -> Matrix:
         """Pre-composition with h in Aut(x_j) as a permutation of M_ij."""
-        basis = self.hom_basis(i, j)
-        index = {m: t for t, m in enumerate(basis)}
-        mat = Matrix.zeros(self.field, len(basis), len(basis))
-        for t, m in enumerate(basis):
-            mat.data[index[self.compose(m, h)]][t] = self.field.one
-        return mat
+        return _map_matrix(self.field, self.hom_basis(i, j), lambda m: self.compose(m, h))
 
     def right_mats(self, i, j):
         """Right action of the R_j basis on M_ij, one matrix per group element."""
@@ -109,6 +99,16 @@ class TriangularPresentation:
                                         raise TriangularError(
                                             f"psi associativity fails at ({a!r},{b!r},{c!r})")
         return True
+
+
+def _map_matrix(f: Field, basis, image, target=None) -> Matrix:
+    """The 0/1 matrix of the map sending basis[t] to image(basis[t]), a
+    member of `target` (by default `basis` itself)."""
+    target = basis if target is None else target
+    index = {m: r for r, m in enumerate(target)}
+    one = f.one
+    return Matrix.from_entries(f, len(target), len(basis),
+                               ((index[image(m)], t, one) for t, m in enumerate(basis)))
 
 
 def build_triangular(p: SkeletalEIPresentation, f: Field) -> TriangularPresentation:
@@ -209,13 +209,10 @@ def column_to_rep(tp: TriangularPresentation, cm: ColumnModule) -> ModuleRep:
     for name in alg.basis:
         m = tp.pres.category.morphisms[name]
         i, j = obj_index[m.dst], obj_index[m.src]
-        mat = Matrix.zeros(f, total, total)
         block = cm.comp_action[i][name] if i == j else cm.phi[(i, j)][name]
-        for r in range(cm.dims[i]):
-            for c in range(cm.dims[j]):
-                if block.data[r][c] != 0:
-                    mat.data[offsets[i] + r][offsets[j] + c] = block.data[r][c]
-        action.append(mat)
+        action.append(Matrix.from_entries(f, total, total, (
+            (offsets[i] + r, offsets[j] + c, x)
+            for r, row in enumerate(block.data) for c, x in enumerate(row) if x)))
     return ModuleRep(alg, total, action)
 
 
@@ -243,14 +240,8 @@ def build_m_star(tp: TriangularPresentation, t: int) -> ColumnModule:
         for l in range(i + 1, t):
             src_basis = tp.hom_basis(l, col)
             dst_basis = tp.hom_basis(i, col)
-            dst_index = {m: r for r, m in enumerate(dst_basis)}
-            table = {}
-            for mu in tp.hom_basis(i, l):
-                mat = Matrix.zeros(f, dims[i], dims[l])
-                for c, m in enumerate(src_basis):
-                    mat.data[dst_index[tp.compose(mu, m)]][c] = f.one
-                table[mu] = mat
-            phi[(i, l)] = table
+            phi[(i, l)] = {mu: _map_matrix(f, src_basis, lambda m: tp.compose(mu, m), dst_basis)
+                           for mu in tp.hom_basis(i, l)}
     return ColumnModule(tp, t, dims, comp_action, phi)
 
 
@@ -422,13 +413,9 @@ def build_j_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> Co
                 else:
                     # f -> (m_tj -> f(m_tj o mu))
                     sub_l, dm_l = hom_spaces[l]
-                    sub_j, dm_j = hom_spaces[j]
-                    basis_tj = tp.hom_basis(t0, j)
-                    basis_tl = tp.hom_basis(t0, l)
-                    index_tl = {m: x for x, m in enumerate(basis_tl)}
-                    qmu = Matrix.zeros(f, dm_l, dm_j)
-                    for c, m in enumerate(basis_tj):
-                        qmu.data[index_tl[tp.compose(m, mu)]][c] = f.one
+                    sub_j = hom_spaces[j][0]
+                    qmu = _map_matrix(f, tp.hom_basis(t0, j), lambda m: tp.compose(m, mu),
+                                      tp.hom_basis(t0, l))
                     cols = []
                     for b in range(sub_l.dim):
                         fb = as_matrix(sub_l.basis[b], dm_l)
@@ -446,13 +433,8 @@ def dual_vertex_module(tp: TriangularPresentation, t: int) -> ModuleRep:
     """D(R_t), the dual of the right regular module, as a left R_t-module."""
     f = tp.field
     g = tp.vertex_group(t - 1)
-    index = {e: i for i, e in enumerate(g.elements)}
-    action = []
-    for e in g.elements:
-        rho = Matrix.zeros(f, g.order, g.order)
-        for x, ex in enumerate(g.elements):
-            rho.data[index[g.mul(ex, e)]][x] = f.one
-        action.append(rho.transpose())
+    action = [_map_matrix(f, g.elements, lambda x: g.mul(x, e)).transpose()
+              for e in g.elements]
     return ModuleRep(tp.vertex_algebra(t - 1), g.order, action)
 
 
@@ -460,15 +442,8 @@ def unfactorizable_left_module(tp: TriangularPresentation, l: int, j: int):
     """The span of unfactorizables in Hom(x_{j+1}, x_{l+1}) as a left
     R_l-module (0-based slots l < j).  Returns (basis names, action mats)."""
     unf = tp.pres.unfactorizable_homs(l, j)
-    index = {m: x for x, m in enumerate(unf)}
-    f = tp.field
-    mats = []
-    for g in tp.vertex_group(l).elements:
-        mat = Matrix.zeros(f, len(unf), len(unf))
-        for x, m in enumerate(unf):
-            mat.data[index[tp.compose(g, m)]][x] = f.one
-        mats.append(mat)
-    return unf, mats
+    return unf, [_map_matrix(tp.field, unf, lambda m: tp.compose(g, m))
+                 for g in tp.vertex_group(l).elements]
 
 
 def phi_domain_dim(tp: TriangularPresentation, t: int) -> int:

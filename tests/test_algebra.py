@@ -15,8 +15,8 @@ from eicat.algebra import (
     FiniteDimAlgebra,
     ModuleRep,
     algebra_from_category,
+    direct_sum,
     dual_module,
-    free_module,
     group_algebra,
     opposite,
     primitive_idempotents,
@@ -27,7 +27,7 @@ from eicat.algebra import (
     top_module,
 )
 from eicat.category import presentation_of
-from eicat.families import chain_poset, poset_category
+from eicat.families import chain_poset, corpus, poset_category
 from eicat.groups import cyclic_group, symmetric_group_3
 from eicat.linalg import QQ, Field, Matrix, Subspace, _is_prime, unit_vector
 
@@ -237,9 +237,38 @@ def test_top_module_dimension():
 def test_module_constructions_validate():
     a = chain_algebra(Field(2))
     regular_module(a).validate()
-    free_module(a, 2).validate()
+    direct_sum(a, [regular_module(a)] * 2).validate()
     top_module(a).validate()
     dual_module(regular_module(a)).validate()
+
+
+def test_matrix_of_columns_are_the_action_on_unit_vectors():
+    for name, c in corpus(0)[:6]:
+        for f in (QQ, Field(2), Field(3)):
+            a = algebra_from_category(presentation_of(c).category, f)
+            rng = random.Random(name)
+            v = [f.of(Fraction(rng.randint(-3, 3), rng.choice([1, 5]))) for _ in range(a.dim)]
+            for m in (regular_module(a), top_module(a)):
+                for avec in [a.unit, v, *radical(a)[:2]]:
+                    mat = m.matrix_of(avec)
+                    assert [mat.column(t) for t in range(m.dim)] == \
+                        [m.act(avec, unit_vector(f, m.dim, t)) for t in range(m.dim)], name
+
+
+def test_coefficient_vectors_of_the_wrong_length_are_refused():
+    f = QQ
+    a = chain_algebra(f)
+    m = regular_module(a)
+    e0 = unit_vector(f, a.dim, 0)
+    for avec in ([f.one], a.unit + [f.zero]):
+        with pytest.raises(ValueError):
+            m.act(avec, e0)
+        with pytest.raises(ValueError):
+            m.matrix_of(avec)
+        with pytest.raises(ValueError):
+            a.product_vec(avec, e0)
+        with pytest.raises(ValueError):
+            a.product_vec(e0, avec)
 
 
 @pytest.mark.parametrize("char", [0, 2])

@@ -1,6 +1,7 @@
 import pytest
 from inputs import HOSTILE_CATEGORIES
 
+import eicat.category as category
 from eicat.category import (
     NotEI,
     NotSkeletal,
@@ -76,10 +77,19 @@ def test_validate_reports_missing_identity():
 
 def test_validate_reports_incomplete_composition():
     raw = chain_raw()
-    raw["composition"] = []
+    raw["morphisms"][3:] = [{"id": "f1", "src": "x", "dst": "y"},
+                            {"id": "f2", "src": "x", "dst": "y"},
+                            {"id": "g1", "src": "y", "dst": "z"},
+                            {"id": "g2", "src": "y", "dst": "z"},
+                            {"id": "h", "src": "x", "dst": "z"}]
+    raw["composition"] = [["g2", "f1", "h"]]
     with pytest.raises(ValidationError) as exc:
         validate(raw)
-    assert any("IncompleteComposition" in v for v in exc.value.violations)
+    assert exc.value.violations == [
+        "IncompleteComposition: ('g1', 'f1')",
+        "IncompleteComposition: ('g1', 'f2')",
+        "IncompleteComposition: ('g2', 'f2')",
+    ]
 
 
 def test_validate_reports_non_associativity():
@@ -95,7 +105,9 @@ def test_validate_reports_non_associativity():
     }
     with pytest.raises(ValidationError) as exc:
         validate(raw)
-    assert any("NonAssociative" in v for v in exc.value.violations)
+    assert exc.value.violations == [f"NonAssociative: {t}" for t in (
+        ("a", "a", "a"), ("a", "b", "a"), ("b", "a", "a"), ("b", "a", "b"), ("b", "b", "a"),
+        ("b", "b", "b"))]
 
 
 def non_ei_raw():
@@ -137,6 +149,22 @@ def test_skeletalize_collapses_isomorphic_objects():
     assert rep == {"a": "a", "b": "a"}
     with pytest.raises(NotSkeletal):
         admissible_order(c)
+
+
+def test_presentation_runs_the_ei_check_once_and_keeps_a_skeletal_category(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return is_ei(c)
+
+    monkeypatch.setattr(category, "is_ei", counted)
+    c = poset_category(diamond_poset())
+    assert skeletalize(c)[0] is c
+    calls.clear()
+    p = presentation_of(c)
+    assert p.category is c and len(calls) == 1
+    assert p.ordering == admissible_order(c).ordering
 
 
 def test_admissible_order_on_chain():

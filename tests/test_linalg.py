@@ -1,10 +1,21 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eicat.linalg import PRIME_BOUND, QQ, Field, Matrix, QuotientSpace, Subspace, _is_prime
+from eicat.linalg import (
+    PRIME_BOUND,
+    QQ,
+    Field,
+    Matrix,
+    QuotientSpace,
+    Subspace,
+    _is_prime,
+    combination,
+)
 
 FIELDS = [Field(0), Field(2), Field(3), Field(5)]
 
@@ -131,6 +142,18 @@ def test_from_columns_preserves_width_with_zero_rows():
     assert (m.rows, m.cols) == (0, 3)
     tall = Matrix.zeros(f, 0, 3) * Matrix.zeros(f, 3, 2)
     assert (tall.rows, tall.cols) == (0, 2)
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        m = Matrix.from_entries(f, rows, cols, [])
+        assert (m.rows, m.cols) == (rows, cols) and m == Matrix.zeros(f, rows, cols)
+
+
+@pytest.mark.parametrize("f", [QQ, Field(3)])
+def test_from_entries_adds_repeated_positions(f):
+    half = f.of(Fraction(1, 2))
+    m = Matrix.from_entries(f, 2, 3, [(0, 1, half), (1, 2, f.one), (0, 1, f.one),
+                                      (1, 0, f.of(2)), (1, 0, f.of(-2)), (0, 1, half)])
+    assert m == Matrix(f, [[0, 2, 0], [0, 0, 1]])
+    assert m.mul_vec([f.one] * 3) == [f.of(2), f.one]
 
 
 def test_subspace_membership_and_coords():
@@ -197,6 +220,30 @@ def test_mul_vec_matches_dense_reference(f, rows, cols, data):
         got = m.mul_vec(v)
         assert got == _dense_mul_vec(f, m, v)
         _assert_canonical(f, got)
+
+
+@given(st.sampled_from([QQ, Field(2), Field(3), Field(5)]), st.integers(0, 4),
+       st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=120, deadline=None)
+def test_combination_matches_dense_sum(f, nterms, rows, cols, data):
+    scalar = st.integers(-4, 4)
+    if f.characteristic == 0:
+        scalar |= st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+    def draw(n):
+        return [f.of(x) for x in data.draw(st.lists(scalar, min_size=n, max_size=n))]
+
+    terms = [(c, Matrix(f, [draw(cols) for _ in range(rows)]) if rows else
+              Matrix.zeros(f, 0, cols)) for c in draw(nterms)]
+    dense = [[f.zero] * cols for _ in range(rows)]
+    for c, m in terms:
+        dense = [[f.add(x, f.mul(c, y)) for x, y in zip(row, mrow)]
+                 for row, mrow in zip(dense, m.data)]
+    got = combination(f, terms, rows, cols)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got.data == dense
+    for row in got.data:
+        _assert_canonical(f, row)
 
 
 def test_mul_vec_empty_shapes():
@@ -291,3 +338,37 @@ def test_rref_rank_and_kernel_match_sympy(f, rows, cols, data):
     assert pivots == list(spivots)
     assert rank == m.rank() == dm.rank()
     assert len(m.kernel_basis()) == dm.nullspace().shape[0] == cols - rank
+
+
+def _assigned(targets):
+    """The targets of an assignment, tuples and starred names unpacked."""
+    for t in targets:
+        if isinstance(t, (ast.Tuple, ast.List)):
+            yield from _assigned(t.elts)
+        elif isinstance(t, ast.Starred):
+            yield from _assigned([t.value])
+        else:
+            yield t
+
+
+def test_only_linalg_writes_matrix_data():
+    """A matrix's cached sparse view is never invalidated: outside linalg.py,
+    no source file assigns into a subscript of a `.data` attribute."""
+    src = Path(__file__).resolve().parent.parent / "src" / "eicat"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for t in _assigned(targets):
+                while isinstance(t, ast.Subscript):
+                    t = t.value
+                    if isinstance(t, ast.Attribute) and t.attr == "data":
+                        offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
