@@ -59,7 +59,6 @@ from .triangular import (
     column_to_rep,
     is_mstar_projective,
     phi_domain_dim,
-    tensor_dim,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -194,10 +194,14 @@ def validate(raw) -> FiniteCategory:
     if errs:
         raise ValidationError(errs)
 
+    # a triple with an identity in it is associative by the identity laws above
+    proper = {x: [m for m in ms if not m.identity] for x, ms in into.items()}
     for f in by_name.values():
-        for g in into.get(f.src, ()):
+        if f.identity:
+            continue
+        for g in proper.get(f.src, ()):
             fg = comp[(f.name, g.name)]
-            for h in into.get(g.src, ()):
+            for h in proper.get(g.src, ()):
                 gh = comp[(g.name, h.name)]
                 if comp[(fg, h.name)] != comp[(f.name, gh)]:
                     errs.append(f"NonAssociative: ({f.name!r}, {g.name!r}, {h.name!r})")

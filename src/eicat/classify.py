@@ -70,6 +70,20 @@ def classify(c: FiniteCategory, f: Field) -> ClassificationReport:
     free with all |Aut(x_i)| invertible; zero_gorenstein iff there are no
     non-endomorphisms (a product of group algebras, quasi-Frobenius).
 
+    Sources of the flags:
+    - one_gorenstein: both sides are the theorem of arXiv:1412.8278, "the
+      category algebra is 1-Gorenstein iff the category is free and
+      projective".
+    - gorenstein: the "true" side is the same paper's result that a
+      projective EI category has a Gorenstein algebra; the "false" side rests
+      only on the agreement with the oracle that the tests check.
+    - hereditary: no source is cited here; both sides rest only on the
+      agreement with the oracle's global dimension that the tests check.
+    - zero_gorenstein: the "true" side holds because a product of group
+      algebras is self-injective; the "false" side rests only on the
+      agreement with the oracle's self-injective dimensions that the tests
+      check.
+
     Raises NotEI when c is not EI."""
     p = presentation_of(c)
     skeletal = p.n == len(c.objects)

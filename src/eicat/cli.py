@@ -256,13 +256,16 @@ def cmd_gen(args):
             raise UsageError(f"gen biset takes one of {sorted(_NAMED_BISETS)}")
         _emit(category_to_json(_NAMED_BISETS[params[0]]()), args.out)
     elif fam == "corpus":
+        if args.count < 0:
+            raise UsageError(f"--count must be >= 0, got {args.count}")
         outdir = args.out or "corpus"
         os.makedirs(outdir, exist_ok=True)
-        for name, c in corpus(seed=args.seed)[:args.count]:
+        items = corpus(seed=args.seed)[:args.count]
+        for name, c in items:
             with open(os.path.join(outdir, f"{name}.json"), "w") as fh:
                 json.dump(category_to_json(c), fh, indent=2)
                 fh.write("\n")
-        print(f"wrote {min(args.count, len(corpus(seed=args.seed)))} files to {outdir}")
+        print(f"wrote {len(items)} files to {outdir}")
     else:
         raise UsageError(f"unknown family {fam!r}")
     return 0

@@ -1,10 +1,16 @@
 """The upper triangular matrix algebra of a skeletal EI category, column
 modules, the induction/coinduction constructions, and the projectivity test
-for the natural column modules M_t^* by dimension count."""
+for the natural column modules M_t^* by dimension count.
+
+Every M_ij = k Hom(x_j, x_i) and every span of unfactorizable morphisms is a
+permutation module, and kX (x)_{kG} kY = k[X x_G Y] for a right G-set X and
+a left G-set Y in every characteristic; so the dimension of the projective
+cover of M_t^* is an orbit count, the same in every characteristic."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .algebra import ModuleRep, algebra_from_category, group_algebra
 from .category import SkeletalEIPresentation, full_subcategory
@@ -76,14 +82,11 @@ class TriangularPresentation:
         """Post-composition with g in Aut(x_i) as a permutation of M_ij."""
         return _map_matrix(self.field, self.hom_basis(i, j), lambda m: self.compose(g, m))
 
-    def right_perm(self, i, j, h) -> Matrix:
-        """Pre-composition with h in Aut(x_j) as a permutation of M_ij."""
-        return _map_matrix(self.field, self.hom_basis(i, j), lambda m: self.compose(m, h))
-
     def right_mats(self, i, j):
-        """Right action of the R_j basis on M_ij, one matrix per group element."""
-        g = self.vertex_group(j)
-        return [self.right_perm(i, j, e) for e in g.elements]
+        """Right action of the R_j basis on M_ij: pre-composition with each
+        element of Aut(x_j), as a permutation matrix."""
+        return [_map_matrix(self.field, self.hom_basis(i, j), lambda m: self.compose(m, h))
+                for h in self.vertex_group(j).elements]
 
     def check_psi_associativity(self):
         """(m_il m_lj) m_jt = m_il (m_lj m_jt) on all basis triples."""
@@ -111,6 +114,28 @@ def _map_matrix(f: Field, basis, image, target=None) -> Matrix:
                                ((index[image(m)], t, one) for t, m in enumerate(basis)))
 
 
+def _on_quotients(src: QuotientSpace, dst: QuotientSpace, amb: Matrix) -> Matrix:
+    """The map src -> dst that the ambient map `amb` induces."""
+    return Matrix.from_columns(dst.field, [dst.project(amb.column(r)) for r in src.reps],
+                               rows=dst.dim)
+
+
+def _on_subspaces(src: Subspace, dst: Subspace, amb: Matrix) -> Matrix:
+    """The restriction src -> dst of the ambient map `amb`."""
+    cols = []
+    for b in src.basis:
+        co = dst.coords(amb.mul_vec(b))
+        if co is None:
+            raise IncompatibleMaps("a structure map leaves the Hom space")
+        cols.append(co)
+    return Matrix.from_columns(dst.field, cols, rows=dst.dim)
+
+
+def _check_t(t, top):
+    if not 1 <= t <= top:
+        raise IndexOutOfRange(f"t must be in 1..{top}, got {t}")
+
+
 def build_triangular(p: SkeletalEIPresentation, f: Field) -> TriangularPresentation:
     return TriangularPresentation(f, p)
 
@@ -135,15 +160,6 @@ def tensor_quotient(f: Field, right_mats, left_mats) -> QuotientSpace:
                         vec[a * dn + y] = f.sub(vec[a * dn + y], cy)
                 relations.append(vec)
     return QuotientSpace(f, dm * dn, relations)
-
-
-def tensor_dim(f: Field, right_mats, left_mats) -> int:
-    """dim of M (x)_R N, by exact rank of the balancing relations."""
-    if not right_mats or not left_mats:
-        return 0
-    if right_mats[0].rows == 0 or left_mats[0].rows == 0:
-        return 0
-    return tensor_quotient(f, right_mats, left_mats).dim
 
 
 @dataclass
@@ -221,11 +237,15 @@ def _zero_action(tp, i):
     return {g: Matrix.zeros(f, 0, 0) for g in tp.vertex_group(i).elements}
 
 
+def _vertex_action(tp, t0, a: ModuleRep):
+    """Slot t0 of i_t and j_t: Aut(x_t0) acting on A."""
+    return dict(zip(tp.vertex_group(t0).elements, a.action))
+
+
 def build_m_star(tp: TriangularPresentation, t: int) -> ColumnModule:
     """The natural left Gamma_t-module with components k Hom(x_{t+1}, x_i),
     i = 1..t (t is 1-based, 1 <= t <= n-1)."""
-    if not 1 <= t <= tp.n - 1:
-        raise IndexOutOfRange(f"t must be in 1..{tp.n - 1}, got {t}")
+    _check_t(t, tp.n - 1)
     f = tp.field
     col = t  # 0-based index of x_{t+1}
     dims = []
@@ -251,181 +271,77 @@ def mstar_dim(tp: TriangularPresentation, t: int) -> int:
 
 def build_i_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> ColumnModule:
     """The induced column module with components M_jt (x)_{R_t} A above slot
-    t, A at slot t, zero below (t is 1-based)."""
+    t, A at slot t, zero below (t is 1-based).
+
+    Slot j < t is a quotient of k Hom(x_t, x_j) (x) A, the pair (m, b) at
+    ambient index m*dim(A) + b; slot t is read as id_{x_t} (x) A with no
+    relations.  A morphism g: x_l -> x_j then acts from slot l to slot j by
+    (m, b) -> (g m, b) on the pairs, passed to the quotients."""
     upto = tp.n if upto is None else upto
-    if not 1 <= t <= upto:
-        raise IndexOutOfRange(f"t must be in 1..{upto}, got {t}")
-    f = tp.field
-    t0 = t - 1
-    quotients = {}
-    dims = [0] * upto
-    for j in range(t0):
-        q = tensor_quotient(f, tp.right_mats(j, t0), a.action)
-        quotients[j] = q
-        dims[j] = q.dim
-    dims[t0] = a.dim
-    comp_action = []
-    for j in range(upto):
-        if j < t0:
-            q = quotients[j]
-            basis_jt = tp.hom_basis(j, t0)
-            index_jt = {m: x for x, m in enumerate(basis_jt)}
-            da = a.dim
-            act = {}
-            for g in tp.vertex_group(j).elements:
-                cols = []
-                for co in range(q.dim):
-                    amb = q.lift(unit_vector(f, q.dim, co))
-                    mapped = [f.zero] * len(amb)
-                    for x, c in enumerate(amb):
-                        if c != 0:
-                            mi, bi = divmod(x, da)
-                            mapped[index_jt[tp.compose(g, basis_jt[mi])] * da + bi] = c
-                    cols.append(q.project(mapped))
-                act[g] = Matrix.from_columns(f, cols, rows=q.dim)
-            comp_action.append(act)
-        elif j == t0:
-            group = tp.vertex_group(j)
-            comp_action.append({g: Matrix(f, a.action[x].data)
-                                for x, g in enumerate(group.elements)})
-        else:
-            comp_action.append(_zero_action(tp, j))
-    phi = {}
-    da = a.dim
-    for j in range(upto):
-        for l in range(j + 1, upto):
-            table = {}
-            for mu in tp.hom_basis(j, l):
-                if l < t0:
-                    ql, qj = quotients[l], quotients[j]
-                    basis_lt = tp.hom_basis(l, t0)
-                    basis_jt = tp.hom_basis(j, t0)
-                    index_jt = {m: x for x, m in enumerate(basis_jt)}
-                    cols = []
-                    for co in range(ql.dim):
-                        amb = ql.lift(unit_vector(f, ql.dim, co))
-                        mapped = [f.zero] * (len(basis_jt) * da)
-                        for x, c in enumerate(amb):
-                            if c != 0:
-                                mi, bi = divmod(x, da)
-                                mapped[index_jt[tp.compose(mu, basis_lt[mi])] * da + bi] = c
-                        cols.append(qj.project(mapped))
-                    table[mu] = Matrix.from_columns(f, cols, rows=qj.dim)
-                elif l == t0:
-                    qj = quotients[j]
-                    basis_jt = tp.hom_basis(j, t0)
-                    index_jt = {m: x for x, m in enumerate(basis_jt)}
-                    cols = []
-                    for b in range(da):
-                        amb = [f.zero] * (len(basis_jt) * da)
-                        amb[index_jt[mu] * da + b] = f.one
-                        cols.append(qj.project(amb))
-                    table[mu] = Matrix.from_columns(f, cols, rows=qj.dim)
-                else:
-                    table[mu] = Matrix.zeros(f, dims[j], dims[l])
-            phi[(j, l)] = table
+    _check_t(t, upto)
+    f, t0 = tp.field, t - 1
+    spaces = [tensor_quotient(f, tp.right_mats(j, t0), a.action) for j in range(t0)]
+    spaces.append(QuotientSpace(f, a.dim))
+    pairs = [list(product(tp.hom_basis(j, t0), range(a.dim))) for j in range(t0)]
+    pairs.append([(tp.vertex_group(t0).identity, b) for b in range(a.dim)])
+
+    def along(g, j, l):
+        amb = _map_matrix(f, pairs[l], lambda p: (tp.compose(g, p[0]), p[1]), pairs[j])
+        return _on_quotients(spaces[l], spaces[j], amb)
+
+    dims = [q.dim for q in spaces] + [0] * (upto - t)
+    comp_action = [{g: along(g, j, j) for g in tp.vertex_group(j).elements} for j in range(t0)]
+    comp_action.append(_vertex_action(tp, t0, a))
+    comp_action += [_zero_action(tp, j) for j in range(t, upto)]
+    phi = {(j, l): {mu: along(mu, j, l) if l <= t0 else Matrix.zeros(f, dims[j], dims[l])
+                    for mu in tp.hom_basis(j, l)}
+           for j in range(upto) for l in range(j + 1, upto)}
     return ColumnModule(tp, upto, dims, comp_action, phi)
+
+
+def _hom_space(tp: TriangularPresentation, t0: int, a: ModuleRep, pairs) -> Subspace:
+    """Hom_{R_t0}(M_{t0 l}, A) among the vectors on `pairs` (b, m), the value
+    of F at m in coordinate b: the F with F(g m) = g F(m) for g in Aut(x_t0)."""
+    f, n = tp.field, len(pairs)
+    index = {p: x for x, p in enumerate(pairs)}
+    entries = []
+    for k, (g, ag) in enumerate(zip(tp.vertex_group(t0).elements, a.action)):
+        for x, (b, m) in enumerate(pairs):
+            entries.append((k * n + x, index[(b, tp.compose(g, m))], f.one))
+            entries += [(k * n + x, index[(c, m)], f.neg(v)) for c, v in enumerate(ag.data[b]) if v]
+    return Subspace(f, n, Matrix.from_entries(f, len(a.action) * n, n, entries).kernel_basis())
 
 
 def build_j_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> ColumnModule:
     """The coinduced column module with components Hom_{R_t}(M_tl, A) below
-    slot t, A at slot t, zero above (t is 1-based)."""
+    slot t, A at slot t, zero above (t is 1-based).
+
+    Slot l > t is a subspace of the maps F: k Hom(x_l, x_t) -> A, the value
+    of F at m in coordinate b at ambient index b*|Hom(x_l, x_t)| + m; slot t
+    is read as Hom(id_{x_t}, A) = A.  A morphism g: x_l -> x_j then acts from
+    slot l to slot j by F -> F(- o g), the pullback along (b, m) -> (b, m g),
+    restricted to the Hom spaces."""
     upto = tp.n if upto is None else upto
-    if not 1 <= t <= upto:
-        raise IndexOutOfRange(f"t must be in 1..{upto}, got {t}")
-    f = tp.field
-    t0 = t - 1
-    da = a.dim
-    group_t = tp.vertex_group(t0)
+    _check_t(t, upto)
+    f, t0, da = tp.field, t - 1, a.dim
+    pairs = {t0: [(b, tp.vertex_group(t0).identity) for b in range(da)]}
+    spaces = {t0: Subspace(f, da, [unit_vector(f, da, b) for b in range(da)])}
+    for l in range(t, upto):
+        pairs[l] = list(product(range(da), tp.hom_basis(t0, l)))
+        spaces[l] = _hom_space(tp, t0, a, pairs[l])
 
-    hom_spaces = {}  # slot l > t0 -> (Subspace of vec(F), dm_l)
-    for l in range(t0 + 1, upto):
-        basis_tl = tp.hom_basis(t0, l)
-        dm = len(basis_tl)
-        # unknown F is da x dm, vec index r*dm + c; constraints F P_g = L_g F
-        rows = []
-        for x, g in enumerate(group_t.elements):
-            pg = tp.left_perm(t0, l, g)
-            lg = a.action[x]
-            for r in range(da):
-                for c in range(dm):
-                    row = [f.zero] * (da * dm)
-                    for cc in range(dm):
-                        if pg.data[cc][c] != 0:
-                            row[r * dm + cc] = f.add(row[r * dm + cc], pg.data[cc][c])
-                    for rr in range(da):
-                        if lg.data[r][rr] != 0:
-                            row[rr * dm + c] = f.sub(row[rr * dm + c], lg.data[r][rr])
-                    rows.append(row)
-        kernel = Matrix(f, rows).kernel_basis() if rows and da * dm else \
-            [unit_vector(f, da * dm, j) for j in range(da * dm)]
-        hom_spaces[l] = (Subspace(f, da * dm, kernel), dm)
+    def along(g, j, l):
+        amb = _map_matrix(f, pairs[j], lambda p: (p[0], tp.compose(p[1], g)), pairs[l])
+        return _on_subspaces(spaces[l], spaces[j], amb.transpose())
 
-    dims = [0] * upto
-    dims[t0] = da
-    for l in range(t0 + 1, upto):
-        dims[l] = hom_spaces[l][0].dim
-
-    def as_matrix(vec, dm):
-        return Matrix(f, [[vec[r * dm + c] for c in range(dm)] for r in range(da)])
-
-    comp_action = []
-    for j in range(upto):
-        if j < t0:
-            comp_action.append(_zero_action(tp, j))
-        elif j == t0:
-            group = tp.vertex_group(j)
-            comp_action.append({g: Matrix(f, a.action[x].data)
-                                for x, g in enumerate(group.elements)})
-        else:
-            sub, dm = hom_spaces[j]
-            act = {}
-            for h in tp.vertex_group(j).elements:
-                ph = tp.right_perm(t0, j, h)
-                cols = []
-                for b in range(sub.dim):
-                    fb = as_matrix(sub.basis[b], dm)
-                    mapped = fb * ph
-                    co = sub.coords([x for row in mapped.data for x in row])
-                    if co is None:
-                        raise IncompatibleMaps("Hom space not invariant")
-                    cols.append(co)
-                act[h] = Matrix.from_columns(f, cols, rows=sub.dim)
-            comp_action.append(act)
-
-    phi = {}
-    for j in range(upto):
-        for l in range(j + 1, upto):
-            table = {}
-            for mu in tp.hom_basis(j, l):
-                if j < t0 or l <= t0:
-                    table[mu] = Matrix.zeros(f, dims[j], dims[l])
-                elif j == t0:
-                    # evaluation at mu in M_tl
-                    sub, dm = hom_spaces[l]
-                    basis_tl = tp.hom_basis(t0, l)
-                    mu_idx = basis_tl.index(mu)
-                    cols = []
-                    for b in range(sub.dim):
-                        fb = as_matrix(sub.basis[b], dm)
-                        cols.append(fb.column(mu_idx))
-                    table[mu] = Matrix.from_columns(f, cols, rows=da)
-                else:
-                    # f -> (m_tj -> f(m_tj o mu))
-                    sub_l, dm_l = hom_spaces[l]
-                    sub_j = hom_spaces[j][0]
-                    qmu = _map_matrix(f, tp.hom_basis(t0, j), lambda m: tp.compose(m, mu),
-                                      tp.hom_basis(t0, l))
-                    cols = []
-                    for b in range(sub_l.dim):
-                        fb = as_matrix(sub_l.basis[b], dm_l)
-                        mapped = fb * qmu
-                        co = sub_j.coords([x for row in mapped.data for x in row])
-                        if co is None:
-                            raise IncompatibleMaps("evaluation leaves the Hom space")
-                        cols.append(co)
-                    table[mu] = Matrix.from_columns(f, cols, rows=sub_j.dim)
-            phi[(j, l)] = table
+    dims = [0] * t0 + [spaces[l].dim for l in range(t0, upto)]
+    comp_action = [_zero_action(tp, j) for j in range(t0)]
+    comp_action.append(_vertex_action(tp, t0, a))
+    comp_action += [{h: along(h, l, l) for h in tp.vertex_group(l).elements}
+                    for l in range(t, upto)]
+    phi = {(j, l): {mu: along(mu, j, l) if j >= t0 else Matrix.zeros(f, dims[j], dims[l])
+                    for mu in tp.hom_basis(j, l)}
+           for j in range(upto) for l in range(j + 1, upto)}
     return ColumnModule(tp, upto, dims, comp_action, phi)
 
 
@@ -438,29 +354,22 @@ def dual_vertex_module(tp: TriangularPresentation, t: int) -> ModuleRep:
     return ModuleRep(tp.vertex_algebra(t - 1), g.order, action)
 
 
-def unfactorizable_left_module(tp: TriangularPresentation, l: int, j: int):
-    """The span of unfactorizables in Hom(x_{j+1}, x_{l+1}) as a left
-    R_l-module (0-based slots l < j).  Returns (basis names, action mats)."""
-    unf = tp.pres.unfactorizable_homs(l, j)
-    return unf, [_map_matrix(tp.field, unf, lambda m: tp.compose(g, m))
-                 for g in tp.vertex_group(l).elements]
-
-
 def phi_domain_dim(tp: TriangularPresentation, t: int) -> int:
-    """dim of the projective cover source: sum over l <= t of
-    dim i_l(span of unfactorizables Hom^0(x_{t+1}, x_l))."""
-    if not 1 <= t <= tp.n - 1:
-        raise IndexOutOfRange(f"t must be in 1..{tp.n - 1}, got {t}")
-    f = tp.field
-    col = t  # 0-based index of x_{t+1}
+    """dim of the projective cover source of M_t^*: the sum over j <= l < t
+    (0-based) of dim M_jl (x)_{R_l} k U_l, U_l the unfactorizable morphisms
+    x_t -> x_l.  Each term counts the orbits of Hom(x_l, x_j) x_{Aut(x_l)} U_l
+    by Burnside's lemma, (1/|G|) sum_h |{m : m h = m}| |{u : h u = u}|; for
+    j = l the group acts freely and the term is |U_l|."""
+    _check_t(t, tp.n - 1)
     total = 0
-    for l0 in range(t):
-        unf, left_mats = unfactorizable_left_module(tp, l0, col)
-        if not unf:
+    for l in range(t):
+        units = tp.pres.unfactorizable_homs(l, t)
+        if not units:
             continue
-        total += len(unf)
-        for j0 in range(l0):
-            total += tensor_dim(f, tp.right_mats(j0, l0), left_mats)
+        group = tp.vertex_group(l)
+        fixed = [(h, sum(tp.compose(h, u) == u for u in units)) for h in group.elements]
+        total += sum(k * sum(tp.compose(m, h) == m for m in tp.hom_basis(j, l))
+                     for j in range(l + 1) for h, k in fixed if k) // group.order
     return total
 
 

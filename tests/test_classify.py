@@ -131,8 +131,7 @@ def test_one_gorenstein_bound_holds_in_oracle(sweep):
         if r.one_gorenstein:
             assert v.left.finite and v.left.value <= 1, (name, ch, v)
             assert v.right.finite and v.right.value <= 1, (name, ch, v)
-        if r.zero_gorenstein:
-            assert v.left == 0 and v.right == 0, (name, ch, v)
+        assert r.zero_gorenstein == (v.left == 0 and v.right == 0), (name, ch, v)
 
 
 def test_hereditary_matches_global_dimension(sweep):

@@ -280,3 +280,11 @@ def test_gen_corpus_writes_deterministic_files(tmp_path, capsys):
         assert (d1 / name).read_text() == (d2 / name).read_text()
     # generated files are themselves valid inputs
     assert main(["validate", str(d1 / files1[0])]) == 0
+
+
+def test_gen_corpus_rejects_negative_count(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert main(["gen", "corpus", "--out", str(out), "--count", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--count must be >= 0" in err and "Traceback" not in err
+    assert not out.exists()

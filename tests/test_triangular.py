@@ -1,9 +1,12 @@
 import pytest
 
+from inputs import s3_transporter
+
 from eicat.algebra import dual_module, regular_module, top_module
 from eicat.category import presentation_of
 from eicat.families import (
     chain_poset,
+    corpus,
     diamond_poset,
     poset_category,
     stabilized_alpha_category,
@@ -25,8 +28,7 @@ from eicat.triangular import (
     is_mstar_projective,
     mstar_dim,
     phi_domain_dim,
-    tensor_dim,
-    unfactorizable_left_module,
+    tensor_quotient,
 )
 
 
@@ -79,7 +81,7 @@ def test_tensor_dim_regular_over_group():
         for ch in (0, 2, 3):
             f = Field(ch)
             left, right = _regular_perms(g, f)
-            assert tensor_dim(f, right, left) == g.order
+            assert tensor_quotient(f, right, left).dim == g.order
 
 
 def test_tensor_dim_trivial_modules():
@@ -87,20 +89,20 @@ def test_tensor_dim_trivial_modules():
     for ch in (0, 2):
         f = Field(ch)
         ones = [Matrix.identity(f, 1), Matrix.identity(f, 1)]
-        assert tensor_dim(f, ones, ones) == 1
+        assert tensor_quotient(f, ones, ones).dim == 1
 
 
 def test_tensor_over_trivial_group_is_full_tensor_product():
     f = Field(3)
     m = [Matrix.identity(f, 2)]
     n = [Matrix.identity(f, 5)]
-    assert tensor_dim(f, m, n) == 10
+    assert tensor_quotient(f, m, n).dim == 10
 
 
 def test_tensor_dim_with_zero_factor():
     f = Field(2)
-    assert tensor_dim(f, [], [Matrix.identity(f, 2)]) == 0
-    assert tensor_dim(f, [Matrix.zeros(f, 0, 0)], [Matrix.identity(f, 2)]) == 0
+    assert tensor_quotient(f, [], [Matrix.identity(f, 2)]).dim == 0
+    assert tensor_quotient(f, [Matrix.zeros(f, 0, 0)], [Matrix.identity(f, 2)]).dim == 0
 
 
 def test_mstar_dims(chain_tp, diamond_tp):
@@ -132,6 +134,30 @@ def test_phi_domain_dim_goldens(chain_tp, diamond_tp):
     assert phi_domain_dim(diamond_tp, 3) == 4
     with pytest.raises(IndexOutOfRange):
         phi_domain_dim(diamond_tp, 4)
+
+
+def _cover_dim_by_rank(tp, t):
+    """phi_domain_dim by exact linear algebra: the sum over j <= l < t of
+    dim M_jl (x)_{R_l} k U_l, with U_l as permutation matrices."""
+    f = tp.field
+    total = 0
+    for l in range(t):
+        units = tp.pres.unfactorizable_homs(l, t)
+        perms = [Matrix.from_columns(f, [[f.one if tp.compose(g, u) == v else f.zero
+                                          for v in units] for u in units], rows=len(units))
+                 for g in tp.vertex_group(l).elements]
+        total += sum(tensor_quotient(f, tp.right_mats(j, l), perms).dim for j in range(l + 1))
+    return total
+
+
+def test_phi_domain_dim_orbit_count_matches_tensor_rank():
+    cats = corpus(0) + corpus(1) + [("s3_subsets_le2", s3_transporter(2))]
+    for name, c in cats:
+        p = presentation_of(c)
+        for ch in (0, 2, 3):
+            tp = build_triangular(p, Field(ch))
+            for t in range(1, tp.n):
+                assert phi_domain_dim(tp, t) == _cover_dim_by_rank(tp, t), (name, ch, t)
 
 
 def test_is_mstar_projective_goldens(chain_tp, diamond_tp):
@@ -242,13 +268,16 @@ def test_dual_vertex_module_is_valid():
         assert m.dim == tp.vertex_group(t - 1).order
 
 
-def test_unfactorizable_left_module_is_a_group_action(diamond_tp):
-    unf, mats = unfactorizable_left_module(diamond_tp, 0, 3)
-    assert unf == []
-    unf2, mats2 = unfactorizable_left_module(diamond_tp, 1, 3)
-    assert len(unf2) == 1
-    for m in mats2:
-        assert m * m.transpose() == Matrix.identity(diamond_tp.field, len(unf2))
+def test_unfactorizable_homs_are_stable_under_automorphisms(diamond_tp, presentations):
+    assert diamond_tp.pres.unfactorizable_homs(0, 3) == []
+    assert len(diamond_tp.pres.unfactorizable_homs(1, 3)) == 1
+    # Aut(x_l) permutes U_l, so k U_l is the permutation module phi_domain_dim counts
+    for name, _, p in presentations:
+        for j in range(p.n):
+            for l in range(j):
+                units = p.unfactorizable_homs(l, j)
+                for g in p.aut_group(l).elements:
+                    assert {p.category.compose(g, u) for u in units} == set(units), name
 
 
 def test_index_bounds_on_inductions(chain_tp):
