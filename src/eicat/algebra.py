@@ -65,24 +65,39 @@ class FiniteDimAlgebra:
                         for pairs in row] for row in self.mult]
 
     def product_vec(self, u, v):
-        """Product of two elements given as coefficient vectors, on ints over
-        `_int_mult`, each entry made canonical once, at the end."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError(f"factors of lengths {len(u)} and {len(v)} "
-                             f"in an algebra of dimension {self.dim}")
+        """Product of two elements given as coefficient vectors."""
+        return self.products([u], [v])[0]
+
+    def products(self, us, vs):
+        """[u * v for u in us for v in vs], for elements given as coefficient
+        vectors: on ints over `_int_mult`, from one int view of each factor,
+        each entry made canonical once, at the end."""
         f = self.field
+        d = self.dim
         scale, table = self._int_mult()
-        wu, du = f.to_ints(u)
-        wv, dv = f.to_ints(v)
-        nzv = [(j, b) for j, b in enumerate(wv) if b]
-        acc = [0] * self.dim
-        for a, row in zip(wu, table):
-            if a:
-                for j, b in nzv:
-                    ab = a * b
-                    for k, c in row[j]:
-                        acc[k] += ab * c
-        return f.from_ints(acc, du * dv * scale)
+
+        def views(ws):
+            out = []
+            for w in ws:
+                if len(w) != d:
+                    raise ValueError(f"factor of length {len(w)} in an algebra of dimension {d}")
+                ints, den = f.to_ints(w)
+                out.append(([(j, x) for j, x in enumerate(ints) if x], den))
+            return out
+
+        right = views(vs)
+        out = []
+        for nzu, du in views(us):
+            for nzv, dv in right:
+                acc = [0] * d
+                for i, a in nzu:
+                    row = table[i]
+                    for j, b in nzv:
+                        ab = a * b
+                        for k, c in row[j]:
+                            acc[k] += ab * c
+                out.append(f.from_ints(acc, du * dv * scale))
+        return out
 
     @memoised
     def left_mult_matrix(self, i) -> Matrix:
@@ -137,20 +152,36 @@ class FiniteDimAlgebra:
 
     @classmethod
     def from_json(cls, obj, f: Field):
-        unknown = set(obj) - {"basis", "unit", "table"}
-        if unknown:
-            raise AlgebraError(f"unknown keys: {sorted(unknown)}")
+        """The algebra of a `to_json` object: "basis" a list of d names,
+        "unit" a list of d scalars and "table" a list of [i, j, [[k, c], ...]]
+        with int indices in [0, d) and each (i, j) at most once; a scalar is
+        an int or a string "n/d" with d invertible in f.  Any other shape
+        raises AlgebraError."""
+        if not isinstance(obj, dict):
+            raise AlgebraError(f"a matrix export must be a JSON object, not {type(obj).__name__}")
+        keys = {"basis", "unit", "table"}
+        for what, names in (("unknown", set(obj) - keys), ("missing", keys - set(obj))):
+            if names:
+                raise AlgebraError(f"{what} keys: {sorted(names)}")
+        for key in sorted(keys):
+            if not isinstance(obj[key], list):
+                raise AlgebraError(f"{key!r} must be a list, not {type(obj[key]).__name__}")
         basis = list(obj["basis"])
         d = len(basis)
         if len(obj["unit"]) != d:
             raise AlgebraError("unit vector length mismatch")
+        unit = [_scalar_from_json(x, f) for x in obj["unit"]]
         mult = [[[] for _ in range(d)] for _ in range(d)]
-        try:
-            for i, j, pairs in obj["table"]:
-                mult[i][j] = [(k, f.of(_scalar_from_json(c))) for k, c in pairs]
-            unit = [f.of(_scalar_from_json(x)) for x in obj["unit"]]
-        except TypeError as e:
-            raise AlgebraError(f"bad scalar: {e}") from e
+        seen = set()
+        for n, entry in enumerate(obj["table"]):
+            if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)
+                    and all(isinstance(pair, list) and len(pair) == 2 for pair in entry[2])):
+                raise AlgebraError(f"table entry {n} is not [i, j, [[k, c], ...]]")
+            i, j = (_index_from_json(x, d) for x in entry[:2])
+            if (i, j) in seen:
+                raise AlgebraError(f"table entry {n} repeats the product ({i}, {j})")
+            seen.add((i, j))
+            mult[i][j] = [(_index_from_json(k, d), _scalar_from_json(c, f)) for k, c in entry[2]]
         return cls(f, basis, mult, unit)
 
 
@@ -160,10 +191,24 @@ def _scalar_to_json(x):
     return int(x)
 
 
-def _scalar_from_json(x):
+def _scalar_from_json(x, f: Field):
+    """The element of f that the JSON scalar x names: an int, or a string
+    "n/d" of ints with d invertible in f."""
     if isinstance(x, str):
-        num, den = x.split("/")
-        return Fraction(int(num), int(den))
+        num, _, den = x.partition("/")
+        try:
+            x = Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError):
+            raise AlgebraError(f"bad scalar: {x!r} is not n/d with d nonzero") from None
+    try:
+        return f.of(x)
+    except (TypeError, ZeroDivisionError) as e:
+        raise AlgebraError(f"bad scalar: {e}") from e
+
+
+def _index_from_json(x, d):
+    if type(x) is not int or not 0 <= x < d:
+        raise AlgebraError(f"index {x!r} is not an int in [0, {d})")
     return x
 
 
@@ -217,19 +262,37 @@ def _trace_vector(a):
 
 
 def _is_nilpotent_ideal(a, vectors):
-    """Whether the span of `vectors` is a two-sided nilpotent ideal."""
+    """Whether the span I of `vectors` is a two-sided nilpotent ideal of the
+    associative algebra a, checked through left-ideal generators X of I.
+
+    The walk over the rref basis of I keeps v in X when v is outside the span
+    S of X and A.X so far, checks e_t.v and v.e_t in I for every basis
+    element e_t, and adds v and the e_t.v to S.  At the end S = I, so
+    I = A.X is a left ideal, and I.e_t = A.(X.e_t) lies in I: I is a right
+    ideal.  The powers follow as I^(k+1) = I^k.A.X = I^k.X, and the chain
+    must fall to 0 strictly.  That is about 2 d |X| + sum_k |I^k| |X|
+    products, against 2 d |I| + sum_k |I^k| |I| pair by pair.  All but the
+    membership tests rest on associativity, which `FiniteDimAlgebra.validate`
+    checks."""
     f = a.field
     d = a.dim
     sub = Subspace(f, d, vectors)
-    basis = sub.basis
-    for i in range(d):
-        ei = unit_vector(f, d, i)
-        for v in basis:
-            if not sub.contains(a.product_vec(ei, v)) or not sub.contains(a.product_vec(v, ei)):
-                return False
-    power = list(basis)
+    units = [unit_vector(f, d, t) for t in range(d)]
+    gens = []
+    span = Subspace(f, d)
+    for v in sub.basis:
+        if span.dim == sub.dim:
+            break
+        if span.contains(v):
+            continue
+        left = [w for w in a.products(units, [v]) if any(w)]
+        if not all(sub.contains(w) for w in left + a.products([v], units)):
+            return False
+        gens.append(v)
+        span = Subspace(f, d, [*span.basis, v, *left])
+    power = sub.basis
     while power:
-        nxt = Subspace(f, d, [a.product_vec(u, v) for u in power for v in basis])
+        nxt = Subspace(f, d, a.products(power, gens))
         if nxt.dim >= len(power) and nxt.dim > 0:
             return False
         power = nxt.basis
@@ -245,7 +308,10 @@ def radical(a: FiniteDimAlgebra):
     characteristic 0 that is the radical (Dickson); in characteristic p it is
     the first member of the chain of `_radical_mod_p`.  Each returned radical
     is verified to be a nilpotent ideal exactly once: here in characteristic
-    0, in `_radical_mod_p` in characteristic p."""
+    0, in `_radical_mod_p` in characteristic p.  The check
+    (`_is_nilpotent_ideal`) works from left-ideal generators of the
+    candidate, so it takes the algebra to be associative: `validate` checks
+    that, and the oracle runs it first."""
     f = a.field
     d = a.dim
     whole = Subspace(f, d, [unit_vector(f, d, i) for i in range(d)])
@@ -299,9 +365,7 @@ def _radical_mod_p(a, space):
     Each I_i is verified once: the first nilpotent ideal among them is the
     radical and ends the chain.  If I_l is not one, or a trace is not
     divisible by q, the computation is refused."""
-    f = a.field
-    p = f.characteristic
-    reg = regular_module(a)
+    p = a.field.characteristic
     q = 1
     while not _is_nilpotent_ideal(a, space.basis):
         if q * p > a.dim:
@@ -310,7 +374,7 @@ def _radical_mod_p(a, space):
         q *= p
         values = []
         for b in space.basis:
-            t = _p_power_trace(reg.matrix_of(b).data, q, p * q)
+            t = _p_power_trace(_left_mult_ints(a, b), q, p * q)
             if t % q:
                 raise RadicalVerificationFailed(f"p-power trace not divisible by {q}")
             values.append(t // q)
@@ -335,8 +399,25 @@ def _p_power_trace(intmat, q, modulus):
         if e:
             base = _int_matmul(base, base, modulus)
     other = half if q % 2 == 0 else _int_matmul(half, m, modulus)
-    return sum(x * y for hrow, kcol in zip(half, zip(*other))
-               for x, y in zip(hrow, kcol)) % modulus
+    # tr(H K) = sum H[i][j] K[j][i], over the nonzero H[i][j] only
+    return sum(x * other[j][i] for i, hrow in enumerate(half)
+               for j, x in enumerate(hrow) if x) % modulus
+
+
+def _left_mult_ints(a, b):
+    """L_b, the matrix of x -> b.x on the regular module, in characteristic
+    p, as ints in [0, p): column j holds b.e_j = sum_i b_i e_i.e_j, read off
+    `_int_mult`.  The same integer lift as `regular_module(a).matrix_of(b)`."""
+    p = a.field.characteristic
+    _, table = a._int_mult()
+    d = a.dim
+    m = [[0] * d for _ in range(d)]
+    for bi, row in zip(b, table):
+        if bi:
+            for j, pairs in enumerate(row):
+                for k, c in pairs:
+                    m[k][j] += bi * c
+    return [[x % p for x in row] for row in m]
 
 
 def _int_matmul(x, y, modulus):

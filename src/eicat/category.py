@@ -105,6 +105,8 @@ def validate(raw) -> FiniteCategory:
         errs.append("object names must be strings or numbers")
     if len(set(objects)) != len(objects):
         errs.append("duplicate object names")
+    if not sections["objects"]:
+        errs.append("a category needs at least one object")
 
     morphisms = []
     names = set()

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain failure, 2 usage or parse failure."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,11 +44,16 @@ class DimensionLimitExceeded(AlgebraError):
     pass
 
 
+def _check_limit(dim: int, limit=None):
+    """Refuse an algebra of dimension above `limit` (None: no limit)."""
+    if limit is not None and dim > limit:
+        raise DimensionLimitExceeded(f"algebra dimension {dim} exceeds limit {limit}")
+
+
 def _run_oracle(alg: FiniteDimAlgebra, cap: int, limit=None):
     """(Gorenstein verdict, global dimension) of alg, checked, up to the cap;
     an algebra of dimension above `limit` (None: no limit) is refused."""
-    if limit is not None and alg.dim > limit:
-        raise DimensionLimitExceeded(f"algebra dimension {alg.dim} exceeds limit {limit}")
+    _check_limit(alg.dim, limit)
     alg.validate()
     return is_gorenstein_oracle(alg, cap), global_dimension(alg, cap)
 
@@ -194,8 +200,10 @@ def cmd_oracle(args):
             raise UsageError(f"{flag} must be >= 0, got {value}")
     raw = _load_json(args.path)
     f = _field(args)
-    if "basis" in raw:  # structure-constant input, as emitted by `matrix`
+    if isinstance(raw, dict) and "basis" in raw:  # structure constants, as `matrix` emits
         raw = {k: v for k, v in raw.items() if k != "mstar_dims"}
+        if isinstance(raw["basis"], list):  # before from_json builds the d x d table
+            _check_limit(len(raw["basis"]), args.limit)
         verdict, gldim = _run_oracle(FiniteDimAlgebra.from_json(raw, f), args.cap, args.limit)
         extra = {}
     else:
@@ -314,10 +322,16 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The parser of `main`, built on its first call and reused after: a parse
+    writes only to the Namespace it returns."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -1,7 +1,7 @@
 """Inputs the corpus lacks, shared by several test modules: the Boolean
 lattice of subsets and the transporter category of S3 permuting {1, 2, 3}
 acting on its subsets, both built from `eicat.families`, and malformed
-category JSON.  Collects no tests itself."""
+category JSON and matrix exports.  Collects no tests itself."""
 
 from __future__ import annotations
 
@@ -78,5 +78,50 @@ HOSTILE_CATEGORIES = {
     "composition_string": (_with(composition=["f∘ix=f"]), "entry 0 is not a triple"),
     "composition_unhashable_name": (_with(composition=[["f", ["ix"], "f"]]),
                                     "unknown morphism in ('f', ['ix'], 'f')"),
+    "no_objects": ({}, "needs at least one object"),
     "section_not_list": (_with(morphisms={"id": "f"}), "'morphisms' must be a list, not dict"),
+}
+
+
+def matrix_raw():
+    """The matrix export (as `matrix` writes it, less "mstar_dims") of the
+    algebra of the category x -> y: basis ix, iy, f, with f.ix = iy.f = f."""
+    return {"basis": ["ix", "iy", "f"], "unit": [1, 1, 0],
+            "table": [[0, 0, [[0, 1]]], [1, 1, [[1, 1]]], [2, 0, [[2, 1]]], [1, 2, [[2, 1]]]]}
+
+
+def _matrix_with(entry=None, **changes):
+    raw = matrix_raw()
+    raw.update(changes)
+    if entry is not None:
+        raw["table"] = raw["table"] + [entry]
+    return raw
+
+
+def _matrix_without(key):
+    raw = matrix_raw()
+    del raw[key]
+    return raw
+
+
+# name -> (matrix export, a fragment of the AlgebraError it must raise in
+# characteristic 3)
+HOSTILE_MATRICES = {
+    "top_level_list": ([1, 2], "must be a JSON object"),
+    "missing_table": (_matrix_without("table"), "missing keys: ['table']"),
+    "basis_not_list": (_matrix_with(basis=5), "'basis' must be a list"),
+    "short_entry": (_matrix_with([2, 2]), "table entry 4 is not"),
+    "short_pair": (_matrix_with([2, 2, [[2]]]), "table entry 4 is not"),
+    "pairs_not_list": (_matrix_with([2, 2, 5]), "table entry 4 is not"),
+    "index_out_of_range": (_matrix_with([3, 0, [[0, 1]]]), "index 3 is not an int in [0, 3)"),
+    "index_too_large": (_matrix_with([0, 10 ** 30, [[0, 1]]]), "is not an int in [0, 3)"),
+    "negative_index": (_matrix_with([-1, 0, [[0, 1]]]), "index -1 is not an int"),
+    "bool_index": (_matrix_with([2, True, [[2, 1]]]), "index True is not an int"),
+    "str_index": (_matrix_with(["2", 2, [[2, 1]]]), "index '2' is not an int"),
+    "list_result_index": (_matrix_with([2, 2, [[[2], 1]]]), "index [2] is not an int"),
+    "repeated_product": (_matrix_with([0, 0, [[0, 2]]]), "repeats the product (0, 0)"),
+    "word_scalar": (_matrix_with([2, 2, [[2, "x"]]]), "bad scalar: 'x'"),
+    "three_part_scalar": (_matrix_with(unit=["1/2/3", 1, 0]), "bad scalar: '1/2/3'"),
+    "zero_denominator": (_matrix_with([2, 2, [[2, "1/0"]]]), "bad scalar: '1/0'"),
+    "denominator_not_invertible": (_matrix_with(unit=["1/3", 1, 0]), "not invertible mod 3"),
 }

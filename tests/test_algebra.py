@@ -3,13 +3,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from inputs import s3_transporter
+from inputs import HOSTILE_MATRICES, matrix_raw, s3_transporter
 
 import eicat.algebra as algebra
 from eicat.algebra import (
     AlgebraError,
     _check_orthogonal_system,
     _field_roots,
+    _is_nilpotent_ideal,
+    _left_mult_ints,
     _p_power_trace,
     _roots_by_splitting,
     FiniteDimAlgebra,
@@ -115,6 +117,19 @@ def test_from_json_rejects_float_and_bool_scalars(char, scalar):
             FiniteDimAlgebra.from_json(bad, f)
 
 
+def test_from_json_reads_the_hostile_matrix_base():
+    a = FiniteDimAlgebra.from_json(matrix_raw(), Field(3)).validate()
+    assert a.to_json() == matrix_raw() | {"table": sorted(matrix_raw()["table"])}
+
+
+@pytest.mark.parametrize("case", HOSTILE_MATRICES)
+def test_from_json_rejects_malformed_exports(case):
+    raw, fragment = HOSTILE_MATRICES[case]
+    with pytest.raises(AlgebraError) as info:
+        FiniteDimAlgebra.from_json(raw, Field(3))
+    assert fragment in str(info.value)
+
+
 def test_radical_semisimple_group_algebra_is_zero():
     assert radical(group_algebra(cyclic_group(2), QQ)) == []
     assert radical(group_algebra(cyclic_group(3), Field(2))) == []
@@ -202,6 +217,73 @@ def test_radical_against_brute_force_on_tiny_algebras():
     ]
     for a in cases:
         assert len(radical(a)) == _brute_force_radical_dim(a), a.basis
+
+
+def _pairwise_is_nilpotent_ideal(a, vectors):
+    """Reference for `_is_nilpotent_ideal`: every basis element times every
+    basis vector of I on both sides, and every pair at each power."""
+    f, d = a.field, a.dim
+    sub = Subspace(f, d, vectors)
+    basis = sub.basis
+    for i in range(d):
+        ei = unit_vector(f, d, i)
+        for v in basis:
+            if not sub.contains(a.product_vec(ei, v)) or not sub.contains(a.product_vec(v, ei)):
+                return False
+    power = list(basis)
+    while power:
+        nxt = Subspace(f, d, [a.product_vec(u, v) for u in power for v in basis])
+        if nxt.dim >= len(power) and nxt.dim > 0:
+            return False
+        power = nxt.basis
+    return True
+
+
+def _ideal_candidates(a, rng):
+    """Spanning sets for the generator check to judge: the radical, the whole
+    algebra, nothing, random parts of the radical, the radical plus a random
+    vector, and the left, right and two-sided ideals of a basis element, the
+    two-sided one with and without the radical."""
+    f, d = a.field, a.dim
+    units = [unit_vector(f, d, i) for i in range(d)]
+    rad = radical(a)
+    yield rad
+    yield units
+    yield []
+    for _ in range(2):
+        yield rng.sample(rad, rng.randrange(len(rad) + 1))
+    yield [*rad, [f.of(rng.randrange(-2, 3)) for _ in range(d)]]
+    for i in rng.sample(range(d), min(d, 2)):
+        left = [a.product_vec(e, units[i]) for e in units]
+        right = [a.product_vec(units[i], e) for e in units]
+        both = [a.product_vec(w, e) for w in left for e in units]
+        yield left
+        yield right
+        yield both
+        yield [*both, *rad]
+
+
+def test_generator_check_agrees_with_the_pairwise_check(corpus_items):
+    rng = random.Random(11)
+    verdicts = []
+    for name, c in corpus_items:
+        for ch in (0, 2, 3):
+            a = algebra_from_category(c, Field(ch))
+            for vectors in _ideal_candidates(a, rng):
+                expect = _pairwise_is_nilpotent_ideal(a, vectors)
+                assert _is_nilpotent_ideal(a, vectors) == expect, (name, ch, vectors)
+                verdicts.append(expect)
+    assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100, len(verdicts)
+
+
+def test_left_mult_ints_is_the_action_matrix(corpus_items):
+    rng = random.Random(12)
+    for name, c in corpus_items:
+        for ch in (2, 3, 5):
+            a = algebra_from_category(c, Field(ch))
+            reg = regular_module(a)
+            for b in [*radical(a), [rng.randrange(ch) for _ in range(a.dim)]]:
+                assert _left_mult_ints(a, b) == reg.matrix_of(b).data, (name, ch, b)
 
 
 def test_primitive_idempotents_counts():

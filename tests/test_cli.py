@@ -3,7 +3,7 @@ import json
 import time
 
 import pytest
-from inputs import HOSTILE_CATEGORIES
+from inputs import HOSTILE_CATEGORIES, HOSTILE_MATRICES, matrix_raw
 
 from eicat import cli
 from eicat.category import category_to_json
@@ -63,6 +63,42 @@ def test_malformed_category_is_domain_error(case, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("ValidationError: ") and fragment in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", HOSTILE_MATRICES)
+def test_malformed_matrix_export_is_domain_error(case, tmp_path, capsys):
+    raw, fragment = HOSTILE_MATRICES[case]
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(raw if isinstance(raw, list) else raw | {"mstar_dims": {}}))
+    assert main(["oracle", str(path), "--char", "3"]) == 1
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
+
+
+def test_matrix_export_is_refused_by_size_before_it_is_built(tmp_path, monkeypatch, capsys):
+    """A d x d table is allocated only for d within --limit."""
+    def refuse(*args):
+        raise AssertionError("from_json called")
+
+    monkeypatch.setattr(cli.FiniteDimAlgebra, "from_json", refuse)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"basis": list(range(65)), "unit": [1] * 65, "table": []}))
+    assert main(["oracle", str(path)]) == 1
+    assert "dimension 65 exceeds limit 64" in capsys.readouterr().err
+
+
+def test_consecutive_calls_share_no_state(chain_file, capsys):
+    assert main(["oracle", chain_file, "--cap", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["cap"] == 2
+    assert main(["oracle", chain_file]) == 0
+    assert json.loads(capsys.readouterr().out)["cap"] == 8
+    assert main(["classify", chain_file, "--explain"]) == 0
+    assert "explain" in json.loads(capsys.readouterr().out)
+    assert main(["classify", chain_file]) == 0
+    assert "explain" not in json.loads(capsys.readouterr().out)
+    assert main(["classify", chain_file, "--char", "x"]) == 2
+    assert main(["validate", chain_file]) == 0
+    assert cli._parser() is cli._parser()
 
 
 def test_classify_explain_builds_presentation_and_factorizations_once(

@@ -1,0 +1,110 @@
+"""Fuzz of `eicat.cli.main` on mutated category JSON and mutated matrix
+exports: every call ends with exit code 0, 1 or 2, raises nothing, and
+returns within a time bound.  All calls go through the one parser `main`
+builds on its first call."""
+
+import contextlib
+import copy
+import io
+import json
+import time
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from inputs import matrix_raw
+
+from eicat.category import category_to_json
+from eicat.cli import main
+from eicat.families import chain_poset, poset_category
+
+SECONDS_PER_CALL = 2.0
+FUZZ = settings(max_examples=50, derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+KEYS = ["objects", "morphisms", "composition", "id", "src", "dst", "identity",
+        "basis", "unit", "table", "mstar_dims"]
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.sampled_from([10 ** 30, -10 ** 30]),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.sampled_from(["", "x", "y", "z", "f", "ix", "iy", "1/2", "1/3", "1/0", "2/1/1", "a/b"]))
+VALUES = st.recursive(LEAVES, lambda kids: st.lists(kids, max_size=3)
+                      | st.dictionaries(st.sampled_from(KEYS), kids, max_size=3),
+                      max_leaves=6)
+
+
+def _nodes(obj, path=()):
+    """(path, node) for every node of obj, the root first."""
+    yield path, obj
+    if isinstance(obj, list):
+        for i, x in enumerate(obj):
+            yield from _nodes(x, (*path, i))
+    elif isinstance(obj, dict):
+        for k, x in obj.items():
+            yield from _nodes(x, (*path, k))
+
+
+def _mutate(data, obj):
+    """obj with one to three nodes replaced, shrunk or grown; a new value is
+    a leaf of the original obj as often as one drawn from VALUES."""
+    leaves = sorted({json.dumps(x) for _, x in _nodes(obj) if not isinstance(x, (list, dict))})
+    values = st.sampled_from(leaves).map(json.loads) | VALUES
+    obj = copy.deepcopy(obj)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from([p for p, _ in _nodes(obj)]))
+        parent, node = None, obj
+        for key in path:
+            parent, node = node, node[key]
+        op = data.draw(st.sampled_from(["replace", "shrink", "grow"]))
+        if op == "shrink" and isinstance(node, (list, dict)) and node:
+            del node[data.draw(st.sampled_from(range(len(node)) if isinstance(node, list)
+                                               else list(node)))]
+        elif op == "grow" and isinstance(node, list):
+            item = data.draw(st.sampled_from(node) | values) if node else data.draw(values)
+            node.insert(data.draw(st.integers(0, len(node))), copy.deepcopy(item))
+        elif op == "grow" and isinstance(node, dict):
+            node[data.draw(st.sampled_from(KEYS))] = data.draw(values)
+        elif parent is None:
+            obj = data.draw(values)
+        else:
+            parent[path[-1]] = data.draw(values)
+    return obj
+
+
+def _run(path, obj, argv):
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    elapsed = time.perf_counter() - t0
+    assert code in (0, 1, 2), (argv, obj, code)
+    assert elapsed < SECONDS_PER_CALL, (argv, obj, elapsed)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+CATEGORY = category_to_json(poset_category(chain_poset(3)))
+CATEGORY_COMMANDS = [["validate"], ["classify", "--explain"], ["freeness"],
+                     ["projectivity", "--char", "2"], ["matrix", "--char", "3"],
+                     ["oracle", "--cap", "2", "--char", "2"]]
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_category_json(fuzz_file, data):
+    obj = _mutate(data, CATEGORY)
+    command = data.draw(st.sampled_from(CATEGORY_COMMANDS))
+    _run(fuzz_file, obj, [command[0], str(fuzz_file), *command[1:]])
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_matrix_export(fuzz_file, data):
+    obj = _mutate(data, matrix_raw() | {"mstar_dims": {}})
+    char = data.draw(st.sampled_from(["0", "2", "3"]))
+    _run(fuzz_file, obj, ["oracle", str(fuzz_file), "--cap", "2", "--char", char])
