@@ -53,6 +53,16 @@ class FiniteDimAlgebra:
     def dim(self):
         return len(self.basis)
 
+    def forget(self):
+        """Clear the memo of this algebra and of every algebra held in it
+        (its `opposite`).  Memoised modules point back at their algebra, so
+        until then an algebra and all it memoised wait for the cycle
+        collector instead of being freed with their last reference."""
+        held = [b for b in self._memo.values() if isinstance(b, FiniteDimAlgebra)]
+        self._memo.clear()
+        for b in held:
+            b.forget()
+
     @memoised
     def _int_mult(self):
         """(scale, table): table[i][j] lists the (k, c * scale) of mult[i][j]
@@ -239,8 +249,9 @@ def group_algebra(g, f: Field) -> FiniteDimAlgebra:
     return FiniteDimAlgebra(f, list(g.elements), mult, unit)
 
 
+@memoised
 def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
-    """The opposite algebra: c'_{ij}^k = c_{ji}^k.
+    """The opposite algebra: c'_{ij}^k = c_{ji}^k, memoised on `a`.
 
     Its memo is seeded with the radical and the orthogonal idempotent system
     of `a`, each computed and verified once, on `a`: J(A^op) = J(A) as a
@@ -362,12 +373,14 @@ def _radical_mod_p(a, space):
     I_i = {x in I_{i-1} : g_i(x e_j) = 0 for every j} is an ideal containing
     the radical; so g_i is taken once per basis vector of I_{i-1}, not once
     per pair (`_form_kernel`).  I_l is the radical for l = floor(log_p dim A).
-    Each I_i is verified once: the first nilpotent ideal among them is the
-    radical and ends the chain.  If I_l is not one, or a trace is not
-    divisible by q, the computation is refused."""
+    Each I_i is first offered to `_has_non_nilpotent`, which rules out most
+    members that are not the radical; the others get the full check once,
+    and the first nilpotent ideal among them is the radical and ends the
+    chain.  If I_l is not one, or a trace is not divisible by q, the
+    computation is refused."""
     p = a.field.characteristic
     q = 1
-    while not _is_nilpotent_ideal(a, space.basis):
+    while _has_non_nilpotent(a, space.basis) or not _is_nilpotent_ideal(a, space.basis):
         if q * p > a.dim:
             raise RadicalVerificationFailed(
                 f"last chain member (q = {q}) is not a nilpotent ideal")
@@ -380,6 +393,22 @@ def _radical_mod_p(a, space):
             values.append(t // q)
         space = _form_kernel(a, space, values)
     return space.basis
+
+
+def _has_non_nilpotent(a, vectors):
+    """Whether some x in `vectors` has x^(2^j) != 0 for the first 2^j > dim A.
+    A nilpotent x has x^(dim A) = 0, so such an x proves that no ideal
+    containing it is nilpotent: a cheap certificate, by repeated squaring,
+    that spares the full `_is_nilpotent_ideal` on most members of the chain
+    that are not the radical."""
+    for x in vectors:
+        e = 1
+        while e <= a.dim and any(x):
+            x = a.product_vec(x, x)
+            e *= 2
+        if any(x):
+            return True
+    return False
 
 
 def _p_power_trace(intmat, q, modulus):

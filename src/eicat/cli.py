@@ -52,10 +52,15 @@ def _check_limit(dim: int, limit=None):
 
 def _run_oracle(alg: FiniteDimAlgebra, cap: int, limit=None):
     """(Gorenstein verdict, global dimension) of alg, checked, up to the cap;
-    an algebra of dimension above `limit` (None: no limit) is refused."""
+    an algebra of dimension above `limit` (None: no limit) is refused.  The
+    algebra forgets what it memoised on the way, so that it is freed with
+    its last reference."""
     _check_limit(alg.dim, limit)
-    alg.validate()
-    return is_gorenstein_oracle(alg, cap), global_dimension(alg, cap)
+    try:
+        alg.validate()
+        return is_gorenstein_oracle(alg, cap), global_dimension(alg, cap)
+    finally:
+        alg.forget()
 
 
 @dataclass
@@ -73,7 +78,8 @@ class Comparison:
         """Whether the oracle bears out the classifier's Gorenstein flag.  A
         "not Gorenstein" agrees unless both self-injective dimensions are
         finite; a "Gorenstein" agrees if they are, and is None (unknown) when
-        a side stopped at the cap, since ">cap" proves no infinite dimension."""
+        a side is ">cap": that proves the dimension exceeds the cap
+        (Ext^{cap+1} != 0), not that it is infinite."""
         if not self.report.gorenstein:
             return not self.verdict.gorenstein
         return True if self.verdict.gorenstein else None

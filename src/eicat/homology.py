@@ -32,8 +32,14 @@ class ZaksViolation(AlgebraError):
 
 @dataclass
 class DimensionVerdict:
-    """A homological dimension: an exact integer, or ">cap" when truncation
-    at the degree cap cannot rule out further nonvanishing."""
+    """A homological dimension: an exact integer, or ">cap", which proves it
+    is larger than the cap.
+
+    Self-injective and global dimension are read from Ext^0..Ext^{cap+1}
+    (`_verdict_from_ext`): id = max{i : Ext^i(top, A) != 0} is exact once
+    Ext^{cap+1} = 0, since the top holds every simple, and Ext^{cap+1} != 0
+    proves id > cap; likewise gldim with the top in place of A.  ">cap" is
+    not a proof of an infinite dimension."""
 
     value: object  # int or the string ">cap"
     cap: int
@@ -78,7 +84,10 @@ class ResolutionTrace:
 
     gens[i] lists, per generator of P_i, the index of its idempotent block;
     boundaries[i] is the k-linear matrix of P_{i+1} -> P_i; augmentation maps
-    P_0 onto M."""
+    P_0 onto M.  repeat is (k, period) when degree k left the same state as
+    degree k - period (`projective_resolution`): every degree after k then
+    equals the one `period` before it, and was copied, not computed; None
+    when no state repeated or an rng drove the generator order."""
 
     gens: list
     dims: list
@@ -87,6 +96,7 @@ class ResolutionTrace:
     kernel_dims: list
     degree_reached: int
     finished: bool
+    repeat: tuple | None = None
 
     @property
     def ranks(self):
@@ -151,7 +161,16 @@ def _cover_matrix(a, mod, data, kept):
 def projective_resolution(a: FiniteDimAlgebra, m: ModuleRep, length, rng=None) -> ResolutionTrace:
     """Projective resolution of m by principal projectives, computing
     P_0 .. P_length; `rng` shuffles the generator candidate order (Ext
-    dimensions do not depend on the choice)."""
+    dimensions do not depend on the choice).
+
+    Without an rng, degree k leaves a state that fixes all that follows: P_k,
+    the sum of the memoised A·f over gens[k], and the kernel basis of its
+    cover, which spans Ω^{k+1} inside P_k and fixes its inclusion.
+    `direct_sum`, `submodule`, `_minimal_generators`, `_cover_matrix` and
+    `kernel_basis` compute the next degree from that state alone.  So when
+    the state of degree k equals that of an earlier degree i, every degree
+    after k repeats the one period = k - i before it: those are copied, and
+    the trace records repeat = (k, period).  Only the states' keys are kept."""
     data = _principal_data(a)
     f = a.field
     current = m
@@ -162,6 +181,8 @@ def projective_resolution(a: FiniteDimAlgebra, m: ModuleRep, length, rng=None) -
     kernel_dims = []
     augmentation = None
     finished = False
+    repeat = None
+    seen = {}  # (gens, kernel basis) of each degree computed -> the degree
     degree = -1
     for deg in range(length + 1):
         degree = deg
@@ -181,14 +202,28 @@ def projective_resolution(a: FiniteDimAlgebra, m: ModuleRep, length, rng=None) -
         if not kernel:
             finished = True
             break
+        if rng is None:
+            key = (tuple(gens[-1]), tuple(map(tuple, kernel)))
+            if key in seen:
+                repeat = (deg, deg - seen[key])
+                break
+            seen[key] = deg
         p = direct_sum(a, [data[idx][2] for idx, _ in kept])
         syzygy, incl_prev = submodule(p, kernel)
         current = syzygy
+    if repeat is not None:
+        period = repeat[1]
+        for deg in range(repeat[0] + 1, length + 1):
+            gens.append(gens[deg - period])
+            dims.append(dims[deg - period])
+            boundaries.append(boundaries[deg - 1 - period])
+            kernel_dims.append(kernel_dims[deg - period])
+        degree = length
     if augmentation is None:  # m was the zero module
         augmentation = Matrix.zeros(f, 0, 0)
         finished = True
     return ResolutionTrace(gens, dims, boundaries, augmentation, kernel_dims,
-                           degree, finished)
+                           degree, finished, repeat)
 
 
 def ext_dims(a: FiniteDimAlgebra, n: ModuleRep, m: ModuleRep, cap: int, rng=None):
@@ -205,17 +240,25 @@ def _hom_blocks(a, m, data, needed):
 
 
 def ext_dims_from_trace(a, trace, m, cap):
+    """dim Ext^i(M, m) for i = 0..cap from a resolution of M.  When the
+    trace repeats from degree k with some period, the differential
+    Hom(P_i, m) -> Hom(P_{i+1}, m) for i >= k is the one `period` degrees
+    before it, so its rank is copied, not computed."""
     f = a.field
     data = _principal_data(a)
     gens = [list(g) for g in trace.gens] + [[] for _ in range(cap + 2 - len(trace.gens))]
     needed = {idx for g in gens for idx in g}
     homs = _hom_blocks(a, m, data, needed)
     hom_dims = [sum(homs[idx].dim for idx in gens[i]) for i in range(cap + 2)]
+    start, period = trace.repeat or (len(trace.gens), 0)
 
-    diff = []
+    ranks = []
     for i in range(cap + 1):
+        if start <= i < len(trace.gens) - 1:  # d^i lies in the copied tail
+            ranks.append(ranks[i - period])
+            continue
         if not gens[i] or not gens[i + 1]:
-            diff.append(None)
+            ranks.append(0)
             continue
         boundary = trace.boundaries[i]
         src_offsets = _offsets(data, gens[i])
@@ -239,16 +282,9 @@ def ext_dims_from_trace(a, trace, m, cap):
                     columns[k] += co
                     k += 1
         height = sum(homs[idxp].dim for idxp in gens[i + 1])
-        diff.append(Matrix.from_columns(f, columns, rows=height) if height else None)
+        ranks.append(Matrix.from_columns(f, columns, rows=height).rank() if height else 0)
 
-    out = []
-    prev_rank = 0
-    for i in range(cap + 1):
-        di = diff[i]
-        rank = di.rank() if di is not None else 0
-        out.append(hom_dims[i] - rank - prev_rank)
-        prev_rank = rank
-    return out
+    return [hom_dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cap + 1)]
 
 
 @memoised
@@ -257,7 +293,9 @@ def _top_resolution(a, length):
 
 
 def _verdict_from_ext(ext, cap):
-    if ext[cap] != 0:
+    """The verdict from Ext^0..Ext^{cap+1}: ">cap" if Ext^{cap+1} != 0, else
+    the last degree of a nonzero Ext (see `DimensionVerdict`)."""
+    if ext[cap + 1] != 0:
         return DimensionVerdict(">%d" % cap, cap)
     nonzero = [i for i, e in enumerate(ext) if e != 0]
     return DimensionVerdict(max(nonzero) if nonzero else 0, cap)
@@ -265,19 +303,21 @@ def _verdict_from_ext(ext, cap):
 
 def injective_dimension(a: FiniteDimAlgebra, side: str, cap: int) -> DimensionVerdict:
     """Self-injective dimension of the regular module on the given side,
-    measured as max{i : Ext^i(top, regular) != 0}."""
+    measured as max{i : Ext^i(top, regular) != 0}, from Ext through
+    degree cap + 1."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     b = a if side == "left" else opposite(a)
-    trace = _top_resolution(b, cap + 1)
-    ext = ext_dims_from_trace(b, trace, regular_module(b), cap)
+    trace = _top_resolution(b, cap + 2)
+    ext = ext_dims_from_trace(b, trace, regular_module(b), cap + 1)
     return _verdict_from_ext(ext, cap)
 
 
 def global_dimension(a: FiniteDimAlgebra, cap: int) -> DimensionVerdict:
-    """max{i : Ext^i(top, top) != 0} with ">cap" semantics."""
-    trace = _top_resolution(a, cap + 1)
-    ext = ext_dims_from_trace(a, trace, top_module(a), cap)
+    """max{i : Ext^i(top, top) != 0} with ">cap" semantics, from Ext
+    through degree cap + 1."""
+    trace = _top_resolution(a, cap + 2)
+    ext = ext_dims_from_trace(a, trace, top_module(a), cap + 1)
     return _verdict_from_ext(ext, cap)
 
 

@@ -24,3 +24,17 @@ def sweep(corpus_items):
     every corpus instance and characteristic; shared so the expensive runs
     happen once."""
     return cli.sweep(corpus_items, CHARACTERISTICS, CAP)
+
+
+def pytest_addoption(parser):
+    parser.addoption("--runslow", action="store_true", default=False,
+                     help="also run the tests marked slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip = pytest.mark.skip(reason="slow: run with --runslow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)

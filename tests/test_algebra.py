@@ -461,9 +461,10 @@ def test_p_power_trace_matches_unbounded_powers():
 
 def test_chain_evaluates_each_level_on_a_basis_and_verifies_once(monkeypatch):
     """The p-power trace is taken once per basis vector of the previous chain
-    member, never per pair of them, and each level is checked once."""
+    member, never per pair of them; each earlier level is ruled out by the
+    squaring certificate, and only the radical gets the full check."""
     a = _larger_char_p_algebras()[0][1]
-    traces_at, checks = {}, []
+    traces_at, checks, certified = {}, [], []
 
     def counted_trace(m, q, *rest):
         traces_at[q] = traces_at.get(q, 0) + 1
@@ -473,12 +474,19 @@ def test_chain_evaluates_each_level_on_a_basis_and_verifies_once(monkeypatch):
         checks.append(args)
         return is_nilpotent_ideal(*args)
 
+    def counted_certificate(*args):
+        certified.append(has_non_nilpotent(*args))
+        return certified[-1]
+
     is_nilpotent_ideal = algebra._is_nilpotent_ideal
+    has_non_nilpotent = algebra._has_non_nilpotent
     monkeypatch.setattr(algebra, "_p_power_trace", counted_trace)
     monkeypatch.setattr(algebra, "_is_nilpotent_ideal", counted_check)
+    monkeypatch.setattr(algebra, "_has_non_nilpotent", counted_certificate)
     assert len(radical(a)) == 28
     assert traces_at and all(n < a.dim for n in traces_at.values()), traces_at
-    assert len(checks) == len(traces_at) + 1  # levels 0, p, p^2, ...
+    assert certified == [True] * len(traces_at) + [False]  # levels 0, p, p^2, ...
+    assert len(checks) == 1
 
 
 def _scan_roots(p, poly):

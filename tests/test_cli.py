@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import time
@@ -194,15 +195,39 @@ def test_oracle_cap_semantics(tmp_path, capsys):
     assert verdict["agrees"] is True
 
 
-@pytest.mark.parametrize("cap, agrees, left", [(1, None, ">1"), (2, None, ">2"), (3, True, 2)])
+@pytest.mark.parametrize("cap, agrees, left", [(1, None, ">1"), (2, True, 2), (3, True, 2)])
 def test_oracle_agreement_is_unknown_when_a_gorenstein_verdict_hits_the_cap(
         diamond_file, capsys, cap, agrees, left):
     # the diamond algebra is Gorenstein with id = 2 on both sides; the oracle
-    # proves id = 2 only once Ext^3 = 0 is within the cap
+    # reads Ext through cap + 1, so it proves id = 2 from cap 2 on (Ext^3 = 0)
+    # and id > 1 at cap 1 (Ext^2 != 0)
     assert main(["oracle", diamond_file, "--cap", str(cap)]) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["agrees"] is agrees
     assert verdict["left"] == verdict["right"] == left
+
+
+@pytest.mark.parametrize("export", [False, True])
+def test_oracle_leaves_no_algebra_to_the_cycle_collector(tmp_path, capsys, export):
+    """An oracle call frees its algebras, their opposites and all they
+    memoised by reference counting: a collection right after it finds none
+    of them among the garbage."""
+    path = write_category(tmp_path, stabilized_alpha_category())
+    if export:
+        assert main(["matrix", path, "--char", "2", "--out", str(tmp_path / "m.json")]) == 0
+        path = str(tmp_path / "m.json")
+    gc.collect()
+    assert main(["oracle", path, "--char", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["left"] == ">8"
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        kinds = {type(x).__name__ for x in gc.garbage}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert not kinds & {"FiniteDimAlgebra", "ModuleRep", "Matrix"}
 
 
 def test_oracle_builds_one_presentation_and_one_top_module_per_side(
