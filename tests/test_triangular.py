@@ -48,16 +48,25 @@ def diamond_tp():
 
 def test_vertex_data_and_total_dim(chain_tp):
     assert chain_tp.n == 3
-    assert chain_tp.total_dim == 6
+    assert len(chain_tp.pres.category.morphisms) == 6
     for i in range(3):
         assert chain_tp.vertex_algebra(i).dim == 1
     assert len(chain_tp.hom_basis(0, 2)) == 1
     assert chain_tp.hom_basis(2, 0) == []
 
 
+def psi_associativity_holds(tp):
+    """(m_il m_lj) m_jt = m_il (m_lj m_jt) on all basis triples."""
+    return all(tp.compose(tp.compose(a, b), c) == tp.compose(a, tp.compose(b, c))
+               for i in range(tp.n) for l in range(i, tp.n)
+               for j in range(l, tp.n) for t in range(j, tp.n)
+               for a in tp.hom_basis(i, l) for b in tp.hom_basis(l, j)
+               for c in tp.hom_basis(j, t))
+
+
 def test_psi_associativity_on_corpus(presentations):
     for name, _, p in presentations:
-        assert build_triangular(p, Field(2)).check_psi_associativity(), name
+        assert psi_associativity_holds(build_triangular(p, Field(2))), name
 
 
 def _regular_perms(g, f):
@@ -119,7 +128,7 @@ def test_build_m_star_validates_and_matches_dim(chain_tp, diamond_tp):
         for t in range(1, tp.n):
             cm = build_m_star(tp, t)
             cm.validate()
-            assert cm.total_dim == mstar_dim(tp, t)
+            assert sum(cm.dims) == mstar_dim(tp, t)
     with pytest.raises(IndexOutOfRange):
         build_m_star(chain_tp, 0)
     with pytest.raises(IndexOutOfRange):
@@ -199,7 +208,7 @@ def test_column_to_rep_respects_algebra(chain_tp, diamond_tp):
         cm = build_m_star(tp, tp.n - 1)
         rep = column_to_rep(tp, cm)
         rep.validate()
-        assert rep.dim == cm.total_dim
+        assert rep.dim == sum(cm.dims)
 
 
 def test_column_module_validation_catches_broken_action(chain_tp):
@@ -247,7 +256,7 @@ def test_induced_regular_modules_are_projective(presentations):
             total += rep.dim
             assert is_module_projective(alg, rep), (name, t)
         # the induced regulars tile the whole algebra
-        assert total == tp.total_dim, name
+        assert total == alg.dim, name
 
 
 def test_coinduced_duals_are_injective(presentations):
