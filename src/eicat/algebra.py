@@ -1,5 +1,6 @@
 """Finite-dimensional algebras by structure constants, module representations
-by action matrices, and exact radical computation in any characteristic."""
+by action matrices, the top A / rad A, and exact radical computation in any
+characteristic."""
 
 from __future__ import annotations
 
@@ -8,8 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .linalg import (QQ, Field, Matrix, QuotientSpace, Subspace, combination, mul_vec_sum,
-                     unit_vector)
+from .linalg import QQ, Field, Matrix, QuotientSpace, Subspace, combination, unit_vector
 
 
 class AlgebraError(Exception):
@@ -107,13 +107,6 @@ class FiniteDimAlgebra:
                             acc[k] += ab * c
                 out.append(f.from_ints(acc, du * dv * scale))
         return out
-
-    @memoised
-    def left_mult_matrix(self, i) -> Matrix:
-        """Matrix of x -> e_i * x on the regular module."""
-        d = self.dim
-        return Matrix.from_entries(self.field, d, d, ((k, j, c) for j in range(d)
-                                                      for k, c in self.mult[i][j]))
 
     def validate(self):
         f = self.field
@@ -625,14 +618,15 @@ def _roots_by_splitting(f, poly):
 def primitive_idempotents(a: FiniteDimAlgebra):
     """A complete set of orthogonal idempotents, refined towards primitivity.
 
-    Splitting works in A/rad (semisimple): inside each corner, elements with a
+    Splitting works in A/rad (semisimple), the space of `top_module`: inside
+    each corner e.A.e, taken as two `products` calls, elements with a
     root-reducible minimal polynomial yield a proper idempotent, which is then
     lifted to an exact idempotent along the nilpotent radical.  Corners where
     no split is found are accepted as-is; the result is always a valid
     orthogonal decomposition of the unit, merely possibly non-primitive."""
     f = a.field
-    d = a.dim
-    quo = QuotientSpace(f, d, radical(a))
+    quo = top_module(a).space
+    units = [unit_vector(f, a.dim, i) for i in range(a.dim)]
 
     def bar_mul(u, v):
         return quo.project(a.product_vec(quo.lift(u), quo.lift(v)))
@@ -640,11 +634,8 @@ def primitive_idempotents(a: FiniteDimAlgebra):
     def split_once(e):
         """e an exact idempotent; return (e1, e2) or None if unsplit."""
         ebar = quo.project(e)
-        corner_vecs = []
-        for i in range(d):
-            ei = unit_vector(f, d, i)
-            corner_vecs.append(quo.project(a.product_vec(a.product_vec(e, ei), e)))
-        corner = Subspace(f, quo.dim, corner_vecs)
+        corner = Subspace(f, quo.dim, [quo.project(w)
+                                       for w in a.products(a.products([e], units), [e])])
         if corner.dim <= 1:
             return None
         candidates = [list(b) for b in corner.basis]
@@ -776,28 +767,26 @@ class ModuleRep:
                     raise AlgebraError(f"action incompatible with product ({i}, {j})")
         return self
 
-    def _terms(self, avec):
-        """The (coefficient, action matrix) pairs of the algebra element with
-        coefficient vector avec."""
-        if len(avec) != self.algebra.dim:
-            raise ValueError(f"coefficient vector of length {len(avec)} "
-                             f"for an algebra of dimension {self.algebra.dim}")
-        return zip(avec, self.action)
-
     def matrix_of(self, avec) -> Matrix:
         """The action matrix of the algebra element with coefficient vector
         avec: column t is avec . e_t."""
-        return combination(self.algebra.field, self._terms(avec), self.dim, self.dim)
+        if len(avec) != self.algebra.dim:
+            raise ValueError(f"coefficient vector of length {len(avec)} "
+                             f"for an algebra of dimension {self.algebra.dim}")
+        return combination(self.algebra.field, zip(avec, self.action), self.dim, self.dim)
 
-    def act(self, avec, v):
-        """Apply the algebra element with coefficient vector avec to v."""
-        if len(v) != self.dim:
-            raise ValueError("length mismatch")
-        return mul_vec_sum(self.algebra.field, self._terms(avec), v, self.dim)
+    def products(self, us, vs):
+        """[u.v for u in us for v in vs], u in the algebra and v in the
+        module: one `matrix_of(u)` per u, applied to each v."""
+        return [mat.mul_vec(v) for mat in map(self.matrix_of, us) for v in vs]
 
 
 def regular_module(a: FiniteDimAlgebra) -> ModuleRep:
-    return ModuleRep(a, a.dim, [a.left_mult_matrix(i) for i in range(a.dim)])
+    """A as a ModuleRep: the action matrix of e_i has column j = e_i.e_j."""
+    d = a.dim
+    return ModuleRep(a, d, [Matrix.from_entries(a.field, d, d, ((k, j, c) for j in range(d)
+                                                                for k, c in a.mult[i][j]))
+                            for i in range(d)])
 
 
 def submodule(m: ModuleRep, vectors):
@@ -838,8 +827,27 @@ def dual_module(m: ModuleRep) -> ModuleRep:
     return ModuleRep(opposite(m.algebra), m.dim, [mat.transpose() for mat in m.action])
 
 
+@dataclass
+class TopModule:
+    """The left module A / rad A, which holds every simple as a summand: the
+    quotient space `space` of A by the radical, acted on by the product of
+    the algebra through the representatives of the classes."""
+
+    algebra: FiniteDimAlgebra
+    space: QuotientSpace
+
+    @property
+    def dim(self):
+        return self.space.dim
+
+    def products(self, us, vs):
+        """[u.v for u in us for v in vs], u in the algebra and v in A / rad A:
+        the class of u times the representative of v in A."""
+        q = self.space
+        return [q.project(w) for w in self.algebra.products(us, [q.lift(v) for v in vs])]
+
+
 @memoised
-def top_module(a: FiniteDimAlgebra) -> ModuleRep:
-    """The left module A / rad(A); contains every simple as a summand."""
-    rep, _ = quotient_module(regular_module(a), radical(a))
-    return rep
+def top_module(a: FiniteDimAlgebra) -> TopModule:
+    """The left module A / rad(A), memoised on `a`."""
+    return TopModule(a, QuotientSpace(a.field, a.dim, radical(a)))

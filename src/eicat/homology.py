@@ -4,7 +4,15 @@ dimensions, self-injective and global dimension with explicit cap semantics.
 Resolutions cover by sums of principal projectives A·f over the orthogonal
 idempotent system of the algebra; with a primitive system the covers are
 (close to) minimal, which keeps ranks from exploding.  A syzygy stays a
-subspace of its projective, acted on by the product of the algebra."""
+subspace of its projective, acted on by the product of the algebra.
+
+A module is anything with `dim` and `products(us, vs)`, which returns
+[u.v for u in us for v in vs] for coefficient vectors u of the algebra and v
+of the module.  Three things provide it: the algebra itself, as its own
+regular module (`FiniteDimAlgebra.products`); a `ModuleRep`, through its
+action matrices; and `top_module(a)`, A / rad A acted on by the product.
+The oracle resolves the top and reads Ext into the algebra and the top, so
+it builds no action matrix."""
 
 from __future__ import annotations
 
@@ -14,12 +22,10 @@ from itertools import accumulate
 from .algebra import (
     AlgebraError,
     FiniteDimAlgebra,
-    ModuleRep,
     memoised,
     opposite,
     primitive_idempotents,
     radical,
-    regular_module,
     top_module,
 )
 from .linalg import Matrix, Subspace, unit_vector
@@ -170,10 +176,11 @@ def _projective_action(a, data, idxs):
     return act
 
 
-def projective_resolution(a: FiniteDimAlgebra, m: ModuleRep, length, rng=None) -> ResolutionTrace:
-    """Projective resolution of m by principal projectives, computing
-    P_0 .. P_length; `rng` shuffles the generator candidate order (Ext
-    dimensions do not depend on the choice).
+def projective_resolution(a: FiniteDimAlgebra, m, length, rng=None) -> ResolutionTrace:
+    """Projective resolution of the module m (the algebra, a `ModuleRep` or
+    `top_module(a)`; see the module docstring) by principal projectives,
+    computing P_0 .. P_length; `rng` shuffles the generator candidate order
+    (Ext dimensions do not depend on the choice).
 
     Ω^{k+1} is the rref basis of the kernel of the cover of degree k, inside
     P_k = ⊕ A·f over gens[k] (`_projective_action`), so each cover of
@@ -185,7 +192,7 @@ def projective_resolution(a: FiniteDimAlgebra, m: ModuleRep, length, rng=None) -
     data = _principal_data(a)
     f = a.field
     vectors = [unit_vector(f, m.dim, i) for i in range(m.dim)]
-    act = lambda us, vs: [m.act(u, v) for u in us for v in vs]
+    act = m.products
     gens, dims, covers, kernel_dims = [], [], [], []
     finished, repeat = False, None
     seen = {}  # (gens, kernel basis) of each degree computed -> the degree
@@ -223,23 +230,19 @@ def projective_resolution(a: FiniteDimAlgebra, m: ModuleRep, length, rng=None) -
     return ResolutionTrace(gens, dims, covers, kernel_dims, degree, finished, repeat)
 
 
-def ext_dims(a: FiniteDimAlgebra, n: ModuleRep, m: ModuleRep, cap: int, rng=None):
+def ext_dims(a: FiniteDimAlgebra, n, m, cap: int, rng=None):
     """dim Ext^i(n, m) for i = 0..cap via the Hom complex of a projective
-    resolution of n."""
+    resolution of n; each of n and m is the algebra, a `ModuleRep` or
+    `top_module(a)`."""
     trace = projective_resolution(a, n, cap + 1, rng=rng)
     return ext_dims_from_trace(a, trace, m, cap)
-
-
-def _hom_blocks(a, m, data, needed):
-    """For each idempotent index: basis of f·m as a Subspace of m."""
-    return {idx: Subspace(a.field, m.dim, m.matrix_of(data[idx][0]).transpose().data)
-            for idx in needed}
 
 
 def ext_dims_from_trace(a, trace, m, cap):
     """dim Ext^i(M, m) for i = 0..cap from a resolution of M through
     P_{cap+1}: P = 0 past the end of a finished trace, and a shorter
-    unfinished one is extended by its repeat or refused.  When the trace
+    unfinished one is extended by its repeat or refused.  Hom(A·f, m) is
+    f·m, the span of f times the unit vectors of m.  When the trace
     repeats from degree k with some period, the differential
     Hom(P_i, m) -> Hom(P_{i+1}, m) for i >= k is the one `period` degrees
     before it, so its rank is copied, not computed."""
@@ -254,7 +257,8 @@ def ext_dims_from_trace(a, trace, m, cap):
             gens.append(gens[-trace.repeat[1]])
     gens += [[] for _ in range(cap + 2 - len(gens))]
     needed = {idx for g in gens for idx in g}
-    homs = _hom_blocks(a, m, data, needed)
+    units = [unit_vector(f, m.dim, t) for t in range(m.dim)]
+    homs = {idx: Subspace(f, m.dim, m.products([data[idx][0]], units)) for idx in needed}
     hom_dims = [sum(homs[idx].dim for idx in gens[i]) for i in range(cap + 2)]
     start, period = trace.repeat or (cap + 1, 0)
 
@@ -281,8 +285,8 @@ def ext_dims_from_trace(a, trace, m, cap):
             for l, idxl in enumerate(gens[i]):
                 # algebra element carried by block l
                 z = data[idxl][1].from_coords(v[src_offsets[l]:src_offsets[l + 1]])
-                for w in homs[idxl].basis:
-                    co = homs[idxp].coords(m.act(z, w))
+                for w in m.products([z], homs[idxl].basis):
+                    co = homs[idxp].coords(w)
                     if co is None:
                         raise AlgebraError("Hom differential leaves its block")
                     columns[k] += co
@@ -309,13 +313,13 @@ def _verdict_from_ext(ext, cap):
 
 def injective_dimension(a: FiniteDimAlgebra, side: str, cap: int) -> DimensionVerdict:
     """Self-injective dimension of the regular module on the given side,
-    measured as max{i : Ext^i(top, regular) != 0}, from Ext through
-    degree cap + 1."""
+    measured as max{i : Ext^i(top, A) != 0}, the algebra acting as its own
+    regular module, from Ext through degree cap + 1."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     b = a if side == "left" else opposite(a)
     trace = _top_resolution(b, cap + 2)
-    ext = ext_dims_from_trace(b, trace, regular_module(b), cap + 1)
+    ext = ext_dims_from_trace(b, trace, b, cap + 1)
     return _verdict_from_ext(ext, cap)
 
 
@@ -327,9 +331,9 @@ def global_dimension(a: FiniteDimAlgebra, cap: int) -> DimensionVerdict:
     return _verdict_from_ext(ext, cap)
 
 
-def is_module_projective(a: FiniteDimAlgebra, m: ModuleRep) -> bool:
+def is_module_projective(a: FiniteDimAlgebra, m) -> bool:
     """Ext^1(m, top) = 0, equivalent to pd m = 0 over a finite-dimensional
-    algebra."""
+    algebra; m is the algebra, a `ModuleRep` or `top_module(a)`."""
     ext = ext_dims(a, m, top_module(a), 1)
     return ext[1] == 0
 

@@ -418,44 +418,25 @@ def _accumulate(acc, columns, nz, factor):
                 acc[i] += a * x
 
 
-def _scaled_views(f: Field, terms, cols):
-    """(views, den) with sum c * m = sum factor * view / den over the (c, m)
-    of `terms`, m of `cols` columns: per nonzero c, the columns of m's
-    sparse view and an int factor, all over one lcm of the views' scales."""
+def combination(f: Field, terms, rows, cols):
+    """The rows x cols matrix sum c * m over the (c, m) of `terms`: per
+    nonzero c, the columns of m's sparse view and an int factor, all over one
+    lcm of the views' scales; per column, one int accumulator and one
+    conversion to canonical scalars."""
     terms = [(c, m) for c, m in terms if c]
     if any(m.cols != cols for _, m in terms):
         raise ValueError("length mismatch")
     cs, cden = f.to_ints([c for c, _ in terms])
     views = [m._sparse_view() for _, m in terms]
     scale = lcm(*(s for _, s in views))
-    return [(columns, c * (scale // s)) for c, (columns, s) in zip(cs, views)], cden * scale
-
-
-def mul_vec_sum(f: Field, terms, v, rows):
-    """The sum of c * m.mul_vec(v) over the (c, m) of `terms`, for rows x
-    len(v) matrices m over f: one int accumulator, one lcm of the matrices'
-    scales, and each entry made canonical once, at the end."""
-    w, den = f.to_ints(v)
-    nz = [(j, x) for j, x in enumerate(w) if x]
-    views, vden = _scaled_views(f, terms, len(v))
-    acc = [0] * rows
-    for columns, factor in views:
-        _accumulate(acc, columns, nz, factor)
-    return f.from_ints(acc, den * vden)
-
-
-def combination(f: Field, terms, rows, cols):
-    """The rows x cols matrix sum c * m over the (c, m) of `terms`: per
-    column, one int accumulator over the sparse views and one conversion to
-    canonical scalars."""
-    views, den = _scaled_views(f, terms, cols)
+    views = [(view, c * (scale // s)) for c, (view, s) in zip(cs, views)]
     columns = []
     for j in range(cols):
         acc = [0] * rows
         unit = [(j, 1)]
         for view, factor in views:
             _accumulate(acc, view, unit, factor)
-        columns.append(f.from_ints(acc, den))
+        columns.append(f.from_ints(acc, cden * scale))
     return Matrix.from_columns(f, columns, rows=rows)
 
 

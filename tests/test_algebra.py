@@ -84,7 +84,6 @@ def test_memo_returns_the_same_object_and_opposite_reuses_the_radical():
     a = chain_algebra(Field(3))
     for fn in (radical, primitive_idempotents, top_module):
         assert fn(a) is fn(a)
-    assert a.left_mult_matrix(1) is a.left_mult_matrix(1)
     op = opposite(a)
     assert radical(op) is radical(a)
     assert primitive_idempotents(op) is primitive_idempotents(a)
@@ -315,24 +314,37 @@ def test_top_module_dimension():
     assert top_module(b).dim == b.dim - len(radical(b))
 
 
+def _matrix_top(a):
+    """A / rad A as a ModuleRep, built through `quotient_module`."""
+    return quotient_module(regular_module(a), radical(a))[0]
+
+
 def test_module_constructions_validate():
     a = chain_algebra(Field(2))
     regular_module(a).validate()
-    top_module(a).validate()
+    _matrix_top(a).validate()
     dual_module(regular_module(a)).validate()
 
 
 def test_matrix_of_columns_are_the_action_on_unit_vectors():
+    """A ModuleRep's `products` applies the columns of `matrix_of`, and the
+    top's `products` is the action of the ModuleRep quotient A / rad A."""
     for name, c in corpus(0)[:6]:
         for f in (QQ, Field(2), Field(3)):
             a = algebra_from_category(presentation_of(c).category, f)
             rng = random.Random(name)
             v = [f.of(Fraction(rng.randint(-3, 3), rng.choice([1, 5]))) for _ in range(a.dim)]
-            for m in (regular_module(a), top_module(a)):
-                for avec in [a.unit, v, *radical(a)[:2]]:
+            avecs = [a.unit, v, *radical(a)[:2]]
+            matrix_top = _matrix_top(a)
+            for m in (regular_module(a), matrix_top):
+                units = [unit_vector(f, m.dim, t) for t in range(m.dim)]
+                for avec in avecs:
                     mat = m.matrix_of(avec)
                     assert [mat.column(t) for t in range(m.dim)] == \
-                        [m.act(avec, unit_vector(f, m.dim, t)) for t in range(m.dim)], name
+                        m.products([avec], units), name
+            assert top_module(a).dim == matrix_top.dim
+            assert top_module(a).products(avecs, units) == \
+                matrix_top.products(avecs, units), name
 
 
 def test_coefficient_vectors_of_the_wrong_length_are_refused():
@@ -341,8 +353,11 @@ def test_coefficient_vectors_of_the_wrong_length_are_refused():
     m = regular_module(a)
     e0 = unit_vector(f, a.dim, 0)
     for avec in ([f.one], a.unit + [f.zero]):
-        with pytest.raises(ValueError):
-            m.act(avec, e0)
+        for module in (m, top_module(a)):
+            with pytest.raises(ValueError):
+                module.products([avec], [unit_vector(f, module.dim, 0)])
+            with pytest.raises(ValueError):
+                module.products([a.unit], [avec])
         with pytest.raises(ValueError):
             m.matrix_of(avec)
         with pytest.raises(ValueError):

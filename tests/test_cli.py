@@ -227,28 +227,28 @@ def test_oracle_leaves_no_algebra_to_the_cycle_collector(tmp_path, capsys, expor
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
-    assert not kinds & {"FiniteDimAlgebra", "ModuleRep", "Matrix"}
+    assert not kinds & {"FiniteDimAlgebra", "ModuleRep", "TopModule", "Matrix"}
 
 
 def test_oracle_builds_one_presentation_and_one_top_module_per_side(
         diamond_file, monkeypatch, capsys):
     algebra = importlib.import_module("eicat.algebra")
     category = importlib.import_module("eicat.category")
-    presentation_of, quotient_module = category.presentation_of, algebra.quotient_module
+    presentation_of, top_init = category.presentation_of, algebra.TopModule.__init__
     presentations, tops = [], []
 
     def counted_presentation_of(c):
         presentations.append(c)
         return presentation_of(c)
 
-    def counted_quotient_module(m, vectors):  # top_module's one quotient A / rad A
-        tops.append(m.algebra)
-        return quotient_module(m, vectors)
+    def counted_top_init(self, a, space):  # one memoised A / rad A per algebra
+        tops.append(a)
+        top_init(self, a, space)
 
     for module in ("eicat.classify", "eicat.cli"):
         monkeypatch.setattr(importlib.import_module(module), "presentation_of",
                             counted_presentation_of)
-    monkeypatch.setattr(algebra, "quotient_module", counted_quotient_module)
+    monkeypatch.setattr(algebra.TopModule, "__init__", counted_top_init)
     assert main(["oracle", diamond_file, "--char", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["agrees"] is True
     assert len(presentations) == 1

@@ -4,13 +4,14 @@ from itertools import accumulate
 import pytest
 from inputs import s3_transporter
 
-from eicat import cli, homology
+from eicat import algebra, cli, homology, linalg
 from eicat.algebra import (
     AlgebraError,
     ModuleRep,
     algebra_from_category,
     group_algebra,
     opposite,
+    quotient_module,
     radical,
     regular_module,
     submodule,
@@ -297,8 +298,9 @@ def _reference_resolution(a, m, length):
             break
         kept = _reference_generators(a, current, data)
         gens.append([idx for idx, _ in kept])
-        cover = Matrix.from_columns(a.field, [current.act(w, g) for idx, g in kept
-                                              for w in data[idx][1].basis], rows=current.dim)
+        cover = Matrix.from_columns(a.field, [current.matrix_of(w).mul_vec(g)
+                                              for idx, g in kept for w in data[idx][1].basis],
+                                    rows=current.dim)
         covers.append(cover if incl is None else incl * cover)
         dims.append(cover.cols)
         kernel = cover.kernel_basis()
@@ -309,6 +311,12 @@ def _reference_resolution(a, m, length):
         p = _block_sum(a, [principal[idx] for idx in gens[-1]])
         current, incl = submodule(p, kernel)
     return ResolutionTrace(gens, dims, covers, kernel_dims, degree, finished)
+
+
+def _matrix_top(a):
+    """A / rad A as a ModuleRep, built through `quotient_module`: the top
+    that `_reference_resolution` resolves."""
+    return quotient_module(regular_module(a), radical(a))[0]
 
 
 def _trace_fields(tr):
@@ -322,7 +330,7 @@ def _assert_top_resolutions_match_the_reference(a, length, label):
     for side, b in (("left", a), ("right", opposite(a))):
         top = top_module(b)
         tr = projective_resolution(b, top, length)
-        ref = _reference_resolution(b, top, length)
+        ref = _reference_resolution(b, _matrix_top(b), length)
         assert _trace_fields(tr) == _trace_fields(ref), (label, side)
         tr.verify()
         for m in (regular_module(b), top):
@@ -371,7 +379,27 @@ def test_resolution_computes_no_degree_after_its_repeat(monkeypatch):
     calls = _count_minimal_generators(monkeypatch)
     tr = projective_resolution(a, top, CAP + 1)
     assert tr.repeat == (4, 1) and len(calls) == 5  # degrees 0..4 of 0..9
-    assert tr.ranks == _reference_resolution(a, top, CAP + 1).ranks
+    assert tr.ranks == _reference_resolution(a, _matrix_top(a), CAP + 1).ranks
+
+
+def _count_module_builds(monkeypatch):
+    """A list that records each ModuleRep constructed and each
+    `linalg.combination` of action matrices formed from now on."""
+    built = []
+    init, combination = ModuleRep.__init__, linalg.combination
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_combination(*args):
+        built.append(args)
+        return combination(*args)
+
+    monkeypatch.setattr(ModuleRep, "__init__", counted_init)
+    for module in (linalg, algebra):
+        monkeypatch.setattr(module, "combination", counted_combination)
+    return built
 
 
 def test_resolution_builds_no_module(monkeypatch):
@@ -381,16 +409,22 @@ def test_resolution_builds_no_module(monkeypatch):
     a = _s3_le2(2)
     top = top_module(a)
     homology._principal_data(a)
-    built = []
-    init = ModuleRep.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ModuleRep, "__init__", counted)
+    built = _count_module_builds(monkeypatch)
     tr = projective_resolution(a, top, CAP + 1)
     assert tr.repeat == (4, 1) and built == []
+
+
+def test_the_oracle_builds_no_module(monkeypatch):
+    """The oracle resolves the top and reads Ext into the algebra and the
+    top, each acted on by the product of the algebra: on fresh algebras,
+    `is_gorenstein_oracle` and `global_dimension` construct no ModuleRep and
+    form no combination of action matrices."""
+    built = _count_module_builds(monkeypatch)
+    for a, ids, gldim in ((_s3_le2(2), 2, ">8"),
+                          (cat_algebra(poset_category(chain_poset(5)), QQ), 1, 1)):
+        verdict = is_gorenstein_oracle(a, CAP)
+        assert (verdict.left, verdict.right, global_dimension(a, CAP)) == (ids, ids, gldim)
+    assert built == []
 
 
 def test_resolution_with_an_rng_runs_every_degree(monkeypatch):
