@@ -370,16 +370,21 @@ def _radical_mod_p(a, space):
     and the first nilpotent ideal among them is the radical and ends the
     chain.  If I_l is not one, or a trace is not divisible by q, the
     computation is refused."""
-    p = a.field.characteristic
+    f, d = a.field, a.dim
+    p = f.characteristic
+    units = [unit_vector(f, d, j) for j in range(d)]
     q = 1
     while _has_non_nilpotent(a, space.basis) or not _is_nilpotent_ideal(a, space.basis):
-        if q * p > a.dim:
+        if q * p > d:
             raise RadicalVerificationFailed(
                 f"last chain member (q = {q}) is not a nilpotent ideal")
         q *= p
+        # the rows b.e_0 .. b.e_{d-1} of each block are L_b transposed, as
+        # ints in [0, p): the trace of a power reads the same either way
+        rows = a.products(space.basis, units)
         values = []
-        for b in space.basis:
-            t = _p_power_trace(_left_mult_ints(a, b), q, p * q)
+        for r in range(0, len(rows), d):
+            t = _p_power_trace(rows[r:r + d], q, p * q)
             if t % q:
                 raise RadicalVerificationFailed(f"p-power trace not divisible by {q}")
             values.append(t // q)
@@ -423,22 +428,6 @@ def _p_power_trace(intmat, q, modulus):
     # tr(H K) = sum H[i][j] K[j][i], over the nonzero H[i][j] only
     return sum(x * other[j][i] for i, hrow in enumerate(half)
                for j, x in enumerate(hrow) if x) % modulus
-
-
-def _left_mult_ints(a, b):
-    """L_b, the matrix of x -> b.x on the regular module, in characteristic
-    p, as ints in [0, p): column j holds b.e_j = sum_i b_i e_i.e_j, read off
-    `_int_mult`.  The same integer lift as `regular_module(a).matrix_of(b)`."""
-    p = a.field.characteristic
-    _, table = a._int_mult()
-    d = a.dim
-    m = [[0] * d for _ in range(d)]
-    for bi, row in zip(b, table):
-        if bi:
-            for j, pairs in enumerate(row):
-                for k, c in pairs:
-                    m[k][j] += bi * c
-    return [[x % p for x in row] for row in m]
 
 
 def _int_matmul(x, y, modulus):
@@ -619,23 +608,24 @@ def primitive_idempotents(a: FiniteDimAlgebra):
     """A complete set of orthogonal idempotents, refined towards primitivity.
 
     Splitting works in A/rad (semisimple), the space of `top_module`: inside
-    each corner e.A.e, taken as two `products` calls, elements with a
-    root-reducible minimal polynomial yield a proper idempotent, which is then
-    lifted to an exact idempotent along the nilpotent radical.  Corners where
-    no split is found are accepted as-is; the result is always a valid
-    orthogonal decomposition of the unit, merely possibly non-primitive."""
+    each corner e.A.e, elements with a root-reducible minimal polynomial
+    yield a proper idempotent, which is then lifted to an exact idempotent
+    along the nilpotent radical.  The corner is taken as two `products` calls
+    over the unit vectors at the top's representatives only: A is their span
+    plus rad A, and e.(rad A).e lies in rad A, so the rest adds nothing to
+    the corner of A/rad.  Corners where no split is found are accepted
+    as-is; the result is always a valid orthogonal decomposition of the
+    unit, merely possibly non-primitive."""
     f = a.field
-    quo = top_module(a).space
-    units = [unit_vector(f, a.dim, i) for i in range(a.dim)]
-
-    def bar_mul(u, v):
-        return quo.project(a.product_vec(quo.lift(u), quo.lift(v)))
+    top = top_module(a)
+    quo = top.space
+    reps = [unit_vector(f, a.dim, i) for i in quo.reps]
 
     def split_once(e):
         """e an exact idempotent; return (e1, e2) or None if unsplit."""
         ebar = quo.project(e)
         corner = Subspace(f, quo.dim, [quo.project(w)
-                                       for w in a.products(a.products([e], units), [e])])
+                                       for w in a.products(a.products([e], reps), [e])])
         if corner.dim <= 1:
             return None
         candidates = [list(b) for b in corner.basis]
@@ -651,7 +641,7 @@ def primitive_idempotents(a: FiniteDimAlgebra):
                 if sol is not None:
                     minpoly = [f.neg(c) for c in sol] + [f.one]
                     break
-                powers.append(bar_mul(powers[-1], z))
+                powers.append(top.products([quo.lift(powers[-1])], [z])[0])
             if len(minpoly) <= 2:
                 continue
             roots = _field_roots(f, minpoly)

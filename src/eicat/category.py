@@ -223,13 +223,7 @@ def is_ei(c: FiniteCategory):
 
 
 def _isomorphic(c, x, y):
-    if x == y:
-        return True
-    for f in c.hom(x, y):
-        for g in c.hom(y, x):
-            if c.comp[(f, g)] == c.identity_of(y) and c.comp[(g, f)] == c.identity_of(x):
-                return True
-    return False
+    return x == y or any(c.is_isomorphism(f) for f in c.hom(x, y))
 
 
 def skeletalize(c: FiniteCategory):

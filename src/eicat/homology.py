@@ -90,8 +90,8 @@ class ResolutionTrace:
     of the boundary P_i -> P_{i-1}.  repeat is (k, period) when degree k
     left the same state as degree k - period (`projective_resolution`):
     every degree after k then equals the one `period` before it, and was
-    copied, not computed; None when no state repeated or an rng drove the
-    generator order."""
+    copied, not computed; None only when no state repeated within the
+    length, as when the trace finished."""
 
     gens: list
     dims: list
@@ -116,7 +116,7 @@ class ResolutionTrace:
         return True
 
 
-def _minimal_generators(a, vectors, act, data, rng):
+def _minimal_generators(a, vectors, act, data):
     """Generators g = f_idx.v of the module spanned by `vectors`, as (idx,
     the cover columns w.g over the basis w of A·f_idx); `act(us, vs)` is
     [u.v for u in us for v in vs].  Greedy over the submodule generated so
@@ -126,12 +126,8 @@ def _minimal_generators(a, vectors, act, data, rng):
     n = len(vectors[0])
     span = Subspace(f, n, act(radical(a), vectors))
     idempotents = [e for e, _, _ in data]
-    order = list(range(len(vectors)))
-    if rng is not None:
-        rng.shuffle(order)
     kept = []
-    for i in order:
-        x = vectors[i]
+    for x in vectors:
         if span.contains(x):
             continue
         for idx, v in enumerate(act(idempotents, [x])):
@@ -176,19 +172,19 @@ def _projective_action(a, data, idxs):
     return act
 
 
-def projective_resolution(a: FiniteDimAlgebra, m, length, rng=None) -> ResolutionTrace:
+def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
     """Projective resolution of the module m (the algebra, a `ModuleRep` or
     `top_module(a)`; see the module docstring) by principal projectives,
-    computing P_0 .. P_length; `rng` shuffles the generator candidate order
-    (Ext dimensions do not depend on the choice).
+    computing P_0 .. P_length.  The generators are searched for in the order
+    of the spanning vectors, so the resolution is a function of its input.
 
     Ω^{k+1} is the rref basis of the kernel of the cover of degree k, inside
     P_k = ⊕ A·f over gens[k] (`_projective_action`), so each cover of
-    degree k >= 1 is the boundary P_k -> P_{k-1}.  Without an rng, that
-    basis and gens[k] fix all that follows.  So when they equal those of an
-    earlier degree i, every degree after k repeats the one period = k - i
-    before it: those are copied, and the trace records repeat = (k, period).
-    Only the states' keys are kept."""
+    degree k >= 1 is the boundary P_k -> P_{k-1}.  That basis and gens[k]
+    fix all that follows.  So when they equal those of an earlier degree i,
+    every degree after k repeats the one period = k - i before it: those are
+    copied, and the trace records repeat = (k, period).  Only the states'
+    keys are kept."""
     data = _principal_data(a)
     f = a.field
     vectors = [unit_vector(f, m.dim, i) for i in range(m.dim)]
@@ -202,7 +198,7 @@ def projective_resolution(a: FiniteDimAlgebra, m, length, rng=None) -> Resolutio
         if not vectors:  # m is the zero module
             finished = True
             break
-        kept = _minimal_generators(a, vectors, act, data, rng)
+        kept = _minimal_generators(a, vectors, act, data)
         gens.append([idx for idx, _ in kept])
         cover = Matrix.from_columns(f, [c for _, columns in kept for c in columns],
                                     rows=len(vectors[0]))
@@ -214,12 +210,11 @@ def projective_resolution(a: FiniteDimAlgebra, m, length, rng=None) -> Resolutio
             finished = True
             break
         vectors = Subspace(f, cover.cols, kernel).basis
-        if rng is None:
-            key = (tuple(gens[-1]), tuple(map(tuple, vectors)))
-            if key in seen:
-                repeat = (deg, deg - seen[key])
-                break
-            seen[key] = deg
+        key = (tuple(gens[-1]), tuple(map(tuple, vectors)))
+        if key in seen:
+            repeat = (deg, deg - seen[key])
+            break
+        seen[key] = deg
         act = _projective_action(a, data, gens[-1])
     if repeat is not None:
         period = repeat[1]
@@ -230,11 +225,12 @@ def projective_resolution(a: FiniteDimAlgebra, m, length, rng=None) -> Resolutio
     return ResolutionTrace(gens, dims, covers, kernel_dims, degree, finished, repeat)
 
 
-def ext_dims(a: FiniteDimAlgebra, n, m, cap: int, rng=None):
-    """dim Ext^i(n, m) for i = 0..cap via the Hom complex of a projective
-    resolution of n; each of n and m is the algebra, a `ModuleRep` or
-    `top_module(a)`."""
-    trace = projective_resolution(a, n, cap + 1, rng=rng)
+def ext_dims(a: FiniteDimAlgebra, n, m, cap: int):
+    """dim Ext^i(n, m) for i = 0..cap via the Hom complex of the projective
+    resolution of n through P_{cap+1} (`projective_resolution`, whose
+    repeated tail gives its Ext ranks by copy); each of n and m is the
+    algebra, a `ModuleRep` or `top_module(a)`."""
+    trace = projective_resolution(a, n, cap + 1)
     return ext_dims_from_trace(a, trace, m, cap)
 
 

@@ -246,7 +246,7 @@ def mstar_dim(tp: TriangularPresentation, t: int) -> int:
     return sum(len(tp.hom_basis(i, t)) for i in range(t))
 
 
-def build_i_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> ColumnModule:
+def build_i_t(tp: TriangularPresentation, t: int, a: ModuleRep) -> ColumnModule:
     """The induced column module with components M_jt (x)_{R_t} A above slot
     t, A at slot t, zero below (t is 1-based).
 
@@ -254,8 +254,8 @@ def build_i_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> Co
     ambient index m*dim(A) + b; slot t is read as id_{x_t} (x) A with no
     relations.  A morphism g: x_l -> x_j then acts from slot l to slot j by
     (m, b) -> (g m, b) on the pairs, passed to the quotients."""
-    upto = tp.n if upto is None else upto
-    _check_t(t, upto)
+    n = tp.n
+    _check_t(t, n)
     f, t0 = tp.field, t - 1
     spaces = [tensor_quotient(f, tp.right_mats(j, t0), a.action) for j in range(t0)]
     spaces.append(QuotientSpace(f, a.dim))
@@ -266,14 +266,14 @@ def build_i_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> Co
         amb = _map_matrix(f, pairs[l], lambda p: (tp.compose(g, p[0]), p[1]), pairs[j])
         return _on_quotients(spaces[l], spaces[j], amb)
 
-    dims = [q.dim for q in spaces] + [0] * (upto - t)
+    dims = [q.dim for q in spaces] + [0] * (n - t)
     comp_action = [{g: along(g, j, j) for g in tp.vertex_group(j).elements} for j in range(t0)]
     comp_action.append(_vertex_action(tp, t0, a))
-    comp_action += [_zero_action(tp, j) for j in range(t, upto)]
+    comp_action += [_zero_action(tp, j) for j in range(t, n)]
     phi = {(j, l): {mu: along(mu, j, l) if l <= t0 else Matrix.zeros(f, dims[j], dims[l])
                     for mu in tp.hom_basis(j, l)}
-           for j in range(upto) for l in range(j + 1, upto)}
-    return ColumnModule(tp, upto, dims, comp_action, phi)
+           for j in range(n) for l in range(j + 1, n)}
+    return ColumnModule(tp, n, dims, comp_action, phi)
 
 
 def _hom_space(tp: TriangularPresentation, t0: int, a: ModuleRep, pairs) -> Subspace:
@@ -289,7 +289,7 @@ def _hom_space(tp: TriangularPresentation, t0: int, a: ModuleRep, pairs) -> Subs
     return Subspace(f, n, Matrix.from_entries(f, len(a.action) * n, n, entries).kernel_basis())
 
 
-def build_j_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> ColumnModule:
+def build_j_t(tp: TriangularPresentation, t: int, a: ModuleRep) -> ColumnModule:
     """The coinduced column module with components Hom_{R_t}(M_tl, A) below
     slot t, A at slot t, zero above (t is 1-based).
 
@@ -298,12 +298,12 @@ def build_j_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> Co
     is read as Hom(id_{x_t}, A) = A.  A morphism g: x_l -> x_j then acts from
     slot l to slot j by F -> F(- o g), the pullback along (b, m) -> (b, m g),
     restricted to the Hom spaces."""
-    upto = tp.n if upto is None else upto
-    _check_t(t, upto)
+    n = tp.n
+    _check_t(t, n)
     f, t0, da = tp.field, t - 1, a.dim
     pairs = {t0: [(b, tp.vertex_group(t0).identity) for b in range(da)]}
     spaces = {t0: Subspace(f, da, [unit_vector(f, da, b) for b in range(da)])}
-    for l in range(t, upto):
+    for l in range(t, n):
         pairs[l] = list(product(range(da), tp.hom_basis(t0, l)))
         spaces[l] = _hom_space(tp, t0, a, pairs[l])
 
@@ -311,15 +311,15 @@ def build_j_t(tp: TriangularPresentation, t: int, a: ModuleRep, upto=None) -> Co
         amb = _map_matrix(f, pairs[j], lambda p: (p[0], tp.compose(p[1], g)), pairs[l])
         return _on_subspaces(spaces[l], spaces[j], amb.transpose())
 
-    dims = [0] * t0 + [spaces[l].dim for l in range(t0, upto)]
+    dims = [0] * t0 + [spaces[l].dim for l in range(t0, n)]
     comp_action = [_zero_action(tp, j) for j in range(t0)]
     comp_action.append(_vertex_action(tp, t0, a))
     comp_action += [{h: along(h, l, l) for h in tp.vertex_group(l).elements}
-                    for l in range(t, upto)]
+                    for l in range(t, n)]
     phi = {(j, l): {mu: along(mu, j, l) if j >= t0 else Matrix.zeros(f, dims[j], dims[l])
                     for mu in tp.hom_basis(j, l)}
-           for j in range(upto) for l in range(j + 1, upto)}
-    return ColumnModule(tp, upto, dims, comp_action, phi)
+           for j in range(n) for l in range(j + 1, n)}
+    return ColumnModule(tp, n, dims, comp_action, phi)
 
 
 def dual_vertex_module(tp: TriangularPresentation, t: int) -> ModuleRep:

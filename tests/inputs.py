@@ -1,12 +1,14 @@
 """Inputs the corpus lacks, shared by several test modules: the Boolean
 lattice of subsets and the transporter category of S3 permuting {1, 2, 3}
-acting on its subsets, both built from `eicat.families`, and malformed
-category JSON and matrix exports.  Collects no tests itself."""
+acting on its subsets, both built from `eicat.families`, algebras with their
+basis permuted, and malformed category JSON and matrix exports.  Collects no
+tests itself."""
 
 from __future__ import annotations
 
 import itertools
 
+from eicat.algebra import FiniteDimAlgebra
 from eicat.families import Poset, transporter_category
 from eicat.groups import GroupAction, symmetric_group_3
 
@@ -39,6 +41,18 @@ def s3_transporter(max_size):
            for e in g.elements for s in subs}
     p = boolean_poset(3, max_size)
     return transporter_category(g, p, GroupAction(g, list(p.elements), act))
+
+
+def permuted(a, rng):
+    """The algebra a with its basis put in a random order drawn from rng:
+    names, unit and structure constants relabelled alike, so an isomorphic
+    copy whose radical, top and idempotents come out in other coordinates."""
+    order = list(range(a.dim))
+    rng.shuffle(order)  # new index i holds old basis element order[i]
+    new = {old: i for i, old in enumerate(order)}
+    mult = [[[(new[k], c) for k, c in a.mult[i][j]] for j in order] for i in order]
+    return FiniteDimAlgebra(a.field, [a.basis[i] for i in order], mult,
+                            [a.unit[i] for i in order])
 
 
 def _chain_raw():

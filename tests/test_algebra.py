@@ -11,7 +11,6 @@ from eicat.algebra import (
     _check_orthogonal_system,
     _field_roots,
     _is_nilpotent_ideal,
-    _left_mult_ints,
     _p_power_trace,
     _roots_by_splitting,
     FiniteDimAlgebra,
@@ -275,13 +274,17 @@ def test_generator_check_agrees_with_the_pairwise_check(corpus_items):
 
 
 def test_left_mult_ints_is_the_action_matrix(corpus_items):
+    """The p-power traces of the radical read L_b transposed from
+    `products([b], units)`: row j is b.e_j, as ints in [0, p)."""
     rng = random.Random(12)
     for name, c in corpus_items:
         for ch in (2, 3, 5):
             a = algebra_from_category(c, Field(ch))
             reg = regular_module(a)
+            units = [unit_vector(a.field, a.dim, j) for j in range(a.dim)]
             for b in [*radical(a), [rng.randrange(ch) for _ in range(a.dim)]]:
-                assert _left_mult_ints(a, b) == reg.matrix_of(b).data, (name, ch, b)
+                transposed = a.products([b], units)
+                assert list(map(list, zip(*transposed))) == reg.matrix_of(b).data, (name, ch, b)
 
 
 def test_primitive_idempotents_counts():
