@@ -49,14 +49,12 @@ from .homology import (
 )
 from .linalg import Field, Matrix, QQ
 from .triangular import (
-    ColumnModule,
     HypothesisViolated,
     TriangularPresentation,
     build_i_t,
     build_j_t,
     build_m_star,
     build_triangular,
-    column_to_rep,
     is_mstar_projective,
     phi_domain_dim,
 )

@@ -7,9 +7,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, product
 from math import lcm
 
 from .linalg import QQ, Field, Matrix, QuotientSpace, Subspace, combination, unit_vector
+from .linalg import _is_prime
 
 
 class AlgebraError(Exception):
@@ -524,30 +526,43 @@ def _poly_eval_element(f, poly, powers):
 
 
 def _rational_roots(poly):
-    """All rational roots of a Fraction-coefficient polynomial."""
-    ints = QQ.to_ints(poly)[0]
-    roots = set()
-    while ints and ints[0] == 0:
-        roots.add(Fraction(0))
-        ints = ints[1:]
-    if len(ints) <= 1:
-        return sorted(roots)
-    a0, an = abs(ints[0]), abs(ints[-1])
+    """All rational roots of a Fraction-coefficient polynomial, ascending, in
+    time polynomial in its degree and in the size of its coefficients.
 
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.extend([d, n // d])
-            d += 1
-        return sorted(set(out))
+    Let s_0 + ... + s_d x^d be its squarefree part with int coefficients.
+    The roots r are the integer roots y = s_d r of the monic
+    q(y) = s_d^(d-1) s(y / s_d), and |y| < B = 1 + max |q_i| (Cauchy).  At an
+    odd prime p where q stays squarefree every root of q mod p is simple, so
+    Newton's iteration lifts it to one root mod some m = p^(2^k) > 2B; the
+    lift taken in (-m/2, m/2] is kept if q vanishes on it."""
+    poly = _poly_normalize(QQ, list(poly))
+    if len(poly) < 2:
+        return []
+    g, rem = poly, [i * c for i, c in enumerate(poly)][1:]
+    while rem:  # g = gcd(poly, poly'), by Euclid
+        g, rem = rem, _poly_divmod(QQ, g, rem)[1]
+    s = QQ.to_ints(_poly_divmod(QQ, poly, g)[0])[0]
+    d, lead = len(s) - 1, s[-1]
+    q = [c * lead ** (d - 1 - i) for i, c in enumerate(s[:-1])] + [1]
+    dq = [i * c for i, c in enumerate(q)][1:]
 
-    for p in divisors(a0):
-        for q in divisors(an):
-            for r in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * r ** i for i, c in enumerate(ints)) == 0:
-                    roots.add(r)
+    def value(coeffs, y):  # by Horner's rule
+        return functools.reduce(lambda acc, c: acc * y + c, reversed(coeffs), 0)
+
+    def squarefree_mod(p):
+        fp = Field(p)
+        return len(_poly_xgcd(fp, fp.from_ints(q), _poly_normalize(fp, fp.from_ints(dq)))[0]) == 1
+
+    p = next(p for p in count(3, 2) if _is_prime(p) and squarefree_mod(p))
+    roots = []
+    for r in _field_roots(Field(p), Field(p).from_ints(q)):
+        m = p
+        while m <= 2 * (1 + max(map(abs, q))):
+            m *= m
+            r = (r - value(q, r) * pow(value(dq, r), -1, m)) % m
+        y = r - m if 2 * r > m else r
+        if value(q, y) == 0:
+            roots.append(Fraction(y, lead))
     return sorted(roots)
 
 
@@ -746,15 +761,15 @@ class ModuleRep:
     action: list  # list of Matrix, one per algebra basis element
 
     def validate(self):  # ModuleRep
-        a = self.algebra
-        f = a.field
-        if self.matrix_of(a.unit) != Matrix.identity(f, self.dim):
+        a, f, n = self.algebra, self.algebra.field, self.dim
+        if len(self.action) != a.dim or any((m.rows, m.cols) != (n, n) for m in self.action):
+            raise AlgebraError(f"a module of dimension {n} needs {a.dim} {n} x {n} matrices")
+        if self.matrix_of(a.unit) != Matrix.identity(f, n):
             raise AlgebraError("unit does not act as identity")
-        basis = [unit_vector(f, a.dim, i) for i in range(a.dim)]
-        for i, ei in enumerate(basis):
-            for j, ej in enumerate(basis):
-                if self.action[i] * self.action[j] != self.matrix_of(a.product_vec(ei, ej)):
-                    raise AlgebraError(f"action incompatible with product ({i}, {j})")
+        for i, j in product(range(a.dim), repeat=2):
+            if self.action[i] * self.action[j] != combination(
+                    f, ((c, self.action[k]) for k, c in a.mult[i][j]), n, n):
+                raise AlgebraError(f"action incompatible with product ({i}, {j})")
         return self
 
     def matrix_of(self, avec) -> Matrix:

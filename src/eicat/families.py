@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .category import FiniteCategory, ValidationError, validate
 from .groups import GroupAction, GroupError, GroupTable, cyclic_group, symmetric_group_3
+from .groups import json_names
 
 
 class FamilyError(Exception):
@@ -61,10 +62,10 @@ class Poset:
 
     @classmethod
     def from_json(cls, obj):
-        unknown = set(obj) - {"elements", "relation"}
-        if unknown:
-            raise FamilyError(f"unknown poset keys: {sorted(unknown)}")
-        return cls.from_pairs(obj["elements"], obj["relation"])
+        if not isinstance(obj, dict) or set(obj) != {"elements", "relation"}:
+            raise FamilyError('a poset is a JSON object with the keys "elements" and "relation"')
+        return cls.from_pairs(json_names(obj["elements"], "elements", FamilyError),
+                              json_names(obj["relation"], "relation", FamilyError, 2))
 
     def to_json(self):
         return {"elements": list(self.elements),
@@ -107,6 +108,8 @@ def transporter_category(g: GroupTable, p: Poset, action: GroupAction) -> Finite
     """Objects the poset elements, morphisms x -> y the group elements with
     g.x <= y, composition by multiplication."""
     action.validate()
+    if action.group.table != g.table:
+        raise FamilyError("the action is by another group")
     if list(action.set) != list(p.elements):
         raise FamilyError("action set differs from poset elements")
     for e in g.elements:
@@ -242,19 +245,15 @@ def diamond_transporter_category() -> FiniteCategory:
     return transporter_category(z2, p, GroupAction(z2, list(p.elements), act))
 
 
-# corpus generation
+# corpus generation: a random instance has at most MAX_OBJECTS objects and
+# algebra dimension at most MAX_ALGEBRA_DIM
+
+MAX_OBJECTS = 4
+MAX_ALGEBRA_DIM = 64
 
 
-@dataclass
-class CorpusLimits:
-    max_objects: int = 4
-    max_group_order: int = 6
-    max_hom: int = 8
-    max_algebra_dim: int = 64
-
-
-def _random_poset(rng, limits):
-    n = rng.randint(2, limits.max_objects)
+def _random_poset(rng):
+    n = rng.randint(2, MAX_OBJECTS)
     names = [f"p{i}" for i in range(n)]
     density = rng.choice([0.3, 0.45, 0.65])
     pairs = []
@@ -285,7 +284,7 @@ def _random_order_two_action(rng, p):
     return z2, GroupAction(z2, list(p.elements), act)
 
 
-def _coset_biset_category(rng, limits):
+def _coset_biset_category(rng):
     """Two objects with Aut(x_2) cyclic acting on right cosets of a subgroup;
     the left group acts trivially."""
     n2 = rng.choice([2, 3, 4, 6])
@@ -303,7 +302,7 @@ def _coset_biset_category(rng, limits):
     return biset_category(["x1", "x2"], {"x1": triv, "x2": z}, homs)
 
 
-def _left_orbit_category(rng, limits):
+def _left_orbit_category(rng):
     """Two objects with Aut(x_1) acting on Hom(x_2, x_1) by left translation
     on cosets; trivial Aut(x_2)."""
     n1 = rng.choice([2, 3, 4, 6])
@@ -321,11 +320,10 @@ def _left_orbit_category(rng, limits):
     return biset_category(["x1", "x2"], {"x1": g1, "x2": triv}, homs)
 
 
-def corpus(seed=0, limits: CorpusLimits | None = None):
+def corpus(seed=0):
     """Deterministic stream of (name, FiniteCategory) pairs: the named
     instances first, then bounded random posets, transporter categories, and
     two-object biset categories."""
-    limits = limits or CorpusLimits()
     rng = random.Random(seed)
     out = []
 
@@ -343,17 +341,17 @@ def corpus(seed=0, limits: CorpusLimits | None = None):
 
     made = 0
     while made < 10:
-        p = _random_poset(rng, limits)
+        p = _random_poset(rng)
         if p is None:
             continue
         c = poset_category(p)
-        if len(c) <= limits.max_algebra_dim:
+        if len(c) <= MAX_ALGEBRA_DIM:
             out.append((f"poset_{made}", c))
             made += 1
 
     made = 0
     while made < 6:
-        p = _random_poset(rng, limits)
+        p = _random_poset(rng)
         if p is None:
             continue
         pick = _random_order_two_action(rng, p)
@@ -361,15 +359,14 @@ def corpus(seed=0, limits: CorpusLimits | None = None):
             continue
         g, act = pick
         c = transporter_category(g, p, act)
-        if len(c) <= limits.max_algebra_dim:
+        if len(c) <= MAX_ALGEBRA_DIM:
             out.append((f"transporter_{made}", c))
             made += 1
 
     made = 0
     while made < 8:
-        c = _coset_biset_category(rng, limits) if made % 2 == 0 else \
-            _left_orbit_category(rng, limits)
-        if len(c) <= limits.max_algebra_dim:
+        c = _coset_biset_category(rng) if made % 2 == 0 else _left_orbit_category(rng)
+        if len(c) <= MAX_ALGEBRA_DIM:
             out.append((f"biset_{made}", c))
             made += 1
 

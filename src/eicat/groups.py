@@ -75,8 +75,10 @@ class GroupTable:
     @classmethod
     def from_json(cls, obj):
         _check_keys(obj, {"elements", "identity", "table"}, "group")
-        table = {(g, h): gh for g, h, gh in obj["table"]}
-        return cls(list(obj["elements"]), table, obj["identity"]).validate()
+        json_names([obj["identity"]], "the group identity", GroupError)
+        table = {(g, h): gh for g, h, gh in json_names(obj["table"], "table", GroupError, 3)}
+        return cls(json_names(obj["elements"], "elements", GroupError), table,
+                   obj["identity"]).validate()
 
     def to_json(self):
         return {
@@ -86,7 +88,19 @@ class GroupTable:
         }
 
 
+def json_names(x, what, error, width=0):
+    """x, if it is a list of names (width 0) or of width-lists of names;
+    else `error` is raised."""
+    if not (isinstance(x, list) and all(
+            isinstance(y, list) and len(y) == (width or len(y)) and
+            all(isinstance(z, str) for z in y) for y in (x if width else [x]))):
+        raise error(f"{what} must be a list of {f'{width}-lists of ' if width else ''}names")
+    return x
+
+
 def _check_keys(obj, allowed, what):
+    if not isinstance(obj, dict):
+        raise GroupError(f"a {what} must be a JSON object, not {type(obj).__name__}")
     unknown = set(obj) - allowed
     if unknown:
         raise GroupError(f"unknown keys in {what}: {sorted(unknown)}")
@@ -156,8 +170,8 @@ class GroupAction:
     def from_json(cls, obj):
         _check_keys(obj, {"group", "set", "act"}, "action")
         group = GroupTable.from_json(obj["group"])
-        act = {(g, x): gx for g, x, gx in obj["act"]}
-        return cls(group, list(obj["set"]), act).validate()
+        act = {(g, x): gx for g, x, gx in json_names(obj["act"], "act", GroupError, 3)}
+        return cls(group, json_names(obj["set"], "set", GroupError), act).validate()
 
     def to_json(self):
         return {

@@ -36,7 +36,6 @@ from eicat.triangular import (
     build_j_t,
     build_m_star,
     build_triangular,
-    column_to_rep,
     dual_vertex_module,
     is_mstar_projective,
 )
@@ -112,7 +111,7 @@ def test_criterion_5_structural_equivalences(presentations):
             count = all(is_mstar_projective(tp, t) for t in range(1, tp.n))
             homological = all(
                 ext_dims(tp.algebra(t),
-                         column_to_rep(tp, build_m_star(tp, t)),
+                         build_m_star(tp, t),
                          top_module(tp.algebra(t)), 1)[1] == 0
                 for t in range(1, tp.n) if sum(len(p.hom_set(i, t)) for i in range(t)))
             free = is_free(p).free
@@ -144,8 +143,8 @@ def test_criterion_6_homological_invariants(sweep, presentations):
         alg = tp.algebra()
         for t in range(1, tp.n + 1):
             rt = regular_module(tp.vertex_algebra(t - 1))
-            ok = ok and is_module_projective(alg, column_to_rep(tp, build_i_t(tp, t, rt)))
-            dual = dual_module(column_to_rep(tp, build_j_t(tp, t, dual_vertex_module(tp, t))))
+            ok = ok and is_module_projective(alg, build_i_t(tp, t, rt))
+            dual = dual_module(build_j_t(tp, t, dual_vertex_module(tp, t)))
             ok = ok and is_module_projective(dual.algebra, dual)
     tp = build_triangular(next(p for n, _, p in presentations if n == "regular_orbit"),
                           Field(2))
@@ -153,8 +152,7 @@ def test_criterion_6_homological_invariants(sweep, presentations):
     k2 = tp.vertex_algebra(vertex - 1)
     bad = quotient_module(regular_module(k2), radical(k2))[0]  # not projective over F2[Z/2]
     ok = ok and not is_module_projective(k2, bad)
-    ok = ok and not is_module_projective(tp.algebra(),
-                                         column_to_rep(tp, build_i_t(tp, vertex, bad)))
+    ok = ok and not is_module_projective(tp.algebra(), build_i_t(tp, vertex, bad))
     # Ext dimensions do not depend on the coordinates, and so not on the
     # generators a resolution picks
     a = algebra_from_category(presentation_of(poset_category(diamond_poset())).category,

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 from inputs import HOSTILE_MATRICES, matrix_raw, s3_transporter
@@ -12,6 +13,7 @@ from eicat.algebra import (
     _field_roots,
     _is_nilpotent_ideal,
     _p_power_trace,
+    _rational_roots,
     _roots_by_splitting,
     FiniteDimAlgebra,
     ModuleRep,
@@ -536,3 +538,38 @@ def test_field_roots_in_a_large_prime_field():
         poly = algebra._poly_mul(f, poly, [f.neg(r), f.one])
     poly = algebra._poly_mul(f, poly, [1, 0, 1])  # x^2 + 1, no root as p = 3 mod 4
     assert _field_roots(f, poly) == sorted(roots)
+
+
+def _divisor_scan_roots(poly):
+    """The rational roots of an int polynomial with nonzero constant term,
+    by trying every +-p/q with p | a_0 and q | a_n."""
+    def divisors(n):
+        n = abs(n)
+        return {e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)}
+
+    return sorted({r for p in divisors(poly[0]) for q in divisors(poly[-1])
+                   for r in (Fraction(p, q), Fraction(-p, q))
+                   if sum(c * r ** i for i, c in enumerate(poly)) == 0})
+
+
+def test_rational_roots_match_a_divisor_scan():
+    rng = random.Random(11)
+    for _ in range(300):
+        # products of random rational linear factors, with repeats, and a cofactor
+        poly = [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 2))] + \
+            [rng.randint(1, 5)]
+        for _ in range(rng.randint(0, 4)):
+            r = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4))
+            poly = algebra._poly_mul(QQ, [Fraction(c) for c in poly], [-r, Fraction(1)])
+            poly = QQ.to_ints(poly)[0]
+        zeros = rng.randint(0, 2)
+        expect = _divisor_scan_roots(poly) + ([Fraction(0)] if zeros else [])
+        got = _rational_roots([Fraction(c) for c in [0] * zeros + poly])
+        assert got == sorted(expect), poly
+
+
+def test_rational_roots_of_huge_constants():
+    a = 10 ** 20 + 39
+    for c, roots in ((10 ** 16 + 61, []), (a * a, [-a, a]),
+                     (Fraction(9, 4 * a * a), [Fraction(-3, 2 * a), Fraction(3, 2 * a)])):
+        assert _rational_roots([-Fraction(c), Fraction(0), Fraction(1)]) == roots

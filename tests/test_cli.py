@@ -9,7 +9,14 @@ from inputs import HOSTILE_CATEGORIES, HOSTILE_MATRICES, matrix_raw
 from eicat import cli
 from eicat.category import category_to_json
 from eicat.cli import main
-from eicat.families import chain_poset, diamond_poset, poset_category, stabilized_alpha_category
+from eicat.families import (
+    Poset,
+    chain_poset,
+    diamond_poset,
+    poset_category,
+    stabilized_alpha_category,
+)
+from eicat.groups import cyclic_group
 
 
 def write_category(tmp_path, c, name="cat.json"):
@@ -296,6 +303,20 @@ def test_oracle_in_a_large_prime_field_is_quick(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["agrees"] is True
 
 
+@pytest.mark.parametrize("c", [10000000000000061, (10 ** 20 + 39) ** 2])
+def test_oracle_on_q_adjoin_a_root_of_a_huge_constant_is_quick(tmp_path, capsys, c):
+    """Q[x]/(x^2 - c) is semisimple, a field or Q x Q; idempotents split by
+    rational roots, found without a scan of the divisors of c."""
+    path = tmp_path / "quadratic.json"
+    path.write_text(json.dumps({"basis": ["1", "x"], "unit": [1, 0], "table": [
+        [0, 0, [[0, 1]]], [0, 1, [[1, 1]]], [1, 0, [[1, 1]]], [1, 1, [[0, c]]]]}))
+    t0 = time.perf_counter()
+    assert main(["oracle", str(path)]) == 0
+    assert time.perf_counter() - t0 < 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["left"], out["right"], out["gldim"]) == (0, 0, 0)
+
+
 @pytest.mark.parametrize("flag", ["--cap", "--limit"])
 def test_oracle_rejects_negative_cap_and_limit(chain_file, flag, capsys):
     assert main(["oracle", chain_file, flag, "-1"]) == 2
@@ -327,6 +348,41 @@ def test_gen_group_and_biset(capsys):
     assert main(["gen", "biset", "regular_orbit"]) == 0
     assert len(json.loads(capsys.readouterr().out)["morphisms"]) == 5
     assert main(["gen", "biset", "nope"]) == 2
+
+
+@pytest.mark.parametrize("family, raw, error", [
+    ("poset", 5, "FamilyError"),
+    ("poset", [["a", "b"]], "FamilyError"),
+    ("poset", {"elements": 3, "relation": []}, "FamilyError"),
+    ("poset", {"elements": ["a", "b"], "relation": [["a"]]}, "FamilyError"),
+    ("poset", {"elements": [["a"]], "relation": []}, "FamilyError"),
+    ("group", 5, "GroupError"),
+    ("group", [["e", "e", "e"]], "GroupError"),
+    ("group", {"elements": ["e"], "identity": ["e"], "table": [["e", "e", "e"]]}, "GroupError"),
+    ("group", {"elements": ["e"], "identity": "e", "table": [["e", "e"]]}, "GroupError"),
+    ("group", {"elements": "e", "identity": "e", "table": [["e", "e", "e"]]}, "GroupError"),
+])
+def test_gen_refuses_malformed_json_with_a_named_error(tmp_path, capsys, family, raw, error):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(raw))
+    assert main(["gen", family, str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+
+
+def test_gen_transporter_refuses_an_action_by_another_group(tmp_path, capsys):
+    paths = []
+    for name, obj in (("group", cyclic_group(3).to_json()),
+                      ("poset", Poset.from_pairs(["a", "b"], []).to_json()),
+                      ("action", {"group": cyclic_group(2).to_json(), "set": ["a", "b"],
+                                  "act": [["e", "a", "a"], ["e", "b", "b"],
+                                          ["g", "a", "b"], ["g", "b", "a"]]}),
+                      ("action_set", [5])):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(obj))
+    assert main(["gen", "transporter", *map(str, paths[:3])]) == 1
+    assert capsys.readouterr().err.startswith("FamilyError: ")
+    assert main(["gen", "transporter", *map(str, paths[:2]), str(paths[3])]) == 1
+    assert capsys.readouterr().err.startswith("GroupError: ")
 
 
 def test_gen_corpus_writes_deterministic_files(tmp_path, capsys):

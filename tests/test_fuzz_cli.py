@@ -1,6 +1,7 @@
-"""Fuzz of `eicat.cli.main` on mutated category JSON and mutated matrix
-exports: every call ends with exit code 0, 1 or 2, raises nothing, and
-returns within a time bound.  All calls go through the one parser `main`
+"""Fuzz of `eicat.cli.main` on mutated category JSON, mutated matrix
+exports and mutated poset, group and action files for `gen`: every call
+ends with exit code 0, 1 or 2, raises nothing, and returns within a time
+bound.  All calls go through the one parser `main`
 builds on its first call."""
 
 import contextlib
@@ -16,14 +17,15 @@ from inputs import matrix_raw
 
 from eicat.category import category_to_json
 from eicat.cli import main
-from eicat.families import chain_poset, poset_category
+from eicat.families import chain_poset, diamond_poset, poset_category
+from eicat.groups import GroupAction, cyclic_group
 
 SECONDS_PER_CALL = 2.0
 FUZZ = settings(max_examples=50, derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 KEYS = ["objects", "morphisms", "composition", "id", "src", "dst", "identity",
-        "basis", "unit", "table", "mstar_dims"]
+        "basis", "unit", "table", "mstar_dims", "elements", "relation", "group", "set", "act"]
 LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 5), st.sampled_from([10 ** 30, -10 ** 30]),
     st.floats(allow_nan=False, allow_infinity=False, width=16),
@@ -108,3 +110,29 @@ def test_mutated_matrix_export(fuzz_file, data):
     obj = _mutate(data, matrix_raw() | {"mstar_dims": {}})
     char = data.draw(st.sampled_from(["0", "2", "3"]))
     _run(fuzz_file, obj, ["oracle", str(fuzz_file), "--cap", "2", "--char", char])
+
+
+Z2 = cyclic_group(2)
+GEN_FILES = {  # the swap of the middle of the diamond, as `gen transporter` reads it
+    "group": Z2.to_json(),
+    "poset": diamond_poset().to_json(),
+    "action": GroupAction(Z2, ["w", "y1", "y2", "x"], {
+        (g, x): {"y1": "y2", "y2": "y1"}.get(x, x) if g == "g" else x
+        for g in Z2.elements for x in ["w", "y1", "y2", "x"]}).to_json(),
+}
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_gen_inputs(fuzz_file, data):
+    kind = data.draw(st.sampled_from(list(GEN_FILES)))
+    obj = _mutate(data, GEN_FILES[kind])
+    if kind != "action" and data.draw(st.booleans()):
+        _run(fuzz_file, obj, ["gen", kind, str(fuzz_file)])
+        return
+    paths = []  # `gen transporter group.json poset.json action.json`, one of them mutated
+    for name, unchanged in GEN_FILES.items():
+        path = fuzz_file.with_name(f"{name}.json")
+        path.write_text(json.dumps(unchanged))
+        paths.append(fuzz_file if name == kind else path)
+    _run(fuzz_file, obj, ["gen", "transporter", *map(str, paths)])

@@ -1,8 +1,9 @@
 import pytest
 
 from inputs import s3_transporter
+from test_triangular_golden import slot_dims
 
-from eicat.algebra import dual_module, regular_module, top_module
+from eicat.algebra import AlgebraError, ModuleRep, dual_module, regular_module
 from eicat.category import presentation_of
 from eicat.families import (
     chain_poset,
@@ -17,13 +18,11 @@ from eicat.homology import is_module_projective
 from eicat.linalg import Field, Matrix
 from eicat.triangular import (
     HypothesisViolated,
-    IncompatibleMaps,
     IndexOutOfRange,
     build_i_t,
     build_j_t,
     build_m_star,
     build_triangular,
-    column_to_rep,
     dual_vertex_module,
     is_mstar_projective,
     mstar_dim,
@@ -126,9 +125,9 @@ def test_mstar_dims(chain_tp, diamond_tp):
 def test_build_m_star_validates_and_matches_dim(chain_tp, diamond_tp):
     for tp in (chain_tp, diamond_tp):
         for t in range(1, tp.n):
-            cm = build_m_star(tp, t)
-            cm.validate()
-            assert sum(cm.dims) == mstar_dim(tp, t)
+            m = build_m_star(tp, t)
+            assert m.algebra is tp.algebra(t)
+            assert m.dim == mstar_dim(tp, t)
     with pytest.raises(IndexOutOfRange):
         build_m_star(chain_tp, 0)
     with pytest.raises(IndexOutOfRange):
@@ -197,52 +196,69 @@ def test_mstar_dimension_count_matches_ext_oracle(presentations):
             for t in range(1, tp.n):
                 if mstar_dim(tp, t) == 0:
                     continue
-                rep = column_to_rep(tp, build_m_star(tp, t))
+                rep = build_m_star(tp, t)
                 alg = tp.algebra(t)
                 expected = is_module_projective(alg, rep)
                 assert is_mstar_projective(tp, t) == expected, (name, ch, t)
 
 
-def test_column_to_rep_respects_algebra(chain_tp, diamond_tp):
+def test_built_modules_are_over_the_triangular_algebras(chain_tp, diamond_tp):
     for tp in (chain_tp, diamond_tp):
-        cm = build_m_star(tp, tp.n - 1)
-        rep = column_to_rep(tp, cm)
-        rep.validate()
-        assert rep.dim == sum(cm.dims)
+        m = build_m_star(tp, tp.n - 1)
+        assert m.algebra is tp.algebra(tp.n - 1)
+        assert slot_dims(tp, m) == [len(tp.hom_basis(i, tp.n - 1)) for i in range(tp.n - 1)]
+        for t in range(1, tp.n + 1):
+            r = regular_module(tp.vertex_algebra(t - 1))
+            assert build_i_t(tp, t, r).algebra is tp.algebra()
+            assert build_j_t(tp, t, r).algebra is tp.algebra()
 
 
-def test_column_module_validation_catches_broken_action(chain_tp):
-    cm = build_m_star(chain_tp, 2)
-    g = chain_tp.vertex_group(0)
-    cm.comp_action[0][g.identity] = Matrix.zeros(chain_tp.field, cm.dims[0], cm.dims[0])
-    with pytest.raises(IncompatibleMaps):
-        cm.validate()
+def _broken(rep, name, matrix):
+    """rep with the action of the basis morphism `name` replaced."""
+    action = list(rep.action)
+    action[rep.algebra.basis.index(name)] = matrix
+    return ModuleRep(rep.algebra, rep.dim, action)
 
 
-def test_column_module_validation_catches_broken_phi():
+def test_module_validation_catches_zeroed_identity_block(chain_tp):
+    m = build_m_star(chain_tp, 2)
+    ident = chain_tp.pres.category.identity_of(chain_tp.pres.ordering[0])
+    with pytest.raises(AlgebraError):
+        _broken(m, ident, Matrix.zeros(chain_tp.field, m.dim, m.dim)).validate()
+
+
+def test_module_validation_catches_broken_left_linearity():
     # nontrivial automorphisms make left linearity an actual constraint
     from eicat.families import diamond_transporter_category
     tp = tri(diamond_transporter_category(), ch=0)
-    cm = build_m_star(tp, tp.n - 1)
-    key = next(k for k, table in cm.phi.items() if table and
-               any(m.rows and m.cols for m in table.values()))
-    table = cm.phi[key]
-    name = next(m for m in table if table[m].rows and table[m].cols)
-    broken = Matrix.zeros(tp.field, table[name].rows, table[name].cols)
-    broken.data[0][0] = tp.field.one
-    table[name] = broken
-    with pytest.raises(IncompatibleMaps):
-        cm.validate()
+    m = build_m_star(tp, tp.n - 1)
+    cat = tp.pres.category
+
+    def first_row(x):  # the first coordinate of the slot of x
+        ident = m.action[m.algebra.basis.index(cat.identity_of(x))]
+        return next(r for r in range(m.dim) if ident.data[r][r])
+
+    name = next(g for g, a in zip(m.algebra.basis, m.action)
+                if cat.morphisms[g].src != cat.morphisms[g].dst and not a.is_zero())
+    broken = Matrix.zeros(tp.field, m.dim, m.dim)
+    broken.data[first_row(cat.morphisms[name].dst)][first_row(cat.morphisms[name].src)] = \
+        tp.field.one
+    with pytest.raises(AlgebraError):
+        _broken(m, name, broken).validate()
+
+
+def test_inductions_refuse_a_vertex_module_whose_action_is_zero(chain_tp):
+    r = chain_tp.vertex_algebra(1)
+    zero = ModuleRep(r, 1, [Matrix.zeros(chain_tp.field, 1, 1) for _ in r.basis])
+    for build in (build_i_t, build_j_t):
+        with pytest.raises(AlgebraError):
+            build(chain_tp, 2, zero)
 
 
 def test_induction_dims_on_chain(chain_tp):
     k = regular_module(chain_tp.vertex_algebra(1))  # trivial group: k itself
-    it = build_i_t(chain_tp, 2, k)
-    jt = build_j_t(chain_tp, 2, k)
-    it.validate()
-    jt.validate()
-    assert it.dims == [1, 1, 0]
-    assert jt.dims == [0, 1, 1]
+    assert slot_dims(chain_tp, build_i_t(chain_tp, 2, k)) == [1, 1, 0]
+    assert slot_dims(chain_tp, build_j_t(chain_tp, 2, k)) == [0, 1, 1]
 
 
 def test_induced_regular_modules_are_projective(presentations):
@@ -252,7 +268,7 @@ def test_induced_regular_modules_are_projective(presentations):
         total = 0
         for t in range(1, tp.n + 1):
             rt = regular_module(tp.vertex_algebra(t - 1))
-            rep = column_to_rep(tp, build_i_t(tp, t, rt))
+            rep = build_i_t(tp, t, rt)
             total += rep.dim
             assert is_module_projective(alg, rep), (name, t)
         # the induced regulars tile the whole algebra
@@ -264,7 +280,7 @@ def test_coinduced_duals_are_injective(presentations):
         tp = build_triangular(p, Field(2))
         for t in range(1, tp.n + 1):
             dm = dual_vertex_module(tp, t)
-            rep = column_to_rep(tp, build_j_t(tp, t, dm))
+            rep = build_j_t(tp, t, dm)
             dual = dual_module(rep)
             assert is_module_projective(dual.algebra, dual), (name, t)
 
@@ -274,6 +290,7 @@ def test_dual_vertex_module_is_valid():
     for t in range(1, tp.n + 1):
         m = dual_vertex_module(tp, t)
         m.validate()
+        assert m.algebra == tp.vertex_algebra(t - 1)
         assert m.dim == tp.vertex_group(t - 1).order
 
 
