@@ -384,6 +384,9 @@ def test_module_validate_rejects_a_broken_action(char):
     action[non_identity].data[0][0] = f.one if action[non_identity].data[0][0] == 0 else f.zero
     with pytest.raises(AlgebraError, match="incompatible with product"):
         ModuleRep(a, m.dim, action).validate()
+    for action in (m.action[:-1], m.action[:-1] + [Matrix.identity(f, 1)]):
+        with pytest.raises(AlgebraError, match="needs"):
+            ModuleRep(a, m.dim, action).validate()
 
 
 def test_submodule_and_quotient_split_dimensions():

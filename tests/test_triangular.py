@@ -1,9 +1,11 @@
+from itertools import product
+
 import pytest
 
 from inputs import s3_transporter
 from test_triangular_golden import slot_dims
 
-from eicat.algebra import AlgebraError, ModuleRep, dual_module, regular_module
+from eicat.algebra import AlgebraError, ModuleRep, dual_module, group_algebra, regular_module
 from eicat.category import presentation_of
 from eicat.families import (
     chain_poset,
@@ -250,9 +252,10 @@ def test_module_validation_catches_broken_left_linearity():
 def test_inductions_refuse_a_vertex_module_whose_action_is_zero(chain_tp):
     r = chain_tp.vertex_algebra(1)
     zero = ModuleRep(r, 1, [Matrix.zeros(chain_tp.field, 1, 1) for _ in r.basis])
-    for build in (build_i_t, build_j_t):
+    other = regular_module(group_algebra(cyclic_group(2), chain_tp.field))  # not over R_2
+    for build, a in product((build_i_t, build_j_t), (zero, other)):
         with pytest.raises(AlgebraError):
-            build(chain_tp, 2, zero)
+            build(chain_tp, 2, a)
 
 
 def test_induction_dims_on_chain(chain_tp):
