@@ -36,7 +36,7 @@ from .families import (
     transporter_category,
 )
 from .freeness import FreenessReport, decompose, is_free, ufp_direct, unfactorizables
-from .groups import BiSet, GroupAction, GroupTable, cyclic_group, symmetric_group_3
+from .groups import GroupAction, GroupTable, cyclic_group, symmetric_group_3
 from .homology import (
     DimensionVerdict,
     ZaksViolation,
@@ -50,11 +50,9 @@ from .homology import (
 from .linalg import Field, Matrix, QQ
 from .triangular import (
     HypothesisViolated,
-    TriangularPresentation,
     build_i_t,
     build_j_t,
     build_m_star,
-    build_triangular,
     is_mstar_projective,
     phi_domain_dim,
 )

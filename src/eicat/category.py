@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .groups import BiSet, GroupTable
+from .groups import GroupTable
 
 
 class CategoryError(Exception):
@@ -309,15 +309,6 @@ class SkeletalEIPresentation:
 
     def aut_group(self, i) -> GroupTable:
         return self.aut[self.ordering[i]]
-
-    def biset(self, i, j) -> BiSet:
-        """Hom(x_j, x_i) with the left Aut(x_i)- and right Aut(x_j)-actions."""
-        c = self.category
-        xi, xj = self.ordering[i], self.ordering[j]
-        s = self.hom_set(i, j)
-        left = {(g, m): c.compose(g, m) for g in c.hom(xi, xi) for m in s}
-        right = {(m, h): c.compose(m, h) for m in s for h in c.hom(xj, xj)}
-        return BiSet(self.aut_group(i), self.aut_group(j), list(s), left, right)
 
 
 def admissible_order(c: FiniteCategory) -> SkeletalEIPresentation:

@@ -10,12 +10,7 @@ from .category import FiniteCategory, SkeletalEIPresentation, presentation_of
 from .freeness import decompose, is_free, unfactorizables
 from .groups import is_projective_over, morphism_stabilizers
 from .linalg import Field
-from .triangular import (
-    HypothesisViolated,
-    build_triangular,
-    mstar_dim,
-    phi_domain_dim,
-)
+from .triangular import mstar_dim, phi_domain_dim
 
 
 @dataclass
@@ -99,7 +94,7 @@ def classify(c: FiniteCategory, f: Field) -> ClassificationReport:
 
     if projective and freeness.free:
         # group-algebra vertices are self-injective, so every d_i = 0
-        bound = gorenstein_bound([0] * p.n, True)
+        bound = gorenstein_bound([0] * p.n)
     else:
         bound = "n/a"
 
@@ -125,15 +120,15 @@ def classify(c: FiniteCategory, f: Field) -> ClassificationReport:
     return report
 
 
-def gorenstein_bound(d, mstar_projective: bool) -> int:
+def gorenstein_bound(d) -> int:
     """Upper bound for the self-injective dimension of the triangular algebra
     from the per-vertex self-injective dimensions d_1..d_n.
 
-    Valid only when every M_t^* is projective.  Two vertices: max(d_1, d_2)
-    if they differ, else d_1 + 1; more vertices iterate the same rule along
-    leading principal subalgebras, never exceeding max(d) + 1."""
-    if not mstar_projective:
-        raise HypothesisViolated("bound requires every M_t^* projective")
+    Valid only when every M_t^* is projective, which the caller must know
+    (`classify` calls it only for free categories projective over k).  Two
+    vertices: max(d_1, d_2) if they differ, else d_1 + 1; more vertices
+    iterate the same rule along leading principal subalgebras, never
+    exceeding max(d) + 1."""
     d = list(d)
     if not d:
         raise ValueError("need at least one vertex")
@@ -168,10 +163,9 @@ def explain(c: FiniteCategory, f: Field, *, report: ClassificationReport | None 
         if homs:
             out["unfactorizables"][f"{i + 1},{j + 1}"] = list(homs)
     if report.projective_over_k:
-        tp = build_triangular(p, f)
         for t in range(1, p.n):
-            dom = phi_domain_dim(tp, t)
-            target = mstar_dim(tp, t)
+            dom = phi_domain_dim(p, t)
+            target = mstar_dim(p, t)
             out["mstar_ledger"][str(t)] = {
                 "cover_dim": dom, "dim": target, "projective": dom == target}
     return out

@@ -34,7 +34,7 @@ from .groups import GroupAction, GroupError, GroupTable, cyclic_group, \
 from .homology import DimensionVerdict, GorensteinVerdict, ZaksViolation, \
     global_dimension, is_gorenstein_oracle
 from .linalg import Field
-from .triangular import build_triangular, mstar_dim, phi_domain_dim
+from .triangular import mstar_dim, phi_domain_dim
 
 DEFAULT_CAP = 8
 DEFAULT_DIM_LIMIT = 64
@@ -192,9 +192,7 @@ def cmd_matrix(args):
     alg = algebra_from_category(p.category, f)
     alg.validate()
     out = alg.to_json()
-    tp = build_triangular(p, f)
-    out["mstar_dims"] = {str(t): {"dim": mstar_dim(tp, t),
-                                  "cover_dim": phi_domain_dim(tp, t)}
+    out["mstar_dims"] = {str(t): {"dim": mstar_dim(p, t), "cover_dim": phi_domain_dim(p, t)}
                          for t in range(1, p.n)}
     _emit(out, args.out)
     return 0

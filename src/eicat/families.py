@@ -137,24 +137,22 @@ def transporter_category(g: GroupTable, p: Poset, action: GroupAction) -> Finite
                      "composition": comp})
 
 
-def group_category(g: GroupTable, obj: str = "x") -> FiniteCategory:
-    morphisms = [{"id": e, "src": obj, "dst": obj,
+def group_category(g: GroupTable) -> FiniteCategory:
+    morphisms = [{"id": e, "src": "x", "dst": "x",
                   **({"identity": True} if e == g.identity else {})}
                  for e in g.elements]
     comp = [[a, b, g.mul(a, b)] for a in g.elements for b in g.elements
             if a != g.identity and b != g.identity]
-    return validate({"objects": [obj], "morphisms": morphisms, "composition": comp})
+    return validate({"objects": ["x"], "morphisms": morphisms, "composition": comp})
 
 
-def biset_category(objects, auts, homs, pair_comp=None) -> FiniteCategory:
+def biset_category(objects, auts, homs) -> FiniteCategory:
     """A category from explicit Hom data.
 
     objects: ordered names; auts: object -> GroupTable; homs: (i, j) with
     i < j -> (set names, left action table, right action table) for
-    morphisms objects[j] -> objects[i]; pair_comp: ((i, l), (l, j)) ->
-    {(m_il, m_lj): m_ij}.  Associativity is verified on the assembled
-    category."""
-    pair_comp = pair_comp or {}
+    morphisms objects[j] -> objects[i], no two of which compose.
+    Associativity is verified on the assembled category."""
     morphisms = []
     comp = []
     for idx, obj in enumerate(objects):
@@ -181,11 +179,6 @@ def biset_category(objects, auts, homs, pair_comp=None) -> FiniteCategory:
                 continue
             for nm in names:
                 comp.append([nm, f"{src}.{h}", right[(nm, h)]])
-    for ((i, l), (l2, j)), table in pair_comp.items():
-        if l != l2:
-            raise FamilyError("pair_comp indices do not chain")
-        for (m1, m2), m3 in table.items():
-            comp.append([m1, m2, m3])
     try:
         return validate({"objects": list(objects), "morphisms": morphisms,
                          "composition": comp})

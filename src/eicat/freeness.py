@@ -39,32 +39,36 @@ def unfactorizables(p: SkeletalEIPresentation):
             for i in range(p.n) for j in range(i + 1, p.n)}
 
 
-def _ordered_unfactorizables(p):
+def _chains(p: SkeletalEIPresentation, alpha):
+    """Every chain u_1, ..., u_m of unfactorizables with
+    alpha = u_m ∘ ... ∘ u_1, shortest first and, within a length, in scan
+    order.  Chains grow out of src(alpha), each carrying its composite; by
+    EI every step strictly descends, so the walk ends within n steps."""
+    c = p.category
     unf = p.factorizations.unfactorizable
-    return [m for m in p.category.morphisms if m in unf]
+    leaving = {}  # object -> the unfactorizables out of it, in scan order
+    for m in c.morphisms.values():
+        if m.name in unf:
+            leaving.setdefault(m.src, []).append(m.name)
+    level = [([u], u) for u in leaving.get(c.morphisms[alpha].src, ())]
+    while level:
+        grown = []
+        for chain, composite in level:
+            if composite == alpha:
+                yield chain
+            else:
+                grown += [(chain + [u], c.compose(u, composite))
+                          for u in leaving.get(c.morphisms[composite].dst, ())]
+        level = grown
 
 
 def decompose(p: SkeletalEIPresentation, alpha):
     """A shortest chain u_1, ..., u_m of unfactorizables with
     alpha = u_m ∘ ... ∘ u_1; first found in deterministic scan order."""
-    c = p.category
-    if c.is_isomorphism(alpha):
+    if p.category.is_isomorphism(alpha):
         raise IsIsomorphism(alpha)
-    unf = _ordered_unfactorizables(p)
-    src = c.morphisms[alpha].src
-    queue = [([u], c.morphisms[u].dst) for u in unf if c.morphisms[u].src == src]
-    while queue:
-        next_queue = []
-        for chain, at in queue:
-            composite = chain[0]
-            for u in chain[1:]:
-                composite = c.compose(u, composite)
-            if composite == alpha:
-                return chain
-            for u in unf:
-                if c.morphisms[u].src == at:
-                    next_queue.append((chain + [u], c.morphisms[u].dst))
-        queue = next_queue
+    for chain in _chains(p, alpha):
+        return chain
     raise AssertionError(f"no decomposition found for {alpha!r}")
 
 
@@ -111,26 +115,6 @@ def is_free(p: SkeletalEIPresentation) -> FreenessReport:
     return FreenessReport(all(free_from.values()), free_from, counterexample)
 
 
-def _all_decompositions(c, alpha, unf):
-    """All chains of unfactorizables composing to alpha (DFS)."""
-    src = c.morphisms[alpha].src
-    out = []
-    stack = [([u], c.morphisms[u].dst) for u in reversed(unf) if c.morphisms[u].src == src]
-    while stack:
-        chain, at = stack.pop()
-        composite = chain[0]
-        for u in chain[1:]:
-            composite = c.compose(u, composite)
-        if composite == alpha:
-            out.append(chain)
-            continue
-        # EI: any longer chain strictly descends, so depth is bounded by n
-        for u in unf:
-            if c.morphisms[u].src == at:
-                stack.append((chain + [u], c.morphisms[u].dst))
-    return out
-
-
 def _conjugating_sequence_exists(c, p, d1, d2):
     """Whether automorphisms h_i turn the chain d1 into d2."""
     n = len(d1)
@@ -170,9 +154,8 @@ def ufp_direct(p: SkeletalEIPresentation) -> bool:
     """Brute-force unique factorization property: every pair of maximal
     decompositions of every non-isomorphism is conjugate."""
     c = p.category
-    unf = _ordered_unfactorizables(p)
     for alpha in p.factorizations.non_isos:
-        decs = _all_decompositions(c, alpha, unf)
+        decs = list(_chains(p, alpha))
         for d1 in decs:
             for d2 in decs:
                 if not _conjugating_sequence_exists(c, p, d1, d2):

@@ -181,30 +181,6 @@ class GroupAction:
         }
 
 
-@dataclass
-class BiSet:
-    """A finite set with commuting left G- and right H-actions."""
-
-    left_group: GroupTable
-    right_group: GroupTable
-    set: list
-    left_act: dict   # (g, s) -> g.s
-    right_act: dict  # (s, h) -> s.h
-
-    def validate(self):
-        GroupAction(self.left_group, self.set, self.left_act).validate()
-        right_as_left = {(h, s): self.right_act[(s, self.right_group.inverse(h))]
-                         for h in self.right_group.elements for s in self.set}
-        GroupAction(self.right_group, self.set, right_as_left).validate()
-        for g in self.left_group.elements:
-            for s in self.set:
-                for h in self.right_group.elements:
-                    if self.right_act[(self.left_act[(g, s)], h)] != \
-                            self.left_act[(g, self.right_act[(s, h)])]:
-                        raise GroupError(f"actions do not commute at ({g!r},{s!r},{h!r})")
-        return self
-
-
 def stabilizer_order(a: GroupAction, x) -> int:
     if x not in set(a.set):
         raise UnknownElement(repr(x))
@@ -243,8 +219,8 @@ def is_projective_over(p, f: Field):
     return not witnesses, witnesses
 
 
-def cyclic_group(n: int, prefix: str = "g") -> GroupTable:
-    elems = ["e"] + [f"{prefix}{i}" if i > 1 else prefix for i in range(1, n)]
+def cyclic_group(n: int) -> GroupTable:
+    elems = ["e"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
     table = {}
     for i in range(n):
         for j in range(n):

@@ -11,6 +11,8 @@ from eicat import cli
 from eicat.algebra import (
     algebra_from_category,
     dual_module,
+    group_algebra,
+    opposite,
     quotient_module,
     radical,
     regular_module,
@@ -35,9 +37,9 @@ from eicat.triangular import (
     build_i_t,
     build_j_t,
     build_m_star,
-    build_triangular,
     dual_vertex_module,
     is_mstar_projective,
+    mstar_dim,
 )
 
 def _verdict_line(n, label, ok):
@@ -107,13 +109,10 @@ def test_criterion_5_structural_equivalences(presentations):
         for name, _, p in presentations:
             if not is_projective_over(p, f)[0]:
                 continue
-            tp = build_triangular(p, f)
-            count = all(is_mstar_projective(tp, t) for t in range(1, tp.n))
+            count = all(is_mstar_projective(p, f, t) for t in range(1, p.n))
             homological = all(
-                ext_dims(tp.algebra(t),
-                         build_m_star(tp, t),
-                         top_module(tp.algebra(t)), 1)[1] == 0
-                for t in range(1, tp.n) if sum(len(p.hom_set(i, t)) for i in range(t)))
+                ext_dims(m.algebra, m, top_module(m.algebra), 1)[1] == 0
+                for m in (build_m_star(p, f, t) for t in range(1, p.n) if mstar_dim(p, t)))
             free = is_free(p).free
             ok = ok and (count == homological == free)
     transporters = [
@@ -138,21 +137,21 @@ def test_criterion_6_homological_invariants(sweep, presentations):
             ok = ok and v.left.value == v.right.value
     # induction sends projectives to projectives, coinduction sends
     # injectives to injectives; both fail on a non-projective input
+    f2 = Field(2)
     for name, _, p in presentations[:5]:
-        tp = build_triangular(p, Field(2))
-        alg = tp.algebra()
-        for t in range(1, tp.n + 1):
-            rt = regular_module(tp.vertex_algebra(t - 1))
-            ok = ok and is_module_projective(alg, build_i_t(tp, t, rt))
-            dual = dual_module(build_j_t(tp, t, dual_vertex_module(tp, t)))
-            ok = ok and is_module_projective(dual.algebra, dual)
-    tp = build_triangular(next(p for n, _, p in presentations if n == "regular_orbit"),
-                          Field(2))
-    vertex = next(t for t in range(1, tp.n + 1) if tp.vertex_group(t - 1).order == 2)
-    k2 = tp.vertex_algebra(vertex - 1)
+        alg = algebra_from_category(p.category, f2)
+        for t in range(1, p.n + 1):
+            rt = regular_module(group_algebra(p.aut_group(t - 1), f2))
+            ok = ok and is_module_projective(alg, build_i_t(p, t, rt))
+            dual = dual_module(build_j_t(p, t, dual_vertex_module(p, f2, t)))
+            ok = ok and is_module_projective(opposite(alg), dual)
+    p = next(p for n, _, p in presentations if n == "regular_orbit")
+    vertex = next(t for t in range(1, p.n + 1) if p.aut_group(t - 1).order == 2)
+    k2 = group_algebra(p.aut_group(vertex - 1), f2)
     bad = quotient_module(regular_module(k2), radical(k2))[0]  # not projective over F2[Z/2]
     ok = ok and not is_module_projective(k2, bad)
-    ok = ok and not is_module_projective(tp.algebra(), build_i_t(tp, vertex, bad))
+    ok = ok and not is_module_projective(algebra_from_category(p.category, f2),
+                                         build_i_t(p, vertex, bad))
     # Ext dimensions do not depend on the coordinates, and so not on the
     # generators a resolution picks
     a = algebra_from_category(presentation_of(poset_category(diamond_poset())).category,

@@ -13,7 +13,6 @@ from eicat.families import (
 )
 from eicat.groups import cyclic_group
 from eicat.linalg import Field
-from eicat.triangular import HypothesisViolated
 
 
 def test_chain_poset_is_hereditary_everywhere():
@@ -82,22 +81,20 @@ def test_classify_rejects_non_ei():
 
 
 def test_gorenstein_bound_goldens():
-    assert gorenstein_bound([0, 0], True) == 1
-    assert gorenstein_bound([0, 1], True) == 1
-    assert gorenstein_bound([1, 0], True) == 1
-    assert gorenstein_bound([0, 0, 0], True) == 1
-    assert gorenstein_bound([2, 2], True) == 3
-    assert gorenstein_bound([0], True) == 0
-    with pytest.raises(HypothesisViolated):
-        gorenstein_bound([0, 0], False)
+    assert gorenstein_bound([0, 0]) == 1
+    assert gorenstein_bound([0, 1]) == 1
+    assert gorenstein_bound([1, 0]) == 1
+    assert gorenstein_bound([0, 0, 0]) == 1
+    assert gorenstein_bound([2, 2]) == 3
+    assert gorenstein_bound([0]) == 0
     with pytest.raises(ValueError):
-        gorenstein_bound([], True)
+        gorenstein_bound([])
 
 
 def test_gorenstein_bound_never_exceeds_max_plus_one():
     import itertools
     for d in itertools.product(range(3), repeat=4):
-        assert gorenstein_bound(list(d), True) <= max(d) + 1
+        assert gorenstein_bound(list(d)) <= max(d) + 1
 
 
 def test_report_implications_on_corpus(sweep):

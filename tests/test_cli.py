@@ -187,6 +187,27 @@ def test_matrix_then_oracle_roundtrip(chain_file, tmp_path, capsys):
     assert "agrees" not in verdict
 
 
+def test_matrix_mstar_dims_match_the_explain_ledger(tmp_path, capsys, corpus_items):
+    """`matrix` and `classify --explain` read the same counts: for every t
+    of every corpus(0) instance projective over k in chars 0/2/3, matrix's
+    mstar_dims equal the explain ledger's cover_dim and dim."""
+    checked = 0
+    for name, c in corpus_items:
+        path = write_category(tmp_path, c)
+        for ch in ("0", "2", "3"):
+            assert main(["classify", path, "--char", ch, "--explain"]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            if not rep["projective_over_k"]:
+                continue
+            assert main(["matrix", path, "--char", ch]) == 0
+            dims = json.loads(capsys.readouterr().out)["mstar_dims"]
+            ledger = {t: {"dim": e["dim"], "cover_dim": e["cover_dim"]}
+                      for t, e in rep["explain"]["mstar_ledger"].items()}
+            assert ledger == dims and len(dims) == len(rep["ordering"]) - 1, (name, ch)
+            checked += len(dims)
+    assert checked > 50
+
+
 def test_oracle_on_category_reports_agreement(diamond_file, capsys):
     assert main(["oracle", diamond_file, "--char", "5"]) == 0
     verdict = json.loads(capsys.readouterr().out)

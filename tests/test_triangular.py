@@ -1,12 +1,22 @@
+import sys
 from itertools import product
 
 import pytest
 
 from inputs import s3_transporter
-from test_triangular_golden import slot_dims
+from test_triangular_golden import regular_vertex_module, slot_dims
 
-from eicat.algebra import AlgebraError, ModuleRep, dual_module, group_algebra, regular_module
-from eicat.category import presentation_of
+from eicat import algebra
+from eicat.algebra import (
+    AlgebraError,
+    ModuleRep,
+    algebra_from_category,
+    dual_module,
+    group_algebra,
+    opposite,
+    regular_module,
+)
+from eicat.category import full_subcategory, presentation_of
 from eicat.families import (
     chain_poset,
     corpus,
@@ -17,14 +27,13 @@ from eicat.families import (
 )
 from eicat.groups import cyclic_group, symmetric_group_3
 from eicat.homology import is_module_projective
-from eicat.linalg import Field, Matrix
+from eicat.linalg import QQ, Field, Matrix
 from eicat.triangular import (
     HypothesisViolated,
     IndexOutOfRange,
     build_i_t,
     build_j_t,
     build_m_star,
-    build_triangular,
     dual_vertex_module,
     is_mstar_projective,
     mstar_dim,
@@ -33,41 +42,46 @@ from eicat.triangular import (
 )
 
 
-def tri(c, ch=0):
-    return build_triangular(presentation_of(c), Field(ch))
+F2 = Field(2)
+
+
+def gamma(p, f, t):
+    """Gamma_t, the algebra of the full subcategory on x_1..x_t."""
+    return algebra_from_category(full_subcategory(p.category, p.ordering[:t]), f)
 
 
 @pytest.fixture(scope="module")
-def chain_tp():
-    return tri(poset_category(chain_poset(3, ["x", "y", "z"])))
+def chain_p():
+    return presentation_of(poset_category(chain_poset(3, ["x", "y", "z"])))
 
 
 @pytest.fixture(scope="module")
-def diamond_tp():
-    return tri(poset_category(diamond_poset()))
+def diamond_p():
+    return presentation_of(poset_category(diamond_poset()))
 
 
-def test_vertex_data_and_total_dim(chain_tp):
-    assert chain_tp.n == 3
-    assert len(chain_tp.pres.category.morphisms) == 6
+def test_vertex_data_and_total_dim(chain_p):
+    assert chain_p.n == 3
+    assert len(chain_p.category.morphisms) == 6
     for i in range(3):
-        assert chain_tp.vertex_algebra(i).dim == 1
-    assert len(chain_tp.hom_basis(0, 2)) == 1
-    assert chain_tp.hom_basis(2, 0) == []
+        assert chain_p.aut_group(i).order == 1
+    assert len(chain_p.hom_set(0, 2)) == 1
+    assert chain_p.hom_set(2, 0) == []
 
 
-def psi_associativity_holds(tp):
+def psi_associativity_holds(p):
     """(m_il m_lj) m_jt = m_il (m_lj m_jt) on all basis triples."""
-    return all(tp.compose(tp.compose(a, b), c) == tp.compose(a, tp.compose(b, c))
-               for i in range(tp.n) for l in range(i, tp.n)
-               for j in range(l, tp.n) for t in range(j, tp.n)
-               for a in tp.hom_basis(i, l) for b in tp.hom_basis(l, j)
-               for c in tp.hom_basis(j, t))
+    c = p.category
+    return all(c.compose(c.compose(a, b), d) == c.compose(a, c.compose(b, d))
+               for i in range(p.n) for l in range(i, p.n)
+               for j in range(l, p.n) for t in range(j, p.n)
+               for a in p.hom_set(i, l) for b in p.hom_set(l, j)
+               for d in p.hom_set(j, t))
 
 
 def test_psi_associativity_on_corpus(presentations):
     for name, _, p in presentations:
-        assert psi_associativity_holds(build_triangular(p, Field(2))), name
+        assert psi_associativity_holds(p), name
 
 
 def _regular_perms(g, f):
@@ -115,48 +129,55 @@ def test_tensor_dim_with_zero_factor():
     assert tensor_quotient(f, [Matrix.zeros(f, 0, 0)], [Matrix.identity(f, 2)]).dim == 0
 
 
-def test_mstar_dims(chain_tp, diamond_tp):
-    assert mstar_dim(chain_tp, 1) == 1
-    assert mstar_dim(chain_tp, 2) == 2
+def test_mstar_dims(chain_p, diamond_p):
+    assert mstar_dim(chain_p, 1) == 1
+    assert mstar_dim(chain_p, 2) == 2
     # diamond ordering (w, y1, y2, x): the slice above y2 only sees w
-    assert mstar_dim(diamond_tp, 1) == 1
-    assert mstar_dim(diamond_tp, 2) == 1
-    assert mstar_dim(diamond_tp, 3) == 3
+    assert mstar_dim(diamond_p, 1) == 1
+    assert mstar_dim(diamond_p, 2) == 1
+    assert mstar_dim(diamond_p, 3) == 3
 
 
-def test_build_m_star_validates_and_matches_dim(chain_tp, diamond_tp):
-    for tp in (chain_tp, diamond_tp):
-        for t in range(1, tp.n):
-            m = build_m_star(tp, t)
-            assert m.algebra is tp.algebra(t)
-            assert m.dim == mstar_dim(tp, t)
+def test_build_m_star_validates_and_matches_dim(chain_p, diamond_p):
+    for p in (chain_p, diamond_p):
+        for t in range(1, p.n):
+            m = build_m_star(p, QQ, t)
+            assert m.algebra == gamma(p, QQ, t)
+            assert m.dim == mstar_dim(p, t)
     with pytest.raises(IndexOutOfRange):
-        build_m_star(chain_tp, 0)
+        build_m_star(chain_p, QQ, 0)
     with pytest.raises(IndexOutOfRange):
-        build_m_star(chain_tp, 3)
+        build_m_star(chain_p, QQ, 3)
 
 
-def test_phi_domain_dim_goldens(chain_tp, diamond_tp):
-    assert phi_domain_dim(chain_tp, 1) == 1
-    assert phi_domain_dim(chain_tp, 2) == 2
+def test_phi_domain_dim_goldens(chain_p, diamond_p):
+    assert phi_domain_dim(chain_p, 1) == 1
+    assert phi_domain_dim(chain_p, 2) == 2
     # two unfactorizable arrows into the top of the diamond produce a rank-4
     # cover of the 3-dimensional natural module
-    assert phi_domain_dim(diamond_tp, 3) == 4
+    assert phi_domain_dim(diamond_p, 3) == 4
     with pytest.raises(IndexOutOfRange):
-        phi_domain_dim(diamond_tp, 4)
+        phi_domain_dim(diamond_p, 4)
 
 
-def _cover_dim_by_rank(tp, t):
+def _perms(f, group, basis, act):
+    """The permutation matrices of act(g, -) on basis, for g in group."""
+    return [Matrix.from_columns(f, [[f.one if act(g, u) == v else f.zero for v in basis]
+                                    for u in basis], rows=len(basis))
+            for g in group.elements]
+
+
+def _cover_dim_by_rank(p, f, t):
     """phi_domain_dim by exact linear algebra: the sum over j <= l < t of
-    dim M_jl (x)_{R_l} k U_l, with U_l as permutation matrices."""
-    f = tp.field
+    dim M_jl (x)_{R_l} k U_l, with M_jl and U_l as permutation matrices."""
+    c = p.category
     total = 0
     for l in range(t):
-        units = tp.pres.unfactorizable_homs(l, t)
-        perms = [Matrix.from_columns(f, [[f.one if tp.compose(g, u) == v else f.zero
-                                          for v in units] for u in units], rows=len(units))
-                 for g in tp.vertex_group(l).elements]
-        total += sum(tensor_quotient(f, tp.right_mats(j, l), perms).dim for j in range(l + 1))
+        group = p.aut_group(l)
+        units = _perms(f, group, p.unfactorizable_homs(l, t), c.compose)
+        total += sum(tensor_quotient(f, _perms(f, group, p.hom_set(j, l),
+                                               lambda h, m: c.compose(m, h)), units).dim
+                     for j in range(l + 1))
     return total
 
 
@@ -165,25 +186,23 @@ def test_phi_domain_dim_orbit_count_matches_tensor_rank():
     for name, c in cats:
         p = presentation_of(c)
         for ch in (0, 2, 3):
-            tp = build_triangular(p, Field(ch))
-            for t in range(1, tp.n):
-                assert phi_domain_dim(tp, t) == _cover_dim_by_rank(tp, t), (name, ch, t)
+            for t in range(1, p.n):
+                assert phi_domain_dim(p, t) == _cover_dim_by_rank(p, Field(ch), t), (name, ch, t)
 
 
-def test_is_mstar_projective_goldens(chain_tp, diamond_tp):
-    assert all(is_mstar_projective(chain_tp, t) for t in (1, 2))
-    assert is_mstar_projective(diamond_tp, 1)
-    assert is_mstar_projective(diamond_tp, 2)
-    assert not is_mstar_projective(diamond_tp, 3)
+def test_is_mstar_projective_goldens(chain_p, diamond_p):
+    assert all(is_mstar_projective(chain_p, QQ, t) for t in (1, 2))
+    assert is_mstar_projective(diamond_p, QQ, 1)
+    assert is_mstar_projective(diamond_p, QQ, 2)
+    assert not is_mstar_projective(diamond_p, QQ, 3)
 
 
 def test_is_mstar_projective_requires_projectivity_over_k():
-    tp = tri(stabilized_alpha_category(), ch=2)
+    p = presentation_of(stabilized_alpha_category())
     with pytest.raises(HypothesisViolated):
-        is_mstar_projective(tp, 1)
+        is_mstar_projective(p, F2, 1)
     # same category in characteristic 3 is fine
-    tp3 = tri(stabilized_alpha_category(), ch=3)
-    assert isinstance(is_mstar_projective(tp3, 1), bool)
+    assert isinstance(is_mstar_projective(p, Field(3), 1), bool)
 
 
 def test_mstar_dimension_count_matches_ext_oracle(presentations):
@@ -192,27 +211,60 @@ def test_mstar_dimension_count_matches_ext_oracle(presentations):
     from eicat.groups import is_projective_over
     for name, _, p in presentations:
         for ch in (0, 3):
-            tp = build_triangular(p, Field(ch))
-            if not is_projective_over(p, tp.field)[0]:
+            f = Field(ch)
+            if not is_projective_over(p, f)[0]:
                 continue
-            for t in range(1, tp.n):
-                if mstar_dim(tp, t) == 0:
+            for t in range(1, p.n):
+                if mstar_dim(p, t) == 0:
                     continue
-                rep = build_m_star(tp, t)
-                alg = tp.algebra(t)
-                expected = is_module_projective(alg, rep)
-                assert is_mstar_projective(tp, t) == expected, (name, ch, t)
+                rep = build_m_star(p, f, t)
+                expected = is_module_projective(rep.algebra, rep)
+                assert is_mstar_projective(p, f, t) == expected, (name, ch, t)
 
 
-def test_built_modules_are_over_the_triangular_algebras(chain_tp, diamond_tp):
-    for tp in (chain_tp, diamond_tp):
-        m = build_m_star(tp, tp.n - 1)
-        assert m.algebra is tp.algebra(tp.n - 1)
-        assert slot_dims(tp, m) == [len(tp.hom_basis(i, tp.n - 1)) for i in range(tp.n - 1)]
-        for t in range(1, tp.n + 1):
-            r = regular_module(tp.vertex_algebra(t - 1))
-            assert build_i_t(tp, t, r).algebra is tp.algebra()
-            assert build_j_t(tp, t, r).algebra is tp.algebra()
+def test_built_modules_are_over_the_triangular_algebras(chain_p, diamond_p):
+    for p in (chain_p, diamond_p):
+        m = build_m_star(p, QQ, p.n - 1)
+        assert m.algebra == gamma(p, QQ, p.n - 1)
+        assert slot_dims(p, m) == [len(p.hom_set(i, p.n - 1)) for i in range(p.n - 1)]
+        whole = algebra_from_category(p.category, QQ)
+        for t in range(1, p.n + 1):
+            r = regular_vertex_module(p, QQ, t)
+            assert build_i_t(p, t, r).algebra == whole
+            assert build_j_t(p, t, r).algebra == whole
+
+
+def _count_calls(monkeypatch, names):
+    """A list that records each call, from now on, of the `eicat.algebra`
+    functions `names`, in every eicat module that binds them."""
+    calls = []
+    for name in names:
+        fn = getattr(algebra, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("eicat") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_builders_never_decompose_an_algebra(presentations, monkeypatch):
+    """The builders read the category and the vertex groups only: M_t^*,
+    i_t(R_t), j_t(D(R_t)) and D(R_t) over corpus(0) in chars 0/2/3 take no
+    opposite algebra, radical or idempotent decomposition."""
+    calls = _count_calls(monkeypatch, ("opposite", "radical", "primitive_idempotents"))
+    for name, _, p in presentations:
+        for ch in (0, 2, 3):
+            f = Field(ch)
+            for t in range(1, p.n):
+                build_m_star(p, f, t)
+            for t in range(1, p.n + 1):
+                build_i_t(p, t, regular_vertex_module(p, f, t))
+                build_j_t(p, t, dual_vertex_module(p, f, t))
+    assert calls == []
 
 
 def _broken(rep, name, matrix):
@@ -222,19 +274,19 @@ def _broken(rep, name, matrix):
     return ModuleRep(rep.algebra, rep.dim, action)
 
 
-def test_module_validation_catches_zeroed_identity_block(chain_tp):
-    m = build_m_star(chain_tp, 2)
-    ident = chain_tp.pres.category.identity_of(chain_tp.pres.ordering[0])
+def test_module_validation_catches_zeroed_identity_block(chain_p):
+    m = build_m_star(chain_p, QQ, 2)
+    ident = chain_p.category.identity_of(chain_p.ordering[0])
     with pytest.raises(AlgebraError):
-        _broken(m, ident, Matrix.zeros(chain_tp.field, m.dim, m.dim)).validate()
+        _broken(m, ident, Matrix.zeros(QQ, m.dim, m.dim)).validate()
 
 
 def test_module_validation_catches_broken_left_linearity():
     # nontrivial automorphisms make left linearity an actual constraint
     from eicat.families import diamond_transporter_category
-    tp = tri(diamond_transporter_category(), ch=0)
-    m = build_m_star(tp, tp.n - 1)
-    cat = tp.pres.category
+    p = presentation_of(diamond_transporter_category())
+    m = build_m_star(p, QQ, p.n - 1)
+    cat = p.category
 
     def first_row(x):  # the first coordinate of the slot of x
         ident = m.action[m.algebra.basis.index(cat.identity_of(x))]
@@ -242,36 +294,33 @@ def test_module_validation_catches_broken_left_linearity():
 
     name = next(g for g, a in zip(m.algebra.basis, m.action)
                 if cat.morphisms[g].src != cat.morphisms[g].dst and not a.is_zero())
-    broken = Matrix.zeros(tp.field, m.dim, m.dim)
-    broken.data[first_row(cat.morphisms[name].dst)][first_row(cat.morphisms[name].src)] = \
-        tp.field.one
+    broken = Matrix.zeros(QQ, m.dim, m.dim)
+    broken.data[first_row(cat.morphisms[name].dst)][first_row(cat.morphisms[name].src)] = QQ.one
     with pytest.raises(AlgebraError):
         _broken(m, name, broken).validate()
 
 
-def test_inductions_refuse_a_vertex_module_whose_action_is_zero(chain_tp):
-    r = chain_tp.vertex_algebra(1)
-    zero = ModuleRep(r, 1, [Matrix.zeros(chain_tp.field, 1, 1) for _ in r.basis])
-    other = regular_module(group_algebra(cyclic_group(2), chain_tp.field))  # not over R_2
+def test_inductions_refuse_a_vertex_module_whose_action_is_zero(chain_p):
+    r = group_algebra(chain_p.aut_group(1), QQ)
+    zero = ModuleRep(r, 1, [Matrix.zeros(QQ, 1, 1) for _ in r.basis])
+    other = regular_module(group_algebra(cyclic_group(2), QQ))  # not over R_2
     for build, a in product((build_i_t, build_j_t), (zero, other)):
         with pytest.raises(AlgebraError):
-            build(chain_tp, 2, a)
+            build(chain_p, 2, a)
 
 
-def test_induction_dims_on_chain(chain_tp):
-    k = regular_module(chain_tp.vertex_algebra(1))  # trivial group: k itself
-    assert slot_dims(chain_tp, build_i_t(chain_tp, 2, k)) == [1, 1, 0]
-    assert slot_dims(chain_tp, build_j_t(chain_tp, 2, k)) == [0, 1, 1]
+def test_induction_dims_on_chain(chain_p):
+    k = regular_vertex_module(chain_p, QQ, 2)  # trivial group: k itself
+    assert slot_dims(chain_p, build_i_t(chain_p, 2, k)) == [1, 1, 0]
+    assert slot_dims(chain_p, build_j_t(chain_p, 2, k)) == [0, 1, 1]
 
 
 def test_induced_regular_modules_are_projective(presentations):
     for name, _, p in presentations[:6]:
-        tp = build_triangular(p, Field(2))
-        alg = tp.algebra()
+        alg = algebra_from_category(p.category, F2)
         total = 0
-        for t in range(1, tp.n + 1):
-            rt = regular_module(tp.vertex_algebra(t - 1))
-            rep = build_i_t(tp, t, rt)
+        for t in range(1, p.n + 1):
+            rep = build_i_t(p, t, regular_vertex_module(p, F2, t))
             total += rep.dim
             assert is_module_projective(alg, rep), (name, t)
         # the induced regulars tile the whole algebra
@@ -280,26 +329,30 @@ def test_induced_regular_modules_are_projective(presentations):
 
 def test_coinduced_duals_are_injective(presentations):
     for name, _, p in presentations[:6]:
-        tp = build_triangular(p, Field(2))
-        for t in range(1, tp.n + 1):
-            dm = dual_vertex_module(tp, t)
-            rep = build_j_t(tp, t, dm)
-            dual = dual_module(rep)
-            assert is_module_projective(dual.algebra, dual), (name, t)
+        alg_op = opposite(algebra_from_category(p.category, F2))
+        for t in range(1, p.n + 1):
+            dual = dual_module(build_j_t(p, t, dual_vertex_module(p, F2, t)))
+            assert is_module_projective(alg_op, dual), (name, t)
 
 
-def test_dual_vertex_module_is_valid():
-    tp = tri(swap_transporter_category(), ch=2)
-    for t in range(1, tp.n + 1):
-        m = dual_vertex_module(tp, t)
-        m.validate()
-        assert m.algebra == tp.vertex_algebra(t - 1)
-        assert m.dim == tp.vertex_group(t - 1).order
+def test_dual_vertex_module_is_valid(presentations):
+    """D(R_t), built directly, equals the dual of the regular module of
+    R_t^op on every vertex group of corpus(0) and of swap_transporter."""
+    swap = presentation_of(swap_transporter_category())
+    for name, p in [(n, p) for n, _, p in presentations] + [("swap_transporter", swap)]:
+        for ch in (0, 2, 3):
+            f = Field(ch)
+            for t in range(1, p.n + 1):
+                m = dual_vertex_module(p, f, t)
+                m.validate()
+                r = group_algebra(p.aut_group(t - 1), f)
+                assert m.algebra == r and m.dim == p.aut_group(t - 1).order
+                assert m.action == dual_module(regular_module(opposite(r))).action, (name, ch, t)
 
 
-def test_unfactorizable_homs_are_stable_under_automorphisms(diamond_tp, presentations):
-    assert diamond_tp.pres.unfactorizable_homs(0, 3) == []
-    assert len(diamond_tp.pres.unfactorizable_homs(1, 3)) == 1
+def test_unfactorizable_homs_are_stable_under_automorphisms(diamond_p, presentations):
+    assert diamond_p.unfactorizable_homs(0, 3) == []
+    assert len(diamond_p.unfactorizable_homs(1, 3)) == 1
     # Aut(x_l) permutes U_l, so k U_l is the permutation module phi_domain_dim counts
     for name, _, p in presentations:
         for j in range(p.n):
@@ -309,9 +362,9 @@ def test_unfactorizable_homs_are_stable_under_automorphisms(diamond_tp, presenta
                     assert {p.category.compose(g, u) for u in units} == set(units), name
 
 
-def test_index_bounds_on_inductions(chain_tp):
-    k = regular_module(chain_tp.vertex_algebra(0))
+def test_index_bounds_on_inductions(chain_p):
+    k = regular_vertex_module(chain_p, QQ, 1)
     with pytest.raises(IndexOutOfRange):
-        build_i_t(chain_tp, 0, k)
+        build_i_t(chain_p, 0, k)
     with pytest.raises(IndexOutOfRange):
-        build_j_t(chain_tp, 4, k)
+        build_j_t(chain_p, 4, k)

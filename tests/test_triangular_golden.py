@@ -10,47 +10,51 @@ Regenerate the golden (only when a change of module is intended) with
 import json
 import os
 
-from eicat.algebra import regular_module, top_module
+from eicat.algebra import algebra_from_category, group_algebra, regular_module, top_module
 from eicat.homology import ext_dims
 from eicat.linalg import Field
-from eicat.triangular import (
-    build_i_t,
-    build_j_t,
-    build_m_star,
-    build_triangular,
-    dual_vertex_module,
-)
+from eicat.triangular import build_i_t, build_j_t, build_m_star, dual_vertex_module
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_triangular.json")
 CHARACTERISTICS = (0, 2, 3)
 
 
-def slot_dims(tp, rep):
+def slot_dims(p, rep):
     """The dimension of each slot of rep: the rank of the action of the
     identity of x_i, for each x_i in the category of rep's algebra."""
     index = {name: k for k, name in enumerate(rep.algebra.basis)}
-    ids = [tp.pres.category.identity_of(x) for x in tp.pres.ordering]
+    ids = [p.category.identity_of(x) for x in p.ordering]
     return [rep.action[index[i]].rank() for i in ids if i in index]
 
 
-def _figures(tp, rep):
-    a = rep.algebra
-    return {"slots": slot_dims(tp, rep), "ext": ext_dims(a, rep, top_module(a), 2)}
+def regular_vertex_module(p, f, t):
+    """R_t = k Aut(x_t) as a left module over itself (t is 1-based)."""
+    return regular_module(group_algebra(p.aut_group(t - 1), f))
+
+
+def _figures(p, rep, a):
+    """The slots of rep and dim Ext^0..2(rep, top) over a, an algebra equal
+    to rep's whose memo may serve other modules too."""
+    return {"slots": slot_dims(p, rep), "ext": ext_dims(a, rep, top_module(a), 2)}
 
 
 def rows(presentations):
     """"name@char" -> the figures of M_t^* (t = 1..n-1), i_t(R_t) and
-    j_t(D(R_t)) (t = 1..n), in corpus order."""
+    j_t(D(R_t)) (t = 1..n), in corpus order.  The modules over the whole
+    algebra share one copy of it per row, so its radical and principal
+    projectives are found once."""
     out = {}
     for name, _, p in presentations:
         for ch in CHARACTERISTICS:
-            tp = build_triangular(p, Field(ch))
+            f = Field(ch)
+            alg = algebra_from_category(p.category, f)
             out[f"{name}@{ch}"] = {
-                "m_star": [_figures(tp, build_m_star(tp, t)) for t in range(1, tp.n)],
-                "i_t": [_figures(tp, build_i_t(tp, t, regular_module(tp.vertex_algebra(t - 1))))
-                        for t in range(1, tp.n + 1)],
-                "j_t": [_figures(tp, build_j_t(tp, t, dual_vertex_module(tp, t)))
-                        for t in range(1, tp.n + 1)]}
+                "m_star": [_figures(p, m, m.algebra)
+                           for m in (build_m_star(p, f, t) for t in range(1, p.n))],
+                "i_t": [_figures(p, build_i_t(p, t, regular_vertex_module(p, f, t)), alg)
+                        for t in range(1, p.n + 1)],
+                "j_t": [_figures(p, build_j_t(p, t, dual_vertex_module(p, f, t)), alg)
+                        for t in range(1, p.n + 1)]}
     return out
 
 
