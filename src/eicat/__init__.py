@@ -44,7 +44,7 @@ from .homology import (
     global_dimension,
     injective_dimension,
     is_gorenstein_oracle,
-    is_module_projective,
+    projective_dimension,
     projective_resolution,
 )
 from .linalg import Field, Matrix, QQ

@@ -1,18 +1,18 @@
 """Ground-truth homological computations: minimal projective resolutions, Ext
 dimensions, self-injective and global dimension with explicit cap semantics.
 
-Resolutions cover by sums of principal projectives A·f over the orthogonal
-idempotent system of the algebra; with a primitive system the covers are
-(close to) minimal, which keeps ranks from exploding.  A syzygy stays a
-subspace of its projective, acted on by the product of the algebra.
+Resolutions cover by sums of principal projectives A·f over
+`primitive_idempotents(a)`.  A syzygy stays a subspace of its projective,
+acted on by the product of the algebra.
 
 A module is anything with `dim` and `products(us, vs)`, which returns
 [u.v for u in us for v in vs] for coefficient vectors u of the algebra and v
 of the module.  Three things provide it: the algebra itself, as its own
 regular module (`FiniteDimAlgebra.products`); a `ModuleRep`, through its
 action matrices; and `top_module(a)`, A / rad A acted on by the product.
-The oracle resolves the top and reads Ext into the algebra and the top, so
-it builds no action matrix."""
+gldim and pd are the length of a resolution that `_check_minimal` finds
+minimal, and id is read from Ext into the algebra, so the oracle builds no
+action matrix."""
 
 from __future__ import annotations
 
@@ -38,13 +38,10 @@ class ZaksViolation(AlgebraError):
 @dataclass
 class DimensionVerdict:
     """A homological dimension: an exact integer, or ">cap", which proves it
-    is larger than the cap.
-
-    Self-injective and global dimension are read from Ext^0..Ext^{cap+1}
-    (`_verdict_from_ext`): id = max{i : Ext^i(top, A) != 0} is exact once
-    Ext^{cap+1} = 0, since the top holds every simple, and Ext^{cap+1} != 0
-    proves id > cap; likewise gldim with the top in place of A.  ">cap" is
-    not a proof of an infinite dimension."""
+    is larger than the cap but not that it is infinite.  id is read from
+    Ext^0..Ext^{cap+1} into A (exact once Ext^{cap+1} = 0, as the top holds
+    every simple); pd, and gldim = pd(top), from the length of a resolution
+    through P_{cap+1} checked to be minimal (`_length_verdict`)."""
 
     value: object  # int or the string ">cap"
     cap: int
@@ -63,6 +60,10 @@ class DimensionVerdict:
 
     def to_json(self):
         return self.value
+
+    @classmethod
+    def of(cls, n, cap):  # n, or ">cap" for any n > cap
+        return cls(n if n <= cap else ">%d" % cap, cap)
 
 
 @memoised
@@ -94,7 +95,6 @@ class ResolutionTrace:
     length, as when the trace finished."""
 
     gens: list
-    dims: list
     covers: list
     kernel_dims: list
     degree_reached: int
@@ -105,15 +105,31 @@ class ResolutionTrace:
     def ranks(self):
         return [len(g) for g in self.gens]
 
-    def verify(self):
-        """Exactness certificates: boundaries compose to zero and the rank of
-        each boundary equals the kernel dimension it covers."""
+    def verify(self, a):
+        """Exactness: boundaries compose to zero and the rank of each equals
+        the kernel dimension it covers; minimality over a (`_check_minimal`)."""
         for i in range(1, len(self.covers)):
             if not (self.covers[i - 1] * self.covers[i]).is_zero():
                 raise AlgebraError(f"boundary composition nonzero at degree {i}")
             if self.covers[i].rank() != self.kernel_dims[i - 1]:
                 raise AlgebraError(f"image != kernel at degree {i - 1}")
+        _check_minimal(a, self)
         return True
+
+
+def _check_minimal(a, trace):
+    """Raise unless each boundary lands in the radical: every column of
+    covers[i], i >= 1, cut into the blocks A·f of P_{i-1} and lifted to A,
+    lies in radical(a).  Degrees past a repeat are copies, so not walked.
+    Hom(P, top) then has zero differentials, and pd is the length."""
+    data, rad = _principal_data(a), Subspace(a.field, a.dim, radical(a))
+    for i in range(1, trace.repeat[0] + 1 if trace.repeat else len(trace.covers)):
+        blocks = _blocks(data, trace.gens[i - 1])
+        for column in trace.covers[i].transpose().data:
+            for sub, lo, hi in blocks:
+                segment = column[lo:hi]
+                if any(segment) and not rad.contains(sub.from_coords(segment)):
+                    raise AlgebraError(f"the boundary of degree {i} leaves the radical")
 
 
 def _minimal_generators(a, vectors, act, data):
@@ -143,9 +159,10 @@ def _minimal_generators(a, vectors, act, data):
     return kept
 
 
-def _offsets(data, idxs):
-    """Start of each summand of ⊕ A·f_idx, then the total dimension."""
-    return [0, *accumulate(data[idx][1].dim for idx in idxs)]
+def _blocks(data, idxs):
+    """(A·f_idx, start, end) of each summand of ⊕ A·f_idx over idxs."""
+    offsets = [0, *accumulate(data[idx][1].dim for idx in idxs)]
+    return [(data[idx][1], lo, hi) for idx, lo, hi in zip(idxs, offsets, offsets[1:])]
 
 
 def _projective_action(a, data, idxs):
@@ -153,11 +170,10 @@ def _projective_action(a, data, idxs):
     summand coordinates: summand by summand, the nonzero segments of vs as
     elements of A through `FiniteDimAlgebra.products`, read back at the
     pivots of the left ideal A·f_idx; an all-zero segment stays zero."""
-    offsets = _offsets(data, idxs)
-    summands = [(data[idx][1], lo, hi) for idx, lo, hi in zip(idxs, offsets, offsets[1:])]
+    summands = _blocks(data, idxs)
 
     def act(us, vs):
-        out = [[a.field.zero] * offsets[-1] for _ in range(len(us) * len(vs))]
+        out = [[a.field.zero] * summands[-1][2] for _ in range(len(us) * len(vs))]
         for sub, lo, hi in summands:
             live = [j for j, v in enumerate(vs) if any(v[lo:hi])]
             if not live:
@@ -189,12 +205,10 @@ def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
     f = a.field
     vectors = [unit_vector(f, m.dim, i) for i in range(m.dim)]
     act = m.products
-    gens, dims, covers, kernel_dims = [], [], [], []
+    gens, covers, kernel_dims = [], [], []
     finished, repeat = False, None
     seen = {}  # (gens, kernel basis) of each degree computed -> the degree
-    degree = -1
     for deg in range(length + 1):
-        degree = deg
         if not vectors:  # m is the zero module
             finished = True
             break
@@ -203,7 +217,6 @@ def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
         cover = Matrix.from_columns(f, [c for _, columns in kept for c in columns],
                                     rows=len(vectors[0]))
         covers.append(cover)
-        dims.append(cover.cols)
         kernel = cover.kernel_basis()
         kernel_dims.append(len(kernel))
         if not kernel:
@@ -217,12 +230,11 @@ def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
         seen[key] = deg
         act = _projective_action(a, data, gens[-1])
     if repeat is not None:
-        period = repeat[1]
         for deg in range(repeat[0] + 1, length + 1):
-            for seq in (gens, dims, covers, kernel_dims):
-                seq.append(seq[deg - period])
-        degree = length
-    return ResolutionTrace(gens, dims, covers, kernel_dims, degree, finished, repeat)
+            for seq in (gens, covers, kernel_dims):
+                seq.append(seq[deg - repeat[1]])
+    # degree_reached: the last degree with a P_i, or 0 if m = 0
+    return ResolutionTrace(gens, covers, kernel_dims, max(len(gens) - 1, 0), finished, repeat)
 
 
 def ext_dims(a: FiniteDimAlgebra, n, m, cap: int):
@@ -242,8 +254,7 @@ def ext_dims_from_trace(a, trace, m, cap):
     repeats from degree k with some period, the differential
     Hom(P_i, m) -> Hom(P_{i+1}, m) for i >= k is the one `period` degrees
     before it, so its rank is copied, not computed."""
-    f = a.field
-    data = _principal_data(a)
+    f, data = a.field, _principal_data(a)
     gens = list(trace.gens)
     if not trace.finished and len(gens) < cap + 2:
         if trace.repeat is None:
@@ -252,9 +263,8 @@ def ext_dims_from_trace(a, trace, m, cap):
         while len(gens) < cap + 2:
             gens.append(gens[-trace.repeat[1]])
     gens += [[] for _ in range(cap + 2 - len(gens))]
-    needed = {idx for g in gens for idx in g}
     units = [unit_vector(f, m.dim, t) for t in range(m.dim)]
-    homs = {idx: Subspace(f, m.dim, m.products([data[idx][0]], units)) for idx in needed}
+    homs = [Subspace(f, m.dim, m.products([e], units)) for e, _, _ in data]
     hom_dims = [sum(homs[idx].dim for idx in gens[i]) for i in range(cap + 2)]
     start, period = trace.repeat or (cap + 1, 0)
 
@@ -267,21 +277,17 @@ def ext_dims_from_trace(a, trace, m, cap):
             ranks.append(0)
             continue
         boundary = trace.covers[i + 1]
-        src_offsets = _offsets(data, gens[i])
-        col_offsets = _offsets(data, gens[i + 1])
-        # column (l, w) of the differential, one segment per block jp of rows
+        targets = _blocks(data, gens[i])
+        # column (l, w) of the differential, one segment per block of rows
         columns = [[] for idxl in gens[i] for _ in homs[idxl].basis]
-        for jp, idxp in enumerate(gens[i + 1]):
-            # image in P_i of the generator f of block jp of P_{i+1}
+        for idxp, (_, plo, phi) in zip(gens[i + 1], _blocks(data, gens[i + 1])):
+            # image in P_i of the generator f of this block of P_{i+1}
             x = [f.zero] * boundary.cols
-            gen_coords = data[idxp][2]
-            x[col_offsets[jp]:col_offsets[jp] + len(gen_coords)] = gen_coords
+            x[plo:phi] = data[idxp][2]
             v = boundary.mul_vec(x)
             k = 0
-            for l, idxl in enumerate(gens[i]):
-                # algebra element carried by block l
-                z = data[idxl][1].from_coords(v[src_offsets[l]:src_offsets[l + 1]])
-                for w in m.products([z], homs[idxl].basis):
+            for idxl, (sub, lo, hi) in zip(gens[i], targets):  # v lifted to A per block
+                for w in m.products([sub.from_coords(v[lo:hi])], homs[idxl].basis):
                     co = homs[idxp].coords(w)
                     if co is None:
                         raise AlgebraError("Hom differential leaves its block")
@@ -298,13 +304,11 @@ def _top_resolution(a, length):
     return projective_resolution(a, top_module(a), length)
 
 
-def _verdict_from_ext(ext, cap):
-    """The verdict from Ext^0..Ext^{cap+1}: ">cap" if Ext^{cap+1} != 0, else
-    the last degree of a nonzero Ext (see `DimensionVerdict`)."""
-    if ext[cap + 1] != 0:
-        return DimensionVerdict(">%d" % cap, cap)
-    nonzero = [i for i, e in enumerate(ext) if e != 0]
-    return DimensionVerdict(max(nonzero) if nonzero else 0, cap)
+def _length_verdict(a, trace, cap):
+    """pd, with ">cap" semantics, of what a trace through P_{cap+1} (or
+    further) resolves: its length, once `_check_minimal` passes."""
+    _check_minimal(a, trace)
+    return DimensionVerdict.of(trace.degree_reached if trace.finished else cap + 1, cap)
 
 
 def injective_dimension(a: FiniteDimAlgebra, side: str, cap: int) -> DimensionVerdict:
@@ -314,24 +318,19 @@ def injective_dimension(a: FiniteDimAlgebra, side: str, cap: int) -> DimensionVe
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     b = a if side == "left" else opposite(a)
-    trace = _top_resolution(b, cap + 2)
-    ext = ext_dims_from_trace(b, trace, b, cap + 1)
-    return _verdict_from_ext(ext, cap)
+    ext = ext_dims_from_trace(b, _top_resolution(b, cap + 2), b, cap + 1)
+    return DimensionVerdict.of(max((i for i, e in enumerate(ext) if e), default=0), cap)
+
+
+def projective_dimension(a: FiniteDimAlgebra, m, cap: int) -> DimensionVerdict:
+    """pd m (`_length_verdict`); m is the algebra, a `ModuleRep` or the top."""
+    return _length_verdict(a, projective_resolution(a, m, cap + 1), cap)
 
 
 def global_dimension(a: FiniteDimAlgebra, cap: int) -> DimensionVerdict:
-    """max{i : Ext^i(top, top) != 0} with ">cap" semantics, from Ext
-    through degree cap + 1."""
-    trace = _top_resolution(a, cap + 2)
-    ext = ext_dims_from_trace(a, trace, top_module(a), cap + 1)
-    return _verdict_from_ext(ext, cap)
-
-
-def is_module_projective(a: FiniteDimAlgebra, m) -> bool:
-    """Ext^1(m, top) = 0, equivalent to pd m = 0 over a finite-dimensional
-    algebra; m is the algebra, a `ModuleRep` or `top_module(a)`."""
-    ext = ext_dims(a, m, top_module(a), 1)
-    return ext[1] == 0
+    """pd of the top, which holds every simple (`_length_verdict`), on the
+    top resolution that the left `injective_dimension` reads."""
+    return _length_verdict(a, _top_resolution(a, cap + 2), cap)
 
 
 @dataclass

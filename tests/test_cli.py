@@ -223,16 +223,20 @@ def test_oracle_cap_semantics(tmp_path, capsys):
     assert verdict["agrees"] is True
 
 
-@pytest.mark.parametrize("cap, agrees, left", [(1, None, ">1"), (2, True, 2), (3, True, 2)])
+@pytest.mark.parametrize("cap, agrees, left, gldim", [
+    (0, None, ">0", ">0"), (1, None, ">1", ">1"), (2, True, 2, 2), (3, True, 2, 2)],
+    ids=["0-None->0", "1-None->1", "2-True-2", "3-True-2"])  # cap-agrees-left
 def test_oracle_agreement_is_unknown_when_a_gorenstein_verdict_hits_the_cap(
-        diamond_file, capsys, cap, agrees, left):
-    # the diamond algebra is Gorenstein with id = 2 on both sides; the oracle
-    # reads Ext through cap + 1, so it proves id = 2 from cap 2 on (Ext^3 = 0)
-    # and id > 1 at cap 1 (Ext^2 != 0)
+        diamond_file, capsys, cap, agrees, left, gldim):
+    # the diamond algebra is Gorenstein with id = gldim = 2 on both sides; the
+    # oracle reads Ext through cap + 1, so it proves id = 2 from cap 2 on
+    # (Ext^3 = 0) and id > cap below (Ext^{cap+1} != 0); gldim is the length
+    # of the minimal top resolution, 2, or ">cap" when P_{cap+1} != 0
     assert main(["oracle", diamond_file, "--cap", str(cap)]) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["agrees"] is agrees
     assert verdict["left"] == verdict["right"] == left
+    assert verdict["gldim"] == gldim
 
 
 @pytest.mark.parametrize("export", [False, True])

@@ -36,7 +36,7 @@ from eicat.homology import (
     global_dimension,
     injective_dimension,
     is_gorenstein_oracle,
-    is_module_projective,
+    projective_dimension,
     projective_resolution,
 )
 from eicat.linalg import QQ, Field, Matrix, Subspace, unit_vector
@@ -54,9 +54,9 @@ def test_resolution_of_regular_module_is_immediate():
         a = cat_algebra(poset_category(chain_poset(3)), f)
         m = regular_module(a)
         tr = projective_resolution(a, m, CAP)
-        tr.verify()
+        tr.verify(a)
         assert tr.finished
-        assert tr.dims[0] == a.dim and len(tr.covers) == 1
+        assert tr.covers[0].cols == a.dim and len(tr.covers) == 1
 
 
 def test_resolution_trace_verifies_on_corpus_samples(sweep):
@@ -65,7 +65,7 @@ def test_resolution_trace_verifies_on_corpus_samples(sweep):
             continue
         a = entry.algebra
         tr = projective_resolution(a, top_module(a), 3)
-        tr.verify()
+        tr.verify(a)
 
 
 def test_ext_of_projective_vanishes_positively():
@@ -73,7 +73,7 @@ def test_ext_of_projective_vanishes_positively():
     m = regular_module(a)
     ext = ext_dims(a, m, top_module(a), 3)
     assert ext[1:] == [0, 0, 0]
-    assert is_module_projective(a, m)
+    assert projective_dimension(a, m, 0) == 0
 
 
 def test_ext_self_of_simple_over_modular_cyclic():
@@ -170,29 +170,41 @@ def test_stabilized_alpha_char3_is_hereditary_shaped():
     assert is_gorenstein_oracle(a, CAP).gorenstein
 
 
-def _projective_dimension(a, m, cap):
-    """pd m as the length of a cover-by-cover resolution, with cap semantics."""
-    trace = projective_resolution(a, m, cap + 1)
-    if trace.finished:
-        pd = len(trace.gens) - 1 if trace.gens else 0
-        if pd <= cap:
-            return DimensionVerdict(max(pd, 0), cap)
-    return DimensionVerdict(">%d" % cap, cap)
-
-
 def test_projective_dimension_goldens():
     a = cat_algebra(poset_category(chain_poset(3)), QQ)
-    assert _projective_dimension(a, regular_module(a), CAP) == 0
-    assert _projective_dimension(a, top_module(a), CAP) == 1
+    assert projective_dimension(a, regular_module(a), CAP) == 0
+    assert projective_dimension(a, top_module(a), CAP) == 1
     b = group_algebra(cyclic_group(2), Field(2))
-    assert _projective_dimension(b, top_module(b), CAP).value == ">8"
+    assert projective_dimension(b, top_module(b), CAP).value == ">8"
+
+
+def test_a_redundant_generator_is_caught_and_gives_no_verdict(monkeypatch):
+    """With a redundant copy of the last generator kept at every degree the
+    resolution is still exact, but its boundaries leave the radical:
+    `verify` and `global_dimension` refuse it, and the same trace without
+    the copy verifies."""
+    minimal_generators = homology._minimal_generators
+
+    def redundant(*args):
+        kept = minimal_generators(*args)
+        return kept + kept[-1:]
+
+    a = cat_algebra(poset_category(chain_poset(3)), QQ)
+    monkeypatch.setattr(homology, "_minimal_generators", redundant)
+    with pytest.raises(AlgebraError, match="degree 1"):
+        global_dimension(a, CAP)
+    trace = projective_resolution(a, top_module(a), CAP + 2)
+    with pytest.raises(AlgebraError, match="leaves the radical"):
+        trace.verify(a)
+    monkeypatch.undo()
+    assert projective_resolution(a, top_module(a), CAP + 2).verify(a)
 
 
 def test_radical_submodule_has_expected_projective_dimension():
     a = cat_algebra(poset_category(chain_poset(3)), QQ)
     rad, _ = submodule(regular_module(a), radical(a))
     # rad of a gldim-1 algebra is projective
-    assert is_module_projective(a, rad)
+    assert projective_dimension(a, rad, 0) == 0
 
 
 def test_verdict_semantics_and_side_validation():
@@ -237,6 +249,26 @@ def test_oracle_is_invariant_under_relabelling(sweep):
     differ = [_assert_relabelling_invariant(e.algebra, e.verdict, e.gldim, rng)
               for e in sweep.values()]
     assert any(differ)
+
+
+def _dual_of_right_regular(a):
+    """D(A_A) as a left module: e_i acts by the transpose of right
+    multiplication by e_i, whose column j is e_j * e_i."""
+    d = a.dim
+    return ModuleRep(a, d, [Matrix.from_entries(a.field, d, d, ((j, k, c) for j in range(d)
+                                                                for k, c in a.mult[j][i]))
+                            for i in range(d)])
+
+
+def test_right_injective_dimension_is_pd_of_the_dual_right_regular(sweep):
+    """id of A_A is pd of the left module D(A_A): read as the length of its
+    minimal resolution over A itself, with no `opposite`, it equals the
+    oracle's right verdict, read from Ext into A^op."""
+    for (name, ch), entry in sweep.items():
+        a = entry.algebra
+        assert projective_dimension(a, _dual_of_right_regular(a), CAP) == entry.verdict.right, \
+            (name, ch)
+        a.forget()
 
 
 def test_opposite_oracle_swaps_sides():
@@ -320,7 +352,7 @@ def _reference_resolution(a, m, length):
     data = homology._principal_data(a)
     principal = [submodule(regular_module(a), sub.basis)[0] for _, sub, _ in data]
     current, incl = m, None
-    gens, dims, covers, kernel_dims = [], [], [], []
+    gens, covers, kernel_dims = [], [], []
     finished, degree = False, -1
     for deg in range(length + 1):
         degree = deg
@@ -333,7 +365,6 @@ def _reference_resolution(a, m, length):
                                               for idx, g in kept for w in data[idx][1].basis],
                                     rows=current.dim)
         covers.append(cover if incl is None else incl * cover)
-        dims.append(cover.cols)
         kernel = cover.kernel_basis()
         kernel_dims.append(len(kernel))
         if not kernel:
@@ -341,7 +372,7 @@ def _reference_resolution(a, m, length):
             break
         p = _block_sum(a, [principal[idx] for idx in gens[-1]])
         current, incl = submodule(p, kernel)
-    return ResolutionTrace(gens, dims, covers, kernel_dims, degree, finished)
+    return ResolutionTrace(gens, covers, kernel_dims, degree, finished)
 
 
 def _matrix_top(a):
@@ -351,7 +382,7 @@ def _matrix_top(a):
 
 
 def _trace_fields(tr):
-    return (tr.gens, tr.dims, tr.covers, tr.kernel_dims, tr.degree_reached, tr.finished)
+    return (tr.gens, tr.covers, tr.kernel_dims, tr.degree_reached, tr.finished)
 
 
 def _assert_top_resolutions_match_the_reference(a, length, label):
@@ -363,7 +394,7 @@ def _assert_top_resolutions_match_the_reference(a, length, label):
         tr = projective_resolution(b, top, length)
         ref = _reference_resolution(b, _matrix_top(b), length)
         assert _trace_fields(tr) == _trace_fields(ref), (label, side)
-        tr.verify()
+        tr.verify(b)
         for m in (regular_module(b), top):
             assert ext_dims_from_trace(b, tr, m, length - 1) == \
                 ext_dims_from_trace(b, ref, m, length - 1), (label, side)
@@ -446,8 +477,9 @@ def test_resolution_builds_no_module(monkeypatch):
 
 
 def test_the_oracle_builds_no_module(monkeypatch):
-    """The oracle resolves the top and reads Ext into the algebra and the
-    top, each acted on by the product of the algebra: on fresh algebras,
+    """The oracle resolves the top, reads Ext into the algebra and gldim
+    from the length of that resolution, with the algebra and the top each
+    acted on by the product of the algebra: on fresh algebras,
     `is_gorenstein_oracle` and `global_dimension` construct no ModuleRep and
     form no combination of action matrices."""
     built = _count_module_builds(monkeypatch)
