@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import count, product
 from math import lcm
 
-from .linalg import QQ, Field, Matrix, QuotientSpace, Subspace, combination, unit_vector
+from .linalg import QQ, Field, Matrix, QuotientSpace, Subspace, combination, unit_rows, unit_vector
 from .linalg import _is_prime
 
 
@@ -79,21 +79,23 @@ class FiniteDimAlgebra:
         """Product of two elements given as coefficient vectors."""
         return self.products([u], [v])[0]
 
-    def products(self, us, vs):
-        """[u * v for u in us for v in vs], for elements given as coefficient
-        vectors: on ints over `_int_mult`, from one int view of each factor,
-        each entry made canonical once, at the end."""
-        f = self.field
+    def int_products(self, us, vs):
+        """[u * v for u in us for v in vs] for elements given as int rows
+        (`Field.to_ints`), as int rows: over `_int_mult`, from the nonzero
+        entries of each factor.  In characteristic 0 the product of
+        (u, du) and (v, dv) has denominator du * dv * scale; in
+        characteristic p it has denominator 1 and, as `Field.to_ints`
+        allows, is not reduced mod p: whatever reads it reduces."""
         d = self.dim
+        p = self.field.characteristic
         scale, table = self._int_mult()
 
-        def views(ws):
+        def views(rows):
             out = []
-            for w in ws:
+            for w, den in rows:
                 if len(w) != d:
                     raise ValueError(f"factor of length {len(w)} in an algebra of dimension {d}")
-                ints, den = f.to_ints(w)
-                out.append(([(j, x) for j, x in enumerate(ints) if x], den))
+                out.append(([(j, x) for j, x in enumerate(w) if x], den))
             return out
 
         right = views(vs)
@@ -107,42 +109,67 @@ class FiniteDimAlgebra:
                         ab = a * b
                         for k, c in row[j]:
                             acc[k] += ab * c
-                out.append(f.from_ints(acc, du * dv * scale))
+                out.append((acc, 1 if p else du * dv * scale))
         return out
 
+    def products(self, us, vs):
+        """[u * v for u in us for v in vs] for coefficient vectors: the int
+        form `int_products`, converted at the edge."""
+        return _field_products(self.field, self.int_products, us, vs)
+
     def validate(self):
-        f = self.field
+        """Check the unit law, then associativity on every triple of basis
+        elements, on ints: the unit and the basis as int rows through
+        `int_products`, the triples on the int structure constants of
+        `_int_mult`, so no Fraction arithmetic runs.  Associativity goes one
+        t at a time.  The coefficient of e_m in (e_i e_j) e_t =
+        sum_k c_ij^k e_k e_t is summed only over the nonzero c_ij^k with
+        c_kt != 0 (an index of the (i, j) that produce each k), that in
+        e_i (e_j e_t) = sum_l c_jt^l e_i e_l only over the nonzero c_jt^l
+        and c_il (an index of each column of the table), and the two sides
+        are compared as dicts keyed by (i, j, m).  A triple on neither side
+        is 0 on both, so every triple is checked; a failure names the least
+        failing (i, j, t)."""
         d = self.dim
-        for i in range(d):
-            ei = unit_vector(f, d, i)
-            if self.product_vec(self.unit, ei) != ei or self.product_vec(ei, self.unit) != ei:
-                raise AlgebraError(f"unit law fails at basis element {i}")
+        p = self.field.characteristic
+        u = self.field.to_ints(self.unit)
+        units = unit_rows(d)
+        for i, sides in enumerate(zip(self.int_products([u], units), self.int_products(units, [u]))):
+            for w, den in sides:
+                if p:
+                    w = [x % p for x in w]
+                if w[i] != den or any(w[:i]) or any(w[i + 1:]):
+                    raise AlgebraError(f"unit law fails at basis element {i}")
 
-        p = f.characteristic
         _, table = self._int_mult()
-
-        def sparse_combine(pairs, pick):
-            # sum_k c * pick(k) with sparse (k, c) int inputs, as a dict of
-            # the nonzero entries (both sides carry the same scale squared)
-            out = {}
-            for k, c in pairs:
-                for k2, c2 in pick(k):
-                    out[k2] = out.get(k2, 0) + c * c2
-            if p:
-                out = {k: x % p for k, x in out.items()}
-            return {k: x for k, x in out.items() if x}
-
-        for i in range(d):
-            for j in range(d):
-                mij = table[i][j]
-                for t in range(d):
-                    mjt = table[j][t]
-                    if not mij and not mjt:
-                        continue  # both sides are 0
-                    left = sparse_combine(mij, lambda k: table[k][t])
-                    right = sparse_combine(mjt, lambda k: table[i][k])
-                    if left != right:
-                        raise AlgebraError(f"associativity fails at ({i}, {j}, {t})")
+        producers = [[] for _ in range(d)]  # k -> the (i, j, c_ij^k)
+        columns = [[] for _ in range(d)]  # l -> the (i, pairs of e_i e_l) that are nonzero
+        for i, row in enumerate(table):
+            for j, pairs in enumerate(row):
+                if pairs:
+                    columns[j].append((i, pairs))
+                for k, c in pairs:
+                    producers[k].append((i, j, c))
+        failed = []
+        for t in range(d):
+            left, right = {}, {}
+            for k in range(d):
+                kt = table[k][t]
+                if not kt:
+                    continue
+                for i, j, c in producers[k]:  # c_ij^k c_kt^m in (e_i e_j) e_t
+                    for m, c2 in kt:
+                        left[i, j, m] = left.get((i, j, m), 0) + c * c2
+                for l, c in kt:  # c_kt^l c_il^m in e_i (e_k e_t)
+                    for i, pairs in columns[l]:
+                        for m, c2 in pairs:
+                            right[i, k, m] = right.get((i, k, m), 0) + c * c2
+            for key in left.keys() | right.keys():
+                diff = left.get(key, 0) - right.get(key, 0)
+                if diff % p if p else diff:
+                    failed.append((key[0], key[1], t))
+        if failed:
+            raise AlgebraError("associativity fails at (%d, %d, %d)" % min(failed))
         return self
 
     def to_json(self):
@@ -187,6 +214,13 @@ class FiniteDimAlgebra:
             seen.add((i, j))
             mult[i][j] = [(_index_from_json(k, d), _scalar_from_json(c, f)) for k, c in entry[2]]
         return cls(f, basis, mult, unit)
+
+
+def _field_products(f, int_products, us, vs):
+    """The field form of an int `int_products`: its factors and results
+    converted at the edge."""
+    return [f.from_ints(w, den) for w, den in
+            int_products([f.to_ints(u) for u in us], [f.to_ints(v) for v in vs])]
 
 
 def _scalar_to_json(x):
@@ -282,25 +316,25 @@ def _is_nilpotent_ideal(a, vectors):
     f = a.field
     d = a.dim
     sub = Subspace(f, d, vectors)
-    units = [unit_vector(f, d, t) for t in range(d)]
+    units = unit_rows(d)
     gens = []
     span = Subspace(f, d)
-    for v in sub.basis:
+    for v in sub.int_basis:
         if span.dim == sub.dim:
             break
-        if span.contains(v):
+        if span.int_contains(v):
             continue
-        left = [w for w in a.products(units, [v]) if any(w)]
-        if not all(sub.contains(w) for w in left + a.products([v], units)):
+        left = [w for w in a.int_products(units, [v]) if any(w[0])]
+        if not all(sub.int_contains(w) for w in left + a.int_products([v], units)):
             return False
         gens.append(v)
-        span = Subspace(f, d, [*span.basis, v, *left])
-    power = sub.basis
+        span = span.int_extend([v, *left])
+    power = sub.int_basis
     while power:
-        nxt = Subspace(f, d, a.products(power, gens))
+        nxt = Subspace.of_ints(f, d, a.int_products(power, gens))
         if nxt.dim >= len(power) and nxt.dim > 0:
             return False
-        power = nxt.basis
+        power = nxt.int_basis
     return True
 
 
@@ -344,16 +378,16 @@ def _form_kernel(a, space, values):
     w = [0] * d
     for pc, g in zip(space.pivots, f.to_ints(values)[0]):
         w[pc] = g
-    basis = f.to_ints([x for b in space.basis for x in b])[0]
-    supports = [[(i, x) for i, x in enumerate(basis[r * d:(r + 1) * d]) if x]
-                for r in range(space.dim)]
+    basis = space.int_basis
+    scale = lcm(*(den for _, den in basis))
+    supports = [[(i, x * (scale // den)) for i, x in enumerate(row) if x] for row, den in basis]
     columns = [[0] * d for _ in supports]
     for j in range(d):
         t = [sum(c * w[k] for k, c in table[i][j]) for i in range(d)]
         for col, nz in zip(columns, supports):
             col[j] = sum(x * t[i] for i, x in nz)
-    ker = Matrix.from_columns(f, [f.from_ints(col) for col in columns], rows=d).kernel_basis()
-    return Subspace(f, d, [space.from_coords(co) for co in ker])
+    ker = Matrix.from_int_columns(f, [(col, 1) for col in columns], d).null_space()
+    return Subspace.of_ints(f, d, [space.int_from_coords(co) for co in ker.int_basis])
 
 
 def _radical_mod_p(a, space):
@@ -785,6 +819,12 @@ class ModuleRep:
         module: one `matrix_of(u)` per u, applied to each v."""
         return [mat.mul_vec(v) for mat in map(self.matrix_of, us) for v in vs]
 
+    def int_products(self, us, vs):
+        """`products` on int rows, converted at the edge."""
+        f = self.algebra.field
+        return [f.to_ints(w) for w in self.products([f.from_ints(*u) for u in us],
+                                                    [f.from_ints(*v) for v in vs])]
+
 
 def regular_module(a: FiniteDimAlgebra) -> ModuleRep:
     """A as a ModuleRep: the action matrix of e_i has column j = e_i.e_j."""
@@ -845,11 +885,23 @@ class TopModule:
     def dim(self):
         return self.space.dim
 
-    def products(self, us, vs):
-        """[u.v for u in us for v in vs], u in the algebra and v in A / rad A:
-        the class of u times the representative of v in A."""
+    def int_products(self, us, vs):
+        """[u.v for u in us for v in vs] on int rows, u in the algebra and v
+        in A / rad A: the class of u times the representative of v in A."""
         q = self.space
-        return [q.project(w) for w in self.algebra.products(us, [q.lift(v) for v in vs])]
+        lifts = []
+        for w, den in vs:
+            if len(w) != q.dim:
+                raise ValueError(f"{len(w)} coordinates in a quotient of dimension {q.dim}")
+            lift = [0] * q.ambient_dim
+            for x, i in zip(w, q.reps):
+                lift[i] = x
+            lifts.append((lift, den))
+        return [q.int_project(w) for w in self.algebra.int_products(us, lifts)]
+
+    def products(self, us, vs):
+        """`int_products` on coefficient vectors, converted at the edge."""
+        return _field_products(self.algebra.field, self.int_products, us, vs)
 
 
 @memoised

@@ -5,19 +5,23 @@ Resolutions cover by sums of principal projectives A·f over
 `primitive_idempotents(a)`.  A syzygy stays a subspace of its projective,
 acted on by the product of the algebra.
 
-A module is anything with `dim` and `products(us, vs)`, which returns
-[u.v for u in us for v in vs] for coefficient vectors u of the algebra and v
-of the module.  Three things provide it: the algebra itself, as its own
-regular module (`FiniteDimAlgebra.products`); a `ModuleRep`, through its
-action matrices; and `top_module(a)`, A / rad A acted on by the product.
-gldim and pd are the length of a resolution that `_check_minimal` finds
-minimal, and id is read from Ext into the algebra, so the oracle builds no
-action matrix."""
+A module is anything with `dim` and `int_products(us, vs)`, which returns
+[u.v for u in us for v in vs] for int rows (`Field.to_ints`) u of the
+algebra and v of the module.  Three things provide it: the algebra itself,
+as its own regular module (`FiniteDimAlgebra.int_products`); a `ModuleRep`,
+through its action matrices, converted at the edge; and `top_module(a)`,
+A / rad A acted on by the product.  Vectors stay int rows throughout: the
+idempotents, the bases of A·f and rad A and the f·A of Ext into the algebra
+are converted once and memoised on the algebra, and Fractions appear only in
+the covers of a `ResolutionTrace` and in the verdicts.  gldim and pd are the
+length of a resolution that `_check_minimal` finds minimal, and id is read
+from Ext into the algebra, so the oracle builds no action matrix."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import lcm
 
 from .algebra import (
     AlgebraError,
@@ -25,10 +29,9 @@ from .algebra import (
     memoised,
     opposite,
     primitive_idempotents,
-    radical,
     top_module,
 )
-from .linalg import Matrix, Subspace, unit_vector
+from .linalg import Matrix, Subspace, unit_rows
 
 
 class ZaksViolation(AlgebraError):
@@ -68,18 +71,34 @@ class DimensionVerdict:
 
 @memoised
 def _principal_data(a: FiniteDimAlgebra):
-    """Per idempotent f: (f vector, A·f as a Subspace of A, coordinates of
-    the generator f itself in it)."""
+    """Per idempotent f, as int rows converted once: (f, A·f as a Subspace
+    of A, coordinates of the generator f itself in it)."""
     f = a.field
-    units = [unit_vector(f, a.dim, i) for i in range(a.dim)]
+    units = unit_rows(a.dim)
     out = []
-    for e in primitive_idempotents(a):
-        sub = Subspace(f, a.dim, a.products(units, [e]))
-        gen = sub.coords(e)
+    for e in map(f.to_ints, primitive_idempotents(a)):
+        sub = Subspace.of_ints(f, a.dim, a.int_products(units, [e]))
+        gen = sub.int_coords(e)
         if gen is None:
             raise AlgebraError("idempotent outside its own principal module")
         out.append((e, sub, gen))
     return out
+
+
+def _radical_space(a):
+    """rad A as a Subspace of A: the one the memoised top is the quotient by."""
+    return top_module(a).space.sub
+
+
+def _join(width, placed):
+    """One int row of length `width`, zero but where each (lo, w, den) of
+    `placed` puts the int row (w, den) from position lo on: over the lcm of
+    their denominators."""
+    den = lcm(*(d for _, _, d in placed))
+    row = [0] * width
+    for lo, w, d in placed:
+        row[lo:lo + len(w)] = w if d == den else [x * (den // d) for x in w]
+    return row, den
 
 
 @dataclass
@@ -106,13 +125,27 @@ class ResolutionTrace:
         return [len(g) for g in self.gens]
 
     def verify(self, a):
-        """Exactness: boundaries compose to zero and the rank of each equals
-        the kernel dimension it covers; minimality over a (`_check_minimal`)."""
-        for i in range(1, len(self.covers)):
-            if not (self.covers[i - 1] * self.covers[i]).is_zero():
-                raise AlgebraError(f"boundary composition nonzero at degree {i}")
-            if self.covers[i].rank() != self.kernel_dims[i - 1]:
-                raise AlgebraError(f"image != kernel at degree {i - 1}")
+        """Exactness, read from the covers themselves: covers[0] is onto;
+        for each i >= 1 the boundary composes to zero with covers[i - 1] and
+        its rank is the kernel dimension of covers[i - 1]; every kernel_dims
+        entry is the kernel dimension of its cover; the last cover of a
+        finished trace is injective.  Then minimality over a
+        (`_check_minimal`)."""
+        ranks = [cover.rank() for cover in self.covers]
+        if self.covers and ranks[0] != self.covers[0].rows:
+            raise AlgebraError("the cover of degree 0 is not onto")
+        for i, cover in enumerate(self.covers):
+            kernel = cover.cols - ranks[i]
+            if self.kernel_dims[i] != kernel:
+                raise AlgebraError(f"kernel_dims[{i}] = {self.kernel_dims[i]}, but the kernel "
+                                   f"of degree {i} has dimension {kernel}")
+            if i + 1 < len(self.covers):
+                if not (cover * self.covers[i + 1]).is_zero():
+                    raise AlgebraError(f"boundary composition nonzero at degree {i + 1}")
+                if ranks[i + 1] != kernel:
+                    raise AlgebraError(f"image != kernel at degree {i}")
+            elif self.finished and kernel:
+                raise AlgebraError(f"the last boundary, of degree {i}, is not injective")
         _check_minimal(a, self)
         return True
 
@@ -122,13 +155,15 @@ def _check_minimal(a, trace):
     covers[i], i >= 1, cut into the blocks A·f of P_{i-1} and lifted to A,
     lies in radical(a).  Degrees past a repeat are copies, so not walked.
     Hom(P, top) then has zero differentials, and pd is the length."""
-    data, rad = _principal_data(a), Subspace(a.field, a.dim, radical(a))
+    data, rad = _principal_data(a), _radical_space(a)
     for i in range(1, trace.repeat[0] + 1 if trace.repeat else len(trace.covers)):
         blocks = _blocks(data, trace.gens[i - 1])
-        for column in trace.covers[i].transpose().data:
+        boundary = trace.covers[i]
+        for unit in unit_rows(boundary.cols):
+            column, den = boundary.int_mul_vec(unit)
             for sub, lo, hi in blocks:
                 segment = column[lo:hi]
-                if any(segment) and not rad.contains(sub.from_coords(segment)):
+                if any(segment) and not rad.int_contains(sub.int_from_coords((segment, den))):
                     raise AlgebraError(f"the boundary of degree {i} leaves the radical")
 
 
@@ -137,24 +172,25 @@ def _minimal_generators(a, vectors, act, data):
     the cover columns w.g over the basis w of A·f_idx); `act(us, vs)` is
     [u.v for u in us for v in vs].  Greedy over the submodule generated so
     far, so no generator is redundant at the time it is added; as
-    A.g = (A·f_idx).g, the columns span what g generates."""
-    f = a.field
-    n = len(vectors[0])
-    span = Subspace(f, n, act(radical(a), vectors))
+    A.g = (A·f_idx).g, the columns span what g generates.  Vectors,
+    generators and columns are int rows, and one span grows
+    (`Subspace.int_extend`)."""
+    n = len(vectors[0][0])
+    span = Subspace.of_ints(a.field, n, act(_radical_space(a).int_basis, vectors))
     idempotents = [e for e, _, _ in data]
     kept = []
     for x in vectors:
-        if span.contains(x):
+        if span.int_contains(x):
             continue
         for idx, v in enumerate(act(idempotents, [x])):
-            if not any(v) or span.contains(v):
+            if not any(v[0]) or span.int_contains(v):
                 continue
-            columns = act(data[idx][1].basis, [v])
+            columns = act(data[idx][1].int_basis, [v])
             kept.append((idx, columns))
-            span = Subspace(f, n, span.basis + columns)
-            if span.contains(x):
+            span = span.int_extend(columns)
+            if span.int_contains(x):
                 break
-        if not span.contains(x):
+        else:
             raise AlgebraError("generator not covered by idempotent components")
     return kept
 
@@ -167,22 +203,27 @@ def _blocks(data, idxs):
 
 def _projective_action(a, data, idxs):
     """act(us, vs) = [u.v for u in us for v in vs] on ⊕ A·f_idx over idxs, in
-    summand coordinates: summand by summand, the nonzero segments of vs as
-    elements of A through `FiniteDimAlgebra.products`, read back at the
-    pivots of the left ideal A·f_idx; an all-zero segment stays zero."""
+    summand coordinates, on int rows: the nonzero segments of vs, each as an
+    element of A, go through one `FiniteDimAlgebra.int_products` call, and
+    each product is read back at the pivots of its left ideal A·f_idx and
+    put in place (`_join`); an all-zero segment stays zero."""
     summands = _blocks(data, idxs)
+    width = summands[-1][2]
 
     def act(us, vs):
-        out = [[a.field.zero] * summands[-1][2] for _ in range(len(us) * len(vs))]
+        lifted, cells = [], []  # the nonzero segments, and (j, pivots, lo) of each
         for sub, lo, hi in summands:
-            live = [j for j, v in enumerate(vs) if any(v[lo:hi])]
-            if not live:
-                continue
-            products = iter(a.products(us, [sub.from_coords(vs[j][lo:hi]) for j in live]))
-            for row in range(0, len(out), len(vs)):
-                for j in live:
-                    w = next(products)
-                    out[row + j][lo:hi] = [w[pc] for pc in sub.pivots]
+            for j, (w, den) in enumerate(vs):
+                if any(w[lo:hi]):
+                    lifted.append(sub.int_from_coords((w[lo:hi], den)))
+                    cells.append((j, sub.pivots, lo))
+        products = iter(a.int_products(us, lifted))
+        out = []
+        for _ in us:
+            placed = [[] for _ in vs]
+            for (j, pivots, lo), (w, den) in zip(cells, products):
+                placed[j].append((lo, [w[pc] for pc in pivots], den))
+            out += [_join(width, p) for p in placed]
         return out
 
     return act
@@ -202,28 +243,27 @@ def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
     copied, and the trace records repeat = (k, period).  Only the states'
     keys are kept."""
     data = _principal_data(a)
-    f = a.field
-    vectors = [unit_vector(f, m.dim, i) for i in range(m.dim)]
-    act = m.products
+    vectors = unit_rows(m.dim)
+    act = m.int_products
     gens, covers, kernel_dims = [], [], []
     finished, repeat = False, None
-    seen = {}  # (gens, kernel basis) of each degree computed -> the degree
+    seen = {}  # (gens, kernel echelon) of each degree computed -> the degree
     for deg in range(length + 1):
         if not vectors:  # m is the zero module
             finished = True
             break
         kept = _minimal_generators(a, vectors, act, data)
         gens.append([idx for idx, _ in kept])
-        cover = Matrix.from_columns(f, [c for _, columns in kept for c in columns],
-                                    rows=len(vectors[0]))
+        cover = Matrix.from_int_columns(a.field, [c for _, columns in kept for c in columns],
+                                        len(vectors[0][0]))
         covers.append(cover)
-        kernel = cover.kernel_basis()
-        kernel_dims.append(len(kernel))
-        if not kernel:
+        kernel = cover.null_space()
+        kernel_dims.append(kernel.dim)
+        if not kernel.dim:
             finished = True
             break
-        vectors = Subspace(f, cover.cols, kernel).basis
-        key = (tuple(gens[-1]), tuple(map(tuple, vectors)))
+        vectors = kernel.int_basis
+        key = (tuple(gens[-1]), tuple(tuple(w) for w, _ in vectors))
         if key in seen:
             repeat = (deg, deg - seen[key])
             break
@@ -263,8 +303,7 @@ def ext_dims_from_trace(a, trace, m, cap):
         while len(gens) < cap + 2:
             gens.append(gens[-trace.repeat[1]])
     gens += [[] for _ in range(cap + 2 - len(gens))]
-    units = [unit_vector(f, m.dim, t) for t in range(m.dim)]
-    homs = [Subspace(f, m.dim, m.products([e], units)) for e, _, _ in data]
+    homs = _right_ideals(a) if m is a else _hom_spaces(a, m)
     hom_dims = [sum(homs[idx].dim for idx in gens[i]) for i in range(cap + 2)]
     start, period = trace.repeat or (cap + 1, 0)
 
@@ -277,26 +316,45 @@ def ext_dims_from_trace(a, trace, m, cap):
             ranks.append(0)
             continue
         boundary = trace.covers[i + 1]
-        targets = _blocks(data, gens[i])
-        # column (l, w) of the differential, one segment per block of rows
-        columns = [[] for idxl in gens[i] for _ in homs[idxl].basis]
+        # the image in P_i of the generator f of each block of P_{i+1}, read
+        # from the cover of the trace in its own scalars
+        images = []
         for idxp, (_, plo, phi) in zip(gens[i + 1], _blocks(data, gens[i + 1])):
-            # image in P_i of the generator f of this block of P_{i+1}
             x = [f.zero] * boundary.cols
-            x[plo:phi] = data[idxp][2]
-            v = boundary.mul_vec(x)
-            k = 0
-            for idxl, (sub, lo, hi) in zip(gens[i], targets):  # v lifted to A per block
-                for w in m.products([sub.from_coords(v[lo:hi])], homs[idxl].basis):
-                    co = homs[idxp].coords(w)
+            x[plo:phi] = f.from_ints(*data[idxp][2])
+            images.append(f.to_ints(boundary.mul_vec(x)))
+        # column (l, w) of the differential, one segment per block of rows:
+        # the images lifted to A in block l, times the basis w of f_l·m
+        offsets = [0, *accumulate(homs[idxp].dim for idxp in gens[i + 1])]
+        columns = []
+        for idxl, (sub, lo, hi) in zip(gens[i], _blocks(data, gens[i])):
+            lifts = [sub.int_from_coords((v[lo:hi], den)) for v, den in images]
+            products = iter(m.int_products(lifts, homs[idxl].int_basis))
+            block = [[] for _ in range(homs[idxl].dim)]
+            for idxp, at in zip(gens[i + 1], offsets):
+                for placed in block:
+                    co = homs[idxp].int_coords(next(products))
                     if co is None:
                         raise AlgebraError("Hom differential leaves its block")
-                    columns[k] += co
-                    k += 1
-        height = sum(homs[idxp].dim for idxp in gens[i + 1])
-        ranks.append(Matrix.from_columns(f, columns, rows=height).rank() if height else 0)
+                    placed.append((at, *co))
+            columns += [_join(offsets[-1], placed) for placed in block]
+        ranks.append(Subspace.of_ints(f, offsets[-1], columns).dim)
 
     return [hom_dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cap + 1)]
+
+
+def _hom_spaces(a, m):
+    """Hom(A·f, m) = f·m for each idempotent f, as the span of f times the
+    unit vectors of m."""
+    units = unit_rows(m.dim)
+    return [Subspace.of_ints(a.field, m.dim, m.int_products([e], units))
+            for e, _, _ in _principal_data(a)]
+
+
+@memoised
+def _right_ideals(a):
+    """The f·A of `_hom_spaces` for the algebra as its own module."""
+    return _hom_spaces(a, a)
 
 
 @memoised

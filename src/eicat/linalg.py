@@ -2,25 +2,33 @@
 
 At the API edge, scalars are `fractions.Fraction` in characteristic 0 and
 plain ints in [0, p) in characteristic p.  Inside, every reduction and every
-product runs on Python ints.  In characteristic 0 a vector is an int vector
-with one denominator (`Field.to_ints`), and a result becomes Fractions once,
-entry by entry, on the way out (`Field.from_ints`); in characteristic p the
-scalars are the ints, and a product is reduced mod p once, at the end.
+product runs on Python ints, on int rows: a vector v as the pair (w, den)
+of `Field.to_ints`, ints w with v = w / den, not necessarily in lowest
+terms; in characteristic p, den is 1 and w need not be reduced.
+`Field.from_ints` makes a row canonical, entry by entry, on the way out.
+The operations the oracle repeats have an int form that takes and returns
+int rows: `Matrix.int_mul_vec`, `Matrix.from_int_columns`,
+`Matrix.null_space`, `Subspace.of_ints`, `int_basis`, `int_contains`,
+`int_coords`, `int_from_coords`, `int_extend` and
+`QuotientSpace.int_project`.  Each field form (`mul_vec`, `contains`,
+`extend`, ...) converts its input and its result at the edge, once.
 Everything is exact; no floats anywhere.  `Field.of`, `Matrix(...)` and
 `FiniteDimAlgebra.from_json` refuse floats and bools; everything else takes
 the canonical scalars they and this module hand out.
 
 Matrices are stored dense, row-major.  `rref`, `rank`, `kernel_basis`,
-`solve` and `Subspace` share one fraction-free elimination (`_echelon`).
-Products work from a column-sparse int view of the matrix (per column, the
-(row, value) pairs with nonzero value, all times one scale) that is built on
-first use and cached on the matrix.  A `Subspace` keeps an int view of its
-rref basis, which `coords`, `contains`, `from_coords` and
-`QuotientSpace.project` share.  So neither a matrix whose view is cached nor
-a `Subspace.basis` may be written in place.  A matrix is built whole and
-never changed: `Matrix.from_entries` (scattered entries, repeats adding up),
-`Matrix.from_columns` and `combination` (a sum of c * M) are the builders,
-and nothing outside this module writes `.data`.
+`null_space`, `solve` and `Subspace` share one fraction-free elimination
+(`_echelon`).  Products and eliminations work from a column-sparse int view
+of the matrix (per column, the (row, value) pairs with nonzero value, all
+times one scale) that is built on first use, or from the ints of
+`from_int_columns`, and cached on the matrix.  A `Subspace` keeps the int
+echelon of its rref basis, which its int forms and `QuotientSpace.project`
+share, and `int_extend` grows it in place of a rebuild.  So neither a
+matrix whose view is cached nor a `Subspace.basis` or `int_basis` may be
+written in place.  A matrix is built whole and never changed:
+`Matrix.from_entries` (scattered entries, repeats adding up),
+`Matrix.from_columns`, `Matrix.from_int_columns` and `combination` (a sum
+of c * M) are the builders, and nothing outside this module writes `.data`.
 """
 
 from __future__ import annotations
@@ -166,17 +174,29 @@ def unit_vector(f: Field, n: int, i: int):
     return v
 
 
+def unit_rows(n: int):
+    """The standard basis of k^n as int rows, in any field."""
+    return [([0] * i + [1] + [0] * (n - i - 1), 1) for i in range(n)]
+
+
+def _fresh_rows(p, ints, n):
+    """Fresh int lists, reduced mod p in characteristic p, from the nonzero
+    int lists among `ints` (each of length n): what `_echelon` may write in
+    place."""
+    rows = []
+    for w in ints:
+        if len(w) != n:
+            raise ValueError(f"vector of length {len(w)} in a space of dimension {n}")
+        if any(w):
+            rows.append([x % p for x in w] if p else list(w))
+    return rows
+
+
 def _int_rows(f: Field, vectors, n):
     """Fresh int rows spanning the same rows as `vectors` (each of length
     n): a row of Fractions is cleared of its own denominators, a row mod p
     is reduced."""
-    p = f.characteristic
-    rows = []
-    for v in vectors:
-        if len(v) != n:
-            raise ValueError(f"vector of length {len(v)} in a space of dimension {n}")
-        rows.append([x % p for x in v] if p else f.to_ints(v)[0])
-    return rows
+    return _fresh_rows(f.characteristic, (f.to_ints(v)[0] for v in vectors), n)
 
 
 def _echelon(p, rows, ncols):
@@ -297,6 +317,21 @@ class Matrix:
             return cls.zeros(field, rows or 0, 0)
         return cls._of(field, [list(r) for r in zip(*columns)], len(columns))
 
+    @classmethod
+    def from_int_columns(cls, field, columns, rows):
+        """The rows x len(columns) matrix whose columns are the int rows
+        `columns`: each column made canonical once, and the int view the
+        products use taken from the ints, over the lcm of their
+        denominators."""
+        p = field.characteristic
+        if p:
+            columns = [([x % p for x in w], 1) for w, _ in columns]
+        m = cls.from_columns(field, [field.from_ints(w, den) for w, den in columns], rows=rows)
+        scale = lcm(*(den for _, den in columns))
+        m._sparse = ([[(i, x * (scale // den)) for i, x in enumerate(w) if x]
+                      for w, den in columns], scale)
+        return m
+
     def copy(self):
         return Matrix._of(self.field, [row[:] for row in self.data], self.cols)
 
@@ -339,24 +374,32 @@ class Matrix:
             self._sparse = (columns, scale)
         return self._sparse
 
-    def mul_vec(self, v):
-        """self * v, touching only the nonzero v_j and the nonzeros of their
-        columns: on ints, with each entry made canonical once, at the end."""
-        if len(v) != self.cols:
+    def int_mul_vec(self, row):
+        """self * v for the int row v, as an int row: touching only the
+        nonzero v_j and the nonzeros of their columns."""
+        w, den = row
+        if len(w) != self.cols:
             raise ValueError("length mismatch")
-        f = self.field
-        w, den = f.to_ints(v)
+        p = self.field.characteristic
         columns, scale = self._sparse_view()
         acc = [0] * self.rows
         _accumulate(acc, columns, [(j, x) for j, x in enumerate(w) if x], 1)
-        return f.from_ints(acc, den * scale)
+        return ([x % p for x in acc], 1) if p else (acc, den * scale)
+
+    def mul_vec(self, v):
+        """self * v, on ints (`int_mul_vec`), each entry made canonical once."""
+        return self.field.from_ints(*self.int_mul_vec(self.field.to_ints(v)))
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
 
     def _reduced_rows(self):
-        """(int rows, pivot columns) of `_echelon` on the rows of self."""
-        rows = _int_rows(self.field, self.data, self.cols)
+        """(int rows, pivot columns) of `_echelon` on the rows of self, read
+        from the int view."""
+        rows = [[0] * self.cols for _ in range(self.rows)]
+        for j, column in enumerate(self._sparse_view()[0]):
+            for i, x in column:
+                rows[i][j] = x
         return rows, _echelon(self.field.characteristic, rows, self.cols)
 
     def rref(self):
@@ -372,23 +415,33 @@ class Matrix:
     def rank(self):
         return len(self._reduced_rows()[1])
 
-    def kernel_basis(self):
-        """Basis (list of column vectors) of the right null space."""
-        f = self.field
-        p = f.characteristic
+    def _kernel_rows(self):
+        """Int rows of the basis of the right null space with a 1 at one
+        non-pivot column each and 0 at the others."""
+        p = self.field.characteristic
         rows, pivots = self._reduced_rows()
+        den = 1 if p else lcm(*(row[pc] for row, pc in zip(rows, pivots)))
         pivset = set(pivots)
-        basis = []
+        out = []
         for c in range(self.cols):
             if c in pivset:
                 continue
-            v = unit_vector(f, self.cols, c)
+            w = [0] * self.cols
+            w[c] = den
             for row, pc in zip(rows, pivots):
-                x = row[c]
-                if x:
-                    v[pc] = (-x) % p if p else Fraction(-x, row[pc])
-            basis.append(v)
-        return basis
+                if row[c]:
+                    w[pc] = (-row[c]) % p if p else -row[c] * (den // row[pc])
+            out.append((w, den))
+        return out
+
+    def kernel_basis(self):
+        """Basis (list of column vectors) of the right null space."""
+        return [self.field.from_ints(w, den) for w, den in self._kernel_rows()]
+
+    def null_space(self):
+        """The right null space as a `Subspace`, from the int rows of
+        `kernel_basis`."""
+        return Subspace.of_ints(self.field, self.cols, self._kernel_rows())
 
     def solve(self, b):
         """One solution x of self * x = b, or None if inconsistent."""
@@ -443,75 +496,150 @@ def combination(f: Field, terms, rows, cols):
 class Subspace:
     """Subspace of k^n held as a reduced row echelon basis.
 
-    As the basis is reduced, the coordinates of a member v are its entries
-    at the pivots, and the residual v - sum_r v[pivots[r]] * basis[r]
-    vanishes on the pivots.  `_residual` computes it on the other columns,
-    `complement_pivots()`, from an int view of the basis: one scale D
-    (`_scale`) and, per basis vector, the nonzero entries of D times it off
-    the pivots (`_rows`, indexed by position in `complement_pivots()`).
-    `coords`, `contains`, `from_coords` and `QuotientSpace.project` all work
-    from that view."""
+    Inside, the basis is its int echelon (`_echelon`): row r is basis[r]
+    times its pivot entry, primitive with a positive pivot in characteristic
+    0, basis[r] itself in characteristic p; so it is a function of the
+    subspace.  `int_basis` gives these rows as int rows (row, pivot entry),
+    `_rows` their nonzero entries and `_scale` D the lcm of the pivot
+    entries.  The residual v - sum_r v[pivots[r]] * basis[r] of v = w / den
+    is res / (den * D), with res = D w - sum_r w[pivots[r]] (D / pivot
+    entry) row_r: it vanishes on the pivots, and everywhere iff v lies in
+    the subspace (`_residual`).  The int forms `int_contains`, `int_coords`,
+    `int_from_coords`, `int_extend` and `QuotientSpace.int_project` work
+    from these rows, and their field forms convert at the edge; `basis` is
+    made canonical on first use."""
 
     def __init__(self, field: Field, ambient_dim: int, vectors=()):
+        self._reduce(field, ambient_dim, _int_rows(field, vectors, ambient_dim))
+
+    @classmethod
+    def of_ints(cls, field: Field, ambient_dim: int, rows):
+        """The span of the int rows `rows`."""
+        s = cls.__new__(cls)
+        s._reduce(field, ambient_dim,
+                  _fresh_rows(field.characteristic, (w for w, _ in rows), ambient_dim))
+        return s
+
+    def _reduce(self, field, ambient_dim, rows):
+        pivots = _echelon(field.characteristic, rows, ambient_dim)
+        self._set(field, ambient_dim, [(c, row, None) for c, row in zip(pivots, rows)])
+
+    def _set(self, field, ambient_dim, echelon):
+        """Hold the (pivot, int row, its nonzero entries or None) of
+        `echelon`, in any order of pivots."""
+        echelon = sorted(echelon, key=lambda e: e[0])
         self.field = field
         self.ambient_dim = ambient_dim
+        self.pivots = [c for c, _, _ in echelon]
+        self._ech = [row for _, row, _ in echelon]
+        self._rows = [nz if nz is not None else [(j, x) for j, x in enumerate(row) if x]
+                      for _, row, nz in echelon]
         p = field.characteristic
-        rows = _int_rows(field, vectors, ambient_dim)
-        self.pivots = _echelon(p, rows, ambient_dim)
-        rows = rows[:len(self.pivots)]
-        self.basis = [field.from_ints(row, row[c]) for row, c in zip(rows, self.pivots)]
-        self._comp = self.complement_pivots()
-        self._scale = 1 if p else lcm(*(row[c] for row, c in zip(rows, self.pivots)))
-        self._rows = [[(k, row[j] * (self._scale // row[c])) for k, j in enumerate(self._comp)
-                       if row[j]] for row, c in zip(rows, self.pivots)]
+        self._scale = 1 if p else lcm(*(row[c] for c, row, _ in echelon))
+        self._basis = None
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
 
-    def _residual(self, v):
-        """(w, den, res): v = w / den on ints, and res on ints with
-        res[k] / (den * D) the residual of v at complement_pivots()[k]."""
-        if len(v) != self.ambient_dim:
-            raise ValueError(f"vector of length {len(v)} in a space of dimension {self.ambient_dim}")
-        w, den = self.field.to_ints(v)
+    @property
+    def basis(self):
+        """The rref basis, as canonical vectors."""
+        if self._basis is None:
+            self._basis = [self.field.from_ints(w, den) for w, den in self.int_basis]
+        return self._basis
+
+    @property
+    def int_basis(self):
+        """The rref basis as int rows, sharing the lists of the subspace."""
+        return [(row, row[c]) for row, c in zip(self._ech, self.pivots)]
+
+    def _residual(self, row):
+        """res on ints for the int row (w, den): res / (den * D) is the
+        residual of w / den, zero on the pivots."""
+        w, _ = row
+        if len(w) != self.ambient_dim:
+            raise ValueError(f"vector of length {len(w)} in a space of dimension {self.ambient_dim}")
         scale = self._scale
-        res = [w[j] * scale for j in self._comp]
-        for pc, row in zip(self.pivots, self._rows):
+        res = list(w) if scale == 1 else [x * scale for x in w]
+        for pc, ech, nz in zip(self.pivots, self._ech, self._rows):
             a = w[pc]
             if a:
-                for k, b in row:
-                    res[k] -= a * b
-        return w, den, res
+                a *= scale // ech[pc]
+                for j, b in nz:
+                    res[j] -= a * b
+        return res
 
     def _inside(self, res):
         p = self.field.characteristic
-        return not any(x % p for x in res) if p else not any(res)
+        return not any([x % p for x in res] if p else res)
+
+    def int_contains(self, row):
+        return self._inside(self._residual(row))
 
     def contains(self, v):
-        return self._inside(self._residual(v)[2])
+        return self.int_contains(self.field.to_ints(v))
+
+    def int_coords(self, row):
+        """Coordinates of an int row in the rref basis, as an int row, or
+        None if it lies outside."""
+        if not self._inside(self._residual(row)):
+            return None
+        w, den = row
+        p = self.field.characteristic
+        return [w[pc] % p if p else w[pc] for pc in self.pivots], den
 
     def coords(self, v):
         """Coordinates of v in the rref basis, or None if v is outside."""
-        w, den, res = self._residual(v)
-        if not self._inside(res):
-            return None
-        return self.field.from_ints([w[pc] for pc in self.pivots], den)
+        co = self.int_coords(self.field.to_ints(v))
+        return None if co is None else self.field.from_ints(*co)
+
+    def int_from_coords(self, row):
+        """The member with the coordinates of the int row `row`, as an int
+        row."""
+        c, den = row
+        if len(c) != self.dim:
+            raise ValueError(f"{len(c)} coordinates in a subspace of dimension {self.dim}")
+        p, scale = self.field.characteristic, self._scale
+        out = [0] * self.ambient_dim
+        for a, pc, ech, nz in zip(c, self.pivots, self._ech, self._rows):
+            if a:
+                a *= scale // ech[pc]
+                for j, b in nz:
+                    out[j] += a * b
+        return ([x % p for x in out], 1) if p else (out, den * scale)
 
     def from_coords(self, coords):
         """The member of the subspace with the given coordinates."""
-        if len(coords) != self.dim:
-            raise ValueError(f"{len(coords)} coordinates in a subspace of dimension {self.dim}")
-        f = self.field
-        c, den = f.to_ints(coords)
-        scale, comp = self._scale, self._comp
-        out = [0] * self.ambient_dim
-        for a, pc, row in zip(c, self.pivots, self._rows):
-            if a:
-                out[pc] = a * scale
-                for k, b in row:
-                    out[comp[k]] += a * b
-        return f.from_ints(out, den * scale)
+        return self.field.from_ints(*self.int_from_coords(self.field.to_ints(coords)))
+
+    def int_extend(self, rows):
+        """The span of self and the int rows `rows`, as a new Subspace; self
+        is unchanged.  Only the new rows are reduced, by their residuals
+        against this echelon, which vanish on its pivots; the old rows with
+        a nonzero entry at a new pivot are then reduced by the new rows, and
+        the other old rows are kept as they are."""
+        f, n = self.field, self.ambient_dim
+        p = f.characteristic
+        new = _fresh_rows(p, (self._residual(row) for row in rows), n)
+        pivots = _echelon(p, new, n)
+        kept, redo = [], []
+        for c, row, nz in zip(self.pivots, self._ech, self._rows):
+            if any(row[q] for q in pivots):
+                redo.append(row[:])
+            else:
+                kept.append((c, row, nz))
+        new = new[:len(pivots)]
+        if redo:
+            new += redo
+            pivots = _echelon(p, new, n)
+        out = Subspace.__new__(Subspace)
+        out._set(f, n, kept + [(c, row, None) for c, row in zip(pivots, new)])
+        return out
+
+    def extend(self, vectors):
+        """The span of self and `vectors`, as a new Subspace (`int_extend`)."""
+        return self.int_extend([self.field.to_ints(v) for v in vectors])
 
     def complement_pivots(self):
         """Standard coordinates not used as pivots; their e_i span a complement."""
@@ -530,11 +658,18 @@ class QuotientSpace:
         self.reps = self.sub.complement_pivots()
         self.dim = len(self.reps)
 
+    def int_project(self, row):
+        """The class of an int row, as an int row of coordinates in the
+        representative basis: its residual at the representatives."""
+        res = self.sub._residual(row)
+        p = self.field.characteristic
+        return ([res[i] % p for i in self.reps], 1) if p else \
+            ([res[i] for i in self.reps], row[1] * self.sub._scale)
+
     def project(self, v):
-        """Coordinates of the class of v in the representative basis: the
-        residual of v modulo the relations, at the representatives."""
-        _, den, res = self.sub._residual(v)
-        return self.field.from_ints(res, den * self.sub._scale)
+        """Coordinates of the class of v in the representative basis
+        (`int_project`)."""
+        return self.field.from_ints(*self.int_project(self.field.to_ints(v)))
 
     def lift(self, coords):
         """The representative of a class: a combination of the chosen e_i."""

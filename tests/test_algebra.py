@@ -1,9 +1,13 @@
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from inputs import HOSTILE_MATRICES, matrix_raw, s3_transporter
 
 import eicat.algebra as algebra
@@ -60,6 +64,124 @@ def test_validate_rejects_broken_structure_constants():
                          [f.one, f.zero])
     with pytest.raises(AlgebraError):
         a.validate()
+
+
+def _reference_validate(a):
+    """What `FiniteDimAlgebra.validate` must conclude, by the dense triple
+    loop over field scalars: None, or the message of the first failure in
+    lexicographic order, the unit law on each basis element before
+    associativity on each triple (i, j, t)."""
+    f, d = a.field, a.dim
+
+    def mul(u, v):
+        out = [f.zero] * d
+        for i, j in product([i for i in range(d) if u[i] != 0], [j for j in range(d) if v[j] != 0]):
+            for k, c in a.mult[i][j]:
+                out[k] = f.add(out[k], f.mul(f.mul(u[i], v[j]), c))
+        return out
+
+    units = [unit_vector(f, d, i) for i in range(d)]
+    for i, e in enumerate(units):
+        if mul(a.unit, e) != e or mul(e, a.unit) != e:
+            return f"unit law fails at basis element {i}"
+    for i, j, t in product(range(d), repeat=3):
+        if mul(mul(units[i], units[j]), units[t]) != mul(units[i], mul(units[j], units[t])):
+            return f"associativity fails at ({i}, {j}, {t})"
+    return None
+
+
+def _validate_verdict(a):
+    try:
+        a.validate()
+    except AlgebraError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("char, least", [(0, (1, 3, 3)), (3, (1, 3, 3))])
+def test_validate_names_the_least_non_associative_triple(char, least):
+    """A table with a two-sided unit whose products fail associativity at
+    (1, 3, 3), (3, 1, 3) and, but for char 3, (3, 3, 1): `validate` refuses
+    it at the least triple, although t = 1 comes first in its own walk."""
+    f = Field(char)
+    one, half = f.one, f.of(Fraction(1, 2))
+    mult = [[[(j, one)] for j in range(4)]] + [[[(i, one)], [], [], []] for i in range(1, 4)]
+    mult[1][3] = [(2, f.neg(one))]
+    mult[3][1] = [(1, f.neg(one))]
+    mult[3][3] = [(3, half)]
+    a = FiniteDimAlgebra(f, ["1", "x", "y", "z"], mult, unit_vector(f, 4, 0))
+    message = "associativity fails at (%d, %d, %d)" % least
+    assert _reference_validate(a) == message
+    with pytest.raises(AlgebraError, match=re.escape(message)):
+        a.validate()
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_validate_agrees_with_the_dense_reference(char):
+    """On every corpus(0) algebra, and on mutants of each with one structure
+    constant scaled by 2 (0 in char 2) or moved to another basis element,
+    `validate` reaches the verdict of the dense triple loop: the same
+    message, or none.  The mutated product is one of two non-identities
+    where there is one, so that most mutants keep the unit law."""
+    f = Field(char)
+    rng = random.Random(char)
+    refused = Counter()
+    for name, c in corpus(0):
+        a = algebra_from_category(presentation_of(c).category, f)
+        assert _validate_verdict(a) is None is _reference_validate(a), name
+        cells = [(i, j) for i, j in product(range(a.dim), repeat=2) if a.mult[i][j]]
+        cells = [(i, j) for i, j in cells if a.unit[i] == a.unit[j] == 0] or cells
+        for _ in range(3):
+            i, j = rng.choice(cells)
+            k, x = a.mult[i][j][0]
+            for pair in ((k, f.mul(f.of(2), x)), ((k + rng.randrange(1, a.dim)) % a.dim, x)):
+                mult = [[list(pairs) for pairs in row] for row in a.mult]
+                mult[i][j] = [pair]
+                mutant = FiniteDimAlgebra(f, a.basis, mult, a.unit)
+                verdict = _reference_validate(mutant)
+                assert _validate_verdict(mutant) == verdict, (name, i, j, pair)
+                refused[verdict and verdict.split(" fails")[0]] += 1
+    assert refused["associativity"] > 100 and refused["unit law"] > 10
+
+
+@given(st.sampled_from([0, 2, 3]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_int_products_converted_at_the_edge_equal_the_field_products(char, data):
+    """`int_products` on int rows, converted at the edge, equals `products`
+    on the field vectors and a dense product over field scalars, on random
+    structure constants and factors: zero factors, entries with different
+    denominators, and int rows not in lowest terms (mod p, not reduced);
+    mod p the results come over denominator 1."""
+    f = Field(char)
+    p = f.characteristic
+    scalar = st.integers(0, 3 * p) if p else \
+        st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    d = data.draw(st.integers(1, 4))
+    pairs = st.lists(st.tuples(st.integers(0, d - 1), scalar.map(f.of)), max_size=2)
+    a = FiniteDimAlgebra(f, list(range(d)), [[data.draw(pairs) for _ in range(d)] for _ in range(d)],
+                         unit_vector(f, d, 0))
+    vector = st.lists(scalar.map(f.of), min_size=d, max_size=d)
+    us = data.draw(st.lists(vector, max_size=3)) + [[f.zero] * d]
+    vs = [[f.zero] * d] + data.draw(st.lists(vector, min_size=1, max_size=3))
+
+    def int_row(v):
+        w, den = f.to_ints(v)
+        k = data.draw(st.integers(1, 3))
+        return ([x + k * p for x in w], 1) if p else ([x * k for x in w], den * k)
+
+    def dense(u, v):
+        out = [f.zero] * d
+        for i, j in product(range(d), repeat=2):
+            for k, c in a.mult[i][j]:
+                out[k] = f.add(out[k], f.mul(f.mul(u[i], v[j]), c))
+        return out
+
+    expected = [dense(u, v) for u in us for v in vs]
+    assert a.products(us, vs) == expected
+    rows = a.int_products([int_row(u) for u in us], [int_row(v) for v in vs])
+    assert [f.from_ints(w, den) for w, den in rows] == expected
+    if p:
+        assert all(den == 1 for _, den in rows)
 
 
 def test_opposite_is_involutive_and_reverses_products():

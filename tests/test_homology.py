@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -11,6 +12,7 @@ from eicat.algebra import (
     algebra_from_category,
     group_algebra,
     opposite,
+    primitive_idempotents,
     quotient_module,
     radical,
     regular_module,
@@ -200,6 +202,34 @@ def test_a_redundant_generator_is_caught_and_gives_no_verdict(monkeypatch):
     assert projective_resolution(a, top_module(a), CAP + 2).verify(a)
 
 
+@pytest.mark.parametrize("char", [0, 3])
+def test_verify_reads_exactness_from_the_covers(char):
+    """`verify` checks exactness on the covers, not on the recorded
+    kernel_dims: a zero covers[0] is not onto; a finished trace whose last
+    boundary lost a column no longer reaches the kernel before it; one whose
+    last boundary gained a zero column is not injective there, and says so
+    whether kernel_dims records that kernel or not."""
+    f = Field(char)
+    for c in (poset_category(chain_poset(3)), poset_category(diamond_poset())):
+        a = cat_algebra(c, f)
+        trace = projective_resolution(a, top_module(a), CAP + 2)
+        assert trace.finished and len(trace.covers) >= 2 and trace.verify(a)
+        first, last = trace.covers[0], trace.covers[-1]
+        zero = Matrix.zeros(f, first.rows, first.cols)
+        with pytest.raises(AlgebraError, match="not onto"):
+            replace(trace, covers=[zero, *trace.covers[1:]]).verify(a)
+        columns = [last.column(j) for j in range(last.cols)]
+        dropped = Matrix.from_columns(f, columns[:-1], rows=last.rows)
+        with pytest.raises(AlgebraError, match="image != kernel"):
+            replace(trace, covers=[*trace.covers[:-1], dropped]).verify(a)
+        padded = Matrix.from_columns(f, columns + [[f.zero] * last.rows], rows=last.rows)
+        with pytest.raises(AlgebraError, match="kernel_dims"):
+            replace(trace, covers=[*trace.covers[:-1], padded]).verify(a)
+        with pytest.raises(AlgebraError, match="not injective"):
+            replace(trace, covers=[*trace.covers[:-1], padded],
+                    kernel_dims=[*trace.kernel_dims[:-1], 1]).verify(a)
+
+
 def test_radical_submodule_has_expected_projective_dimension():
     a = cat_algebra(poset_category(chain_poset(3)), QQ)
     rad, _ = submodule(regular_module(a), radical(a))
@@ -328,7 +358,7 @@ def _reference_generators(a, mod, data):
     f = a.field
     span = Subspace(f, mod.dim, [col for r in radical(a)
                                  for col in mod.matrix_of(r).transpose().data])
-    candidates = [mod.matrix_of(e).transpose().data for e, _, _ in data]
+    candidates = [mod.matrix_of(e).transpose().data for e in primitive_idempotents(a)]
     kept = []
     for i in range(mod.dim):
         ei = unit_vector(f, mod.dim, i)
