@@ -218,9 +218,12 @@ class FiniteDimAlgebra:
 
 def _field_products(f, int_products, us, vs):
     """The field form of an int `int_products`: its factors and results
-    converted at the edge."""
-    return [f.from_ints(w, den) for w, den in
-            int_products([f.to_ints(u) for u in us], [f.to_ints(v) for v in vs])]
+    converted at the edge, each result in place, so that one list of
+    results is held, not two."""
+    out = int_products([f.to_ints(u) for u in us], [f.to_ints(v) for v in vs])
+    for r, (w, den) in enumerate(out):
+        out[r] = f.from_ints(w, den)
+    return out
 
 
 def _scalar_to_json(x):

@@ -11,11 +11,12 @@ algebra and v of the module.  Three things provide it: the algebra itself,
 as its own regular module (`FiniteDimAlgebra.int_products`); a `ModuleRep`,
 through its action matrices, converted at the edge; and `top_module(a)`,
 A / rad A acted on by the product.  Vectors stay int rows throughout: the
-idempotents, the bases of A·f and rad A and the f·A of Ext into the algebra
-are converted once and memoised on the algebra, and Fractions appear only in
-the covers of a `ResolutionTrace` and in the verdicts.  gldim and pd are the
-length of a resolution that `_check_minimal` finds minimal, and id is read
-from Ext into the algebra, so the oracle builds no action matrix."""
+idempotents and the bases of A·f and rad A are converted once and memoised
+on the algebra, each f·m of an Ext computation once per call, and Fractions
+appear only in the covers of a `ResolutionTrace` and in the verdicts.  gldim
+and pd are the length of a resolution that `_check_minimal` finds minimal,
+and id is read from Ext into the algebra, so the oracle builds no action
+matrix."""
 
 from __future__ import annotations
 
@@ -154,16 +155,20 @@ def _check_minimal(a, trace):
     """Raise unless each boundary lands in the radical: every column of
     covers[i], i >= 1, cut into the blocks A·f of P_{i-1} and lifted to A,
     lies in radical(a).  Degrees past a repeat are copies, so not walked.
-    Hom(P, top) then has zero differentials, and pd is the length."""
+    Hom(P, top) then has zero differentials, and pd is the length.  The
+    columns are read from the int view of the cover."""
     data, rad = _principal_data(a), _radical_space(a)
     for i in range(1, trace.repeat[0] + 1 if trace.repeat else len(trace.covers)):
         blocks = _blocks(data, trace.gens[i - 1])
-        boundary = trace.covers[i]
-        for unit in unit_rows(boundary.cols):
-            column, den = boundary.int_mul_vec(unit)
+        cover = trace.covers[i]
+        columns, scale = cover._sparse_view()
+        for nonzeros in columns:
+            column = [0] * cover.rows
+            for r, x in nonzeros:
+                column[r] = x
             for sub, lo, hi in blocks:
                 segment = column[lo:hi]
-                if any(segment) and not rad.int_contains(sub.int_from_coords((segment, den))):
+                if any(segment) and not rad.int_contains(sub.int_from_coords((segment, scale))):
                     raise AlgebraError(f"the boundary of degree {i} leaves the radical")
 
 
@@ -303,7 +308,7 @@ def ext_dims_from_trace(a, trace, m, cap):
         while len(gens) < cap + 2:
             gens.append(gens[-trace.repeat[1]])
     gens += [[] for _ in range(cap + 2 - len(gens))]
-    homs = _right_ideals(a) if m is a else _hom_spaces(a, m)
+    homs = _hom_spaces(a, m)
     hom_dims = [sum(homs[idx].dim for idx in gens[i]) for i in range(cap + 2)]
     start, period = trace.repeat or (cap + 1, 0)
 
@@ -349,12 +354,6 @@ def _hom_spaces(a, m):
     units = unit_rows(m.dim)
     return [Subspace.of_ints(a.field, m.dim, m.int_products([e], units))
             for e, _, _ in _principal_data(a)]
-
-
-@memoised
-def _right_ideals(a):
-    """The f·A of `_hom_spaces` for the algebra as its own module."""
-    return _hom_spaces(a, a)
 
 
 @memoised

@@ -11,7 +11,7 @@ int rows: `Matrix.int_mul_vec`, `Matrix.from_int_columns`,
 `Matrix.null_space`, `Subspace.of_ints`, `int_basis`, `int_contains`,
 `int_coords`, `int_from_coords`, `int_extend` and
 `QuotientSpace.int_project`.  Each field form (`mul_vec`, `contains`,
-`extend`, ...) converts its input and its result at the edge, once.
+`coords`, ...) converts its input and its result at the edge, once.
 Everything is exact; no floats anywhere.  `Field.of`, `Matrix(...)` and
 `FiniteDimAlgebra.from_json` refuse floats and bools; everything else takes
 the canonical scalars they and this module hand out.
@@ -636,10 +636,6 @@ class Subspace:
         out = Subspace.__new__(Subspace)
         out._set(f, n, kept + [(c, row, None) for c, row in zip(pivots, new)])
         return out
-
-    def extend(self, vectors):
-        """The span of self and `vectors`, as a new Subspace (`int_extend`)."""
-        return self.int_extend([self.field.to_ints(v) for v in vectors])
 
     def complement_pivots(self):
         """Standard coordinates not used as pivots; their e_i span a complement."""

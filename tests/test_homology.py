@@ -230,6 +230,31 @@ def test_verify_reads_exactness_from_the_covers(char):
                     kernel_dims=[*trace.kernel_dims[:-1], 1]).verify(a)
 
 
+@pytest.mark.parametrize("char", [0, 3])
+def test_minimality_check_reads_every_column(char):
+    """`_check_minimal` walks every column of every boundary: putting the
+    generator of the first block of P_{i-1}, which lies outside the radical,
+    in any one column of covers[i] is refused at degree i."""
+    f = Field(char)
+    for c in (poset_category(chain_poset(3)), poset_category(diamond_poset())):
+        a = cat_algebra(c, f)
+        trace = projective_resolution(a, top_module(a), CAP + 2)
+        assert trace.finished and homology._check_minimal(a, trace) is None
+        data = homology._principal_data(a)
+        for i in range(1, len(trace.covers)):
+            cover = trace.covers[i]
+            _, lo, hi = homology._blocks(data, trace.gens[i - 1])[0]
+            outside = [f.zero] * cover.rows
+            outside[lo:hi] = f.from_ints(*data[trace.gens[i - 1][0]][2])
+            for j in range(cover.cols):
+                columns = [cover.column(k) for k in range(cover.cols)]
+                columns[j] = outside
+                covers = list(trace.covers)
+                covers[i] = Matrix.from_columns(f, columns, rows=cover.rows)
+                with pytest.raises(AlgebraError, match=f"degree {i} leaves"):
+                    homology._check_minimal(a, replace(trace, covers=covers))
+
+
 def test_radical_submodule_has_expected_projective_dimension():
     a = cat_algebra(poset_category(chain_poset(3)), QQ)
     rad, _ = submodule(regular_module(a), radical(a))

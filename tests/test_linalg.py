@@ -304,10 +304,10 @@ def test_subspace_coords_project_and_from_coords_agree(f, data):
 
 @given(st.sampled_from([QQ, Field(2), Field(3)]), st.data())
 @settings(max_examples=80, deadline=None)
-def test_extend_equals_the_subspace_of_the_joined_vectors(f, data):
-    """`extend` gives the Subspace of the old basis and the new vectors: the
-    same rref basis, pivots and int echelon, and the same coords, contains
-    and from_coords; members of the span, zero vectors and an empty
+def test_int_extend_equals_the_subspace_of_the_joined_rows(f, data):
+    """`int_extend` gives the Subspace of the old int basis and the new int
+    rows: the same rref basis, pivots and int echelon, and the same coords,
+    contains and from_coords; members of the span, zero rows and an empty
     extension included, and the old subspace left as it was."""
     n = data.draw(st.integers(0, 6))
     vector = st.lists(_scalars(f), min_size=n, max_size=n).map(lambda v: [f.of(x) for x in v])
@@ -318,8 +318,10 @@ def test_extend_equals_the_subspace_of_the_joined_vectors(f, data):
     member = s.from_coords(data.draw(coords))
     new = data.draw(st.permutations(data.draw(st.lists(vector, max_size=3)) + [member, [f.zero] * n]))
     new = new[:data.draw(st.integers(0, len(new)))]
-    ext, ref = s.extend(new), Subspace(f, n, s.basis + new)
+    rows = [f.to_ints(v) for v in new]
+    ext, ref = s.int_extend(rows), Subspace.of_ints(f, n, s.int_basis + rows)
     assert (ext.basis, ext.pivots, ext.int_basis) == (ref.basis, ref.pivots, ref.int_basis)
+    assert ext.basis == Subspace(f, n, s.basis + new).basis
     assert (s.basis, s.pivots, s.int_basis) == before
     for v in (data.draw(vector), member, *new):
         assert ext.contains(v) == ref.contains(v)
@@ -327,7 +329,7 @@ def test_extend_equals_the_subspace_of_the_joined_vectors(f, data):
     co = [f.of(x) for x in data.draw(st.lists(_scalars(f), min_size=ext.dim, max_size=ext.dim))]
     assert ext.from_coords(co) == ref.from_coords(co)
     with pytest.raises(ValueError):
-        s.extend([[f.zero] * (n + 1)])
+        s.int_extend([([0] * (n + 1), 1)])
 
 
 # -- cross-check against sympy's DomainMatrix ---------------------------------
