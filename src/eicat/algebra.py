@@ -8,7 +8,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, product
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import QQ, Field, Matrix, QuotientSpace, Subspace, combination, unit_rows, unit_vector
 from .linalg import _is_prime
@@ -120,16 +120,11 @@ class FiniteDimAlgebra:
     def validate(self):
         """Check the unit law, then associativity on every triple of basis
         elements, on ints: the unit and the basis as int rows through
-        `int_products`, the triples on the int structure constants of
-        `_int_mult`, so no Fraction arithmetic runs.  Associativity goes one
-        t at a time.  The coefficient of e_m in (e_i e_j) e_t =
-        sum_k c_ij^k e_k e_t is summed only over the nonzero c_ij^k with
-        c_kt != 0 (an index of the (i, j) that produce each k), that in
-        e_i (e_j e_t) = sum_l c_jt^l e_i e_l only over the nonzero c_jt^l
-        and c_il (an index of each column of the table), and the two sides
-        are compared as dicts keyed by (i, j, m).  A triple on neither side
-        is 0 on both, so every triple is checked; a failure names the least
-        failing (i, j, t)."""
+        `int_products`, the triples through `_associators`, so no Fraction
+        arithmetic runs.  In characteristic p a triple fails when p does not
+        divide its integer associator; a failure names the least failing
+        (i, j, t).  A table with no integer associator is integral, and
+        `_radical_mod_p` then takes its p-power traces in the algebra."""
         d = self.dim
         p = self.field.characteristic
         u = self.field.to_ints(self.unit)
@@ -140,34 +135,7 @@ class FiniteDimAlgebra:
                     w = [x % p for x in w]
                 if w[i] != den or any(w[:i]) or any(w[i + 1:]):
                     raise AlgebraError(f"unit law fails at basis element {i}")
-
-        _, table = self._int_mult()
-        producers = [[] for _ in range(d)]  # k -> the (i, j, c_ij^k)
-        columns = [[] for _ in range(d)]  # l -> the (i, pairs of e_i e_l) that are nonzero
-        for i, row in enumerate(table):
-            for j, pairs in enumerate(row):
-                if pairs:
-                    columns[j].append((i, pairs))
-                for k, c in pairs:
-                    producers[k].append((i, j, c))
-        failed = []
-        for t in range(d):
-            left, right = {}, {}
-            for k in range(d):
-                kt = table[k][t]
-                if not kt:
-                    continue
-                for i, j, c in producers[k]:  # c_ij^k c_kt^m in (e_i e_j) e_t
-                    for m, c2 in kt:
-                        left[i, j, m] = left.get((i, j, m), 0) + c * c2
-                for l, c in kt:  # c_kt^l c_il^m in e_i (e_k e_t)
-                    for i, pairs in columns[l]:
-                        for m, c2 in pairs:
-                            right[i, k, m] = right.get((i, k, m), 0) + c * c2
-            for key in left.keys() | right.keys():
-                diff = left.get(key, 0) - right.get(key, 0)
-                if diff % p if p else diff:
-                    failed.append((key[0], key[1], t))
+        failed = [key for key, content in _associators(self).items() if not p or content % p]
         if failed:
             raise AlgebraError("associativity fails at (%d, %d, %d)" % min(failed))
         return self
@@ -214,6 +182,51 @@ class FiniteDimAlgebra:
             seen.add((i, j))
             mult[i][j] = [(_index_from_json(k, d), _scalar_from_json(c, f)) for k, c in entry[2]]
         return cls(f, basis, mult, unit)
+
+
+@memoised
+def _associators(a):
+    """{(i, j, t): the gcd of the coefficients of (e_i e_j) e_t - e_i (e_j e_t)}
+    over the triples where that associator, on the int structure constants
+    of `_int_mult` (the ints in [0, p) in characteristic p), is nonzero.
+
+    The triples go one t at a time.  The coefficient of e_m in
+    (e_i e_j) e_t = sum_k c_ij^k e_k e_t is summed only over the nonzero
+    c_ij^k with c_kt != 0 (an index of the (i, j) that produce each k),
+    that in e_i (e_j e_t) = sum_l c_jt^l e_i e_l only over the nonzero
+    c_jt^l and c_il (an index of each column of the table), and the two
+    sides are compared as dicts keyed by (i, j, m).  A triple on neither
+    side is 0 on both, so every triple is checked."""
+    d = a.dim
+    _, table = a._int_mult()
+    producers = [[] for _ in range(d)]  # k -> the (i, j, c_ij^k)
+    columns = [[] for _ in range(d)]  # l -> the (i, pairs of e_i e_l) that are nonzero
+    for i, row in enumerate(table):
+        for j, pairs in enumerate(row):
+            if pairs:
+                columns[j].append((i, pairs))
+            for k, c in pairs:
+                producers[k].append((i, j, c))
+    out = {}
+    for t in range(d):
+        left, right = {}, {}
+        for k in range(d):
+            kt = table[k][t]
+            if not kt:
+                continue
+            for i, j, c in producers[k]:  # c_ij^k c_kt^m in (e_i e_j) e_t
+                for m, c2 in kt:
+                    left[i, j, m] = left.get((i, j, m), 0) + c * c2
+            for l, c in kt:  # c_kt^l c_il^m in e_i (e_k e_t)
+                for i, pairs in columns[l]:
+                    for m, c2 in pairs:
+                        right[i, k, m] = right.get((i, k, m), 0) + c * c2
+        for key in left.keys() | right.keys():
+            diff = left.get(key, 0) - right.get(key, 0)
+            if diff:
+                triple = (key[0], key[1], t)
+                out[triple] = gcd(out.get(triple, 0), diff)
+    return out
 
 
 def _field_products(f, int_products, us, vs):
@@ -297,8 +310,11 @@ def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
     return b
 
 
+@memoised
 def _trace_vector(a):
-    """tr(L_{e_k}) for every basis element e_k, as unreduced scalars."""
+    """tr(L_{e_k}) for every basis element e_k, as unreduced scalars: in
+    characteristic p the exact int traces of the lifts of the constants to
+    [0, p)."""
     return [sum(c for j, pairs in enumerate(row) for t, c in pairs if t == j)
             for row in a.mult]
 
@@ -348,9 +364,11 @@ def radical(a: FiniteDimAlgebra):
     Both characteristics start from the kernel of the trace form of the
     regular representation, I_0 = {x : tr(L_{x e_j}) = 0 for every j}.  In
     characteristic 0 that is the radical (Dickson); in characteristic p it is
-    the first member of the chain of `_radical_mod_p`.  Each returned radical
-    is verified to be a nilpotent ideal exactly once: here in characteristic
-    0, in `_radical_mod_p` in characteristic p.  The check
+    the first member of the chain of `_radical_mod_p`, whose p-power traces
+    take one of two routes: powers in the algebra when the structure
+    constants are associative over Z, int matrix powers otherwise.  Each
+    returned radical is verified to be a nilpotent ideal exactly once: here
+    in characteristic 0, in `_radical_mod_p` in characteristic p.  The check
     (`_is_nilpotent_ideal`) works from left-ideal generators of the
     candidate, so it takes the algebra to be associative: `validate` checks
     that, and the oracle runs it first."""
@@ -372,24 +390,36 @@ def _form_kernel(a, space, values):
     The coordinates of a member v of `space` are its entries at the pivots,
     so g(v) = sum_k v_k w_k, with w_k the value at pivot k and 0 off the
     pivots.  As x e_j lies in `space` for x in `space`, g(x e_j) is
-    sum_i x_i t_ij with t_ij = sum_k c_ij^k w_k, linear in x."""
+    sum_i x_i t_ij with t_ij = sum_k c_ij^k w_k, linear in x.  t_ij is
+    formed over the nonzero products e_i e_j only, and the column of a
+    basis vector summed over its nonzero entries and the nonzero t_ij."""
     f = a.field
     d = a.dim
-    # one scale for all of w, the basis and the structure constants, so the
-    # int matrix below is a multiple of the form's and has the same kernel
+    p = f.characteristic
+    # one scale for all of w and the structure constants, so the int matrix
+    # below is a multiple of the form's and has the same kernel
     _, table = a._int_mult()
     w = [0] * d
     for pc, g in zip(space.pivots, f.to_ints(values)[0]):
         w[pc] = g
-    basis = space.int_basis
-    scale = lcm(*(den for _, den in basis))
-    supports = [[(i, x * (scale // den)) for i, x in enumerate(row) if x] for row, den in basis]
-    columns = [[0] * d for _ in supports]
-    for j in range(d):
-        t = [sum(c * w[k] for k, c in table[i][j]) for i in range(d)]
-        for col, nz in zip(columns, supports):
-            col[j] = sum(x * t[i] for i, x in nz)
-    ker = Matrix.from_int_columns(f, [(col, 1) for col in columns], d).null_space()
+    t = []  # row i: the (j, t_ij) with t_ij nonzero
+    for row in table:
+        ti = []
+        for j, pairs in enumerate(row):
+            if pairs:
+                s = sum(c * w[k] for k, c in pairs)
+                if s % p if p else s:
+                    ti.append((j, s))
+        t.append(ti)
+    columns = []
+    for row, den in space.int_basis:
+        col = [0] * d
+        for i, x in enumerate(row):
+            if x:
+                for j, s in t[i]:
+                    col[j] += x * s
+        columns.append((col, den))
+    ker = Matrix.from_int_columns(f, columns, d).null_space()
     return Subspace.of_ints(f, d, [space.int_from_coords(co) for co in ker.int_basis])
 
 
@@ -408,27 +438,67 @@ def _radical_mod_p(a, space):
     members that are not the radical; the others get the full check once,
     and the first nilpotent ideal among them is the radical and ends the
     chain.  If I_l is not one, or a trace is not divisible by q, the
-    computation is refused."""
-    f, d = a.field, a.dim
-    p = f.characteristic
-    units = [unit_vector(f, d, j) for j in range(d)]
+    computation is refused.
+
+    tr(L_z^q) mod p*q does not depend on the lift: tr(X^(p^i)) =
+    tr(Y^(p^i)) mod p^(i+1) for int matrices X = Y mod p.  When the
+    structure constants, as ints in [0, p), are associative over Z (no
+    `_associators`, as for every category and group algebra), it is read
+    off a power in the algebra (`_power_trace`); otherwise, as for a table
+    whose basis was changed mod p, off a power of the int matrix of L_z
+    (`_dense_trace`).  Both give the same values, so the same chain."""
+    d = a.dim
+    p = a.field.characteristic
+    trace = _dense_trace if _associators(a) else _power_trace
     q = 1
     while _has_non_nilpotent(a, space.basis) or not _is_nilpotent_ideal(a, space.basis):
         if q * p > d:
             raise RadicalVerificationFailed(
                 f"last chain member (q = {q}) is not a nilpotent ideal")
         q *= p
-        # the rows b.e_0 .. b.e_{d-1} of each block are L_b transposed, as
-        # ints in [0, p): the trace of a power reads the same either way
-        rows = a.products(space.basis, units)
         values = []
-        for r in range(0, len(rows), d):
-            t = _p_power_trace(rows[r:r + d], q, p * q)
+        for b in space.int_basis:
+            t = trace(a, b, q)
             if t % q:
                 raise RadicalVerificationFailed(f"p-power trace not divisible by {q}")
             values.append(t // q)
         space = _form_kernel(a, space, values)
     return space.basis
+
+
+def _power_trace(a, b, q):
+    """tr(L_b^q) mod p*q for the int row b, as tr(L_{b^q}), for structure
+    constants associative over Z.
+
+    Their Z-span is then a ring A~ with A~/pA~ = A, whose left
+    multiplications L~ are int matrices with L~_x L~_y = L~_{xy}; so
+    L~_b^q = L~_{b^q}, and tr(L~_y) = sum_k y_k tau_k is Z-linear in y,
+    with tau = `_trace_vector`.  b^q is taken by repeated squaring through
+    `int_products`, reduced mod p*q after each product, which the ring map
+    A~ -> A~/p*q A~ allows.  L~_b is an int lift of L_b, so by the lift
+    lemma of `_radical_mod_p` the value equals `_dense_trace`'s."""
+    modulus = a.field.characteristic * q
+
+    def mul(x, y):
+        w, _ = a.int_products([x], [y])[0]
+        return [c % modulus for c in w], 1
+
+    power, base, e = None, b, q
+    while e:
+        if e & 1:
+            power = base if power is None else mul(power, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return sum(x * t for x, t in zip(power[0], _trace_vector(a)) if x) % modulus
+
+
+def _dense_trace(a, b, q):
+    """tr(L_b^q) mod p*q for the int row b, on the int matrix whose row j
+    is b.e_j from `int_products`: L_b transposed, whose powers have the
+    same traces (`_p_power_trace`)."""
+    rows = a.int_products([b], unit_rows(a.dim))
+    return _p_power_trace([w for w, _ in rows], q, a.field.characteristic * q)
 
 
 def _has_non_nilpotent(a, vectors):
@@ -773,19 +843,27 @@ def _lift_idempotent(a, e, e1bar, quo):
 
 
 def _check_orthogonal_system(a, prims):
+    """Check that `prims` are idempotents that sum to the unit and multiply
+    to 0 in pairs, from one `int_products` over every ordered pair."""
     f = a.field
+    p = f.characteristic
+    n = len(prims)
+    rows = [f.to_ints(e) for e in prims]
+    prods = a.int_products(rows, rows)
+
+    def is_zero(w):
+        return not any([x % p for x in w] if p else w)
+
     total = [f.zero] * a.dim
-    for e in prims:
-        if a.product_vec(e, e) != e:
+    for r, (e, (w, den)) in enumerate(zip(prims, rows)):
+        ww, dd = prods[r * n + r]  # e e = e: ww / dd = w / den
+        if not is_zero([x * den - y * dd for x, y in zip(ww, w)]):
             raise AlgebraError("non-idempotent in primitive system")
         total = [f.add(x, y) for x, y in zip(total, e)]
     if total != list(a.unit):
         raise AlgebraError("idempotent system does not sum to the unit")
-    for i, e in enumerate(prims):
-        for e2 in prims[i + 1:]:
-            if any(x != 0 for x in a.product_vec(e, e2)) or \
-                    any(x != 0 for x in a.product_vec(e2, e)):
-                raise AlgebraError("idempotent system not orthogonal")
+    if not all(is_zero(w) for r, (w, _) in enumerate(prods) if r % (n + 1)):
+        raise AlgebraError("idempotent system not orthogonal")
 
 
 @dataclass

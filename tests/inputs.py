@@ -1,8 +1,8 @@
 """Inputs the corpus lacks, shared by several test modules: the Boolean
 lattice of subsets and the transporter category of S3 permuting {1, 2, 3}
 acting on its subsets, both built from `eicat.families`, algebras with their
-basis permuted, and malformed category JSON and matrix exports.  Collects no
-tests itself."""
+basis permuted or changed mod p, and malformed category JSON and matrix
+exports.  Collects no tests itself."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import itertools
 from eicat.algebra import FiniteDimAlgebra
 from eicat.families import Poset, transporter_category
 from eicat.groups import GroupAction, symmetric_group_3
+from eicat.linalg import Subspace, unit_vector
 
 
 def _subsets(n, max_size):
@@ -53,6 +54,35 @@ def permuted(a, rng):
     mult = [[[(new[k], c) for k, c in a.mult[i][j]] for j in order] for i in order]
     return FiniteDimAlgebra(a.field, [a.basis[i] for i in order], mult,
                             [a.unit[i] for i in order])
+
+
+def rebased(a, rng):
+    """The algebra a over F_p in a random basis drawn from rng: new basis
+    element i is the row P[i] of a random invertible P over F_p, and the
+    structure constants and the unit are their coordinates in the rows of P.
+    Its constants, read as ints in [0, p), are mostly not associative over
+    Z.  Returns the algebra and P, so that the element with coordinates v
+    in the new basis is sum_i v_i P[i] in the old one."""
+    f, d = a.field, a.dim
+    while True:
+        rows = [[rng.randrange(f.characteristic) for _ in range(d)] for _ in range(d)]
+        # the rref of [P | I] is [I | P^-1] when P is invertible
+        both = Subspace(f, 2 * d, [row + unit_vector(f, d, i) for i, row in enumerate(rows)])
+        if both.pivots == list(range(d)):
+            break
+    inverse = [row[d:] for row in both.basis]
+
+    def coords(x):  # y with x = sum_i y_i P[i], that is y = x P^-1
+        y = [f.zero] * d
+        for xk, inv in zip(x, inverse):
+            if xk:
+                y = [f.add(s, f.mul(xk, z)) for s, z in zip(y, inv)]
+        return y
+
+    products = iter(a.products(rows, rows))
+    mult = [[[(k, c) for k, c in enumerate(coords(next(products))) if c] for _ in range(d)]
+            for _ in range(d)]
+    return FiniteDimAlgebra(f, [f"b{i}" for i in range(d)], mult, coords(a.unit)), rows
 
 
 def _chain_raw():

@@ -3,12 +3,12 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from inputs import HOSTILE_MATRICES, matrix_raw, s3_transporter
+from inputs import HOSTILE_MATRICES, matrix_raw, rebased, s3_transporter
 
 import eicat.algebra as algebra
 from eicat.algebra import (
@@ -35,7 +35,7 @@ from eicat.algebra import (
 from eicat.category import presentation_of
 from eicat.families import chain_poset, corpus, poset_category
 from eicat.groups import cyclic_group, symmetric_group_3
-from eicat.linalg import QQ, Field, Matrix, Subspace, _is_prime, unit_vector
+from eicat.linalg import QQ, Field, Matrix, Subspace, _is_prime, unit_rows, unit_vector
 
 
 def chain_algebra(f):
@@ -142,6 +142,42 @@ def test_validate_agrees_with_the_dense_reference(char):
                 assert _validate_verdict(mutant) == verdict, (name, i, j, pair)
                 refused[verdict and verdict.split(" fails")[0]] += 1
     assert refused["associativity"] > 100 and refused["unit law"] > 10
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_associators_are_the_integer_associators(char):
+    """`_associators` holds, for each triple whose associator on the int
+    structure constants is nonzero over Z, the gcd of its coefficients, as
+    a dense triple loop over ints finds, on random 4-dim tables with
+    constants 1 and 2 in char 0 and in [1, p) in char p: in char 2 many of
+    them are even, so nonzero over Z but zero over F_2."""
+    rng = random.Random(char)
+    f, d = Field(char), 4
+    units = [[int(i == j) for j in range(d)] for i in range(d)]
+    even = 0
+    for _ in range(40):
+        mult = [[[(k, f.of(rng.randrange(1, char or 3)))
+                  for k in rng.sample(range(d), rng.choice([0, 1, 2]))]
+                 for _ in range(d)] for _ in range(d)]
+        a = FiniteDimAlgebra(f, list(range(d)), mult, unit_vector(f, d, 0))
+
+        def mul(u, v):
+            out = [0] * d
+            for i, j in product(range(d), repeat=2):
+                for k, c in mult[i][j]:
+                    out[k] += u[i] * v[j] * int(c)
+            return out
+
+        expect = {}
+        for i, j, t in product(range(d), repeat=3):
+            e_i, e_j, e_t = units[i], units[j], units[t]
+            left, right = mul(mul(e_i, e_j), e_t), mul(e_i, mul(e_j, e_t))
+            content = gcd(*(x - y for x, y in zip(left, right)))
+            if content:
+                expect[i, j, t] = content
+        assert algebra._associators(a) == expect
+        even += any(content % 2 == 0 for content in expect.values())
+    assert even > 5, even
 
 
 @given(st.sampled_from([0, 2, 3]), st.data())
@@ -398,8 +434,9 @@ def test_generator_check_agrees_with_the_pairwise_check(corpus_items):
 
 
 def test_left_mult_ints_is_the_action_matrix(corpus_items):
-    """The p-power traces of the radical read L_b transposed from
-    `products([b], units)`: row j is b.e_j, as ints in [0, p)."""
+    """The dense p-power traces of the radical read L_b transposed from
+    `int_products([b], units)`: row j is b.e_j, which is the field form
+    `products` converted at the edge."""
     rng = random.Random(12)
     for name, c in corpus_items:
         for ch in (2, 3, 5):
@@ -432,6 +469,30 @@ def test_primitive_idempotent_system_is_orthogonal(sweep):
             assert a.product_vec(e, e) == e
             total = [f.add(x, y) for x, y in zip(total, e)]
         assert total == list(a.unit)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_orthogonal_system_check_names_each_fault(char):
+    """`_check_orthogonal_system` accepts the idempotents of the chain x -> y
+    -> z and refuses, by name, id_x + (y -> z) in place of id_x, a system
+    without id_x, and in char p the p + 1 copies of 1: idempotents that sum
+    to 1 but are not orthogonal (in char 0 idempotents that sum to 1 are
+    orthogonal, as the trace of each is its rank)."""
+    a = chain_algebra(Field(char))
+    f, d = a.field, a.dim
+    prims = primitive_idempotents(a)
+    _check_orthogonal_system(a, prims)
+    e = unit_vector(f, d, a.basis.index("id_x"))
+    rest = [x for x in prims if x != e]
+    bad = list(e)
+    bad[a.basis.index("y_to_z")] = f.one
+    cases = [([bad, *rest], "non-idempotent in primitive system"),
+             (rest, "idempotent system does not sum to the unit")]
+    if char:
+        cases.append(([a.unit] * (char + 1), "idempotent system not orthogonal"))
+    for system, message in cases:
+        with pytest.raises(AlgebraError, match=message):
+            _check_orthogonal_system(a, system)
 
 
 def test_top_module_dimension():
@@ -602,16 +663,23 @@ def test_p_power_trace_matches_unbounded_powers():
                 assert _p_power_trace(m, q, p * q) == expect, (p, q, n)
 
 
-def test_chain_evaluates_each_level_on_a_basis_and_verifies_once(monkeypatch):
+def _assert_each_level_on_a_basis_and_verified_once(monkeypatch, a, rad_dim, dense):
     """The p-power trace is taken once per basis vector of the previous chain
-    member, never per pair of them; each earlier level is ruled out by the
-    squaring certificate, and only the radical gets the full check."""
-    a = _larger_char_p_algebras()[0][1]
-    traces_at, checks, certified = {}, [], []
+    member, never per pair of them, by the route the table takes: through
+    int matrix powers, once per trace, iff `dense`.  Each earlier level is
+    ruled out by the squaring certificate, and only the radical gets the
+    full check."""
+    traces_at, matrix_powers, checks, certified = Counter(), [], [], []
 
-    def counted_trace(m, q, *rest):
-        traces_at[q] = traces_at.get(q, 0) + 1
-        return _p_power_trace(m, q, *rest)
+    def counted_trace(fn):
+        def counted(a, b, q):
+            traces_at[q] += 1
+            return fn(a, b, q)
+        return counted
+
+    def counted_matrix_power(*args):
+        matrix_powers.append(args[1])
+        return _p_power_trace(*args)
 
     def counted_check(*args):
         checks.append(args)
@@ -623,13 +691,88 @@ def test_chain_evaluates_each_level_on_a_basis_and_verifies_once(monkeypatch):
 
     is_nilpotent_ideal = algebra._is_nilpotent_ideal
     has_non_nilpotent = algebra._has_non_nilpotent
-    monkeypatch.setattr(algebra, "_p_power_trace", counted_trace)
+    for name in ("_power_trace", "_dense_trace"):
+        monkeypatch.setattr(algebra, name, counted_trace(getattr(algebra, name)))
+    monkeypatch.setattr(algebra, "_p_power_trace", counted_matrix_power)
     monkeypatch.setattr(algebra, "_is_nilpotent_ideal", counted_check)
     monkeypatch.setattr(algebra, "_has_non_nilpotent", counted_certificate)
-    assert len(radical(a)) == 28
+    assert len(radical(a)) == rad_dim
     assert traces_at and all(n < a.dim for n in traces_at.values()), traces_at
     assert certified == [True] * len(traces_at) + [False]  # levels 0, p, p^2, ...
     assert len(checks) == 1
+    assert Counter(matrix_powers) == (traces_at if dense else Counter())
+
+
+def test_chain_evaluates_each_level_on_a_basis_and_verifies_once(monkeypatch):
+    """chain_8 in char 2 runs three levels past the first, all in the
+    algebra: its table is integral, and no int matrix power is taken."""
+    _, a, rad_dim = _larger_char_p_algebras()[0]
+    _assert_each_level_on_a_basis_and_verified_once(monkeypatch, a, rad_dim, dense=False)
+
+
+def test_chain_on_a_table_in_another_basis_takes_int_matrix_powers(monkeypatch):
+    """chain_6 in char 2 in a basis changed mod 2 (`rebased`) is not
+    integral, so each p-power trace is an int matrix power."""
+    chain_6 = poset_category(chain_poset(6))
+    a, _ = rebased(algebra_from_category(presentation_of(chain_6).category, Field(2)),
+                   random.Random(0))
+    _assert_each_level_on_a_basis_and_verified_once(monkeypatch, a, 15, dense=True)
+
+
+def _assert_trace_routes_agree(a, rng):
+    """On the integral table a, the p-power trace in the algebra equals the
+    one through int matrix powers mod p*q, for q = 1, p, p^2, on the basis
+    elements, the radical basis and random int rows, some not reduced mod p.
+    Returns the number of vectors compared."""
+    f, d = a.field, a.dim
+    p = f.characteristic
+    assert not algebra._associators(a)
+    vectors = unit_rows(d) + Subspace(f, d, radical(a)).int_basis
+    vectors += [([rng.randrange(3 * p) for _ in range(d)], 1) for _ in range(3)]
+    for q in (1, p, p * p):
+        for b in vectors:
+            assert algebra._power_trace(a, b, q) == algebra._dense_trace(a, b, q), (p, q, b)
+    return len(vectors)
+
+
+def _assert_rebased_radical_maps_back(a, rng):
+    """The radical of a in a basis changed mod p (`rebased`), carried back
+    to the basis of a, is the radical of a.  Returns whether the changed
+    table is not associative over Z, so that it takes the dense route."""
+    f, d = a.field, a.dim
+    b, rows = rebased(a, rng)
+    back = [[sum(v[i] * rows[i][k] for i in range(d)) % f.characteristic for k in range(d)]
+            for v in radical(b.validate())]
+    assert Subspace(f, d, back).basis == radical(a)
+    return bool(algebra._associators(b))
+
+
+def _char_p_algebras(items):
+    return [algebra_from_category(presentation_of(c).category, Field(p))
+            for _, c in items for p in (2, 3, 5)]
+
+
+def test_trace_routes_agree_and_a_basis_change_keeps_the_radical(corpus_items):
+    """On corpus(0) in chars 2/3/5 and on F2[Z4], F2[S3] and F3[S3], both
+    routes to the p-power traces agree, and the radical of each algebra in a
+    random basis over F_p maps back to its radical; most of those tables are
+    not integral, so the dense route is tried end to end."""
+    rng = random.Random(18)
+    algebras = _char_p_algebras(corpus_items) + [
+        group_algebra(cyclic_group(4), Field(2)),
+        *(group_algebra(symmetric_group_3(), Field(p)) for p in (2, 3))]
+    assert sum(_assert_trace_routes_agree(a, rng) for a in algebras) > 1000
+    non_integral = [_assert_rebased_radical_maps_back(a, rng) for a in algebras]
+    assert sum(non_integral) > 3 * len(non_integral) // 4, Counter(non_integral)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [4, 5, 6, 7])
+def test_trace_routes_and_basis_changes_on_more_corpus_seeds(seed):
+    rng = random.Random(seed)
+    for a in _char_p_algebras(corpus(seed)):
+        _assert_trace_routes_agree(a, rng)
+        _assert_rebased_radical_maps_back(a, rng)
 
 
 def _scan_roots(p, poly):

@@ -1,13 +1,15 @@
 import gc
 import importlib
 import json
+import random
 import time
 from collections import Counter
 
 import pytest
-from inputs import HOSTILE_CATEGORIES, HOSTILE_MATRICES, matrix_raw, s3_transporter
+from inputs import HOSTILE_CATEGORIES, HOSTILE_MATRICES, matrix_raw, rebased, s3_transporter
 
 from eicat import cli
+from eicat.algebra import FiniteDimAlgebra, _associators
 from eicat.category import category_to_json
 from eicat.cli import main
 from eicat.families import (
@@ -18,6 +20,7 @@ from eicat.families import (
     stabilized_alpha_category,
 )
 from eicat.groups import cyclic_group
+from eicat.linalg import Field
 
 
 def write_category(tmp_path, c, name="cat.json"):
@@ -186,6 +189,24 @@ def test_matrix_then_oracle_roundtrip(chain_file, tmp_path, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict == {"left": 1, "right": 1, "gldim": 1, "cap": 8}
     assert "agrees" not in verdict
+
+
+@pytest.mark.parametrize("char", ["2", "3"])
+def test_oracle_reads_a_matrix_export_in_another_basis(diamond_file, tmp_path, capsys, char):
+    """The `matrix` export of the diamond put in a random basis over F_p
+    (`rebased`), a table not associative over Z, gets the `oracle` values
+    of the category."""
+    assert main(["oracle", diamond_file, "--char", char]) == 0
+    expect = json.loads(capsys.readouterr().out)
+    assert main(["matrix", diamond_file, "--char", char, "--out", str(tmp_path / "m.json")]) == 0
+    raw = json.loads((tmp_path / "m.json").read_text())
+    del raw["mstar_dims"]
+    a, _ = rebased(FiniteDimAlgebra.from_json(raw, Field(int(char))), random.Random(3))
+    assert _associators(a)
+    (tmp_path / "r.json").write_text(json.dumps(a.to_json()))
+    assert main(["oracle", str(tmp_path / "r.json"), "--char", char]) == 0
+    assert json.loads(capsys.readouterr().out) == \
+        {key: expect[key] for key in ("left", "right", "gldim", "cap")}
 
 
 def test_matrix_mstar_dims_match_the_explain_ledger(tmp_path, capsys, corpus_items):

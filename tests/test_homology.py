@@ -3,7 +3,7 @@ from dataclasses import replace
 from itertools import accumulate
 
 import pytest
-from inputs import permuted, s3_transporter
+from inputs import permuted, rebased, s3_transporter
 
 from eicat import algebra, cli, homology, linalg
 from eicat.algebra import (
@@ -304,6 +304,24 @@ def test_oracle_is_invariant_under_relabelling(sweep):
     differ = [_assert_relabelling_invariant(e.algebra, e.verdict, e.gldim, rng)
               for e in sweep.values()]
     assert any(differ)
+
+
+def test_oracle_is_invariant_under_a_basis_change_mod_p(sweep):
+    """Id on both sides and gldim are read the same off a corpus(0) algebra
+    of dim <= 12 in chars 2/3 put in a random basis over F_p (`rebased`),
+    whose table mostly takes the dense route to the radical."""
+    rng = random.Random(18)
+    dense = 0
+    for (name, ch), e in sweep.items():
+        if ch not in (2, 3) or e.algebra.dim > 12:
+            continue
+        b, _ = rebased(e.algebra, rng)
+        v = is_gorenstein_oracle(b.validate(), CAP)
+        assert (v.left, v.right, global_dimension(b, CAP)) == (e.verdict.left, e.verdict.right,
+                                                               e.gldim), (name, ch)
+        dense += bool(algebra._associators(b))
+        b.forget()
+    assert dense > 40, dense
 
 
 def _dual_of_right_regular(a):
