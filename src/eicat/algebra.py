@@ -1,6 +1,14 @@
 """Finite-dimensional algebras by structure constants, module representations
 by action matrices, the top A / rad A, and exact radical computation in any
-characteristic."""
+characteristic.
+
+Elements are int rows (`Field.to_ints`) inside: products
+(`FiniteDimAlgebra.int_products`, `TopModule.int_products`,
+`ModuleRep.int_products`), the radical's chain and the idempotent splitting
+run on them, with rows kept in lowest terms (`_lowest`) wherever values are
+compared or multiplied again and again.  Field vectors are what the
+structure constants, `radical(a)` and `primitive_idempotents(a)` hold, and
+what `ModuleRep.matrix_of`, `submodule` and `quotient_module` take."""
 
 from __future__ import annotations
 
@@ -10,7 +18,8 @@ from fractions import Fraction
 from itertools import count, product
 from math import gcd, lcm
 
-from .linalg import QQ, Field, Matrix, QuotientSpace, Subspace, combination, unit_rows, unit_vector
+from .linalg import QQ, Field, Matrix, QuotientSpace, Subspace, combination, int_kernel, unit_rows
+from .linalg import unit_vector
 from .linalg import _is_prime
 
 
@@ -75,10 +84,6 @@ class FiniteDimAlgebra:
         return scale, [[[(k, c.numerator * (scale // c.denominator)) for k, c in pairs]
                         for pairs in row] for row in self.mult]
 
-    def product_vec(self, u, v):
-        """Product of two elements given as coefficient vectors."""
-        return self.products([u], [v])[0]
-
     def int_products(self, us, vs):
         """[u * v for u in us for v in vs] for elements given as int rows
         (`Field.to_ints`), as int rows: over `_int_mult`, from the nonzero
@@ -111,11 +116,6 @@ class FiniteDimAlgebra:
                             acc[k] += ab * c
                 out.append((acc, 1 if p else du * dv * scale))
         return out
-
-    def products(self, us, vs):
-        """[u * v for u in us for v in vs] for coefficient vectors: the int
-        form `int_products`, converted at the edge."""
-        return _field_products(self.field, self.int_products, us, vs)
 
     def validate(self):
         """Check the unit law, then associativity on every triple of basis
@@ -229,14 +229,30 @@ def _associators(a):
     return out
 
 
-def _field_products(f, int_products, us, vs):
-    """The field form of an int `int_products`: its factors and results
-    converted at the edge, each result in place, so that one list of
-    results is held, not two."""
-    out = int_products([f.to_ints(u) for u in us], [f.to_ints(v) for v in vs])
-    for r, (w, den) in enumerate(out):
-        out[r] = f.from_ints(w, den)
-    return out
+def _lowest(p, row):
+    """The int row `row` in lowest terms, the one int row of its value:
+    reduced mod p, or over a positive den prime to the gcd of its ints."""
+    w, den = row
+    if p:
+        return [x % p for x in w], 1
+    g = gcd(den, *w)
+    if den < 0:
+        g = -g
+    return ([x // g for x in w], den // g) if g != 1 else (w, den)
+
+
+def _int_sum(p, terms, n, den=1):
+    """sum c * v / den over the (int c, int row v) of `terms`, rows of
+    length n, in lowest terms."""
+    scale = lcm(*(d for _, (_, d) in terms))
+    acc = [0] * n
+    for c, (w, d) in terms:
+        if c:
+            c *= scale // d
+            for i, x in enumerate(w):
+                if x:
+                    acc[i] += c * x
+    return _lowest(p, (acc, den * scale))
 
 
 def _scalar_to_json(x):
@@ -319,8 +335,8 @@ def _trace_vector(a):
             for row in a.mult]
 
 
-def _is_nilpotent_ideal(a, vectors):
-    """Whether the span I of `vectors` is a two-sided nilpotent ideal of the
+def _is_nilpotent_ideal(a, sub):
+    """Whether the Subspace I = `sub` is a two-sided nilpotent ideal of the
     associative algebra a, checked through left-ideal generators X of I.
 
     The walk over the rref basis of I keeps v in X when v is outside the span
@@ -334,7 +350,6 @@ def _is_nilpotent_ideal(a, vectors):
     checks."""
     f = a.field
     d = a.dim
-    sub = Subspace(f, d, vectors)
     units = unit_rows(d)
     gens = []
     span = Subspace(f, d)
@@ -350,7 +365,7 @@ def _is_nilpotent_ideal(a, vectors):
         span = span.int_extend([v, *left])
     power = sub.int_basis
     while power:
-        nxt = Subspace.of_ints(f, d, a.int_products(power, gens))
+        nxt = Subspace(f, d, a.int_products(power, gens))
         if nxt.dim >= len(power) and nxt.dim > 0:
             return False
         power = nxt.int_basis
@@ -374,11 +389,10 @@ def radical(a: FiniteDimAlgebra):
     that, and the oracle runs it first."""
     f = a.field
     d = a.dim
-    whole = Subspace(f, d, [unit_vector(f, d, i) for i in range(d)])
-    level0 = _form_kernel(a, whole, _trace_vector(a))
+    level0 = _form_kernel(a, Subspace(f, d, unit_rows(d)), _trace_vector(a))
     if f.characteristic:
         return _radical_mod_p(a, level0)
-    if not _is_nilpotent_ideal(a, level0.basis):
+    if not _is_nilpotent_ideal(a, level0):
         raise RadicalVerificationFailed("radical candidate is not a nilpotent ideal")
     return level0.basis
 
@@ -419,8 +433,7 @@ def _form_kernel(a, space, values):
                 for j, s in t[i]:
                     col[j] += x * s
         columns.append((col, den))
-    ker = Matrix.from_int_columns(f, columns, d).null_space()
-    return Subspace.of_ints(f, d, [space.int_from_coords(co) for co in ker.int_basis])
+    return Subspace(f, d, [space.int_from_coords(co) for co in int_kernel(f, columns)])
 
 
 def _radical_mod_p(a, space):
@@ -451,7 +464,7 @@ def _radical_mod_p(a, space):
     p = a.field.characteristic
     trace = _dense_trace if _associators(a) else _power_trace
     q = 1
-    while _has_non_nilpotent(a, space.basis) or not _is_nilpotent_ideal(a, space.basis):
+    while _has_non_nilpotent(a, space.int_basis) or not _is_nilpotent_ideal(a, space):
         if q * p > d:
             raise RadicalVerificationFailed(
                 f"last chain member (q = {q}) is not a nilpotent ideal")
@@ -501,18 +514,21 @@ def _dense_trace(a, b, q):
     return _p_power_trace([w for w, _ in rows], q, a.field.characteristic * q)
 
 
-def _has_non_nilpotent(a, vectors):
-    """Whether some x in `vectors` has x^(2^j) != 0 for the first 2^j > dim A.
-    A nilpotent x has x^(dim A) = 0, so such an x proves that no ideal
-    containing it is nilpotent: a cheap certificate, by repeated squaring,
-    that spares the full `_is_nilpotent_ideal` on most members of the chain
-    that are not the radical."""
-    for x in vectors:
+def _has_non_nilpotent(a, rows):
+    """Whether some x among the int rows `rows` has x^(2^j) != 0 for the
+    first 2^j > dim A.  A nilpotent x has x^(dim A) = 0, so such an x proves
+    that no ideal containing it is nilpotent: a cheap certificate, by
+    repeated squaring in lowest terms, that spares the full
+    `_is_nilpotent_ideal` on most members of the chain that are not the
+    radical."""
+    p = a.field.characteristic
+    for x in rows:
         e = 1
-        while e <= a.dim and any(x):
-            x = a.product_vec(x, x)
+        x = _lowest(p, x)
+        while e <= a.dim and any(x[0]):
+            x = _lowest(p, a.int_products([x], [x])[0])
             e *= 2
-        if any(x):
+        if any(x[0]):
             return True
     return False
 
@@ -623,13 +639,10 @@ def _poly_sub(f, p, q):
 
 
 def _poly_eval_element(f, poly, powers):
-    """Sum poly[i] * powers[i] for vector-valued powers."""
-    n = len(powers[0])
-    out = [f.zero] * n
-    for c, vec in zip(poly, powers):
-        if c != 0:
-            out = [f.add(x, f.mul(c, y)) for x, y in zip(out, vec)]
-    return out
+    """Sum poly[i] * powers[i] for int-row powers, as an int row in lowest
+    terms."""
+    c, den = f.to_ints(poly)
+    return _int_sum(f.characteristic, list(zip(c, powers)), len(powers[0][0]), den)
 
 
 def _rational_roots(poly):
@@ -732,38 +745,39 @@ def primitive_idempotents(a: FiniteDimAlgebra):
     Splitting works in A/rad (semisimple), the space of `top_module`: inside
     each corner e.A.e, elements with a root-reducible minimal polynomial
     yield a proper idempotent, which is then lifted to an exact idempotent
-    along the nilpotent radical.  The corner is taken as two `products` calls
-    over the unit vectors at the top's representatives only: A is their span
-    plus rad A, and e.(rad A).e lies in rad A, so the rest adds nothing to
-    the corner of A/rad.  Corners where no split is found are accepted
-    as-is; the result is always a valid orthogonal decomposition of the
-    unit, merely possibly non-primitive."""
+    along the nilpotent radical.  The corner is taken as two `int_products`
+    calls over the unit rows at the top's representatives only: A is their
+    span plus rad A, and e.(rad A).e lies in rad A, so the rest adds nothing
+    to the corner of A/rad.  The minimal polynomial of z is the first
+    dependency among its powers ebar, z, z^2, ... (`int_kernel` of their
+    columns), monic at the last power.  Elements stay int rows in lowest
+    terms; only the seeds, the minimal polynomials and the results are
+    converted.  Corners where no split is found are accepted as-is; the
+    result is always a valid orthogonal decomposition of the unit, merely
+    possibly non-primitive."""
     f = a.field
+    p = f.characteristic
     top = top_module(a)
     quo = top.space
-    reps = [unit_vector(f, a.dim, i) for i in quo.reps]
+    units = unit_rows(a.dim)
+    reps = [units[i] for i in quo.reps]
 
     def split_once(e):
         """e an exact idempotent; return (e1, e2) or None if unsplit."""
-        ebar = quo.project(e)
-        corner = Subspace(f, quo.dim, [quo.project(w)
-                                       for w in a.products(a.products([e], reps), [e])])
+        ebar = _lowest(p, quo.int_project(e))
+        corner = Subspace(f, quo.dim, [quo.int_project(w) for w in
+                                       a.int_products(a.int_products([e], reps), [e])])
         if corner.dim <= 1:
             return None
-        candidates = [list(b) for b in corner.basis]
-        candidates += [[f.add(x, y) for x, y in zip(u, v)]
-                       for i, u in enumerate(corner.basis)
-                       for v in corner.basis[i + 1:]]
+        basis = corner.int_basis  # primitive rows over their pivots: lowest terms
+        candidates = basis + [_int_sum(p, [(1, u), (1, v)], quo.dim)
+                              for i, u in enumerate(basis) for v in basis[i + 1:]]
         for z in candidates:
-            # minimal polynomial of z in the corner, by Krylov iteration
             powers = [ebar, z]
-            while True:
-                mat = Matrix.from_columns(f, powers[:-1], rows=quo.dim)
-                sol = mat.solve(powers[-1])
-                if sol is not None:
-                    minpoly = [f.neg(c) for c in sol] + [f.one]
-                    break
-                powers.append(top.products([quo.lift(powers[-1])], [z])[0])
+            while not (kernel := int_kernel(f, powers)):
+                power = top.int_products([quo.int_lift(powers[-1])], [z])[0]
+                powers.append(_lowest(p, power))
+            minpoly = f.from_ints(*kernel[0])
             if len(minpoly) <= 2:
                 continue
             roots = _field_roots(f, minpoly)
@@ -789,16 +803,14 @@ def primitive_idempotents(a: FiniteDimAlgebra):
             h = _poly_mul(f, u, f1)
             _, h = _poly_divmod(f, h, minpoly)
             e1bar = _poly_eval_element(f, h, powers[:len(minpoly)])
-            if all(x == 0 for x in e1bar) or e1bar == ebar:
+            if not any(e1bar[0]) or e1bar == ebar:
                 continue
             e1 = _lift_idempotent(a, e, e1bar, quo)
-            e2 = [f.sub(x, y) for x, y in zip(e, e1)]
-            return e1, e2
+            return e1, _int_sum(p, [(1, e), (-1, e1)], a.dim)
         return None
 
-    seeds = _unit_idempotent_seeds(a)
+    stack = [_lowest(p, f.to_ints(e)) for e in _unit_idempotent_seeds(a)]
     prims = []
-    stack = list(seeds)
     while stack:
         e = stack.pop()
         got = split_once(e)
@@ -807,7 +819,7 @@ def primitive_idempotents(a: FiniteDimAlgebra):
         else:
             stack.extend(got)
     _check_orthogonal_system(a, prims)
-    return prims
+    return [f.from_ints(w, den) for w, den in prims]
 
 
 def _unit_idempotent_seeds(a):
@@ -828,39 +840,40 @@ def _unit_idempotent_seeds(a):
 
 
 def _lift_idempotent(a, e, e1bar, quo):
-    """Lift a bar-idempotent living in the corner of the exact idempotent e."""
-    f = a.field
-    u = quo.lift(e1bar)
-    u = a.product_vec(a.product_vec(e, u), e)  # stay inside eAe
+    """Lift a bar-idempotent living in the corner of the exact idempotent e,
+    all three int rows, to an exact idempotent of A in lowest terms."""
+    p = a.field.characteristic
+
+    def mul(x, y):
+        return _lowest(p, a.int_products([x], [y])[0])
+
+    u = mul(mul(e, quo.int_lift(e1bar)), e)  # stay inside eAe
     for _ in range(2 * a.dim + 4):
-        u2 = a.product_vec(u, u)
+        u2 = mul(u, u)
         if u2 == u:
             return u
-        u3 = a.product_vec(u2, u)
         # Newton step u <- 3u^2 - 2u^3 squares the defect ideal
-        u = [f.sub(f.mul(f.of(3), x), f.mul(f.of(2), y)) for x, y in zip(u2, u3)]
+        u = _int_sum(p, [(3, u2), (-2, mul(u2, u))], a.dim)
     raise AlgebraError("idempotent lifting did not converge")
 
 
-def _check_orthogonal_system(a, prims):
-    """Check that `prims` are idempotents that sum to the unit and multiply
-    to 0 in pairs, from one `int_products` over every ordered pair."""
+def _check_orthogonal_system(a, rows):
+    """Check that the int rows `rows` are idempotents that sum to the unit
+    and multiply to 0 in pairs, from one `int_products` over every ordered
+    pair."""
     f = a.field
     p = f.characteristic
-    n = len(prims)
-    rows = [f.to_ints(e) for e in prims]
+    n = len(rows)
     prods = a.int_products(rows, rows)
 
     def is_zero(w):
         return not any([x % p for x in w] if p else w)
 
-    total = [f.zero] * a.dim
-    for r, (e, (w, den)) in enumerate(zip(prims, rows)):
+    for r, (w, den) in enumerate(rows):
         ww, dd = prods[r * n + r]  # e e = e: ww / dd = w / den
         if not is_zero([x * den - y * dd for x, y in zip(ww, w)]):
             raise AlgebraError("non-idempotent in primitive system")
-        total = [f.add(x, y) for x, y in zip(total, e)]
-    if total != list(a.unit):
+    if _int_sum(p, [(1, e) for e in rows], a.dim) != _lowest(p, f.to_ints(a.unit)):
         raise AlgebraError("idempotent system does not sum to the unit")
     if not all(is_zero(w) for r, (w, _) in enumerate(prods) if r % (n + 1)):
         raise AlgebraError("idempotent system not orthogonal")
@@ -895,16 +908,13 @@ class ModuleRep:
                              f"for an algebra of dimension {self.algebra.dim}")
         return combination(self.algebra.field, zip(avec, self.action), self.dim, self.dim)
 
-    def products(self, us, vs):
-        """[u.v for u in us for v in vs], u in the algebra and v in the
-        module: one `matrix_of(u)` per u, applied to each v."""
-        return [mat.mul_vec(v) for mat in map(self.matrix_of, us) for v in vs]
-
     def int_products(self, us, vs):
-        """`products` on int rows, converted at the edge."""
+        """[u.v for u in us for v in vs] on int rows, u in the algebra and v
+        in the module: one `matrix_of(u)` per u, applied to each v through
+        `Matrix.int_mul_vec`."""
         f = self.algebra.field
-        return [f.to_ints(w) for w in self.products([f.from_ints(*u) for u in us],
-                                                    [f.from_ints(*v) for v in vs])]
+        mats = [self.matrix_of(f.from_ints(*u)) for u in us]
+        return [mat.int_mul_vec(v) for mat in mats for v in vs]
 
 
 def regular_module(a: FiniteDimAlgebra) -> ModuleRep:
@@ -920,18 +930,14 @@ def submodule(m: ModuleRep, vectors):
 
     Returns (rep, inclusion matrix)."""
     f = m.algebra.field
-    sub = Subspace(f, m.dim, vectors)
-    cols = sub.basis
-    incl = Matrix.from_columns(f, cols, rows=m.dim)
+    sub = Subspace(f, m.dim, map(f.to_ints, vectors))
+    incl = Matrix.from_int_columns(f, sub.int_basis, m.dim)
     action = []
     for mat in m.action:
-        new_cols = []
-        for v in cols:
-            co = sub.coords(mat.mul_vec(v))
-            if co is None:
-                raise AlgebraError("subspace is not invariant")
-            new_cols.append(co)
-        action.append(Matrix.from_columns(f, new_cols, rows=sub.dim))
+        new_cols = [sub.int_coords(mat.int_mul_vec(v)) for v in sub.int_basis]
+        if None in new_cols:
+            raise AlgebraError("subspace is not invariant")
+        action.append(Matrix.from_int_columns(f, new_cols, sub.dim))
     return ModuleRep(m.algebra, sub.dim, action), incl
 
 
@@ -940,11 +946,11 @@ def quotient_module(m: ModuleRep, vectors):
 
     Returns (rep, projection matrix)."""
     f = m.algebra.field
-    quo = QuotientSpace(f, m.dim, vectors)
-    proj = Matrix.from_columns(f, [quo.project(unit_vector(f, m.dim, i))
-                                   for i in range(m.dim)], rows=quo.dim)
-    action = [Matrix.from_columns(f, [quo.project(mat.column(i)) for i in quo.reps],
-                                  rows=quo.dim) for mat in m.action]
+    quo = QuotientSpace(f, m.dim, map(f.to_ints, vectors))
+    units = unit_rows(m.dim)
+    proj = Matrix.from_int_columns(f, [quo.int_project(e) for e in units], quo.dim)
+    action = [Matrix.from_int_columns(f, [quo.int_project(mat.int_mul_vec(units[i]))
+                                          for i in quo.reps], quo.dim) for mat in m.action]
     return ModuleRep(m.algebra, quo.dim, action), proj
 
 
@@ -970,22 +976,11 @@ class TopModule:
         """[u.v for u in us for v in vs] on int rows, u in the algebra and v
         in A / rad A: the class of u times the representative of v in A."""
         q = self.space
-        lifts = []
-        for w, den in vs:
-            if len(w) != q.dim:
-                raise ValueError(f"{len(w)} coordinates in a quotient of dimension {q.dim}")
-            lift = [0] * q.ambient_dim
-            for x, i in zip(w, q.reps):
-                lift[i] = x
-            lifts.append((lift, den))
+        lifts = [q.int_lift(v) for v in vs]
         return [q.int_project(w) for w in self.algebra.int_products(us, lifts)]
-
-    def products(self, us, vs):
-        """`int_products` on coefficient vectors, converted at the edge."""
-        return _field_products(self.algebra.field, self.int_products, us, vs)
 
 
 @memoised
 def top_module(a: FiniteDimAlgebra) -> TopModule:
     """The left module A / rad(A), memoised on `a`."""
-    return TopModule(a, QuotientSpace(a.field, a.dim, radical(a)))
+    return TopModule(a, QuotientSpace(a.field, a.dim, map(a.field.to_ints, radical(a))))

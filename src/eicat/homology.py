@@ -9,11 +9,12 @@ A module is anything with `dim` and `int_products(us, vs)`, which returns
 [u.v for u in us for v in vs] for int rows (`Field.to_ints`) u of the
 algebra and v of the module.  Three things provide it: the algebra itself,
 as its own regular module (`FiniteDimAlgebra.int_products`); a `ModuleRep`,
-through its action matrices, converted at the edge; and `top_module(a)`,
-A / rad A acted on by the product.  Vectors stay int rows throughout: the
-idempotents and the bases of A·f and rad A are converted once and memoised
-on the algebra, each f·m of an Ext computation once per call, and Fractions
-appear only in the covers of a `ResolutionTrace` and in the verdicts.  gldim
+through its action matrices (`Matrix.int_mul_vec`); and `top_module(a)`,
+A / rad A acted on by the product.  Vectors are int rows throughout, the
+one vector form of `Subspace` and the products: the idempotents are
+converted once and memoised on the algebra with the bases of A·f, the
+image of each generator once per Ext differential, and Fractions appear
+only in the covers of a `ResolutionTrace` and in the verdicts.  gldim
 and pd are the length of a resolution that `_check_minimal` finds minimal,
 and id is read from Ext into the algebra, so the oracle builds no action
 matrix."""
@@ -78,7 +79,7 @@ def _principal_data(a: FiniteDimAlgebra):
     units = unit_rows(a.dim)
     out = []
     for e in map(f.to_ints, primitive_idempotents(a)):
-        sub = Subspace.of_ints(f, a.dim, a.int_products(units, [e]))
+        sub = Subspace(f, a.dim, a.int_products(units, [e]))
         gen = sub.int_coords(e)
         if gen is None:
             raise AlgebraError("idempotent outside its own principal module")
@@ -181,7 +182,7 @@ def _minimal_generators(a, vectors, act, data):
     generators and columns are int rows, and one span grows
     (`Subspace.int_extend`)."""
     n = len(vectors[0][0])
-    span = Subspace.of_ints(a.field, n, act(_radical_space(a).int_basis, vectors))
+    span = Subspace(a.field, n, act(_radical_space(a).int_basis, vectors))
     idempotents = [e for e, _, _ in data]
     kept = []
     for x in vectors:
@@ -343,7 +344,7 @@ def ext_dims_from_trace(a, trace, m, cap):
                         raise AlgebraError("Hom differential leaves its block")
                     placed.append((at, *co))
             columns += [_join(offsets[-1], placed) for placed in block]
-        ranks.append(Subspace.of_ints(f, offsets[-1], columns).dim)
+        ranks.append(Subspace(f, offsets[-1], columns).dim)
 
     return [hom_dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cap + 1)]
 
@@ -352,7 +353,7 @@ def _hom_spaces(a, m):
     """Hom(A·f, m) = f·m for each idempotent f, as the span of f times the
     unit vectors of m."""
     units = unit_rows(m.dim)
-    return [Subspace.of_ints(a.field, m.dim, m.int_products([e], units))
+    return [Subspace(a.field, m.dim, m.int_products([e], units))
             for e, _, _ in _principal_data(a)]
 
 

@@ -1,32 +1,28 @@
 """Exact linear algebra over Q and the prime fields F_p.
 
-At the API edge, scalars are `fractions.Fraction` in characteristic 0 and
-plain ints in [0, p) in characteristic p.  Inside, every reduction and every
-product runs on Python ints, on int rows: a vector v as the pair (w, den)
-of `Field.to_ints`, ints w with v = w / den, not necessarily in lowest
-terms; in characteristic p, den is 1 and w need not be reduced.
-`Field.from_ints` makes a row canonical, entry by entry, on the way out.
-The operations the oracle repeats have an int form that takes and returns
-int rows: `Matrix.int_mul_vec`, `Matrix.from_int_columns`,
-`Matrix.null_space`, `Subspace.of_ints`, `int_basis`, `int_contains`,
-`int_coords`, `int_from_coords`, `int_extend` and
-`QuotientSpace.int_project`.  Each field form (`mul_vec`, `contains`,
-`coords`, ...) converts its input and its result at the edge, once.
-Everything is exact; no floats anywhere.  `Field.of`, `Matrix(...)` and
+Vectors have one form: the int row of `Field.to_ints`, the pair (w, den)
+of ints w and one denominator with v = w / den, not necessarily in lowest
+terms; in characteristic p, den is 1 and w need not be reduced.  `Subspace`,
+`QuotientSpace`, `Matrix.int_mul_vec`, `Matrix.from_int_columns`,
+`Matrix.null_space` and `int_kernel` take and give int rows.  Canonical
+scalars, `fractions.Fraction` in characteristic 0 and ints in [0, p) in
+characteristic p, appear only in `Matrix` entries and in what is handed
+out: `Subspace.basis`, made canonical by `Field.from_ints`.  Everything is
+exact; no floats anywhere.  `Field.of`, `Matrix(...)` and
 `FiniteDimAlgebra.from_json` refuse floats and bools; everything else takes
 the canonical scalars they and this module hand out.
 
 Matrices are stored dense, row-major.  `rref`, `rank`, `kernel_basis`,
-`null_space`, `solve` and `Subspace` share one fraction-free elimination
-(`_echelon`).  Products and eliminations work from a column-sparse int view
-of the matrix (per column, the (row, value) pairs with nonzero value, all
-times one scale) that is built on first use, or from the ints of
-`from_int_columns`, and cached on the matrix.  A `Subspace` keeps the int
-echelon of its rref basis, which its int forms and `QuotientSpace.project`
-share, and `int_extend` grows it in place of a rebuild.  So neither a
-matrix whose view is cached nor a `Subspace.basis` or `int_basis` may be
-written in place.  A matrix is built whole and never changed:
-`Matrix.from_entries` (scattered entries, repeats adding up),
+`null_space`, `int_kernel` and `Subspace` share one fraction-free
+elimination (`_echelon`).  Products and eliminations work from a
+column-sparse int view of the matrix (per column, the (row, value) pairs
+with nonzero value, all times one scale) that is built on first use, or
+from the ints of `from_int_columns`, and cached on the matrix.  A
+`Subspace` keeps the int echelon of its rref basis, which its methods and
+`QuotientSpace.int_project` share, and `int_extend` grows it in place of a
+rebuild.  So neither a matrix whose view is cached nor a `Subspace.basis`
+or `int_basis` may be written in place.  A matrix is built whole and never
+changed: `Matrix.from_entries` (scattered entries, repeats adding up),
 `Matrix.from_columns`, `Matrix.from_int_columns` and `combination` (a sum
 of c * M) are the builders, and nothing outside this module writes `.data`.
 """
@@ -192,13 +188,6 @@ def _fresh_rows(p, ints, n):
     return rows
 
 
-def _int_rows(f: Field, vectors, n):
-    """Fresh int rows spanning the same rows as `vectors` (each of length
-    n): a row of Fractions is cleared of its own denominators, a row mod p
-    is reduced."""
-    return _fresh_rows(f.characteristic, (f.to_ints(v)[0] for v in vectors), n)
-
-
 def _echelon(p, rows, ncols):
     """Gauss-Jordan elimination, in place, of int rows (reduced mod p in
     characteristic p); returns the pivot columns.  rows[:rank] are then the
@@ -323,13 +312,8 @@ class Matrix:
         `columns`: each column made canonical once, and the int view the
         products use taken from the ints, over the lcm of their
         denominators."""
-        p = field.characteristic
-        if p:
-            columns = [([x % p for x in w], 1) for w, _ in columns]
         m = cls.from_columns(field, [field.from_ints(w, den) for w, den in columns], rows=rows)
-        scale = lcm(*(den for _, den in columns))
-        m._sparse = ([[(i, x * (scale // den)) for i, x in enumerate(w) if x]
-                      for w, den in columns], scale)
+        m._sparse = _int_view(field.characteristic, columns)
         return m
 
     def copy(self):
@@ -393,19 +377,10 @@ class Matrix:
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
 
-    def _reduced_rows(self):
-        """(int rows, pivot columns) of `_echelon` on the rows of self, read
-        from the int view."""
-        rows = [[0] * self.cols for _ in range(self.rows)]
-        for j, column in enumerate(self._sparse_view()[0]):
-            for i, x in column:
-                rows[i][j] = x
-        return rows, _echelon(self.field.characteristic, rows, self.cols)
-
     def rref(self):
         """Reduced row echelon form.  Returns (matrix, rank, pivot_columns)."""
         f = self.field
-        rows, pivots = self._reduced_rows()
+        rows, pivots = _echelon_columns(f.characteristic, self._sparse_view()[0])
         rank = len(pivots)
         data = [f.from_ints(row, row[c]) for row, c in zip(rows, pivots)]
         z = f.zero
@@ -413,26 +388,10 @@ class Matrix:
         return Matrix._of(f, data, self.cols), rank, pivots
 
     def rank(self):
-        return len(self._reduced_rows()[1])
+        return len(_echelon_columns(self.field.characteristic, self._sparse_view()[0])[1])
 
     def _kernel_rows(self):
-        """Int rows of the basis of the right null space with a 1 at one
-        non-pivot column each and 0 at the others."""
-        p = self.field.characteristic
-        rows, pivots = self._reduced_rows()
-        den = 1 if p else lcm(*(row[pc] for row, pc in zip(rows, pivots)))
-        pivset = set(pivots)
-        out = []
-        for c in range(self.cols):
-            if c in pivset:
-                continue
-            w = [0] * self.cols
-            w[c] = den
-            for row, pc in zip(rows, pivots):
-                if row[c]:
-                    w[pc] = (-row[c]) % p if p else -row[c] * (den // row[pc])
-            out.append((w, den))
-        return out
+        return _kernel_columns(self.field.characteristic, self._sparse_view()[0])
 
     def kernel_basis(self):
         """Basis (list of column vectors) of the right null space."""
@@ -441,22 +400,60 @@ class Matrix:
     def null_space(self):
         """The right null space as a `Subspace`, from the int rows of
         `kernel_basis`."""
-        return Subspace.of_ints(self.field, self.cols, self._kernel_rows())
+        return Subspace(self.field, self.cols, self._kernel_rows())
 
-    def solve(self, b):
-        """One solution x of self * x = b, or None if inconsistent."""
-        f = self.field
-        if len(b) != self.rows:
-            raise ValueError("length mismatch")
-        n = self.cols
-        rows = _int_rows(f, [row + [bi] for row, bi in zip(self.data, b)], n + 1)
-        pivots = _echelon(f.characteristic, rows, n + 1)
-        if n in pivots:
-            return None
-        x = [f.zero] * n
+
+def _int_view(p, columns):
+    """(columns, scale) of the matrix whose columns are the int rows
+    `columns`, as `Matrix._sparse_view` gives it: per column the nonzero
+    (row, value * scale), over the lcm of their denominators in
+    characteristic 0, reduced mod p in characteristic p."""
+    if p:
+        return [[(i, x % p) for i, x in enumerate(w) if x % p] for w, _ in columns], 1
+    scale = lcm(*(den for _, den in columns))
+    return [[(i, x * (scale // den)) for i, x in enumerate(w) if x] for w, den in columns], scale
+
+
+def _echelon_columns(p, columns):
+    """(int rows, pivot columns) of `_echelon` on the nonzero rows of the
+    matrix whose int view has the columns `columns`; zero rows are never
+    eliminated."""
+    ncols = len(columns)
+    rows = {}
+    for j, column in enumerate(columns):
+        for i, x in column:
+            rows.setdefault(i, [0] * ncols)[j] = x
+    rows = [rows[i] for i in sorted(rows)]
+    return rows, _echelon(p, rows, ncols)
+
+
+def _kernel_columns(p, columns):
+    """Int rows of the basis of the right null space of the matrix whose
+    int view has the columns `columns`, with a 1 at one non-pivot column
+    each and 0 at the others."""
+    ncols = len(columns)
+    rows, pivots = _echelon_columns(p, columns)
+    den = 1 if p else lcm(*(row[pc] for row, pc in zip(rows, pivots)))
+    pivset = set(pivots)
+    out = []
+    for c in range(ncols):
+        if c in pivset:
+            continue
+        w = [0] * ncols
+        w[c] = den
         for row, pc in zip(rows, pivots):
-            x[pc] = f.from_ints([row[n]], row[pc])[0]
-        return x
+            if row[c]:
+                w[pc] = (-row[c]) % p if p else -row[c] * (den // row[pc])
+        out.append((w, den))
+    return out
+
+
+def int_kernel(f: Field, columns):
+    """The right null space of the matrix whose columns are the int rows
+    `columns`, as the int rows `Matrix.null_space` spans it from (a 1 at one
+    non-pivot column each, 0 at the others), with no canonical scalar
+    made."""
+    return _kernel_columns(f.characteristic, _int_view(f.characteristic, columns)[0])
 
 
 def _accumulate(acc, columns, nz, factor):
@@ -494,7 +491,8 @@ def combination(f: Field, terms, rows, cols):
 
 
 class Subspace:
-    """Subspace of k^n held as a reduced row echelon basis.
+    """Subspace of k^n, the span of the int rows given, held as a reduced
+    row echelon basis.
 
     Inside, the basis is its int echelon (`_echelon`): row r is basis[r]
     times its pivot entry, primitive with a positive pivot in characteristic
@@ -504,24 +502,14 @@ class Subspace:
     entries.  The residual v - sum_r v[pivots[r]] * basis[r] of v = w / den
     is res / (den * D), with res = D w - sum_r w[pivots[r]] (D / pivot
     entry) row_r: it vanishes on the pivots, and everywhere iff v lies in
-    the subspace (`_residual`).  The int forms `int_contains`, `int_coords`,
+    the subspace (`_residual`).  `int_contains`, `int_coords`,
     `int_from_coords`, `int_extend` and `QuotientSpace.int_project` work
-    from these rows, and their field forms convert at the edge; `basis` is
-    made canonical on first use."""
+    from these rows; `basis` is made canonical on first use."""
 
-    def __init__(self, field: Field, ambient_dim: int, vectors=()):
-        self._reduce(field, ambient_dim, _int_rows(field, vectors, ambient_dim))
-
-    @classmethod
-    def of_ints(cls, field: Field, ambient_dim: int, rows):
-        """The span of the int rows `rows`."""
-        s = cls.__new__(cls)
-        s._reduce(field, ambient_dim,
-                  _fresh_rows(field.characteristic, (w for w, _ in rows), ambient_dim))
-        return s
-
-    def _reduce(self, field, ambient_dim, rows):
-        pivots = _echelon(field.characteristic, rows, ambient_dim)
+    def __init__(self, field: Field, ambient_dim: int, rows=()):
+        p = field.characteristic
+        rows = _fresh_rows(p, (w for w, _ in rows), ambient_dim)
+        pivots = _echelon(p, rows, ambient_dim)
         self._set(field, ambient_dim, [(c, row, None) for c, row in zip(pivots, rows)])
 
     def _set(self, field, ambient_dim, echelon):
@@ -577,9 +565,6 @@ class Subspace:
     def int_contains(self, row):
         return self._inside(self._residual(row))
 
-    def contains(self, v):
-        return self.int_contains(self.field.to_ints(v))
-
     def int_coords(self, row):
         """Coordinates of an int row in the rref basis, as an int row, or
         None if it lies outside."""
@@ -588,11 +573,6 @@ class Subspace:
         w, den = row
         p = self.field.characteristic
         return [w[pc] % p if p else w[pc] for pc in self.pivots], den
-
-    def coords(self, v):
-        """Coordinates of v in the rref basis, or None if v is outside."""
-        co = self.int_coords(self.field.to_ints(v))
-        return None if co is None else self.field.from_ints(*co)
 
     def int_from_coords(self, row):
         """The member with the coordinates of the int row `row`, as an int
@@ -608,10 +588,6 @@ class Subspace:
                 for j, b in nz:
                     out[j] += a * b
         return ([x % p for x in out], 1) if p else (out, den * scale)
-
-    def from_coords(self, coords):
-        """The member of the subspace with the given coordinates."""
-        return self.field.from_ints(*self.int_from_coords(self.field.to_ints(coords)))
 
     def int_extend(self, rows):
         """The span of self and the int rows `rows`, as a new Subspace; self
@@ -644,8 +620,9 @@ class Subspace:
 
 
 class QuotientSpace:
-    """k^n modulo the span of relation vectors, with explicit projection and
-    a section picking standard basis vectors as class representatives."""
+    """k^n modulo the span of the int rows `relations`, with explicit
+    projection and a section picking standard basis vectors as class
+    representatives."""
 
     def __init__(self, field: Field, ambient_dim: int, relations=()):
         self.field = field
@@ -662,16 +639,13 @@ class QuotientSpace:
         return ([res[i] % p for i in self.reps], 1) if p else \
             ([res[i] for i in self.reps], row[1] * self.sub._scale)
 
-    def project(self, v):
-        """Coordinates of the class of v in the representative basis
-        (`int_project`)."""
-        return self.field.from_ints(*self.int_project(self.field.to_ints(v)))
-
-    def lift(self, coords):
-        """The representative of a class: a combination of the chosen e_i."""
-        if len(coords) != self.dim:
-            raise ValueError(f"{len(coords)} coordinates in a quotient of dimension {self.dim}")
-        v = [self.field.zero] * self.ambient_dim
-        for a, i in zip(coords, self.reps):
-            v[i] = a
-        return v
+    def int_lift(self, row):
+        """The representative of the class with the coordinates of the int
+        row `row`, a combination of the chosen e_i, as an int row."""
+        w, den = row
+        if len(w) != self.dim:
+            raise ValueError(f"{len(w)} coordinates in a quotient of dimension {self.dim}")
+        lift = [0] * self.ambient_dim
+        for x, i in zip(w, self.reps):
+            lift[i] = x
+        return lift, den

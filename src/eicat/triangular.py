@@ -95,7 +95,7 @@ def tensor_quotient(f: Field, right_mats, left_mats) -> QuotientSpace:
                     if cy != 0:
                         vec[a * dn + y] = f.sub(vec[a * dn + y], cy)
                 relations.append(vec)
-    return QuotientSpace(f, dm * dn, relations)
+    return QuotientSpace(f, dm * dn, map(f.to_ints, relations))
 
 
 def build_m_star(p: SkeletalEIPresentation, f: Field, t: int) -> ModuleRep:

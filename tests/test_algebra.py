@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from collections import Counter
@@ -41,6 +42,17 @@ from eicat.linalg import QQ, Field, Matrix, Subspace, _is_prime, unit_rows, unit
 def chain_algebra(f):
     c = poset_category(chain_poset(3, ["x", "y", "z"]))
     return algebra_from_category(presentation_of(c).category, f)
+
+
+def _product(a, u, v):
+    """u * v for coefficient vectors, through `int_products`."""
+    f = a.field
+    return f.from_ints(*a.int_products([f.to_ints(u)], [f.to_ints(v)])[0])
+
+
+def _span(f, n, vectors):
+    """The Subspace of k^n spanned by coefficient vectors."""
+    return Subspace(f, n, map(f.to_ints, vectors))
 
 
 def test_group_algebra_dimensions_and_validation():
@@ -183,10 +195,10 @@ def test_associators_are_the_integer_associators(char):
 @given(st.sampled_from([0, 2, 3]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_int_products_converted_at_the_edge_equal_the_field_products(char, data):
-    """`int_products` on int rows, converted at the edge, equals `products`
-    on the field vectors and a dense product over field scalars, on random
-    structure constants and factors: zero factors, entries with different
-    denominators, and int rows not in lowest terms (mod p, not reduced);
+    """`int_products` on int rows, converted at the edge, equals a dense
+    product over field scalars, on random structure constants and factors:
+    zero factors, entries with different denominators, the rows of
+    `Field.to_ints`, and int rows not in lowest terms (mod p, not reduced);
     mod p the results come over denominator 1."""
     f = Field(char)
     p = f.characteristic
@@ -213,7 +225,8 @@ def test_int_products_converted_at_the_edge_equal_the_field_products(char, data)
         return out
 
     expected = [dense(u, v) for u in us for v in vs]
-    assert a.products(us, vs) == expected
+    rows = a.int_products([f.to_ints(u) for u in us], [f.to_ints(v) for v in vs])
+    assert [f.from_ints(w, den) for w, den in rows] == expected
     rows = a.int_products([int_row(u) for u in us], [int_row(v) for v in vs])
     assert [f.from_ints(w, den) for w, den in rows] == expected
     if p:
@@ -306,9 +319,9 @@ def test_radical_chain_algebra_is_span_of_non_identities():
         a = chain_algebra(f)
         rad = radical(a)
         assert len(rad) == 3
-        sub = Subspace(f, a.dim, rad)
-        for i, name in enumerate(a.basis):
-            assert sub.contains(unit_vector(f, a.dim, i)) == (not name.startswith("id_"))
+        sub = _span(f, a.dim, rad)
+        for row, name in zip(unit_rows(a.dim), a.basis):
+            assert sub.int_contains(row) == (not name.startswith("id_"))
 
 
 def test_radical_dimension_matches_opposite(sweep):
@@ -325,9 +338,8 @@ def test_radical_dimension_matches_opposite(sweep):
                                  list(a.unit))
         op = opposite(a)
         assert op.mult == fresh.mult, (name, ch)
-        assert Subspace(f, d, radical(op)).basis == Subspace(f, d, radical(fresh)).basis, \
-            (name, ch)
-        _check_orthogonal_system(fresh, primitive_idempotents(op))
+        assert _span(f, d, radical(op)).basis == _span(f, d, radical(fresh)).basis, (name, ch)
+        _check_orthogonal_system(fresh, [f.to_ints(e) for e in primitive_idempotents(op)])
 
 
 def _brute_force_radical_dim(a):
@@ -341,26 +353,25 @@ def _brute_force_radical_dim(a):
         vecs = [v]
         for i in range(a.dim):
             ei = [f.one if t == i else f.zero for t in range(a.dim)]
-            vecs.append(a.product_vec(ei, v))
-            vecs.append(a.product_vec(v, ei))
+            vecs.append(_product(a, ei, v))
+            vecs.append(_product(a, v, ei))
             for j in range(a.dim):
                 ej = [f.one if t == j else f.zero for t in range(a.dim)]
-                vecs.append(a.product_vec(ei, a.product_vec(v, ej)))
-        ideal = Subspace(f, a.dim, vecs)
+                vecs.append(_product(a, ei, _product(a, v, ej)))
+        ideal = _span(f, a.dim, vecs)
         power = ideal.basis
         nilpotent = True
         for _ in range(a.dim + 1):
             if not power:
                 break
-            power = Subspace(f, a.dim, [a.product_vec(u, w)
-                                        for u in power for w in ideal.basis]).basis
+            power = _span(f, a.dim, [_product(a, u, w) for u in power for w in ideal.basis]).basis
         else:
             nilpotent = False
         if not power:
             nilpotent = True
         if nilpotent:
             members.append(v)
-    return Subspace(f, a.dim, members).dim
+    return _span(f, a.dim, members).dim
 
 
 def test_radical_against_brute_force_on_tiny_algebras():
@@ -380,16 +391,17 @@ def _pairwise_is_nilpotent_ideal(a, vectors):
     """Reference for `_is_nilpotent_ideal`: every basis element times every
     basis vector of I on both sides, and every pair at each power."""
     f, d = a.field, a.dim
-    sub = Subspace(f, d, vectors)
+    sub = _span(f, d, vectors)
     basis = sub.basis
     for i in range(d):
         ei = unit_vector(f, d, i)
         for v in basis:
-            if not sub.contains(a.product_vec(ei, v)) or not sub.contains(a.product_vec(v, ei)):
+            if not sub.int_contains(f.to_ints(_product(a, ei, v))) or \
+                    not sub.int_contains(f.to_ints(_product(a, v, ei))):
                 return False
     power = list(basis)
     while power:
-        nxt = Subspace(f, d, [a.product_vec(u, v) for u in power for v in basis])
+        nxt = _span(f, d, [_product(a, u, v) for u in power for v in basis])
         if nxt.dim >= len(power) and nxt.dim > 0:
             return False
         power = nxt.basis
@@ -411,9 +423,9 @@ def _ideal_candidates(a, rng):
         yield rng.sample(rad, rng.randrange(len(rad) + 1))
     yield [*rad, [f.of(rng.randrange(-2, 3)) for _ in range(d)]]
     for i in rng.sample(range(d), min(d, 2)):
-        left = [a.product_vec(e, units[i]) for e in units]
-        right = [a.product_vec(units[i], e) for e in units]
-        both = [a.product_vec(w, e) for w in left for e in units]
+        left = [_product(a, e, units[i]) for e in units]
+        right = [_product(a, units[i], e) for e in units]
+        both = [_product(a, w, e) for w in left for e in units]
         yield left
         yield right
         yield both
@@ -428,24 +440,43 @@ def test_generator_check_agrees_with_the_pairwise_check(corpus_items):
             a = algebra_from_category(c, Field(ch))
             for vectors in _ideal_candidates(a, rng):
                 expect = _pairwise_is_nilpotent_ideal(a, vectors)
-                assert _is_nilpotent_ideal(a, vectors) == expect, (name, ch, vectors)
+                got = _is_nilpotent_ideal(a, _span(a.field, a.dim, vectors))
+                assert got == expect, (name, ch, vectors)
                 verdicts.append(expect)
     assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100, len(verdicts)
 
 
 def test_left_mult_ints_is_the_action_matrix(corpus_items):
     """The dense p-power traces of the radical read L_b transposed from
-    `int_products([b], units)`: row j is b.e_j, which is the field form
-    `products` converted at the edge."""
+    `int_products([b], units)`: row j is b.e_j, converted at the edge."""
     rng = random.Random(12)
     for name, c in corpus_items:
         for ch in (2, 3, 5):
             a = algebra_from_category(c, Field(ch))
             reg = regular_module(a)
-            units = [unit_vector(a.field, a.dim, j) for j in range(a.dim)]
+            units = unit_rows(a.dim)
             for b in [*radical(a), [rng.randrange(ch) for _ in range(a.dim)]]:
-                transposed = a.products([b], units)
+                transposed = [a.field.from_ints(*w) for w in a.int_products([(b, 1)], units)]
                 assert list(map(list, zip(*transposed))) == reg.matrix_of(b).data, (name, ch, b)
+
+
+def _cyclic_idempotent_count(n, p):
+    """The number of primitive idempotents of k[Z_n], one per irreducible
+    factor of x^n - 1 over k: the divisors d of n in characteristic 0 (one
+    cyclotomic factor each); in characteristic p, with n' the p'-part of n,
+    the orbits of x -> p x on Z/n' (the p-cyclotomic cosets), as
+    x^n - 1 = (x^n' - 1)^(n / n')."""
+    if p == 0:
+        return sum(n % d == 0 for d in range(1, n + 1))
+    while n % p == 0:
+        n //= p
+    seen, orbits = set(), 0
+    for x in range(n):
+        orbits += x not in seen
+        while x not in seen:
+            seen.add(x)
+            x = x * p % n
+    return orbits
 
 
 def test_primitive_idempotents_counts():
@@ -455,6 +486,44 @@ def test_primitive_idempotents_counts():
     assert len(primitive_idempotents(group_algebra(symmetric_group_3(), QQ))) == 4
     # chain A3: three vertices, each field: three primitives
     assert len(primitive_idempotents(chain_algebra(QQ))) == 3
+    # k[Z_n]: corners split by a root, irreducible quadratic corners, and
+    # local algebras, each minimal polynomial the first Krylov dependency
+    for n in range(2, 7):
+        for p in (0, 2, 3, 5, 7, 13):
+            got = len(primitive_idempotents(group_algebra(cyclic_group(n), Field(p))))
+            assert got == _cyclic_idempotent_count(n, p), (n, p)
+
+
+# sha256 of repr(primitive_idempotents(a)), values and order, over each
+# family of `test_primitive_idempotents_are_pinned`
+_IDEMPOTENT_DIGESTS = {
+    "corpus": "8dcbe0b700efdb5e26ce54fd3a80780733d2e2e5da3c8edaaedf1a8d20b4bf93",
+    "s3": "d6cce125822b9765e36818949fd04673a51ac67d66602f9cfcc42e4418cdbb53",
+    "rebased": "ece04d7b53d31f2f31cfd4efc9bfdda8e6f00df6cf7d5be7f5a6c20b5261f206",
+}
+
+
+def test_primitive_idempotents_are_pinned(corpus_items):
+    """The idempotents, values and order, of corpus(0) in chars 0/2/3/5, of
+    the S3 transporter on the subsets of size <= 2 in chars 0/2/3, and of
+    four corpus members in chars 2/3 in a basis changed mod p (`rebased`,
+    seed 19): there the unit is the only seed, and most of the tables are
+    not integral."""
+    def algebra_of(c, p):
+        return algebra_from_category(presentation_of(c).category, Field(p))
+
+    rng = random.Random(19)
+    families = {
+        "corpus": [algebra_of(c, p) for _, c in corpus_items for p in (0, 2, 3, 5)],
+        "s3": [algebra_of(s3_transporter(2), p) for p in (0, 2, 3)],
+        "rebased": [rebased(algebra_of(c, p), rng)[0].validate()
+                    for _, c in corpus_items[:12:3] for p in (2, 3)],
+    }
+    for name, algebras in families.items():
+        digest = hashlib.sha256()
+        for a in algebras:
+            digest.update(repr(primitive_idempotents(a)).encode() + b"\n")
+        assert digest.hexdigest() == _IDEMPOTENT_DIGESTS[name], name
 
 
 def test_primitive_idempotent_system_is_orthogonal(sweep):
@@ -466,7 +535,7 @@ def test_primitive_idempotent_system_is_orthogonal(sweep):
         f = a.field
         total = [f.zero] * a.dim
         for e in prims:
-            assert a.product_vec(e, e) == e
+            assert _product(a, e, e) == e
             total = [f.add(x, y) for x, y in zip(total, e)]
         assert total == list(a.unit)
 
@@ -481,7 +550,7 @@ def test_orthogonal_system_check_names_each_fault(char):
     a = chain_algebra(Field(char))
     f, d = a.field, a.dim
     prims = primitive_idempotents(a)
-    _check_orthogonal_system(a, prims)
+    _check_orthogonal_system(a, [f.to_ints(e) for e in prims])
     e = unit_vector(f, d, a.basis.index("id_x"))
     rest = [x for x in prims if x != e]
     bad = list(e)
@@ -492,7 +561,7 @@ def test_orthogonal_system_check_names_each_fault(char):
         cases.append(([a.unit] * (char + 1), "idempotent system not orthogonal"))
     for system, message in cases:
         with pytest.raises(AlgebraError, match=message):
-            _check_orthogonal_system(a, system)
+            _check_orthogonal_system(a, [f.to_ints(e) for e in system])
 
 
 def test_top_module_dimension():
@@ -514,9 +583,17 @@ def test_module_constructions_validate():
     dual_module(regular_module(a)).validate()
 
 
+def _module_products(m, us, vs):
+    """m.int_products on coefficient vectors, converted at the edge."""
+    f = m.algebra.field
+    return [f.from_ints(*w) for w in m.int_products(list(map(f.to_ints, us)),
+                                                    list(map(f.to_ints, vs)))]
+
+
 def test_matrix_of_columns_are_the_action_on_unit_vectors():
-    """A ModuleRep's `products` applies the columns of `matrix_of`, and the
-    top's `products` is the action of the ModuleRep quotient A / rad A."""
+    """A ModuleRep's `int_products` applies the columns of `matrix_of`, and
+    the top's `int_products` is the action of the ModuleRep quotient
+    A / rad A."""
     for name, c in corpus(0)[:6]:
         for f in (QQ, Field(2), Field(3)):
             a = algebra_from_category(presentation_of(c).category, f)
@@ -529,10 +606,10 @@ def test_matrix_of_columns_are_the_action_on_unit_vectors():
                 for avec in avecs:
                     mat = m.matrix_of(avec)
                     assert [mat.column(t) for t in range(m.dim)] == \
-                        m.products([avec], units), name
+                        _module_products(m, [avec], units), name
             assert top_module(a).dim == matrix_top.dim
-            assert top_module(a).products(avecs, units) == \
-                matrix_top.products(avecs, units), name
+            assert _module_products(top_module(a), avecs, units) == \
+                _module_products(matrix_top, avecs, units), name
 
 
 def test_coefficient_vectors_of_the_wrong_length_are_refused():
@@ -543,15 +620,15 @@ def test_coefficient_vectors_of_the_wrong_length_are_refused():
     for avec in ([f.one], a.unit + [f.zero]):
         for module in (m, top_module(a)):
             with pytest.raises(ValueError):
-                module.products([avec], [unit_vector(f, module.dim, 0)])
+                _module_products(module, [avec], [unit_vector(f, module.dim, 0)])
             with pytest.raises(ValueError):
-                module.products([a.unit], [avec])
+                _module_products(module, [a.unit], [avec])
         with pytest.raises(ValueError):
             m.matrix_of(avec)
         with pytest.raises(ValueError):
-            a.product_vec(avec, e0)
+            _product(a, avec, e0)
         with pytest.raises(ValueError):
-            a.product_vec(e0, avec)
+            _product(a, e0, avec)
 
 
 @pytest.mark.parametrize("char", [0, 2])
@@ -587,7 +664,7 @@ def test_submodule_and_quotient_split_dimensions():
 def _inverse_projection(f, n, vectors):
     """The projection onto k^n / span(vectors) as the last rows of the
     inverse of the adapted basis [rref basis of the span | complement e_i]."""
-    sub = Subspace(f, n, vectors)
+    sub = _span(f, n, vectors)
     cols = sub.basis + [unit_vector(f, n, i) for i in sub.complement_pivots()]
     basis = Matrix.from_columns(f, cols, rows=n)
     aug = Matrix(f, [row + unit_vector(f, n, i) for i, row in enumerate(basis.data)])
@@ -607,7 +684,7 @@ def test_quotient_projection_inverts_the_adapted_basis(char):
             assert (proj.rows, proj.cols) == (quo.dim, m.dim)
             assert proj.data == _inverse_projection(f, m.dim, vectors)
             if vectors is radical(a):
-                reps = Subspace(f, m.dim, vectors).complement_pivots()
+                reps = _span(f, m.dim, vectors).complement_pivots()
                 for mat, qmat in zip(m.action, quo.action):
                     assert [qmat.column(k) for k in range(quo.dim)] == \
                         [proj.mul_vec(mat.column(i)) for i in reps]
@@ -727,7 +804,7 @@ def _assert_trace_routes_agree(a, rng):
     f, d = a.field, a.dim
     p = f.characteristic
     assert not algebra._associators(a)
-    vectors = unit_rows(d) + Subspace(f, d, radical(a)).int_basis
+    vectors = unit_rows(d) + _span(f, d, radical(a)).int_basis
     vectors += [([rng.randrange(3 * p) for _ in range(d)], 1) for _ in range(3)]
     for q in (1, p, p * p):
         for b in vectors:
@@ -743,7 +820,7 @@ def _assert_rebased_radical_maps_back(a, rng):
     b, rows = rebased(a, rng)
     back = [[sum(v[i] * rows[i][k] for i in range(d)) % f.characteristic for k in range(d)]
             for v in radical(b.validate())]
-    assert Subspace(f, d, back).basis == radical(a)
+    assert _span(f, d, back).basis == radical(a)
     return bool(algebra._associators(b))
 
 

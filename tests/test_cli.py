@@ -312,19 +312,23 @@ def test_oracle_builds_one_presentation_and_one_top_module_per_side(
 def test_oracle_converts_fixed_bases_once(tmp_path, monkeypatch, capsys):
     """The oracle keeps vectors as int rows and grows its spans: one CLI
     oracle on the S3 transporter on the subsets of size <= 2 in char 0
-    makes few scalar conversions, field-vector products or Subspaces built
-    from field vectors, and eliminates few rows.  When each product
-    converted its factors and results, and each span was rebuilt for every
-    generator kept, these counts were 9188 to_ints, 6657 from_ints, 547
-    products, 113 Subspaces, all from field vectors, and 3235 rows
-    eliminated.  The bounds leave about a fifth of headroom over 1147, 786,
-    105, 18 from field vectors and 119 in all, and an eighth over 972 rows:
+    makes few scalar conversions, algebra products and Subspaces, and
+    eliminates few rows.  When each product converted its factors and
+    results, and each span was rebuilt for every generator kept, these
+    counts were 9188 to_ints, 6657 from_ints, 547 field products, 113
+    Subspaces built from field vectors and 3235 rows eliminated.  With the
+    idempotent splitting still on field vectors they were 1027 to_ints,
+    722 from_ints, 206 `int_products`, 18 Subspaces from field vectors
+    (`__init__`), 119 in all (`_set`) and 972 rows.  On int rows, with zero
+    rows left out of each elimination, they are 125, 248, 206, 68 (every
+    Subspace but those `int_extend` makes), 117 and 884.  The bounds leave
+    about a fifth of headroom over these, and an eighth over the rows:
     rebuilding the span for each generator kept, in place of extending it,
-    eliminates 1231."""
+    eliminates 1143."""
     linalg, algebra = (importlib.import_module(f"eicat.{m}") for m in ("linalg", "algebra"))
     counts = Counter()
     for cls, name in ((linalg.Field, "to_ints"), (linalg.Field, "from_ints"),
-                      (algebra.FiniteDimAlgebra, "products"), (linalg.Subspace, "__init__"),
+                      (algebra.FiniteDimAlgebra, "int_products"), (linalg.Subspace, "__init__"),
                       (linalg.Subspace, "_set")):
         def counted(*args, _fn=getattr(cls, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -341,9 +345,9 @@ def test_oracle_converts_fixed_bases_once(tmp_path, monkeypatch, capsys):
     assert main(["oracle", path]) == 0
     assert json.loads(capsys.readouterr().out) == \
         {"left": 2, "right": 2, "gldim": 2, "cap": 8, "agrees": True}
-    assert counts["to_ints"] <= 1400 and counts["from_ints"] <= 950, counts
-    assert counts["products"] <= 130 and counts["__init__"] <= 22, counts
-    assert counts["_set"] <= 140 and counts["rows"] <= 1100, counts
+    assert counts["to_ints"] <= 150 and counts["from_ints"] <= 300, counts
+    assert counts["int_products"] <= 250 and counts["__init__"] <= 82, counts
+    assert counts["_set"] <= 140 and counts["rows"] <= 995, counts
 
 
 def test_sweep_keys_items_then_characteristics():

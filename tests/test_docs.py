@@ -1,0 +1,38 @@
+"""The README names only what exists: every backticked `Class.attr` in it
+is an attribute, or a dataclass field, of a class of that name in eicat."""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+import re
+from pathlib import Path
+
+import eicat
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _eicat_classes():
+    """{name: class} over the classes defined in the eicat modules."""
+    out = {}
+    for info in pkgutil.iter_modules(eicat.__path__):
+        module = importlib.import_module(f"eicat.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                out[name] = obj
+    return out
+
+
+def _attributes(cls):
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return fields | set(dir(cls))
+
+
+def test_readme_names_only_existing_class_attributes():
+    refs = set(re.findall(r"`([A-Z]\w*)\.(\w+)", README.read_text()))
+    assert len(refs) >= 10, refs
+    classes = _eicat_classes()
+    missing = sorted(f"{c}.{a}" for c, a in refs
+                     if c not in classes or a not in _attributes(classes[c]))
+    assert not missing, missing

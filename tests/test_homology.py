@@ -41,7 +41,7 @@ from eicat.homology import (
     projective_dimension,
     projective_resolution,
 )
-from eicat.linalg import QQ, Field, Matrix, Subspace, unit_vector
+from eicat.linalg import QQ, Field, Matrix, Subspace, unit_rows, unit_vector
 
 CAP = 8
 CHARACTERISTICS = (0, 2, 3, 5)
@@ -399,20 +399,20 @@ def _reference_generators(a, mod, data):
     submodule generated so far from rad(A).mod, grown by the action of
     every basis element of A."""
     f = a.field
-    span = Subspace(f, mod.dim, [col for r in radical(a)
+    span = Subspace(f, mod.dim, [f.to_ints(col) for r in radical(a)
                                  for col in mod.matrix_of(r).transpose().data])
     candidates = [mod.matrix_of(e).transpose().data for e in primitive_idempotents(a)]
     kept = []
-    for i in range(mod.dim):
-        ei = unit_vector(f, mod.dim, i)
+    for i, ei in enumerate(unit_rows(mod.dim)):
         for idx, columns in enumerate(candidates):
-            if span.contains(ei):
+            if span.int_contains(ei):
                 break
             v = columns[i]
-            if any(v) and not span.contains(v):
+            if any(v) and not span.int_contains(f.to_ints(v)):
                 kept.append((idx, v))
-                span = Subspace(f, mod.dim, span.basis + [mat.mul_vec(v) for mat in mod.action])
-        assert span.contains(ei)
+                span = Subspace(f, mod.dim, span.int_basis + [mat.int_mul_vec(f.to_ints(v))
+                                                              for mat in mod.action])
+        assert span.int_contains(ei)
     return kept
 
 

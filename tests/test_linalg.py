@@ -15,6 +15,7 @@ from eicat.linalg import (
     Subspace,
     _is_prime,
     combination,
+    int_kernel,
 )
 
 FIELDS = [Field(0), Field(2), Field(3), Field(5)]
@@ -107,24 +108,9 @@ def test_kernel_vectors_are_annihilated(fm):
     assert len(ker) == m.cols - m.rank()
     for v in ker:
         assert all(x == 0 for x in m.mul_vec(v))
-
-
-@given(field_and_matrix())
-@settings(max_examples=60, deadline=None)
-def test_solve_returns_actual_solutions(fm):
-    f, data = fm
-    m = Matrix(f, data)
-    # b in the column space: m * ones
-    b = m.mul_vec([f.one] * m.cols)
-    x = m.solve(b)
-    assert x is not None
-    assert m.mul_vec(x) == b
-
-
-def test_solve_detects_inconsistency():
-    f = Field(3)
-    m = Matrix(f, [[1, 0], [2, 0]])
-    assert m.solve([0, 1]) is None
+    # the same kernel from the int rows of the columns, zero rows skipped
+    columns = [f.to_ints(m.column(j)) for j in range(m.cols)]
+    assert [f.from_ints(*row) for row in int_kernel(f, columns)] == ker
 
 
 def test_matrix_multiplication_shapes_and_identity():
@@ -158,24 +144,24 @@ def test_from_entries_adds_repeated_positions(f):
 
 def test_subspace_membership_and_coords():
     f = QQ
-    s = Subspace(f, 3, [[1, 0, 1], [0, 1, 1]])
+    s = Subspace(f, 3, [([1, 0, 1], 1), ([0, 1, 1], 1)])
     assert s.dim == 2
-    assert s.contains([1, 1, 2])
-    assert not s.contains([0, 0, 1])
-    co = s.coords([2, 3, 5])
-    assert s.from_coords(co) == [Fraction(2), Fraction(3), Fraction(5)]
+    assert s.int_contains(([1, 1, 2], 1))
+    assert not s.int_contains(([0, 0, 1], 1))
+    co = s.int_coords(([2, 3, 5], 1))
+    assert f.from_ints(*s.int_from_coords(co)) == [Fraction(2), Fraction(3), Fraction(5)]
 
 
 def test_quotient_space_project_lift_roundtrip():
     f = Field(3)
-    q = QuotientSpace(f, 3, [[1, 1, 0]])
+    q = QuotientSpace(f, 3, [([1, 1, 0], 1)])
     assert q.dim == 2
     for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, 1]):
-        c = q.project(v)
+        c = q.int_project((v, 1))
         # lift picks a representative of the same class
-        diff = [f.sub(a, b) for a, b in zip(q.lift(c), v)]
-        assert q.sub.contains(diff) or all(x == 0 for x in diff)
-    assert q.project([1, 1, 0]) == [0, 0]
+        diff = [f.sub(a, b) for a, b in zip(f.from_ints(*q.int_lift(c)), v)]
+        assert q.sub.int_contains((diff, 1)) or all(x == 0 for x in diff)
+    assert f.from_ints(*q.int_project(([1, 1, 0], 1))) == [0, 0]
 
 
 def _dense_mul_vec(f, m, v):
@@ -267,67 +253,82 @@ def test_mul_vec_on_a_copy_of_a_multiplied_matrix():
 
 
 def test_subspace_and_quotient_refuse_vectors_of_the_wrong_length():
-    s = Subspace(QQ, 3, [[1, 0, 0]])
-    q = QuotientSpace(QQ, 3, [[1, 0, 0]])
+    s = Subspace(QQ, 3, [([1, 0, 0], 1)])
+    q = QuotientSpace(QQ, 3, [([1, 0, 0], 1)])
     for bad in ([1, 0, 0, 5], [1, 0]):
         with pytest.raises(ValueError):
-            s.coords(bad)
+            s.int_coords((bad, 1))
         with pytest.raises(ValueError):
-            s.contains(bad)
+            s.int_contains((bad, 1))
         with pytest.raises(ValueError):
-            q.project(bad)
+            q.int_project((bad, 1))
     with pytest.raises(ValueError):
-        s.from_coords([1, 2])
+        s.int_from_coords(([1, 2], 1))
     with pytest.raises(ValueError):
-        q.lift([1])
+        q.int_lift(([1], 1))
     with pytest.raises(ValueError):
-        Subspace(QQ, 3, [[1, 0, 0, 0]])
-    assert s.coords([2, 0, 0]) == [2]
-    assert q.project([1, 2, 3]) == [2, 3]
+        Subspace(QQ, 3, [([1, 0, 0, 0], 1)])
+    assert QQ.from_ints(*s.int_coords(([2, 0, 0], 1))) == [2]
+    assert QQ.from_ints(*q.int_project(([1, 2, 3], 1))) == [2, 3]
+
+
+def _unreduced(f, v, k):
+    """An int row of the vector v not in lowest terms: scaled by k in
+    characteristic 0, shifted by k * p in characteristic p."""
+    w, den = f.to_ints(v)
+    p = f.characteristic
+    return ([x + k * p for x in w], 1) if p else ([x * k for x in w], den * k)
 
 
 @given(st.sampled_from(FIELDS), st.data())
 @settings(max_examples=60, deadline=None)
 def test_subspace_coords_project_and_from_coords_agree(f, data):
+    """`int_coords`, `int_contains`, `int_from_coords`, `int_project` and
+    `int_lift` agree, on int rows not in lowest terms too."""
     n = data.draw(st.integers(0, 5))
     entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
-    s = Subspace(f, n, [[f.of(x) for x in v] for v in data.draw(st.lists(entries, max_size=4))])
-    q = QuotientSpace(f, n, s.basis)
+    k = data.draw(st.integers(1, 3))
+    s = Subspace(f, n, [_unreduced(f, [f.of(x) for x in v], k)
+                        for v in data.draw(st.lists(entries, max_size=4))])
+    q = QuotientSpace(f, n, s.int_basis)
     v = [f.of(x) for x in data.draw(entries)]
-    co = s.coords(v)
-    assert s.contains(v) == (co is not None) == (not any(q.project(v)))
+    row = _unreduced(f, v, k)
+    co = s.int_coords(row)
+    assert s.int_contains(row) == (co is not None) == (not any(f.from_ints(*q.int_project(row))))
     if co is not None:
-        assert s.from_coords(co) == v
+        assert f.from_ints(*s.int_from_coords(co)) == v
     # v minus the lift of its class lies in the subspace
-    assert s.contains([f.sub(x, y) for x, y in zip(v, q.lift(q.project(v)))])
+    lift = f.from_ints(*q.int_lift(q.int_project(row)))
+    assert s.int_contains(f.to_ints([f.sub(x, y) for x, y in zip(v, lift)]))
 
 
 @given(st.sampled_from([QQ, Field(2), Field(3)]), st.data())
 @settings(max_examples=80, deadline=None)
 def test_int_extend_equals_the_subspace_of_the_joined_rows(f, data):
     """`int_extend` gives the Subspace of the old int basis and the new int
-    rows: the same rref basis, pivots and int echelon, and the same coords,
-    contains and from_coords; members of the span, zero rows and an empty
-    extension included, and the old subspace left as it was."""
+    rows: the same rref basis, pivots and int echelon, and the same
+    `int_contains`, `int_coords` and `int_from_coords`; members of the span,
+    zero rows and an empty extension included, and the old subspace left as
+    it was."""
     n = data.draw(st.integers(0, 6))
     vector = st.lists(_scalars(f), min_size=n, max_size=n).map(lambda v: [f.of(x) for x in v])
-    s = Subspace(f, n, data.draw(st.lists(vector, max_size=4)))
+    s = Subspace(f, n, [f.to_ints(v) for v in data.draw(st.lists(vector, max_size=4))])
     before = (s.basis, s.pivots, [(list(w), den) for w, den in s.int_basis])
     coords = st.lists(_scalars(f), min_size=s.dim, max_size=s.dim).map(
         lambda c: [f.of(x) for x in c])
-    member = s.from_coords(data.draw(coords))
+    member = f.from_ints(*s.int_from_coords(f.to_ints(data.draw(coords))))
     new = data.draw(st.permutations(data.draw(st.lists(vector, max_size=3)) + [member, [f.zero] * n]))
     new = new[:data.draw(st.integers(0, len(new)))]
     rows = [f.to_ints(v) for v in new]
-    ext, ref = s.int_extend(rows), Subspace.of_ints(f, n, s.int_basis + rows)
+    ext, ref = s.int_extend(rows), Subspace(f, n, s.int_basis + rows)
     assert (ext.basis, ext.pivots, ext.int_basis) == (ref.basis, ref.pivots, ref.int_basis)
-    assert ext.basis == Subspace(f, n, s.basis + new).basis
+    assert ext.basis == Subspace(f, n, [f.to_ints(v) for v in s.basis + new]).basis
     assert (s.basis, s.pivots, s.int_basis) == before
-    for v in (data.draw(vector), member, *new):
-        assert ext.contains(v) == ref.contains(v)
-        assert ext.coords(v) == ref.coords(v)
+    for row in map(f.to_ints, (data.draw(vector), member, *new)):
+        assert ext.int_contains(row) == ref.int_contains(row)
+        assert ext.int_coords(row) == ref.int_coords(row)
     co = [f.of(x) for x in data.draw(st.lists(_scalars(f), min_size=ext.dim, max_size=ext.dim))]
-    assert ext.from_coords(co) == ref.from_coords(co)
+    assert ext.int_from_coords(f.to_ints(co)) == ref.int_from_coords(f.to_ints(co))
     with pytest.raises(ValueError):
         s.int_extend([([0] * (n + 1), 1)])
 
