@@ -8,7 +8,9 @@ Elements are int rows (`Field.to_ints`) inside: products
 run on them, with rows kept in lowest terms (`_lowest`) wherever values are
 compared or multiplied again and again.  Field vectors are what the
 structure constants, `radical(a)` and `primitive_idempotents(a)` hold, and
-what `ModuleRep.matrix_of`, `submodule` and `quotient_module` take."""
+what `ModuleRep.matrix_of`, `submodule` and `quotient_module` take; the int
+rows the last two were made from are memoised beside them
+(`radical_rows`, `idempotent_rows`)."""
 
 from __future__ import annotations
 
@@ -314,15 +316,17 @@ def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
     """The opposite algebra: c'_{ij}^k = c_{ji}^k, memoised on `a`.
 
     Its memo is seeded with the radical and the orthogonal idempotent system
-    of `a`, each computed and verified once, on `a`: J(A^op) = J(A) as a
-    subspace, since "two-sided nilpotent ideal" reads the same on both
-    sides, and a decomposition of 1 into orthogonal idempotents of A is one
-    of A^op."""
+    of `a`, and their int rows, each computed and verified once, on `a`:
+    J(A^op) = J(A) as a subspace, since "two-sided nilpotent ideal" reads
+    the same on both sides, and a decomposition of 1 into orthogonal
+    idempotents of A is one of A^op."""
     d = a.dim
     mult = [[list(a.mult[j][i]) for j in range(d)] for i in range(d)]
     b = FiniteDimAlgebra(a.field, list(a.basis), mult, list(a.unit))
     b._memo[("radical",)] = radical(a)
     b._memo[("primitive_idempotents",)] = primitive_idempotents(a)
+    b._memo[("radical_rows",)] = radical_rows(a)
+    b._memo[("idempotent_rows",)] = idempotent_rows(a)
     return b
 
 
@@ -389,12 +393,19 @@ def radical(a: FiniteDimAlgebra):
     that, and the oracle runs it first."""
     f = a.field
     d = a.dim
-    level0 = _form_kernel(a, Subspace(f, d, unit_rows(d)), _trace_vector(a))
+    space = _form_kernel(a, Subspace(f, d, unit_rows(d)), _trace_vector(a))
     if f.characteristic:
-        return _radical_mod_p(a, level0)
-    if not _is_nilpotent_ideal(a, level0):
+        space = _radical_mod_p(a, space)
+    elif not _is_nilpotent_ideal(a, space):
         raise RadicalVerificationFailed("radical candidate is not a nilpotent ideal")
-    return level0.basis
+    a._memo[("radical_rows",)] = space.int_basis
+    return space.basis
+
+
+def radical_rows(a):
+    """`radical(a)` as the int rows it was made from, memoised beside it."""
+    radical(a)
+    return a._memo[("radical_rows",)]
 
 
 def _form_kernel(a, space, values):
@@ -450,8 +461,8 @@ def _radical_mod_p(a, space):
     Each I_i is first offered to `_has_non_nilpotent`, which rules out most
     members that are not the radical; the others get the full check once,
     and the first nilpotent ideal among them is the radical and ends the
-    chain.  If I_l is not one, or a trace is not divisible by q, the
-    computation is refused.
+    chain, returned as a Subspace.  If I_l is not one, or a trace is not
+    divisible by q, the computation is refused.
 
     tr(L_z^q) mod p*q does not depend on the lift: tr(X^(p^i)) =
     tr(Y^(p^i)) mod p^(i+1) for int matrices X = Y mod p.  When the
@@ -476,7 +487,7 @@ def _radical_mod_p(a, space):
                 raise RadicalVerificationFailed(f"p-power trace not divisible by {q}")
             values.append(t // q)
         space = _form_kernel(a, space, values)
-    return space.basis
+    return space
 
 
 def _power_trace(a, b, q):
@@ -819,7 +830,15 @@ def primitive_idempotents(a: FiniteDimAlgebra):
         else:
             stack.extend(got)
     _check_orthogonal_system(a, prims)
+    a._memo[("idempotent_rows",)] = prims
     return [f.from_ints(w, den) for w, den in prims]
+
+
+def idempotent_rows(a):
+    """`primitive_idempotents(a)` as the int rows it was made from, memoised
+    beside it."""
+    primitive_idempotents(a)
+    return a._memo[("idempotent_rows",)]
 
 
 def _unit_idempotent_seeds(a):
@@ -983,4 +1002,4 @@ class TopModule:
 @memoised
 def top_module(a: FiniteDimAlgebra) -> TopModule:
     """The left module A / rad(A), memoised on `a`."""
-    return TopModule(a, QuotientSpace(a.field, a.dim, map(a.field.to_ints, radical(a))))
+    return TopModule(a, QuotientSpace(a.field, a.dim, radical_rows(a)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from .groups import GroupTable
@@ -87,7 +88,17 @@ def validate(raw) -> FiniteCategory:
 
     Compositions with identities may be omitted; they are inferred.  Reports
     every violation found via ValidationError, malformed JSON shapes
-    included."""
+    included.
+
+    Associativity is checked by rows: for each non-identity f, the
+    composites (f∘g)∘h over every composable pair (g, h) of non-identities
+    into src f are compared with the f∘(g∘h) as one list, both read off the
+    rows m∘h of the morphisms m, and walked triple by triple only when the
+    lists differ.  An f is skipped when no hom-set into dst f holds two
+    morphisms; that is sound, as both composites lie in Hom(src h, dst f)
+    once the endpoints are checked.  The NonAssociative messages, and their
+    order, are those of the walk over every triple (f, g, h) of
+    non-identities."""
     if not isinstance(raw, dict):
         raise ValidationError([f"a category must be a JSON object, not {type(raw).__name__}"])
     errs = []
@@ -108,6 +119,7 @@ def validate(raw) -> FiniteCategory:
     if not sections["objects"]:
         errs.append("a category needs at least one object")
 
+    object_set = set(objects)
     morphisms = []
     names = set()
     for k, rec in enumerate(sections["morphisms"]):
@@ -130,10 +142,19 @@ def validate(raw) -> FiniteCategory:
         if duplicate:
             errs.append(f"duplicate morphism id {name!r}")
         names.add(name)
-        if rec["src"] not in objects or rec["dst"] not in objects:
+        try:
+            known = rec["src"] in object_set and rec["dst"] in object_set
+        except TypeError:  # an unhashable src or dst
+            known = False
+        if not known:
             errs.append(f"BadEndpoints: morphism {name!r} has unknown src/dst")
             continue
-        morphisms.append(Morphism(name, rec["src"], rec["dst"], bool(rec.get("identity", False))))
+        flag = rec.get("identity", False)
+        if not isinstance(flag, bool):
+            errs.append(f"BadIdentityFlag: morphism {name!r} has identity {flag!r}, "
+                        "not true or false")
+            continue
+        morphisms.append(Morphism(name, rec["src"], rec["dst"], flag))
     if errs:
         raise ValidationError(errs)
 
@@ -154,6 +175,7 @@ def validate(raw) -> FiniteCategory:
         raise ValidationError(errs)
 
     comp = {}
+    after = {m.name: {} for m in morphisms}  # f -> {g: f∘g}, comp by rows
     for k, entry in enumerate(sections["composition"]):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             errs.append(f"IncompleteComposition: entry {k} is not a triple [f, g, f∘g]")
@@ -166,15 +188,17 @@ def validate(raw) -> FiniteCategory:
         if not known:
             errs.append(f"IncompleteComposition: unknown morphism in ({f!r}, {g!r}, {h!r})")
             continue
-        if by_name[f].src != by_name[g].dst:
+        mf, mg, mh = by_name[f], by_name[g], by_name[h]
+        if mf.src != mg.dst:
             errs.append(f"BadEndpoints: composition {f!r}∘{g!r} with src({f!r}) != dst({g!r})")
             continue
-        if by_name[h].src != by_name[g].src or by_name[h].dst != by_name[f].dst:
+        if mh.src != mg.src or mh.dst != mf.dst:
             errs.append(f"BadEndpoints: {f!r}∘{g!r} = {h!r} has wrong endpoints")
             continue
-        if (f, g) in comp and comp[(f, g)] != h:
+        row = after[f]
+        if g in row and row[g] != h:
             errs.append(f"IncompleteComposition: conflicting entries for ({f!r}, {g!r})")
-        comp[(f, g)] = h
+        comp[(f, g)] = row[g] = h
 
     # infer (and cross-check) compositions with identities
     for m in morphisms:
@@ -184,29 +208,39 @@ def validate(raw) -> FiniteCategory:
                 if comp[pair] != expected:
                     errs.append(f"NonAssociative: identity law fails at {pair}")
             else:
-                comp[pair] = expected
+                comp[pair] = after[pair[0]][pair[1]] = expected
 
     into = {}  # object -> the morphisms into it, in by_name order
-    for m in by_name.values():
+    for m in morphisms:
         into.setdefault(m.dst, []).append(m)
-    for f in by_name.values():
-        for g in into.get(f.src, ()):
-            if (f.name, g.name) not in comp:
-                errs.append(f"IncompleteComposition: ({f.name!r}, {g.name!r})")
+    for f in morphisms:  # after[f] holds only morphisms into src f
+        if len(after[f.name]) != len(into[f.src]):
+            errs.extend(f"IncompleteComposition: ({f.name!r}, {g.name!r})"
+                        for g in into[f.src] if g.name not in after[f.name])
     if errs:
         raise ValidationError(errs)
 
-    # a triple with an identity in it is associative by the identity laws above
-    proper = {x: [m for m in ms if not m.identity] for x, ms in into.items()}
-    for f in by_name.values():
-        if f.identity:
-            continue
-        for g in proper.get(f.src, ()):
-            fg = comp[(f.name, g.name)]
-            for h in proper.get(g.src, ()):
-                gh = comp[(g.name, h.name)]
-                if comp[(fg, h.name)] != comp[(f.name, gh)]:
-                    errs.append(f"NonAssociative: ({f.name!r}, {g.name!r}, {h.name!r})")
+    # A triple with an identity in it is associative by the identity laws
+    # above.  rows[m] lists the m∘h over the proper h into src m (m an
+    # identity too: f∘g is one when g = f⁻¹), block[x] joins the rows of the
+    # proper g into x, in walk order, and left = after[f] gives f∘k for
+    # every k into src f (identities included: g∘h can be one).
+    proper = {x: [m.name for m in ms if not m.identity] for x, ms in into.items()}
+    multi = {y for y, ms in into.items() if len(ms) > len({m.src for m in ms})}
+    checked = [f for f in morphisms if not f.identity and f.dst in multi]
+    sources = {f.src for f in checked}
+    rows = {m.name: list(map(after[m.name].__getitem__, proper[m.src]))
+            for m in morphisms if m.dst in multi or m.dst in sources}
+    block = {x: list(chain.from_iterable(map(rows.__getitem__, proper[x]))) for x in sources}
+    for f in checked:
+        left = after[f.name]
+        gs = proper[f.src]
+        fg_h = list(chain.from_iterable(map(rows.__getitem__, map(left.__getitem__, gs))))
+        f_gh = list(map(left.__getitem__, block[f.src]))
+        if fg_h != f_gh:
+            triples = ((g, h) for g in gs for h in proper[by_name[g].src])
+            errs.extend(f"NonAssociative: ({f.name!r}, {g!r}, {h!r})"
+                        for (g, h), a, b in zip(triples, fg_h, f_gh) if a != b)
     if errs:
         raise ValidationError(errs)
 

@@ -11,10 +11,11 @@ algebra and v of the module.  Three things provide it: the algebra itself,
 as its own regular module (`FiniteDimAlgebra.int_products`); a `ModuleRep`,
 through its action matrices (`Matrix.int_mul_vec`); and `top_module(a)`,
 A / rad A acted on by the product.  Vectors are int rows throughout, the
-one vector form of `Subspace` and the products: the idempotents are
-converted once and memoised on the algebra with the bases of A·f, the
-image of each generator once per Ext differential, and Fractions appear
-only in the covers of a `ResolutionTrace` and in the verdicts.  gldim
+one vector form of `Subspace` and the products: the idempotents are the
+int rows the splitting made (`idempotent_rows`), memoised on the algebra
+with the bases of A·f, the image of each generator is converted once per
+Ext differential, and Fractions appear only in the covers of a
+`ResolutionTrace` and in the verdicts.  gldim
 and pd are the length of a resolution that `_check_minimal` finds minimal,
 and id is read from Ext into the algebra, so the oracle builds no action
 matrix."""
@@ -28,9 +29,9 @@ from math import lcm
 from .algebra import (
     AlgebraError,
     FiniteDimAlgebra,
+    idempotent_rows,
     memoised,
     opposite,
-    primitive_idempotents,
     top_module,
 )
 from .linalg import Matrix, Subspace, unit_rows
@@ -73,12 +74,12 @@ class DimensionVerdict:
 
 @memoised
 def _principal_data(a: FiniteDimAlgebra):
-    """Per idempotent f, as int rows converted once: (f, A·f as a Subspace
-    of A, coordinates of the generator f itself in it)."""
+    """Per idempotent f, as the int rows of `idempotent_rows`: (f, A·f as a
+    Subspace of A, coordinates of the generator f itself in it)."""
     f = a.field
     units = unit_rows(a.dim)
     out = []
-    for e in map(f.to_ints, primitive_idempotents(a)):
+    for e in idempotent_rows(a):
         sub = Subspace(f, a.dim, a.int_products(units, [e]))
         gen = sub.int_coords(e)
         if gen is None:

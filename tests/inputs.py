@@ -110,6 +110,12 @@ def _without(key):
     return raw
 
 
+def _flagged(identity):
+    raw = _chain_raw()
+    raw["morphisms"][2]["identity"] = identity
+    return raw
+
+
 # name -> (category JSON, a fragment of the violation it must report)
 HOSTILE_CATEGORIES = {
     "top_level_number": (5, "must be a JSON object"),
@@ -125,6 +131,8 @@ HOSTILE_CATEGORIES = {
                                     "unknown morphism in ('f', ['ix'], 'f')"),
     "no_objects": ({}, "needs at least one object"),
     "section_not_list": (_with(morphisms={"id": "f"}), "'morphisms' must be a list, not dict"),
+    "identity_string": (_flagged("false"), "BadIdentityFlag: morphism 'f' has identity 'false'"),
+    "identity_float": (_flagged(2.5), "BadIdentityFlag: morphism 'f' has identity 2.5"),
 }
 
 

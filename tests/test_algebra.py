@@ -25,10 +25,12 @@ from eicat.algebra import (
     algebra_from_category,
     dual_module,
     group_algebra,
+    idempotent_rows,
     opposite,
     primitive_idempotents,
     quotient_module,
     radical,
+    radical_rows,
     regular_module,
     submodule,
     top_module,
@@ -259,7 +261,18 @@ def test_memo_returns_the_same_object_and_opposite_reuses_the_radical():
     op = opposite(a)
     assert radical(op) is radical(a)
     assert primitive_idempotents(op) is primitive_idempotents(a)
+    assert radical_rows(op) is radical_rows(a)
+    assert idempotent_rows(op) is idempotent_rows(a)
     assert top_module(op) is not top_module(a)
+
+
+def test_int_rows_are_those_of_the_handed_out_vectors():
+    for f in (QQ, Field(2), Field(3)):
+        for a in (chain_algebra(f), group_algebra(symmetric_group_3(), f)):
+            for rows, vectors in ((radical_rows(a), radical(a)),
+                                  (idempotent_rows(a), primitive_idempotents(a))):
+                assert [f.from_ints(*r) for r in rows] == vectors
+                assert [f.to_ints(v) for v in vectors] == [(list(w), den) for w, den in rows]
 
 
 def test_json_roundtrip_with_fractional_scalars():

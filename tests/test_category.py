@@ -1,8 +1,11 @@
+import random
+
 import pytest
-from inputs import HOSTILE_CATEGORIES
+from inputs import HOSTILE_CATEGORIES, s3_transporter
 
 import eicat.category as category
 from eicat.category import (
+    FiniteCategory,
     NotEI,
     NotSkeletal,
     ValidationError,
@@ -14,7 +17,7 @@ from eicat.category import (
     skeletalize,
     validate,
 )
-from eicat.families import chain_poset, diamond_poset, poset_category
+from eicat.families import chain_poset, corpus, diamond_poset, poset_category
 
 
 def chain_raw():
@@ -108,6 +111,96 @@ def test_validate_reports_non_associativity():
     assert exc.value.violations == [f"NonAssociative: {t}" for t in (
         ("a", "a", "a"), ("a", "b", "a"), ("b", "a", "a"), ("b", "a", "b"), ("b", "b", "a"),
         ("b", "b", "b"))]
+
+
+def test_validate_refuses_a_non_boolean_identity_flag():
+    raw = chain_raw()
+    raw["morphisms"][3]["identity"] = "false"
+    raw["morphisms"][4]["identity"] = 2.5
+    raw["morphisms"][5]["identity"] = None
+    with pytest.raises(ValidationError) as exc:
+        validate(raw)
+    assert exc.value.violations == [
+        "BadIdentityFlag: morphism 'f' has identity 'false', not true or false",
+        "BadIdentityFlag: morphism 'g' has identity 2.5, not true or false",
+        "BadIdentityFlag: morphism 'h' has identity None, not true or false",
+    ]
+
+
+def _triple_walk(c):
+    """The NonAssociative violations of c's composition table, walked triple
+    by triple: the reference for the row comparison in `validate`.  c may
+    be non-associative; its table must be complete, with the right
+    endpoints and the identity laws."""
+    into = {}
+    for m in c.morphisms.values():
+        if not m.identity:
+            into.setdefault(m.dst, []).append(m.name)
+    errs = []
+    for f in c.morphisms.values():
+        if f.identity:
+            continue
+        for g in into.get(f.src, ()):
+            for h in into.get(c.morphisms[g].src, ()):
+                if c.comp[(c.comp[(f.name, g)], h)] != c.comp[(f.name, c.comp[(g, h)])]:
+                    errs.append(f"NonAssociative: ({f.name!r}, {g!r}, {h!r})")
+    return errs
+
+
+def _violations(c):
+    try:
+        validate(category_to_json(c))
+    except ValidationError as exc:
+        return exc.violations
+    return []
+
+
+def _corruptions(c):
+    """(f, g, other) for every composite f∘g of non-identities and every
+    other morphism with the same src and dst."""
+    return [(f, g, other) for (f, g), fg in c.comp.items()
+            if not (c.morphisms[f].identity or c.morphisms[g].identity)
+            for other in c.hom(c.morphisms[g].src, c.morphisms[f].dst) if other != fg]
+
+
+def _check_corruptions(c, corruptions):
+    """Assert that `validate` reports what the triple walk reports on the
+    copy of c with f∘g = other, for each (f, g, other); returns how many of
+    the copies are rejected."""
+    rejected = 0
+    for f, g, other in corruptions:
+        bad = FiniteCategory(c.objects, c.morphisms.values(), {**c.comp, (f, g): other})
+        expected = _triple_walk(bad)
+        assert _violations(bad) == expected, (f, g, other)
+        rejected += bool(expected)
+    return rejected
+
+
+def _corpus_categories():
+    return [c for seed in (0, 1) for _, c in corpus(seed)]
+
+
+def test_row_check_accepts_what_the_triple_walk_accepts():
+    for c in _corpus_categories() + [s3_transporter(1), s3_transporter(2)]:
+        assert _triple_walk(c) == [] and _violations(c) == []
+
+
+def test_row_check_reports_what_the_triple_walk_reports_on_the_corpus():
+    """Every corruption of every category of corpus seeds 0/1: group_s3,
+    the bisets, and transporters whose targets have hom-sets of two
+    morphisms at most."""
+    cats = _corpus_categories()
+    assert sum(_check_corruptions(c, _corruptions(c)) for c in cats) > 0
+
+
+def test_row_check_reports_what_the_triple_walk_reports_on_s3_on_singletons():
+    c = s3_transporter(1)
+    assert _check_corruptions(c, _corruptions(c)) > 0
+
+
+def test_row_check_matches_the_triple_walk_on_sampled_corruptions():
+    c = s3_transporter(2)
+    assert _check_corruptions(c, random.Random(20).sample(_corruptions(c), 150)) > 0
 
 
 def non_ei_raw():

@@ -17,7 +17,7 @@ from inputs import matrix_raw
 
 from eicat.category import category_to_json
 from eicat.cli import main
-from eicat.families import chain_poset, diamond_poset, poset_category
+from eicat.families import chain_poset, diamond_poset, group_category, poset_category
 from eicat.groups import GroupAction, cyclic_group
 
 SECONDS_PER_CALL = 2.0
@@ -91,6 +91,9 @@ def fuzz_file(tmp_path_factory):
 
 
 CATEGORY = category_to_json(poset_category(chain_poset(3)))
+# one hom-set of three morphisms: mutations of its composition table reach
+# the associativity check, which those of a poset's never do
+GROUP_CATEGORY = category_to_json(group_category(cyclic_group(3)))
 CATEGORY_COMMANDS = [["validate"], ["classify", "--explain"], ["freeness"],
                      ["projectivity", "--char", "2"], ["matrix", "--char", "3"],
                      ["oracle", "--cap", "2", "--char", "2"]]
@@ -100,6 +103,18 @@ CATEGORY_COMMANDS = [["validate"], ["classify", "--explain"], ["freeness"],
 @given(st.data())
 def test_mutated_category_json(fuzz_file, data):
     obj = _mutate(data, CATEGORY)
+    command = data.draw(st.sampled_from(CATEGORY_COMMANDS))
+    _run(fuzz_file, obj, [command[0], str(fuzz_file), *command[1:]])
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_group_category_json(fuzz_file, data):
+    """Half the examples mutate the composition table alone."""
+    if data.draw(st.booleans()):
+        obj = GROUP_CATEGORY | {"composition": _mutate(data, GROUP_CATEGORY["composition"])}
+    else:
+        obj = _mutate(data, GROUP_CATEGORY)
     command = data.draw(st.sampled_from(CATEGORY_COMMANDS))
     _run(fuzz_file, obj, [command[0], str(fuzz_file), *command[1:]])
 
