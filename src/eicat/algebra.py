@@ -315,10 +315,11 @@ def group_algebra(g, f: Field) -> FiniteDimAlgebra:
 def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
     """The opposite algebra: c'_{ij}^k = c_{ji}^k, memoised on `a`.
 
-    Its memo is seeded with the radical and the orthogonal idempotent system
-    of `a`, and their int rows, each computed and verified once, on `a`:
-    J(A^op) = J(A) as a subspace, since "two-sided nilpotent ideal" reads
-    the same on both sides, and a decomposition of 1 into orthogonal
+    Its memo is seeded with the radical, its generators mod J² and the
+    orthogonal idempotent system of `a`, and their int rows, each computed
+    and verified once, on `a`: J(A^op) = J(A) as a subspace, since
+    "two-sided nilpotent ideal" reads the same on both sides, so J² =
+    span J·J is the same too; and a decomposition of 1 into orthogonal
     idempotents of A is one of A^op."""
     d = a.dim
     mult = [[list(a.mult[j][i]) for j in range(d)] for i in range(d)]
@@ -326,6 +327,7 @@ def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
     b._memo[("radical",)] = radical(a)
     b._memo[("primitive_idempotents",)] = primitive_idempotents(a)
     b._memo[("radical_rows",)] = radical_rows(a)
+    b._memo[("_radical_generators",)] = _radical_generators(a)
     b._memo[("idempotent_rows",)] = idempotent_rows(a)
     return b
 
@@ -406,6 +408,19 @@ def radical_rows(a):
     """`radical(a)` as the int rows it was made from, memoised beside it."""
     radical(a)
     return a._memo[("radical_rows",)]
+
+
+@memoised
+def _radical_generators(a):
+    """The rows of `radical_rows(a)` that span a complement of J² in J = rad A,
+    dim J - dim J² of them, taken greedily against J² = span J·J."""
+    rows = radical_rows(a)
+    span, out = Subspace(a.field, a.dim, a.int_products(rows, rows)), []
+    for v in rows:
+        if not span.int_contains(v):
+            out.append(v)
+            span = span.int_extend([v])
+    return out
 
 
 def _form_kernel(a, space, values):
@@ -669,10 +684,7 @@ def _rational_roots(poly):
     poly = _poly_normalize(QQ, list(poly))
     if len(poly) < 2:
         return []
-    g, rem = poly, [i * c for i, c in enumerate(poly)][1:]
-    while rem:  # g = gcd(poly, poly'), by Euclid
-        g, rem = rem, _poly_divmod(QQ, g, rem)[1]
-    s = QQ.to_ints(_poly_divmod(QQ, poly, g)[0])[0]
+    s = _squarefree_ints(QQ.to_ints(poly)[0])
     d, lead = len(s) - 1, s[-1]
     q = [c * lead ** (d - 1 - i) for i, c in enumerate(s[:-1])] + [1]
     dq = [i * c for i, c in enumerate(q)][1:]
@@ -695,6 +707,30 @@ def _rational_roots(poly):
         if value(q, y) == 0:
             roots.append(Fraction(y, lead))
     return sorted(roots)
+
+
+def _squarefree_ints(c):
+    """c / gcd(c, c') for an int polynomial c of degree >= 1, primitive with a
+    positive leading coefficient, on ints only: the gcd by a primitive
+    pseudo-remainder sequence (Collins 1967), the quotient by one more
+    pseudo-division, which scales it by a constant only."""
+    def pseudo_divmod(u, v):  # (q, r) with lc(v)^(deg u - deg v + 1) u = q v + r
+        scale = v[-1] ** (len(u) - len(v) + 1)
+        u = [x * scale for x in u]
+        q = [0] * (len(u) - len(v) + 1)
+        for k in reversed(range(len(q))):
+            q[k] = u[k + len(v) - 1] // v[-1]
+            for i, x in enumerate(v):
+                u[k + i] -= q[k] * x
+        return q, _poly_normalize(None, u[:len(v) - 1])
+
+    def primitive(u):  # u / lc(u) in lowest terms, read as an int row over lc(u)
+        return _lowest(0, (u, u[-1]))[0] if u else u
+
+    g, rem = c, primitive([i * x for i, x in enumerate(c)][1:])
+    while rem:
+        g, rem = rem, primitive(pseudo_divmod(g, rem)[1])
+    return primitive(pseudo_divmod(c, g)[0])
 
 
 def _poly_powmod(f, base, e, modulus):
@@ -791,24 +827,16 @@ def primitive_idempotents(a: FiniteDimAlgebra):
             minpoly = f.from_ints(*kernel[0])
             if len(minpoly) <= 2:
                 continue
-            roots = _field_roots(f, minpoly)
-            split = None
-            for r in roots:
+            for r in _field_roots(f, minpoly):
                 # strip (x - r)^k and check the cofactor is nontrivial
                 fac = [f.neg(f.of(r)), f.one]
-                f1, rest = [f.one], list(minpoly)
-                while True:
-                    q_, rem = _poly_divmod(f, rest, fac)
-                    if rem:
-                        break
-                    f1 = _poly_mul(f, f1, fac)
-                    rest = q_
-                if len(f1) > 1 and len(rest) > 1:
-                    split = (f1, rest)
+                f1, f2 = [f.one], list(minpoly)
+                while not (divided := _poly_divmod(f, f2, fac))[1]:
+                    f1, f2 = _poly_mul(f, f1, fac), divided[0]
+                if len(f1) > 1 and len(f2) > 1:
                     break
-            if split is None:
+            else:
                 continue
-            f1, f2 = split
             _, u, v = _poly_xgcd(f, f1, f2)
             # idempotent = (u*f1)(z): 0 mod f1, 1 mod f2
             h = _poly_mul(f, u, f1)
@@ -845,17 +873,11 @@ def _unit_idempotent_seeds(a):
     """The unit's support as exact orthogonal idempotents when it decomposes
     that way (category-algebra identities), else the unit alone."""
     f = a.field
-    d = a.dim
-    support = [i for i in range(d) if a.unit[i] != 0]
-    seeds = []
-    for i in support:
-        if a.unit[i] != f.one or a.mult[i][i] != [(i, f.one)]:
-            return [list(a.unit)]
-        for j in support:
-            if j != i and a.mult[i][j]:
-                return [list(a.unit)]
-        seeds.append(unit_vector(f, d, i))
-    return seeds or [list(a.unit)]
+    support = [i for i in range(a.dim) if a.unit[i] != 0]
+    if support and all(a.unit[i] == f.one and a.mult[i][i] == [(i, f.one)]
+                       and not any(a.mult[i][j] for j in support if j != i) for i in support):
+        return [unit_vector(f, a.dim, i) for i in support]
+    return [list(a.unit)]
 
 
 def _lift_idempotent(a, e, e1bar, quo):

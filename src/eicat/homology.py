@@ -3,7 +3,9 @@ dimensions, self-injective and global dimension with explicit cap semantics.
 
 Resolutions cover by sums of principal projectives A·f over
 `primitive_idempotents(a)`.  A syzygy stays a subspace of its projective,
-acted on by the product of the algebra.
+acted on by the product of the algebra.  Its radical part rad(A)·Ω is
+spanned by the action of the generators of rad A mod rad² A alone
+(`_minimal_generators`).
 
 A module is anything with `dim` and `int_products(us, vs)`, which returns
 [u.v for u in us for v in vs] for int rows (`Field.to_ints`) u of the
@@ -29,6 +31,7 @@ from math import lcm
 from .algebra import (
     AlgebraError,
     FiniteDimAlgebra,
+    _radical_generators,
     idempotent_rows,
     memoised,
     opposite,
@@ -86,11 +89,6 @@ def _principal_data(a: FiniteDimAlgebra):
             raise AlgebraError("idempotent outside its own principal module")
         out.append((e, sub, gen))
     return out
-
-
-def _radical_space(a):
-    """rad A as a Subspace of A: the one the memoised top is the quotient by."""
-    return top_module(a).space.sub
 
 
 def _join(width, placed):
@@ -159,7 +157,7 @@ def _check_minimal(a, trace):
     lies in radical(a).  Degrees past a repeat are copies, so not walked.
     Hom(P, top) then has zero differentials, and pd is the length.  The
     columns are read from the int view of the cover."""
-    data, rad = _principal_data(a), _radical_space(a)
+    data, rad = _principal_data(a), top_module(a).space.sub
     for i in range(1, trace.repeat[0] + 1 if trace.repeat else len(trace.covers)):
         blocks = _blocks(data, trace.gens[i - 1])
         cover = trace.covers[i]
@@ -175,15 +173,20 @@ def _check_minimal(a, trace):
 
 
 def _minimal_generators(a, vectors, act, data):
-    """Generators g = f_idx.v of the module spanned by `vectors`, as (idx,
+    """Generators g = f_idx.v of the module Ω spanned by `vectors`, as (idx,
     the cover columns w.g over the basis w of A·f_idx); `act(us, vs)` is
     [u.v for u in us for v in vs].  Greedy over the submodule generated so
-    far, so no generator is redundant at the time it is added; as
-    A.g = (A·f_idx).g, the columns span what g generates.  Vectors,
-    generators and columns are int rows, and one span grows
-    (`Subspace.int_extend`)."""
+    far, starting from J·Ω, J = rad A, so no generator is redundant at the
+    time it is added; as A.g = (A·f_idx).g, the columns span what g
+    generates.  Vectors, generators and columns are int rows, and one span
+    grows (`Subspace.int_extend`).
+
+    J·Ω is spanned by X·vectors, X = `_radical_generators(a)`: J = span X + J²
+    gives J = span X + X·J + J^k for every k, by putting span X + J² for
+    the leftmost factor of J^k, and J^k = 0 for k large; so J = X·A, and
+    J·Ω = X·A·Ω = X·Ω, as Ω is a submodule."""
     n = len(vectors[0][0])
-    span = Subspace(a.field, n, act(_radical_space(a).int_basis, vectors))
+    span = Subspace(a.field, n, act(_radical_generators(a), vectors))
     idempotents = [e for e, _, _ in data]
     kept = []
     for x in vectors:

@@ -18,8 +18,10 @@ from eicat.algebra import (
     _field_roots,
     _is_nilpotent_ideal,
     _p_power_trace,
+    _radical_generators,
     _rational_roots,
     _roots_by_splitting,
+    _squarefree_ints,
     FiniteDimAlgebra,
     ModuleRep,
     algebra_from_category,
@@ -335,6 +337,23 @@ def test_radical_chain_algebra_is_span_of_non_identities():
         sub = _span(f, a.dim, rad)
         for row, name in zip(unit_rows(a.dim), a.basis):
             assert sub.int_contains(row) == (not name.startswith("id_"))
+
+
+def test_radical_generators_span_the_radical_mod_its_square(corpus_items):
+    """The generators X are dim J - dim J² rows of J = rad A whose span with
+    J² is J, shared with the opposite algebra; J = 0 has none.  On corpus(0)
+    and the S3 <= 2 export (dim 114, not skeletal), in chars 0/2/3/5."""
+    categories = [presentation_of(c).category for _, c in corpus_items] + [s3_transporter(2)]
+    for c, char in product(categories, (0, 2, 3, 5)):
+        a = algebra_from_category(c, Field(char))
+        rows, gens = radical_rows(a), _radical_generators(a)
+        square = Subspace(a.field, a.dim, a.int_products(rows, rows))
+        assert len(gens) == len(rows) - square.dim
+        assert all(row in rows for row in gens)
+        assert square.int_extend(gens).dim == len(rows) == Subspace(a.field, a.dim, rows).dim
+        assert _radical_generators(opposite(a)) is gens
+    for a in (group_algebra(symmetric_group_3(), Field(5)), group_algebra(cyclic_group(2), QQ)):
+        assert radical_rows(a) == [] and _radical_generators(a) == []
 
 
 def test_radical_dimension_matches_opposite(sweep):
@@ -931,3 +950,39 @@ def test_rational_roots_of_huge_constants():
     for c, roots in ((10 ** 16 + 61, []), (a * a, [-a, a]),
                      (Fraction(9, 4 * a * a), [Fraction(-3, 2 * a), Fraction(3, 2 * a)])):
         assert _rational_roots([-Fraction(c), Fraction(0), Fraction(1)]) == roots
+
+
+def _squarefree_by_euclid(c):
+    """c / gcd(c, c') by Euclid's algorithm over Fractions: the reference for
+    `_squarefree_ints`, with int coefficients over one denominator."""
+    poly = [Fraction(x) for x in c]
+    g, rem = poly, [i * x for i, x in enumerate(poly)][1:]
+    while rem:
+        g, rem = rem, algebra._poly_divmod(QQ, g, rem)[1]
+    return QQ.to_ints(algebra._poly_divmod(QQ, poly, g)[0])[0]
+
+
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 6), st.integers(1, 3)), max_size=4),
+       st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(any), st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_squarefree_part_on_ints_is_the_euclid_one(factors, cofactor, zeros):
+    """On products of rational linear factors with multiplicities, a random
+    cofactor and a power of x: the squarefree part taken on ints is the one
+    Euclid's algorithm takes over Fractions, up to a scalar, primitive with
+    a positive leading coefficient; and `_rational_roots` finds the same
+    roots with either."""
+    poly = [0] * zeros + cofactor
+    for num, den, mult in factors:
+        for _ in range(mult):
+            poly = QQ.to_ints(algebra._poly_mul(QQ, [Fraction(x) for x in poly],
+                                                [Fraction(-num, den), Fraction(1)]))[0]
+    poly = algebra._poly_normalize(QQ, poly)
+    if len(poly) < 2:
+        return
+    got, expected = _squarefree_ints(poly), _squarefree_by_euclid(poly)
+    assert len(got) == len(expected) and got[-1] > 0 and gcd(*got) == 1
+    assert all(x * expected[-1] == y * got[-1] for x, y in zip(got, expected))
+    roots = _rational_roots([Fraction(x) for x in poly])
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(algebra, "_squarefree_ints", _squarefree_by_euclid)
+        assert _rational_roots([Fraction(x) for x in poly]) == roots

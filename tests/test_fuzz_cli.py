@@ -2,7 +2,9 @@
 exports and mutated poset, group and action files for `gen`: every call
 ends with exit code 0, 1 or 2, raises nothing, and returns within a time
 bound.  All calls go through the one parser `main`
-builds on its first call."""
+builds on its first call.  Some category mutations keep the category valid
+(`_drop_objects`), so that a stated share of the examples reaches the
+commands behind `validate`."""
 
 import contextlib
 import copy
@@ -15,9 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from inputs import matrix_raw
 
+from eicat import cli
 from eicat.category import category_to_json
 from eicat.cli import main
-from eicat.families import chain_poset, diamond_poset, group_category, poset_category
+from eicat.families import chain_poset, diamond_poset, poset_category, transporter_category
 from eicat.groups import GroupAction, cyclic_group
 
 SECONDS_PER_CALL = 2.0
@@ -90,33 +93,87 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.json"
 
 
+def _drop_objects(data, obj):
+    """The category JSON obj without some of its objects, not all, and every
+    morphism and composition entry that touches them, the rest in a drawn
+    order: a full subcategory, so valid and EI when obj is."""
+    gone = data.draw(st.lists(st.sampled_from(obj["objects"]), min_size=1,
+                              max_size=len(obj["objects"]) - 1, unique=True))
+    morphisms = [m for m in obj["morphisms"] if not {m["src"], m["dst"]} & set(gone)]
+    names = {m["id"] for m in morphisms}
+    return {"objects": data.draw(st.permutations([x for x in obj["objects"] if x not in gone])),
+            "morphisms": data.draw(st.permutations(morphisms)),
+            "composition": data.draw(st.permutations(
+                [entry for entry in obj["composition"] if set(entry) <= names]))}
+
+
 CATEGORY = category_to_json(poset_category(chain_poset(3)))
-# one hom-set of three morphisms: mutations of its composition table reach
-# the associativity check, which those of a poset's never do
-GROUP_CATEGORY = category_to_json(group_category(cyclic_group(3)))
+# Z/3 acting trivially on the chain x1 < x2 < x3: hom-sets of three
+# morphisms, so mutations of the composition table reach the associativity
+# check, which those of a poset's never do
+Z3, CHAIN = cyclic_group(3), chain_poset(3)
+GROUP_CATEGORY = category_to_json(transporter_category(Z3, CHAIN, GroupAction(
+    Z3, CHAIN.elements, {(g, x): x for g in Z3.elements for x in CHAIN.elements})))
 CATEGORY_COMMANDS = [["validate"], ["classify", "--explain"], ["freeness"],
                      ["projectivity", "--char", "2"], ["matrix", "--char", "3"],
                      ["oracle", "--cap", "2", "--char", "2"]]
 
 
-@FUZZ
-@given(st.data())
-def test_mutated_category_json(fuzz_file, data):
-    obj = _mutate(data, CATEGORY)
-    command = data.draw(st.sampled_from(CATEGORY_COMMANDS))
-    _run(fuzz_file, obj, [command[0], str(fuzz_file), *command[1:]])
+def _fuzz_category_commands(fuzz_file, monkeypatch, category, mutate):
+    """For each of FUZZ's examples, run one category command on
+    `mutate(data)`, or, in about half of them, every command but `validate`
+    on category with some objects dropped (`_drop_objects`).  Return, per
+    example, the commands that went on past `cli.validate`, counted by
+    wrapping it."""
+    passed, validate = [], cli.validate
+
+    def counted(raw):
+        c = validate(raw)
+        passed.append(c)
+        return c
+
+    monkeypatch.setattr(cli, "validate", counted)
+    reached = []
+
+    @FUZZ
+    @given(st.data())
+    def run(data):
+        if data.draw(st.sampled_from(["drop", "mutate"])) == "drop":
+            obj, commands = _drop_objects(data, category), CATEGORY_COMMANDS[1:]
+        else:
+            obj, commands = mutate(data), [data.draw(st.sampled_from(CATEGORY_COMMANDS))]
+        reached.append(set())
+        for command in commands:
+            before = len(passed)
+            _run(fuzz_file, obj, [command[0], str(fuzz_file), *command[1:]])
+            if len(passed) > before:
+                reached[-1].add(command[0])
+
+    run()
+    return reached
 
 
-@FUZZ
-@given(st.data())
-def test_mutated_group_category_json(fuzz_file, data):
-    """Half the examples mutate the composition table alone."""
-    if data.draw(st.booleans()):
-        obj = GROUP_CATEGORY | {"composition": _mutate(data, GROUP_CATEGORY["composition"])}
-    else:
-        obj = _mutate(data, GROUP_CATEGORY)
-    command = data.draw(st.sampled_from(CATEGORY_COMMANDS))
-    _run(fuzz_file, obj, [command[0], str(fuzz_file), *command[1:]])
+def _assert_reached(reached):
+    """At least a fifth of the examples got past `validate`, and between
+    them each of classify, freeness, matrix and oracle did."""
+    assert len(reached) == FUZZ.max_examples
+    assert 5 * sum(1 for commands in reached if commands) >= len(reached), reached
+    assert set().union(*reached) >= {"classify", "freeness", "matrix", "oracle"}, reached
+
+
+def test_mutated_category_json(fuzz_file, monkeypatch):
+    _assert_reached(_fuzz_category_commands(fuzz_file, monkeypatch, CATEGORY,
+                                            lambda data: _mutate(data, CATEGORY)))
+
+
+def test_mutated_group_category_json(fuzz_file, monkeypatch):
+    """Half the mutated examples mutate the composition table alone."""
+    def mutate(data):
+        if data.draw(st.booleans()):
+            return GROUP_CATEGORY | {"composition": _mutate(data, GROUP_CATEGORY["composition"])}
+        return _mutate(data, GROUP_CATEGORY)
+
+    _assert_reached(_fuzz_category_commands(fuzz_file, monkeypatch, GROUP_CATEGORY, mutate))
 
 
 @FUZZ

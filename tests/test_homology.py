@@ -15,6 +15,7 @@ from eicat.algebra import (
     primitive_idempotents,
     quotient_module,
     radical,
+    radical_rows,
     regular_module,
     submodule,
     top_module,
@@ -574,3 +575,82 @@ def test_sweep_on_more_corpus_seeds(seed):
         assert r.agrees is not False, (seed, name, ch)
         _assert_top_resolutions_match_the_reference(r.algebra, CAP + 2, (seed, name, ch))
         _assert_relabelling_invariant(r.algebra, r.verdict, r.gldim, rng)
+
+
+def _minimal_generators_by_the_whole_radical(a, vectors, act, data):
+    """The reference for `homology._minimal_generators`: the same greedy
+    search, with J·Ω spanned by every rref basis vector of J = rad A times
+    every vector, so that it rests on no lemma about generators of J."""
+    span = Subspace(a.field, len(vectors[0][0]), act(radical_rows(a), vectors))
+    kept = []
+    for x in vectors:
+        for idx, v in enumerate(act([e for e, _, _ in data], [x])):
+            if span.int_contains(x):
+                break
+            if any(v[0]) and not span.int_contains(v):
+                columns = act(data[idx][1].int_basis, [v])
+                kept.append((idx, columns))
+                span = span.int_extend(columns)
+        assert span.int_contains(x)
+    return kept
+
+
+def _top_traces(a, length):
+    return [projective_resolution(b, top_module(b), length) for b in (a, opposite(a))]
+
+
+def _traces_by_the_whole_radical(a, length, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(homology, "_minimal_generators", _minimal_generators_by_the_whole_radical)
+        return _top_traces(a, length)
+
+
+def _s3_le2_export(p):
+    """The S3 transporter on subsets of size <= 2, not skeletal: dim 114."""
+    return algebra_from_category(s3_transporter(2), Field(p))
+
+
+@pytest.mark.parametrize("char", CHARACTERISTICS)
+def test_generators_of_the_radical_resolve_as_its_whole_basis(char, monkeypatch):
+    """Spanning J·Ω from the generators of J mod J² changes no field of the
+    left or right top resolution, on corpus(0) and the S3 <= 2 export and
+    its skeleton, against the span of all of J."""
+    algebras = [(name, cat_algebra(c, Field(char))) for name, c in corpus(0)]
+    if char != 5:
+        algebras += [("s3_le2", _s3_le2(char)), ("s3_le2_export", _s3_le2_export(char))]
+    for name, a in algebras:
+        expected = _traces_by_the_whole_radical(a, CAP + 2, monkeypatch)
+        for side, tr, ref in zip(("left", "right"), _top_traces(a, CAP + 2), expected):
+            assert (tr.gens, tr.covers, tr.kernel_dims, tr.repeat, tr.finished) == \
+                (ref.gens, ref.covers, ref.kernel_dims, ref.repeat, ref.finished), (name, side)
+            assert tr.verify(opposite(a) if side == "right" else a)
+
+
+def test_the_radical_span_multiplies_by_the_generators_only(monkeypatch):
+    """On the S3 <= 2 skeleton in char 2 the span of J·Ω at each degree is
+    formed from |X|·dim Ω products, X the generators of J mod J², fewer
+    than dim J."""
+    a = _s3_le2(2)
+    gens = algebra._radical_generators(a)
+    rad = len(radical_rows(a))
+    square = Subspace(a.field, a.dim, a.int_products(radical_rows(a), radical_rows(a))).dim
+    assert len(gens) == rad - square < rad
+    first_products = []  # per degree, the (|us|, |vs|) of the first action: that of the span
+    minimal_generators = homology._minimal_generators
+
+    def counted(a, vectors, act, data):
+        calls = []
+
+        def counted_act(us, vs):
+            calls.append((len(us), len(vs)))
+            return act(us, vs)
+
+        kept = minimal_generators(a, vectors, counted_act, data)
+        first_products.append((calls[0], len(vectors)))
+        return kept
+
+    monkeypatch.setattr(homology, "_minimal_generators", counted)
+    tr = projective_resolution(a, top_module(a), CAP + 1)
+    assert tr.repeat == (4, 1) and len(first_products) == 5
+    for (us, vs), omega in first_products:
+        assert (us, vs) == (len(gens), omega)
