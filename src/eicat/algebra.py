@@ -342,18 +342,19 @@ def _trace_vector(a):
 
 
 def _is_nilpotent_ideal(a, sub):
-    """Whether the Subspace I = `sub` is a two-sided nilpotent ideal of the
-    associative algebra a, checked through left-ideal generators X of I.
+    """I² as a Subspace if the Subspace I = `sub` is a two-sided nilpotent
+    ideal of the associative algebra a, else None; checked through
+    left-ideal generators X of I.
 
     The walk over the rref basis of I keeps v in X when v is outside the span
     S of X and A.X so far, checks e_t.v and v.e_t in I for every basis
     element e_t, and adds v and the e_t.v to S.  At the end S = I, so
     I = A.X is a left ideal, and I.e_t = A.(X.e_t) lies in I: I is a right
     ideal.  The powers follow as I^(k+1) = I^k.A.X = I^k.X, and the chain
-    must fall to 0 strictly.  That is about 2 d |X| + sum_k |I^k| |X|
-    products, against 2 d |I| + sum_k |I^k| |I| pair by pair.  All but the
-    membership tests rest on associativity, which `FiniteDimAlgebra.validate`
-    checks."""
+    must fall to 0 strictly; its first step is I².  That is about
+    2 d |X| + sum_k |I^k| |X| products, against 2 d |I| + sum_k |I^k| |I|
+    pair by pair.  All but the membership tests rest on associativity,
+    which `FiniteDimAlgebra.validate` checks."""
     f = a.field
     d = a.dim
     units = unit_rows(d)
@@ -366,16 +367,15 @@ def _is_nilpotent_ideal(a, sub):
             continue
         left = [w for w in a.int_products(units, [v]) if any(w[0])]
         if not all(sub.int_contains(w) for w in left + a.int_products([v], units)):
-            return False
+            return None
         gens.append(v)
         span = span.int_extend([v, *left])
-    power = sub.int_basis
-    while power:
-        nxt = Subspace(f, d, a.int_products(power, gens))
-        if nxt.dim >= len(power) and nxt.dim > 0:
-            return False
-        power = nxt.int_basis
-    return True
+    powers = [sub]
+    while powers[-1].dim:
+        powers.append(Subspace(f, d, a.int_products(powers[-1].int_basis, gens)))
+        if powers[-1].dim >= powers[-2].dim:
+            return None
+    return powers[min(1, len(powers) - 1)]
 
 
 @memoised
@@ -397,10 +397,11 @@ def radical(a: FiniteDimAlgebra):
     d = a.dim
     space = _form_kernel(a, Subspace(f, d, unit_rows(d)), _trace_vector(a))
     if f.characteristic:
-        space = _radical_mod_p(a, space)
-    elif not _is_nilpotent_ideal(a, space):
+        space, square = _radical_mod_p(a, space)
+    elif (square := _is_nilpotent_ideal(a, space)) is None:
         raise RadicalVerificationFailed("radical candidate is not a nilpotent ideal")
     a._memo[("radical_rows",)] = space.int_basis
+    a._memo[("_radical_square",)] = square
     return space.basis
 
 
@@ -413,9 +414,10 @@ def radical_rows(a):
 @memoised
 def _radical_generators(a):
     """The rows of `radical_rows(a)` that span a complement of J² in J = rad A,
-    dim J - dim J² of them, taken greedily against J² = span J·J."""
+    dim J - dim J² of them, taken greedily against J² = span J·J, as the
+    check of the radical formed it (`_is_nilpotent_ideal`)."""
     rows = radical_rows(a)
-    span, out = Subspace(a.field, a.dim, a.int_products(rows, rows)), []
+    span, out = a._memo.pop(("_radical_square",)), []
     for v in rows:
         if not span.int_contains(v):
             out.append(v)
@@ -476,8 +478,8 @@ def _radical_mod_p(a, space):
     Each I_i is first offered to `_has_non_nilpotent`, which rules out most
     members that are not the radical; the others get the full check once,
     and the first nilpotent ideal among them is the radical and ends the
-    chain, returned as a Subspace.  If I_l is not one, or a trace is not
-    divisible by q, the computation is refused.
+    chain, returned as a Subspace with its square.  If I_l is not one, or a
+    trace is not divisible by q, the computation is refused.
 
     tr(L_z^q) mod p*q does not depend on the lift: tr(X^(p^i)) =
     tr(Y^(p^i)) mod p^(i+1) for int matrices X = Y mod p.  When the
@@ -490,7 +492,8 @@ def _radical_mod_p(a, space):
     p = a.field.characteristic
     trace = _dense_trace if _associators(a) else _power_trace
     q = 1
-    while _has_non_nilpotent(a, space.int_basis) or not _is_nilpotent_ideal(a, space):
+    while _has_non_nilpotent(a, space.int_basis) or (
+            square := _is_nilpotent_ideal(a, space)) is None:
         if q * p > d:
             raise RadicalVerificationFailed(
                 f"last chain member (q = {q}) is not a nilpotent ideal")
@@ -502,7 +505,7 @@ def _radical_mod_p(a, space):
                 raise RadicalVerificationFailed(f"p-power trace not divisible by {q}")
             values.append(t // q)
         space = _form_kernel(a, space, values)
-    return space
+    return space, square
 
 
 def _power_trace(a, b, q):

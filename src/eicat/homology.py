@@ -15,12 +15,12 @@ through its action matrices (`Matrix.int_mul_vec`); and `top_module(a)`,
 A / rad A acted on by the product.  Vectors are int rows throughout, the
 one vector form of `Subspace` and the products: the idempotents are the
 int rows the splitting made (`idempotent_rows`), memoised on the algebra
-with the bases of A·f, the image of each generator is converted once per
-Ext differential, and Fractions appear only in the covers of a
-`ResolutionTrace` and in the verdicts.  gldim
-and pd are the length of a resolution that `_check_minimal` finds minimal,
-and id is read from Ext into the algebra, so the oracle builds no action
-matrix."""
+with the bases of A·f, and Fractions appear only in the covers of a
+`ResolutionTrace` and in the verdicts.  gldim and pd are the length of a
+resolution once it is checked (`_length_verdict`).  So is id on a side whose
+top resolution finishes, as gldim A = n < oo gives id = n (proved at
+`injective_dimension`); a side that does not finish reads id from Ext into
+the algebra.  The oracle builds no action matrix."""
 
 from __future__ import annotations
 
@@ -47,10 +47,11 @@ class ZaksViolation(AlgebraError):
 @dataclass
 class DimensionVerdict:
     """A homological dimension: an exact integer, or ">cap", which proves it
-    is larger than the cap but not that it is infinite.  id is read from
-    Ext^0..Ext^{cap+1} into A (exact once Ext^{cap+1} = 0, as the top holds
-    every simple); pd, and gldim = pd(top), from the length of a resolution
-    through P_{cap+1} checked to be minimal (`_length_verdict`)."""
+    is larger than the cap but not that it is infinite.  pd, gldim = pd(top),
+    and id where the top resolution finishes, are the length of a resolution
+    through P_{cap+1} checked to be minimal (`_length_verdict`); id where it
+    does not is read from Ext^0..Ext^{cap+1} into A, exact once Ext^{cap+1}
+    = 0 (`injective_dimension`)."""
 
     value: object  # int or the string ">cap"
     cap: int
@@ -303,7 +304,9 @@ def ext_dims_from_trace(a, trace, m, cap):
     f·m, the span of f times the unit vectors of m.  When the trace
     repeats from degree k with some period, the differential
     Hom(P_i, m) -> Hom(P_{i+1}, m) for i >= k is the one `period` degrees
-    before it, so its rank is copied, not computed."""
+    before it, so its rank is copied, not computed.  The image x in block l
+    of a generator f_p lies in f_p·A, as x = f_p.x, checked once per pair of
+    blocks; so each x.w lies in f_p·m and is read at the pivots of f_p·m."""
     f, data = a.field, _principal_data(a)
     gens = list(trace.gens)
     if not trace.finished and len(gens) < cap + 2:
@@ -313,7 +316,8 @@ def ext_dims_from_trace(a, trace, m, cap):
         while len(gens) < cap + 2:
             gens.append(gens[-trace.repeat[1]])
     gens += [[] for _ in range(cap + 2 - len(gens))]
-    homs = _hom_spaces(a, m)
+    ideals = _hom_spaces(a, a)  # f·A, also Hom(A·f, m) for m = a
+    homs = ideals if m is a else _hom_spaces(a, m)
     hom_dims = [sum(homs[idx].dim for idx in gens[i]) for i in range(cap + 2)]
     start, period = trace.repeat or (cap + 1, 0)
 
@@ -326,27 +330,23 @@ def ext_dims_from_trace(a, trace, m, cap):
             ranks.append(0)
             continue
         boundary = trace.covers[i + 1]
-        # the image in P_i of the generator f of each block of P_{i+1}, read
-        # from the cover of the trace in its own scalars
-        images = []
-        for idxp, (_, plo, phi) in zip(gens[i + 1], _blocks(data, gens[i + 1])):
-            x = [f.zero] * boundary.cols
-            x[plo:phi] = f.from_ints(*data[idxp][2])
-            images.append(f.to_ints(boundary.mul_vec(x)))
+        # the image in P_i of the generator f of each block of P_{i+1}
+        images = [boundary.int_mul_vec(_join(boundary.cols, [(plo, *data[idxp][2])]))
+                  for idxp, (_, plo, _) in zip(gens[i + 1], _blocks(data, gens[i + 1]))]
         # column (l, w) of the differential, one segment per block of rows:
         # the images lifted to A in block l, times the basis w of f_l·m
         offsets = [0, *accumulate(homs[idxp].dim for idxp in gens[i + 1])]
         columns = []
         for idxl, (sub, lo, hi) in zip(gens[i], _blocks(data, gens[i])):
             lifts = [sub.int_from_coords((v[lo:hi], den)) for v, den in images]
+            if not all(ideals[idxp].int_contains(x) for idxp, x in zip(gens[i + 1], lifts)):
+                raise AlgebraError("Hom differential leaves its block")
             products = iter(m.int_products(lifts, homs[idxl].int_basis))
             block = [[] for _ in range(homs[idxl].dim)]
             for idxp, at in zip(gens[i + 1], offsets):
-                for placed in block:
-                    co = homs[idxp].int_coords(next(products))
-                    if co is None:
-                        raise AlgebraError("Hom differential leaves its block")
-                    placed.append((at, *co))
+                pivots = homs[idxp].pivots
+                for placed, (w, den) in zip(block, products):
+                    placed.append((at, [w[pc] for pc in pivots], den))
             columns += [_join(offsets[-1], placed) for placed in block]
         ranks.append(Subspace(f, offsets[-1], columns).dim)
 
@@ -368,19 +368,35 @@ def _top_resolution(a, length):
 
 def _length_verdict(a, trace, cap):
     """pd, with ">cap" semantics, of what a trace through P_{cap+1} (or
-    further) resolves: its length, once `_check_minimal` passes."""
-    _check_minimal(a, trace)
+    further) resolves: its length, once `verify` passes on a finished
+    trace and `_check_minimal` on one that is not."""
+    if trace.finished:
+        trace.verify(a)
+    else:
+        _check_minimal(a, trace)
     return DimensionVerdict.of(trace.degree_reached if trace.finished else cap + 1, cap)
 
 
 def injective_dimension(a: FiniteDimAlgebra, side: str, cap: int) -> DimensionVerdict:
     """Self-injective dimension of the regular module on the given side,
-    measured as max{i : Ext^i(top, A) != 0}, the algebra acting as its own
-    regular module, from Ext through degree cap + 1."""
+    max{i : Ext^i(top, A) != 0} as the top holds every simple.  A side
+    whose top resolution does not finish reads it from Ext into A through
+    degree cap + 1, exact once Ext^{cap+1} = 0.
+
+    A side whose top resolution finishes, at degree n, has id = n = gldim
+    A = pd(top), read once the resolution is verified (`global_dimension`).
+    (<=) Every module has pd <= n.  (>=) The last boundary d_n is injective
+    into rad P_{n-1}.  Were Hom(d_n, A) onto, the split inclusion of P_n in
+    some A^r would factor through d_n, so d_n would split, and its image, a
+    nonzero summand of P_{n-1}, would lie in the radical.  So
+    Ext^n(top, A) != 0."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     b = a if side == "left" else opposite(a)
-    ext = ext_dims_from_trace(b, _top_resolution(b, cap + 2), b, cap + 1)
+    trace = _top_resolution(b, cap + 2)
+    if trace.finished:
+        return global_dimension(b, cap)
+    ext = ext_dims_from_trace(b, trace, b, cap + 1)
     return DimensionVerdict.of(max((i for i, e in enumerate(ext) if e), default=0), cap)
 
 
@@ -389,9 +405,11 @@ def projective_dimension(a: FiniteDimAlgebra, m, cap: int) -> DimensionVerdict:
     return _length_verdict(a, projective_resolution(a, m, cap + 1), cap)
 
 
+@memoised
 def global_dimension(a: FiniteDimAlgebra, cap: int) -> DimensionVerdict:
     """pd of the top, which holds every simple (`_length_verdict`), on the
-    top resolution that the left `injective_dimension` reads."""
+    top resolution that the left `injective_dimension` reads; memoised, so
+    that resolution is checked once."""
     return _length_verdict(a, _top_resolution(a, cap + 2), cap)
 
 

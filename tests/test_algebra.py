@@ -472,8 +472,13 @@ def test_generator_check_agrees_with_the_pairwise_check(corpus_items):
             a = algebra_from_category(c, Field(ch))
             for vectors in _ideal_candidates(a, rng):
                 expect = _pairwise_is_nilpotent_ideal(a, vectors)
-                got = _is_nilpotent_ideal(a, _span(a.field, a.dim, vectors))
-                assert got == expect, (name, ch, vectors)
+                sub = _span(a.field, a.dim, vectors)
+                got = _is_nilpotent_ideal(a, sub)
+                assert (got is not None) == expect, (name, ch, vectors)
+                if expect:  # the square it hands back is span I·I
+                    rows = sub.int_basis
+                    square = Subspace(a.field, a.dim, a.int_products(rows, rows))
+                    assert got.int_basis == square.int_basis, (name, ch, vectors)
                 verdicts.append(expect)
     assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100, len(verdicts)
 

@@ -654,3 +654,190 @@ def test_the_radical_span_multiplies_by_the_generators_only(monkeypatch):
     assert tr.repeat == (4, 1) and len(first_products) == 5
     for (us, vs), omega in first_products:
         assert (us, vs) == (len(gens), omega)
+
+
+def _finished_sides():
+    """(label, algebra, side) over corpus(0) × chars 0/2/3/5 and the S3 <= 2
+    skeleton and export × chars 0/2/3."""
+    for char in CHARACTERISTICS:
+        algebras = [(name, cat_algebra(c, Field(char))) for name, c in corpus(0)]
+        if char != 5:
+            algebras += [("s3_le2", _s3_le2(char)), ("s3_le2_export", _s3_le2_export(char))]
+        for name, a in algebras:
+            for side, b in (("left", a), ("right", opposite(a))):
+                yield (name, char, side), b
+
+
+def test_a_finished_top_resolution_has_its_length_as_the_last_nonzero_ext():
+    """Where the top resolution finishes, at degree n, the last nonzero
+    Ext^i(top, A) through cap + 1 is Ext^n, and `injective_dimension` reads
+    that n off the trace."""
+    finished = 0
+    for label, b in _finished_sides():
+        trace = homology._top_resolution(b, CAP + 2)
+        if trace.finished:
+            ext = ext_dims_from_trace(b, trace, b, CAP + 1)
+            assert max(i for i, e in enumerate(ext) if e) == trace.degree_reached, label
+            finished += 1
+    assert finished == 234 + 4, finished  # the corpus, then S3 in char 0
+
+
+def _redundant_at_degree_0(monkeypatch):
+    """Keep a copy of the last generator at degree 0 only: the resolution
+    still finishes, at the right degree, but its boundary of degree 1 leaves
+    the radical."""
+    minimal_generators = homology._minimal_generators
+    calls = []
+
+    def redundant(*args):
+        kept = minimal_generators(*args)
+        calls.append(kept)
+        return kept + kept[-1:] if len(calls) == 1 else kept
+
+    monkeypatch.setattr(homology, "_minimal_generators", redundant)
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_a_finished_trace_that_fails_verify_gives_no_injective_dimension(char, monkeypatch):
+    """A finished top trace seeded into the memo is verified before its length
+    is read: one with a redundant generator, or one whose last boundary is
+    not injective, raises."""
+    for c, n in ((poset_category(chain_poset(3)), 1), (poset_category(diamond_poset()), 2)):
+        a = cat_algebra(c, Field(char))
+        with monkeypatch.context() as patched:
+            _redundant_at_degree_0(patched)
+            redundant = projective_resolution(a, top_module(a), CAP + 2)
+        assert redundant.finished and redundant.degree_reached == n
+        good = projective_resolution(a, top_module(a), CAP + 2)
+        last = good.covers[-1]
+        padded = Matrix.from_columns(a.field, [last.column(j) for j in range(last.cols)]
+                                     + [[a.field.zero] * last.rows], rows=last.rows)
+        not_injective = replace(good, covers=[*good.covers[:-1], padded],
+                                kernel_dims=[*good.kernel_dims[:-1], 1])
+        for trace, message in ((redundant, "leaves the radical"), (not_injective, "not injective")):
+            a.forget()
+            a._memo[("_top_resolution", CAP + 2)] = trace
+            with pytest.raises(AlgebraError, match=message):
+                injective_dimension(a, "left", CAP)
+        a.forget()
+        assert injective_dimension(a, "left", CAP) == n
+
+
+def test_each_top_trace_is_checked_once(monkeypatch):
+    """The oracle and gldim check each top trace once: a finished side by
+    `verify` in `injective_dimension`, which `global_dimension` then reads;
+    an unfinished one only in `global_dimension`, for the left side."""
+    checked = []
+    check_minimal = homology._check_minimal
+
+    def counted(a, trace):
+        checked.append(trace)
+        return check_minimal(a, trace)
+
+    monkeypatch.setattr(homology, "_check_minimal", counted)
+    chain_5, s3 = cat_algebra(poset_category(chain_poset(5)), QQ), _s3_le2(2)
+    for a, sides in ((chain_5, (chain_5, opposite(chain_5))), (s3, (s3,))):
+        checked.clear()
+        is_gorenstein_oracle(a, CAP)
+        global_dimension(a, CAP)
+        assert list(map(id, checked)) == [id(homology._top_resolution(b, CAP + 2)) for b in sides]
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_a_hom_image_outside_its_block_is_refused(char):
+    """The image of a generator f_p has its part in a block l inside f_p·A.
+    A boundary that sends f_p to the generator f_l of another block of
+    P_{i-1}, which f_p kills, is refused by `ext_dims_from_trace`."""
+    f = Field(char)
+    a = cat_algebra(poset_category(chain_poset(3)), f)
+    trace = projective_resolution(a, top_module(a), CAP + 2)
+    data = homology._principal_data(a)
+    cover = trace.covers[1]
+    p = trace.gens[1][0]
+    l, (_, lo, hi) = next((idx, block) for idx, block in
+                          zip(trace.gens[0], homology._blocks(data, trace.gens[0])) if idx != p)
+    outside = [f.zero] * cover.rows
+    outside[lo:hi] = f.from_ints(*data[l][2])
+    gen = f.from_ints(*data[p][2])
+    first = next(k for k, x in enumerate(gen) if x)  # the columns of block p come first
+    columns = [outside if k == first else [f.zero] * cover.rows
+               if k < len(gen) else cover.column(k) for k in range(cover.cols)]
+    broken = replace(trace, covers=[trace.covers[0], Matrix.from_columns(f, columns),
+                                    *trace.covers[2:]])
+    assert ext_dims_from_trace(a, trace, a, 2) == [3, 2, 0]
+    with pytest.raises(AlgebraError, match="Hom differential leaves its block"):
+        ext_dims_from_trace(a, broken, a, 2)
+
+
+def _ext_dims_by_coords(a, trace, m, cap):
+    """Reference for `ext_dims_from_trace` on a trace through P_{cap+1}:
+    every differential computed, none copied; the image of each generator
+    by the field-form `Matrix.mul_vec`, and each product x.w put in f_p·m by
+    `Subspace.int_coords`."""
+    f, data = a.field, homology._principal_data(a)
+    homs = homology._hom_spaces(a, m)
+    gens = trace.gens + [[] for _ in range(cap + 2 - len(trace.gens))]
+    dims = [sum(homs[idx].dim for idx in g) for g in gens]
+    ranks = []
+    for i in range(cap + 1):
+        columns = []
+        if gens[i] and gens[i + 1]:
+            boundary = trace.covers[i + 1]
+            images = []
+            for idx, (_, lo, hi) in zip(gens[i + 1], homology._blocks(data, gens[i + 1])):
+                x = [f.zero] * boundary.cols
+                x[lo:hi] = f.from_ints(*data[idx][2])
+                images.append(f.to_ints(boundary.mul_vec(x)))
+            for idxl, (sub, lo, hi) in zip(gens[i], homology._blocks(data, gens[i])):
+                for w in homs[idxl].int_basis:
+                    column = []
+                    for idxp, (v, den) in zip(gens[i + 1], images):
+                        x = sub.int_from_coords((v[lo:hi], den))
+                        co = homs[idxp].int_coords(m.int_products([x], [w])[0])
+                        assert co is not None
+                        column += f.from_ints(*co)
+                    columns.append(column)
+        ranks.append(Matrix.from_columns(f, columns).rank() if columns else 0)
+    return [dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cap + 1)]
+
+
+def test_ext_on_unfinished_sides_equals_the_reference_by_coords():
+    """Where the top resolution does not finish, Ext into A and into the top
+    read at the pivots of f_p·m equal Ext with every product put in f_p·m
+    by `int_coords`, on corpus(0) × chars 0/2/3/5 and the S3 <= 2 skeleton
+    in chars 2/3."""
+    unfinished = 0
+    for char in CHARACTERISTICS:
+        algebras = [cat_algebra(c, Field(char)) for _, c in corpus(0)]
+        algebras += [_s3_le2(char)] if char in (2, 3) else []
+        for a in algebras:
+            for b in (a, opposite(a)):
+                trace = homology._top_resolution(b, CAP + 2)
+                if trace.finished:
+                    continue
+                for m in (b, top_module(b)):
+                    assert ext_dims_from_trace(b, trace, m, CAP + 1) == \
+                        _ext_dims_by_coords(b, trace, m, CAP + 1)
+                unfinished += 1
+    assert unfinished == 46 + 4, unfinished  # the corpus, then S3 in chars 2/3
+
+
+def test_a_left_right_mismatch_raises_zaks_violation(monkeypatch):
+    """The two sides are read independently and compared: a finished right
+    side whose length reads 2 against a left id of 1 (chain_3), and an
+    unfinished right side whose Ext is shifted one degree up (the S3 <= 2
+    skeleton in char 2, id 2), are refused."""
+    a = cat_algebra(poset_category(chain_poset(3)), QQ)
+    opposite(a)._memo[("global_dimension", CAP)] = DimensionVerdict(2, CAP)
+    with pytest.raises(ZaksViolation, match="left 1, right 2"):
+        is_gorenstein_oracle(a, CAP)
+    b = _s3_le2(2)
+    ext = homology.ext_dims_from_trace
+
+    def shifted(c, trace, m, cap):
+        out = ext(c, trace, m, cap)
+        return [0, *out[:-1]] if c is opposite(b) else out
+
+    monkeypatch.setattr(homology, "ext_dims_from_trace", shifted)
+    with pytest.raises(ZaksViolation, match="left 2, right 3"):
+        is_gorenstein_oracle(b, CAP)
