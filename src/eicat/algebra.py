@@ -2,9 +2,11 @@
 by action matrices, the top A / rad A, and exact radical computation in any
 characteristic.
 
-Elements are int rows (`Field.to_ints`) inside: products
-(`FiniteDimAlgebra.int_products`, `TopModule.int_products`,
-`ModuleRep.int_products`), the radical's chain and the idempotent splitting
+Elements are sparse int rows (`Field.to_ints`) inside: (w, den) with w a
+dict of the nonzero entries only, reduced into [1, p) in characteristic p.
+Products (`FiniteDimAlgebra.int_products`, `TopModule.int_products`,
+`ModuleRep.int_products`) take and give them, summing over the nonzero
+entries of the factors; the radical's chain and the idempotent splitting
 run on them, with rows kept in lowest terms (`_lowest`) wherever values are
 compared or multiplied again and again.  Field vectors are what the
 structure constants, `radical(a)` and `primitive_idempotents(a)` hold, and
@@ -22,7 +24,7 @@ from math import gcd, lcm
 
 from .linalg import QQ, Field, Matrix, QuotientSpace, Subspace, combination, int_kernel, unit_rows
 from .linalg import unit_vector
-from .linalg import _is_prime
+from .linalg import _check_rows, _is_prime, _nonzero
 
 
 class AlgebraError(Exception):
@@ -86,37 +88,31 @@ class FiniteDimAlgebra:
         return scale, [[[(k, c.numerator * (scale // c.denominator)) for k, c in pairs]
                         for pairs in row] for row in self.mult]
 
-    def int_products(self, us, vs):
+    def int_products(self, us, vs, modulus=None):
         """[u * v for u in us for v in vs] for elements given as int rows
         (`Field.to_ints`), as int rows: over `_int_mult`, from the nonzero
         entries of each factor.  In characteristic 0 the product of
         (u, du) and (v, dv) has denominator du * dv * scale; in
-        characteristic p it has denominator 1 and, as `Field.to_ints`
-        allows, is not reduced mod p: whatever reads it reduces."""
+        characteristic p it has denominator 1 and is reduced mod p, or mod
+        `modulus`, a multiple of p, for the p-power traces."""
         d = self.dim
-        p = self.field.characteristic
+        p = modulus or self.field.characteristic
         scale, table = self._int_mult()
-
-        def views(rows):
-            out = []
-            for w, den in rows:
-                if len(w) != d:
-                    raise ValueError(f"factor of length {len(w)} in an algebra of dimension {d}")
-                out.append(([(j, x) for j, x in enumerate(w) if x], den))
-            return out
-
-        right = views(vs)
+        _check_rows((*us, *vs), d, "factor")
+        vs = [(v.items(), dv) for v, dv in vs]
         out = []
-        for nzu, du in views(us):
-            for nzv, dv in right:
-                acc = [0] * d
-                for i, a in nzu:
-                    row = table[i]
-                    for j, b in nzv:
-                        ab = a * b
-                        for k, c in row[j]:
-                            acc[k] += ab * c
-                out.append((acc, 1 if p else du * dv * scale))
+        for u, du in us:
+            rows = [(table[i], a) for i, a in u.items()]
+            for v, dv in vs:
+                acc = {}
+                for row, a in rows:
+                    for j, b in v:
+                        if pairs := row[j]:
+                            ab = a * b
+                            for k, c in pairs:
+                                acc[k] = acc.get(k, 0) + ab * c
+                # most products are zero: no `_nonzero` call for them
+                out.append((_nonzero(p, acc) if acc else {}, 1 if p else du * dv * scale))
         return out
 
     def validate(self):
@@ -133,9 +129,7 @@ class FiniteDimAlgebra:
         units = unit_rows(d)
         for i, sides in enumerate(zip(self.int_products([u], units), self.int_products(units, [u]))):
             for w, den in sides:
-                if p:
-                    w = [x % p for x in w]
-                if w[i] != den or any(w[:i]) or any(w[i + 1:]):
+                if w != {i: den}:
                     raise AlgebraError(f"unit law fails at basis element {i}")
         failed = [key for key, content in _associators(self).items() if not p or content % p]
         if failed:
@@ -232,29 +226,29 @@ def _associators(a):
 
 
 def _lowest(p, row):
-    """The int row `row` in lowest terms, the one int row of its value:
-    reduced mod p, or over a positive den prime to the gcd of its ints."""
-    w, den = row
+    """The int row `row` in lowest terms, the one int row of its value: in
+    characteristic p the row itself, or over a positive den prime to the
+    gcd of its ints."""
     if p:
-        return [x % p for x in w], 1
-    g = gcd(den, *w)
+        return row
+    w, den = row
+    g = gcd(den, *w.values())
     if den < 0:
         g = -g
-    return ([x // g for x in w], den // g) if g != 1 else (w, den)
+    return ({i: x // g for i, x in w.items()}, den // g) if g != 1 else row
 
 
-def _int_sum(p, terms, n, den=1):
-    """sum c * v / den over the (int c, int row v) of `terms`, rows of
-    length n, in lowest terms."""
+def _int_sum(p, terms, den=1):
+    """sum c * v / den over the (int c, int row v) of `terms`, in lowest
+    terms."""
     scale = lcm(*(d for _, (_, d) in terms))
-    acc = [0] * n
+    acc = {}
     for c, (w, d) in terms:
         if c:
             c *= scale // d
-            for i, x in enumerate(w):
-                if x:
-                    acc[i] += c * x
-    return _lowest(p, (acc, den * scale))
+            for i, x in w.items():
+                acc[i] = acc.get(i, 0) + c * x
+    return _lowest(p, (_nonzero(p, acc), den * scale))
 
 
 def _scalar_to_json(x):
@@ -365,7 +359,7 @@ def _is_nilpotent_ideal(a, sub):
             break
         if span.int_contains(v):
             continue
-        left = [w for w in a.int_products(units, [v]) if any(w[0])]
+        left = [w for w in a.int_products(units, [v]) if w[0]]
         if not all(sub.int_contains(w) for w in left + a.int_products([v], units)):
             return None
         gens.append(v)
@@ -441,26 +435,23 @@ def _form_kernel(a, space, values):
     # one scale for all of w and the structure constants, so the int matrix
     # below is a multiple of the form's and has the same kernel
     _, table = a._int_mult()
-    w = [0] * d
-    for pc, g in zip(space.pivots, f.to_ints(values)[0]):
-        w[pc] = g
+    w = {space.pivots[r]: g for r, g in f.to_ints(values)[0].items()}
     t = []  # row i: the (j, t_ij) with t_ij nonzero
     for row in table:
         ti = []
         for j, pairs in enumerate(row):
             if pairs:
-                s = sum(c * w[k] for k, c in pairs)
+                s = sum(c * w.get(k, 0) for k, c in pairs)
                 if s % p if p else s:
                     ti.append((j, s))
         t.append(ti)
     columns = []
     for row, den in space.int_basis:
-        col = [0] * d
-        for i, x in enumerate(row):
-            if x:
-                for j, s in t[i]:
-                    col[j] += x * s
-        columns.append((col, den))
+        col = {}
+        for i, x in row.items():
+            for j, s in t[i]:
+                col[j] = col.get(j, 0) + x * s
+        columns.append((_nonzero(p, col), den))
     return Subspace(f, d, [space.int_from_coords(co) for co in int_kernel(f, columns)])
 
 
@@ -522,8 +513,7 @@ def _power_trace(a, b, q):
     modulus = a.field.characteristic * q
 
     def mul(x, y):
-        w, _ = a.int_products([x], [y])[0]
-        return [c % modulus for c in w], 1
+        return a.int_products([x], [y], modulus)[0]
 
     power, base, e = None, b, q
     while e:
@@ -532,13 +522,14 @@ def _power_trace(a, b, q):
         e >>= 1
         if e:
             base = mul(base, base)
-    return sum(x * t for x, t in zip(power[0], _trace_vector(a)) if x) % modulus
+    tau = _trace_vector(a)
+    return sum(x * tau[k] for k, x in power[0].items()) % modulus
 
 
 def _dense_trace(a, b, q):
     """tr(L_b^q) mod p*q for the int row b, on the int matrix whose row j
-    is b.e_j from `int_products`: L_b transposed, whose powers have the
-    same traces (`_p_power_trace`)."""
+    is b.e_j from `int_products`, reduced mod p: L_b transposed, whose
+    powers have the same traces (`_p_power_trace`)."""
     rows = a.int_products([b], unit_rows(a.dim))
     return _p_power_trace([w for w, _ in rows], q, a.field.characteristic * q)
 
@@ -554,21 +545,21 @@ def _has_non_nilpotent(a, rows):
     for x in rows:
         e = 1
         x = _lowest(p, x)
-        while e <= a.dim and any(x[0]):
+        while e <= a.dim and x[0]:
             x = _lowest(p, a.int_products([x], [x])[0])
             e *= 2
-        if any(x[0]):
+        if x[0]:
             return True
     return False
 
 
-def _p_power_trace(intmat, q, modulus):
-    """tr(M^q) mod `modulus` for an integer matrix M and q >= 1, every
-    product reduced mod `modulus`.  With modulus p*q: t is divisible by q iff
-    t mod p*q is, and then (t mod p*q) / q = t / q mod p."""
-    m = [[x % modulus for x in row] for row in intmat]
+def _p_power_trace(m, q, modulus):
+    """tr(M^q) mod `modulus` for an integer matrix M, given by the nonzero
+    entries of its rows, reduced or not, and q >= 1, every product reduced
+    mod `modulus`.  With modulus p*q: t is divisible by q iff t mod p*q is,
+    and then (t mod p*q) / q = t / q mod p."""
     if q == 1:
-        return sum(row[i] for i, row in enumerate(m)) % modulus
+        return sum(row.get(i, 0) for i, row in enumerate(m)) % modulus
     # tr(M^q) = tr(H K) with H = M^(q//2), K = M^(q - q//2): no last product
     half = None
     base, e = m, q // 2
@@ -580,23 +571,20 @@ def _p_power_trace(intmat, q, modulus):
             base = _int_matmul(base, base, modulus)
     other = half if q % 2 == 0 else _int_matmul(half, m, modulus)
     # tr(H K) = sum H[i][j] K[j][i], over the nonzero H[i][j] only
-    return sum(x * other[j][i] for i, hrow in enumerate(half)
-               for j, x in enumerate(hrow) if x) % modulus
+    return sum(x * other[j].get(i, 0) for i, hrow in enumerate(half)
+               for j, x in hrow.items()) % modulus
 
 
 def _int_matmul(x, y, modulus):
-    """x * y mod `modulus` for square integer matrices, over the nonzero
-    entries only."""
-    n = len(x)
-    ynz = [[(j, b) for j, b in enumerate(row) if b] for row in y]
+    """x * y mod `modulus` for square integer matrices given by the nonzero
+    entries of their rows."""
     out = []
     for xi in x:
-        acc = [0] * n
-        for a, yt in zip(xi, ynz):
-            if a:
-                for j, b in yt:
-                    acc[j] += a * b
-        out.append([s % modulus for s in acc])
+        acc = {}
+        for k, a in xi.items():
+            for j, b in y[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append(_nonzero(modulus, acc))
     return out
 
 
@@ -671,7 +659,7 @@ def _poly_eval_element(f, poly, powers):
     """Sum poly[i] * powers[i] for int-row powers, as an int row in lowest
     terms."""
     c, den = f.to_ints(poly)
-    return _int_sum(f.characteristic, list(zip(c, powers)), len(powers[0][0]), den)
+    return _int_sum(f.characteristic, [(x, powers[i]) for i, x in c.items()], den)
 
 
 def _rational_roots(poly):
@@ -687,7 +675,8 @@ def _rational_roots(poly):
     poly = _poly_normalize(QQ, list(poly))
     if len(poly) < 2:
         return []
-    s = _squarefree_ints(QQ.to_ints(poly)[0])
+    den = lcm(*(c.denominator for c in poly))
+    s = _squarefree_ints([c.numerator * (den // c.denominator) for c in poly])
     d, lead = len(s) - 1, s[-1]
     q = [c * lead ** (d - 1 - i) for i, c in enumerate(s[:-1])] + [1]
     dq = [i * c for i, c in enumerate(q)][1:]
@@ -697,11 +686,11 @@ def _rational_roots(poly):
 
     def squarefree_mod(p):
         fp = Field(p)
-        return len(_poly_xgcd(fp, fp.from_ints(q), _poly_normalize(fp, fp.from_ints(dq)))[0]) == 1
+        return len(_poly_xgcd(fp, [c % p for c in q], _poly_normalize(fp, [c % p for c in dq]))[0]) == 1
 
     p = next(p for p in count(3, 2) if _is_prime(p) and squarefree_mod(p))
     roots = []
-    for r in _field_roots(Field(p), Field(p).from_ints(q)):
+    for r in _field_roots(Field(p), [c % p for c in q]):
         m = p
         while m <= 2 * (1 + max(map(abs, q))):
             m *= m
@@ -727,8 +716,11 @@ def _squarefree_ints(c):
                 u[k + i] -= q[k] * x
         return q, _poly_normalize(None, u[:len(v) - 1])
 
-    def primitive(u):  # u / lc(u) in lowest terms, read as an int row over lc(u)
-        return _lowest(0, (u, u[-1]))[0] if u else u
+    def primitive(u):  # u over the gcd of its ints, with a positive leading coefficient
+        if not u:
+            return u
+        g = gcd(*u) if u[-1] > 0 else -gcd(*u)
+        return [x // g for x in u]
 
     g, rem = c, primitive([i * x for i, x in enumerate(c)][1:])
     while rem:
@@ -809,8 +801,7 @@ def primitive_idempotents(a: FiniteDimAlgebra):
     p = f.characteristic
     top = top_module(a)
     quo = top.space
-    units = unit_rows(a.dim)
-    reps = [units[i] for i in quo.reps]
+    reps = [({i: 1}, 1) for i in quo.reps]
 
     def split_once(e):
         """e an exact idempotent; return (e1, e2) or None if unsplit."""
@@ -820,14 +811,14 @@ def primitive_idempotents(a: FiniteDimAlgebra):
         if corner.dim <= 1:
             return None
         basis = corner.int_basis  # primitive rows over their pivots: lowest terms
-        candidates = basis + [_int_sum(p, [(1, u), (1, v)], quo.dim)
+        candidates = basis + [_int_sum(p, [(1, u), (1, v)])
                               for i, u in enumerate(basis) for v in basis[i + 1:]]
         for z in candidates:
             powers = [ebar, z]
             while not (kernel := int_kernel(f, powers)):
                 power = top.int_products([quo.int_lift(powers[-1])], [z])[0]
                 powers.append(_lowest(p, power))
-            minpoly = f.from_ints(*kernel[0])
+            minpoly = f.from_ints(kernel[0], len(powers))
             if len(minpoly) <= 2:
                 continue
             for r in _field_roots(f, minpoly):
@@ -845,10 +836,10 @@ def primitive_idempotents(a: FiniteDimAlgebra):
             h = _poly_mul(f, u, f1)
             _, h = _poly_divmod(f, h, minpoly)
             e1bar = _poly_eval_element(f, h, powers[:len(minpoly)])
-            if not any(e1bar[0]) or e1bar == ebar:
+            if not e1bar[0] or e1bar == ebar:
                 continue
             e1 = _lift_idempotent(a, e, e1bar, quo)
-            return e1, _int_sum(p, [(1, e), (-1, e1)], a.dim)
+            return e1, _int_sum(p, [(1, e), (-1, e1)])
         return None
 
     stack = [_lowest(p, f.to_ints(e)) for e in _unit_idempotent_seeds(a)]
@@ -862,7 +853,7 @@ def primitive_idempotents(a: FiniteDimAlgebra):
             stack.extend(got)
     _check_orthogonal_system(a, prims)
     a._memo[("idempotent_rows",)] = prims
-    return [f.from_ints(w, den) for w, den in prims]
+    return [f.from_ints(e, a.dim) for e in prims]
 
 
 def idempotent_rows(a):
@@ -897,7 +888,7 @@ def _lift_idempotent(a, e, e1bar, quo):
         if u2 == u:
             return u
         # Newton step u <- 3u^2 - 2u^3 squares the defect ideal
-        u = _int_sum(p, [(3, u2), (-2, mul(u2, u))], a.dim)
+        u = _int_sum(p, [(3, u2), (-2, mul(u2, u))])
     raise AlgebraError("idempotent lifting did not converge")
 
 
@@ -909,17 +900,12 @@ def _check_orthogonal_system(a, rows):
     p = f.characteristic
     n = len(rows)
     prods = a.int_products(rows, rows)
-
-    def is_zero(w):
-        return not any([x % p for x in w] if p else w)
-
-    for r, (w, den) in enumerate(rows):
-        ww, dd = prods[r * n + r]  # e e = e: ww / dd = w / den
-        if not is_zero([x * den - y * dd for x, y in zip(ww, w)]):
+    for r, e in enumerate(rows):
+        if _lowest(p, prods[r * n + r]) != _lowest(p, e):
             raise AlgebraError("non-idempotent in primitive system")
-    if _int_sum(p, [(1, e) for e in rows], a.dim) != _lowest(p, f.to_ints(a.unit)):
+    if _int_sum(p, [(1, e) for e in rows]) != _lowest(p, f.to_ints(a.unit)):
         raise AlgebraError("idempotent system does not sum to the unit")
-    if not all(is_zero(w) for r, (w, _) in enumerate(prods) if r % (n + 1)):
+    if any(w for r, (w, _) in enumerate(prods) if r % (n + 1)):
         raise AlgebraError("idempotent system not orthogonal")
 
 
@@ -957,7 +943,7 @@ class ModuleRep:
         in the module: one `matrix_of(u)` per u, applied to each v through
         `Matrix.int_mul_vec`."""
         f = self.algebra.field
-        mats = [self.matrix_of(f.from_ints(*u)) for u in us]
+        mats = [self.matrix_of(f.from_ints(u, self.algebra.dim)) for u in us]
         return [mat.int_mul_vec(v) for mat in mats for v in vs]
 
 

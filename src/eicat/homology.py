@@ -8,19 +8,23 @@ spanned by the action of the generators of rad A mod rad² A alone
 (`_minimal_generators`).
 
 A module is anything with `dim` and `int_products(us, vs)`, which returns
-[u.v for u in us for v in vs] for int rows (`Field.to_ints`) u of the
-algebra and v of the module.  Three things provide it: the algebra itself,
+[u.v for u in us for v in vs] for the sparse int rows (`Field.to_ints`: the
+nonzero entries only, reduced mod p in characteristic p) u of the algebra
+and v of the module.  Three things provide it: the algebra itself,
 as its own regular module (`FiniteDimAlgebra.int_products`); a `ModuleRep`,
 through its action matrices (`Matrix.int_mul_vec`); and `top_module(a)`,
 A / rad A acted on by the product.  Vectors are int rows throughout, the
-one vector form of `Subspace` and the products: the idempotents are the
+one vector form of `Subspace` and the products.  A vector of a sum of
+principal projectives is cut into its blocks through a coordinate-to-block
+map (`_segments`), never sliced densely.  The idempotents are the
 int rows the splitting made (`idempotent_rows`), memoised on the algebra
-with the bases of A·f, and Fractions appear only in the covers of a
-`ResolutionTrace` and in the verdicts.  gldim and pd are the length of a
-resolution once it is checked (`_length_verdict`).  So is id on a side whose
-top resolution finishes, as gldim A = n < oo gives id = n (proved at
-`injective_dimension`); a side that does not finish reads id from Ext into
-the algebra.  The oracle builds no action matrix."""
+with the bases of A·f.  The covers of a `ResolutionTrace` are held as int
+views (`Matrix.from_int_columns`), and Fractions appear only where a cover
+is read, as `verify` composes them, and in the verdicts.  gldim and pd are
+the length of a resolution once it is checked (`_length_verdict`).  So is id
+on a side whose top resolution finishes, as gldim A = n < oo gives id = n
+(proved at `injective_dimension`); a side that does not finish reads id from
+Ext into the algebra.  The oracle builds no action matrix."""
 
 from __future__ import annotations
 
@@ -92,14 +96,15 @@ def _principal_data(a: FiniteDimAlgebra):
     return out
 
 
-def _join(width, placed):
-    """One int row of length `width`, zero but where each (lo, w, den) of
-    `placed` puts the int row (w, den) from position lo on: over the lcm of
-    their denominators."""
-    den = lcm(*(d for _, _, d in placed))
-    row = [0] * width
-    for lo, w, d in placed:
-        row[lo:lo + len(w)] = w if d == den else [x * (den // d) for x in w]
+def _merge(parts):
+    """One int row from the int rows `parts`, whose entries lie at disjoint
+    indices: over the lcm of their denominators."""
+    if len(parts) == 1:
+        return parts[0]
+    den = lcm(*(d for _, d in parts))
+    row = {}
+    for w, d in parts:
+        row.update(w if d == den else {i: x * (den // d) for i, x in w.items()})
     return row, den
 
 
@@ -160,33 +165,28 @@ def _check_minimal(a, trace):
     columns are read from the int view of the cover."""
     data, rad = _principal_data(a), top_module(a).space.sub
     for i in range(1, trace.repeat[0] + 1 if trace.repeat else len(trace.covers)):
-        blocks = _blocks(data, trace.gens[i - 1])
-        cover = trace.covers[i]
-        columns, scale = cover._sparse_view()
+        blocks = _stack([data[idx][1] for idx in trace.gens[i - 1]])
+        owner = _owner(blocks)
+        columns, scale = trace.covers[i]._sparse_view()
         for nonzeros in columns:
-            column = [0] * cover.rows
-            for r, x in nonzeros:
-                column[r] = x
-            for sub, lo, hi in blocks:
-                segment = column[lo:hi]
-                if any(segment) and not rad.int_contains(sub.int_from_coords((segment, scale))):
+            for b, segment in _segments(owner, nonzeros).items():
+                if not rad.int_contains(blocks[b][0].int_from_coords((segment, scale))):
                     raise AlgebraError(f"the boundary of degree {i} leaves the radical")
 
 
-def _minimal_generators(a, vectors, act, data):
-    """Generators g = f_idx.v of the module Ω spanned by `vectors`, as (idx,
-    the cover columns w.g over the basis w of A·f_idx); `act(us, vs)` is
-    [u.v for u in us for v in vs].  Greedy over the submodule generated so
-    far, starting from J·Ω, J = rad A, so no generator is redundant at the
-    time it is added; as A.g = (A·f_idx).g, the columns span what g
-    generates.  Vectors, generators and columns are int rows, and one span
-    grows (`Subspace.int_extend`).
+def _minimal_generators(a, n, vectors, act, data):
+    """Generators g = f_idx.v of the module Ω spanned by `vectors`, int rows
+    of k^n, as (idx, the cover columns w.g over the basis w of A·f_idx);
+    `act(us, vs)` is [u.v for u in us for v in vs].  Greedy over the
+    submodule generated so far, starting from J·Ω, J = rad A, so no
+    generator is redundant at the time it is added; as A.g = (A·f_idx).g,
+    the columns span what g generates.  Vectors, generators and columns are
+    int rows, and one span grows (`Subspace.int_extend`).
 
     J·Ω is spanned by X·vectors, X = `_radical_generators(a)`: J = span X + J²
     gives J = span X + X·J + J^k for every k, by putting span X + J² for
     the leftmost factor of J^k, and J^k = 0 for k large; so J = X·A, and
     J·Ω = X·A·Ω = X·Ω, as Ω is a submodule."""
-    n = len(vectors[0][0])
     span = Subspace(a.field, n, act(_radical_generators(a), vectors))
     idempotents = [e for e, _, _ in data]
     kept = []
@@ -194,7 +194,7 @@ def _minimal_generators(a, vectors, act, data):
         if span.int_contains(x):
             continue
         for idx, v in enumerate(act(idempotents, [x])):
-            if not any(v[0]) or span.int_contains(v):
+            if not v[0] or span.int_contains(v):
                 continue
             columns = act(data[idx][1].int_basis, [v])
             kept.append((idx, columns))
@@ -206,35 +206,58 @@ def _minimal_generators(a, vectors, act, data):
     return kept
 
 
-def _blocks(data, idxs):
-    """(A·f_idx, start, end) of each summand of ⊕ A·f_idx over idxs."""
-    offsets = [0, *accumulate(data[idx][1].dim for idx in idxs)]
-    return [(data[idx][1], lo, hi) for idx, lo, hi in zip(idxs, offsets, offsets[1:])]
+def _stack(subs):
+    """(sub, start, end) of each summand of the direct sum of the subspaces
+    `subs`, in their coordinates: ⊕ A·f_idx is that of the data[idx][1]."""
+    offsets = [0, *accumulate(sub.dim for sub in subs)]
+    return list(zip(subs, offsets, offsets[1:]))
+
+
+def _owner(blocks):
+    """Per coordinate of the sum of `blocks`: (its block, its coordinate there)."""
+    return [(b, j) for b, (sub, _, _) in enumerate(blocks) for j in range(sub.dim)]
+
+
+def _places(blocks):
+    """Per block of the sum of `blocks`, where an element of its subspace,
+    read at its pivots, goes: {pivot c: its start + the place of c among them}."""
+    return [{c: lo + r for r, c in enumerate(sub.pivots)} for sub, lo, _ in blocks]
+
+
+def _segments(owner, entries):
+    """{block: the entries of its segment} for the (coordinate, value)
+    `entries` of a row of the sum, cut along `owner` (`_owner`); a block
+    where the row is zero is left out."""
+    out = {}
+    for i, x in entries:
+        b, j = owner[i]
+        out.setdefault(b, {})[j] = x
+    return out
 
 
 def _projective_action(a, data, idxs):
     """act(us, vs) = [u.v for u in us for v in vs] on ⊕ A·f_idx over idxs, in
     summand coordinates, on int rows: the nonzero segments of vs, each as an
     element of A, go through one `FiniteDimAlgebra.int_products` call, and
-    each product is read back at the pivots of its left ideal A·f_idx and
-    put in place (`_join`); an all-zero segment stays zero."""
-    summands = _blocks(data, idxs)
-    width = summands[-1][2]
+    each product is read back at the pivots of its left ideal A·f_idx, put
+    in place and merged (`_merge`); a zero segment stays zero."""
+    summands = _stack([data[idx][1] for idx in idxs])
+    owner, places = _owner(summands), _places(summands)
 
     def act(us, vs):
-        lifted, cells = [], []  # the nonzero segments, and (j, pivots, lo) of each
-        for sub, lo, hi in summands:
-            for j, (w, den) in enumerate(vs):
-                if any(w[lo:hi]):
-                    lifted.append(sub.int_from_coords((w[lo:hi], den)))
-                    cells.append((j, sub.pivots, lo))
+        lifted, cells = [], []  # the nonzero segments, and (j, block) of each
+        for j, (w, den) in enumerate(vs):
+            for b, segment in _segments(owner, w.items()).items():
+                lifted.append(summands[b][0].int_from_coords((segment, den)))
+                cells.append((j, b))
         products = iter(a.int_products(us, lifted))
         out = []
         for _ in us:
             placed = [[] for _ in vs]
-            for (j, pivots, lo), (w, den) in zip(cells, products):
-                placed[j].append((lo, [w[pc] for pc in pivots], den))
-            out += [_join(width, p) for p in placed]
+            for (j, b), (w, den) in zip(cells, products):
+                place = places[b]
+                placed[j].append(({place[c]: x for c, x in w.items() if c in place}, den))
+            out += [_merge(p) for p in placed]
         return out
 
     return act
@@ -254,7 +277,8 @@ def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
     copied, and the trace records repeat = (k, period).  Only the states'
     keys are kept."""
     data = _principal_data(a)
-    vectors = unit_rows(m.dim)
+    n = m.dim
+    vectors = unit_rows(n)
     act = m.int_products
     gens, covers, kernel_dims = [], [], []
     finished, repeat = False, None
@@ -263,18 +287,17 @@ def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
         if not vectors:  # m is the zero module
             finished = True
             break
-        kept = _minimal_generators(a, vectors, act, data)
+        kept = _minimal_generators(a, n, vectors, act, data)
         gens.append([idx for idx, _ in kept])
-        cover = Matrix.from_int_columns(a.field, [c for _, columns in kept for c in columns],
-                                        len(vectors[0][0]))
+        cover = Matrix.from_int_columns(a.field, [c for _, columns in kept for c in columns], n)
         covers.append(cover)
         kernel = cover.null_space()
         kernel_dims.append(kernel.dim)
         if not kernel.dim:
             finished = True
             break
-        vectors = kernel.int_basis
-        key = (tuple(gens[-1]), tuple(tuple(w) for w, _ in vectors))
+        n, vectors = cover.cols, kernel.int_basis
+        key = (tuple(gens[-1]), tuple(tuple(sorted(w.items())) for w, _ in vectors))
         if key in seen:
             repeat = (deg, deg - seen[key])
             break
@@ -330,25 +353,31 @@ def ext_dims_from_trace(a, trace, m, cap):
             ranks.append(0)
             continue
         boundary = trace.covers[i + 1]
-        # the image in P_i of the generator f of each block of P_{i+1}
-        images = [boundary.int_mul_vec(_join(boundary.cols, [(plo, *data[idxp][2])]))
-                  for idxp, (_, plo, _) in zip(gens[i + 1], _blocks(data, gens[i + 1]))]
+        # the image in P_i of the generator f of each block of P_{i+1}, cut
+        # into its segments in the blocks of P_i
+        blocks = _stack([data[idx][1] for idx in gens[i]])
+        owner = _owner(blocks)
+        images = []
+        for idxp, (_, plo, _) in zip(gens[i + 1], _stack([data[idx][1] for idx in gens[i + 1]])):
+            gen, den = data[idxp][2]
+            v, den = boundary.int_mul_vec(({plo + r: x for r, x in gen.items()}, den))
+            images.append((_segments(owner, v.items()), den))
         # column (l, w) of the differential, one segment per block of rows:
         # the images lifted to A in block l, times the basis w of f_l·m
-        offsets = [0, *accumulate(homs[idxp].dim for idxp in gens[i + 1])]
+        targets = _stack([homs[idxp] for idxp in gens[i + 1]])
+        places = _places(targets)
         columns = []
-        for idxl, (sub, lo, hi) in zip(gens[i], _blocks(data, gens[i])):
-            lifts = [sub.int_from_coords((v[lo:hi], den)) for v, den in images]
+        for b, (idxl, (sub, _, _)) in enumerate(zip(gens[i], blocks)):
+            lifts = [sub.int_from_coords((segments.get(b, {}), den)) for segments, den in images]
             if not all(ideals[idxp].int_contains(x) for idxp, x in zip(gens[i + 1], lifts)):
                 raise AlgebraError("Hom differential leaves its block")
             products = iter(m.int_products(lifts, homs[idxl].int_basis))
             block = [[] for _ in range(homs[idxl].dim)]
-            for idxp, at in zip(gens[i + 1], offsets):
-                pivots = homs[idxp].pivots
+            for place in places:
                 for placed, (w, den) in zip(block, products):
-                    placed.append((at, [w[pc] for pc in pivots], den))
-            columns += [_join(offsets[-1], placed) for placed in block]
-        ranks.append(Subspace(f, offsets[-1], columns).dim)
+                    placed.append(({place[c]: x for c, x in w.items() if c in place}, den))
+            columns += [_merge(placed) for placed in block]
+        ranks.append(Subspace(f, targets[-1][2], columns).dim)
 
     return [hom_dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cap + 1)]
 

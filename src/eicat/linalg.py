@@ -1,30 +1,36 @@
 """Exact linear algebra over Q and the prime fields F_p.
 
-Vectors have one form: the int row of `Field.to_ints`, the pair (w, den)
-of ints w and one denominator with v = w / den, not necessarily in lowest
-terms; in characteristic p, den is 1 and w need not be reduced.  `Subspace`,
-`QuotientSpace`, `Matrix.int_mul_vec`, `Matrix.from_int_columns`,
-`Matrix.null_space` and `int_kernel` take and give int rows.  Canonical
-scalars, `fractions.Fraction` in characteristic 0 and ints in [0, p) in
-characteristic p, appear only in `Matrix` entries and in what is handed
-out: `Subspace.basis`, made canonical by `Field.from_ints`.  Everything is
-exact; no floats anywhere.  `Field.of`, `Matrix(...)` and
-`FiniteDimAlgebra.from_json` refuse floats and bools; everything else takes
-the canonical scalars they and this module hand out.
+Vectors have one form, the sparse int row (w, den) of `Field.to_ints`: w is
+a dict {index: int} of the nonzero entries only and v = w / den, not
+necessarily in lowest terms; in characteristic p, den is 1 and every entry is
+reduced into [1, p).  In a space of dimension n an index outside [0, n) is
+refused with a ValueError, as a wrong length was.  A row coming in may hold
+an entry of 0, or in characteristic p one outside [1, p): it is taken at its
+value (`_rows_in`), as a dense row was.  Rows are never written in place, so
+echelons and spans share them.  `Subspace`, `QuotientSpace`,
+`Matrix.int_mul_vec`, `Matrix.from_int_columns`, `Matrix.null_space` and
+`int_kernel` take and give int rows.  Canonical scalars, `fractions.Fraction`
+in characteristic 0 and ints in [0, p) in characteristic p, appear only in
+`Matrix` entries and in what is handed out: `Subspace.basis`, made canonical
+by `Field.from_ints`, which needs the length n.  Everything is exact; no
+floats anywhere.  `Field.of`, `Matrix(...)` and `FiniteDimAlgebra.from_json`
+refuse floats and bools; everything else takes the canonical scalars they
+and this module hand out.
 
 Matrices are stored dense, row-major.  `rref`, `rank`, `kernel_basis`,
-`null_space`, `int_kernel` and `Subspace` share one fraction-free
-elimination (`_echelon`).  Products and eliminations work from a
-column-sparse int view of the matrix (per column, the (row, value) pairs
+`null_space`, `int_kernel` and `Subspace` share one sparse fraction-free
+Gauss-Jordan elimination (`_echelon`).  Products and eliminations work from
+a column-sparse int view of the matrix (per column, the (row, value) pairs
 with nonzero value, all times one scale) that is built on first use, or
-from the ints of `from_int_columns`, and cached on the matrix.  A
-`Subspace` keeps the int echelon of its rref basis, which its methods and
-`QuotientSpace.int_project` share, and `int_extend` grows it in place of a
-rebuild.  So neither a matrix whose view is cached nor a `Subspace.basis`
-or `int_basis` may be written in place.  A matrix is built whole and never
-changed: `Matrix.from_entries` (scattered entries, repeats adding up),
-`Matrix.from_columns`, `Matrix.from_int_columns` and `combination` (a sum
-of c * M) are the builders, and nothing outside this module writes `.data`.
+taken from the ints of `from_int_columns`, whose dense entries are made only
+when read, and cached on the matrix.  A `Subspace` keeps the int echelon of
+its rref basis, which its methods and `QuotientSpace.int_project` share, and
+`int_extend` grows it in place of a rebuild.  So neither a matrix whose view
+is cached nor a `Subspace.basis` may be written in place.  A matrix is built
+whole and never changed: `Matrix.from_entries` (scattered entries, repeats
+adding up), `Matrix.from_columns`, `Matrix.from_int_columns` and
+`combination` (a sum of c * M) are the constructors, and nothing outside this
+module writes `.data`.
 """
 
 from __future__ import annotations
@@ -139,25 +145,23 @@ class Field:
         return n % p != 0 if p else n != 0
 
     def to_ints(self, v):
-        """(w, den) with v = w / den: in characteristic 0, w holds ints and
-        den is the lcm of the denominators of v; in characteristic p, w is v
-        itself (ints, reduced or not) and den is 1."""
-        if self.characteristic:
-            return v, 1
-        den = lcm(*(x.denominator for x in v if x is not _ZERO))
-        if den == 1:
-            return [0 if x is _ZERO else x.numerator for x in v], 1
-        return [0 if x is _ZERO else x.numerator * (den // x.denominator) for x in v], den
-
-    def from_ints(self, w, den=1):
-        """The canonical vector w / den for ints w; den is 1 in
-        characteristic p, where w is reduced mod p."""
+        """The int row (w, den) of the vector v: w holds its nonzero entries
+        by index, in characteristic 0 as ints over den, the lcm of the
+        denominators of v, in characteristic p reduced into [1, p) over 1."""
         p = self.characteristic
         if p:
-            return [x % p for x in w]
-        if den == 1:
-            return [Fraction(x) if x else _ZERO for x in w]
-        return [Fraction(x, den) if x else _ZERO for x in w]
+            return {i: y for i, x in enumerate(v) if (y := x % p)}, 1
+        den = lcm(*(x.denominator for x in v if x))
+        return {i: x.numerator * (den // x.denominator) for i, x in enumerate(v) if x}, den
+
+    def from_ints(self, row, n):
+        """The canonical vector of length n with the int row `row`."""
+        p = self.characteristic
+        (w,) = _rows_in(p, (row,), n)
+        v = [0 if p else _ZERO] * n
+        for i, x in w.items():
+            v[i] = x if p else Fraction(x, row[1])
+        return v
 
 
 QQ = Field(0)
@@ -172,84 +176,114 @@ def unit_vector(f: Field, n: int, i: int):
 
 def unit_rows(n: int):
     """The standard basis of k^n as int rows, in any field."""
-    return [([0] * i + [1] + [0] * (n - i - 1), 1) for i in range(n)]
+    return [({i: 1}, 1) for i in range(n)]
 
 
-def _fresh_rows(p, ints, n):
-    """Fresh int lists, reduced mod p in characteristic p, from the nonzero
-    int lists among `ints` (each of length n): what `_echelon` may write in
-    place."""
-    rows = []
-    for w in ints:
-        if len(w) != n:
-            raise ValueError(f"vector of length {len(w)} in a space of dimension {n}")
-        if any(w):
-            rows.append([x % p for x in w] if p else list(w))
-    return rows
+def _outside(n, what):
+    """The refusal of an index outside [0, n), the sparse form of a wrong length."""
+    return ValueError(f"{what} with an index outside [0, {n})")
 
 
-def _echelon(p, rows, ncols):
-    """Gauss-Jordan elimination, in place, of int rows (reduced mod p in
-    characteristic p); returns the pivot columns.  rows[:rank] are then the
-    reduced rows: row r has its pivot at pivots[r] and zeros at the other
-    pivots.  In characteristic p the pivot is 1.  In characteristic 0 the
-    elimination is fraction-free (Bareiss 1968 without the exact divisor):
-    row i becomes a*row_i - row_i[c]*pivot_row for the pivot a at column c,
-    divided by its content; the pivot is positive and the row primitive, so
-    row / pivot is the rref row in lowest terms."""
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        for i in range(r, nrows):
-            if rows[i][c]:
-                break
-        else:
+def _check_rows(rows, n, what="vector"):
+    """Refuse (`_outside`) the int rows `rows` unless every index is in [0, n)."""
+    for w, _ in rows:
+        if w and (min(w) < 0 or max(w) >= n):
+            raise _outside(n, what)
+
+
+def _rows_in(p, rows, n=None, what="vector"):
+    """The entries of the int rows `rows` coming in, held: each w itself
+    when its values are nonzero already (in [1, p) in characteristic p),
+    else `_nonzero` of w.  Given n, refused (`_outside`) unless every index
+    is in [0, n); every residual comes through here, so that check is
+    written out, not a call of `_check_rows`."""
+    out = []
+    for w, _ in rows:
+        if w:
+            if n is not None and (min(w) < 0 or max(w) >= n):
+                raise _outside(n, what)
+            values = w.values()
+            if not ((0 < min(values) and max(values) < p) if p else all(values)):
+                w = _nonzero(p, w)
+        out.append(w)
+    return out
+
+
+def _nonzero(p, acc):
+    """The entries of an int row from the int dict acc: its nonzero
+    values, reduced into [1, p) in characteristic p."""
+    if p:
+        return {i: y for i, x in acc.items() if (y := x % p)}
+    return {i: x for i, x in acc.items() if x}
+
+
+def _combine(p, base, terms):
+    """(r, k): r = k * base + sum x * (k / e[c]) * e over the (x, e, c) of
+    `terms`, e an echelon row with pivot c, as the entries of an int row;
+    k is the lcm of the e[c], so 1 in characteristic p."""
+    k = 1 if p else lcm(*(e[c] for _, e, c in terms))
+    acc = dict(base) if k == 1 else {j: x * k for j, x in base.items()}
+    for x, e, c in terms:
+        if k != 1:
+            x *= k // e[c]
+        for j, y in e.items():
+            acc[j] = acc.get(j, 0) + x * y
+    return _nonzero(p, acc), k
+
+
+def _reduce(p, w, index):
+    """(r, k) with r = k * w minus multiples of the rows of the echelon
+    `index` {pivot: row}, zero at every pivot (`_combine`).  The rows are
+    zero at each other's pivots, so the multiples are read off w itself."""
+    if index.keys().isdisjoint(w):
+        return w, 1
+    return _combine(p, w, [(-x, index[c], c) for c, x in w.items() if c in index])
+
+
+def _echelon(p, rows, index):
+    """Gauss-Jordan elimination, sparse: put the nonzero int dicts `rows`,
+    held as `_rows_in` holds them, one by one into the echelon `index`
+    {pivot: row}, in place, and return it.  A row is reduced by the
+    echelon (`_reduce`); if anything is left, its least index becomes a
+    pivot, the row is normalised there and the other rows are reduced by it.
+    So each row is zero at the other pivots and its own pivot is its least
+    index: in characteristic p the pivot is 1, and in characteristic 0 the
+    row is primitive with a positive pivot, so row / pivot is the rref row in
+    lowest terms and the echelon is a function of the span."""
+    for w in rows:
+        w = _reduce(p, w, index)[0]
+        if not w:
             continue
-        prow = rows[i]
-        rows[i] = rows[r]
-        a = prow[c]
+        c = min(w)
+        a = w[c]
         if p:
             if a != 1:
                 inv = pow(a, -1, p)
-                prow = [x * inv % p for x in prow]
-        elif a < 0:
-            prow = [-x for x in prow]
-            a = -a
-        rows[r] = prow
-        nz = [(j, y) for j, y in enumerate(prow) if y]
-        for i in range(nrows):
-            row = rows[i]
-            b = row[c]
-            if not b or i == r:
-                continue
-            if p:
-                for j, y in nz:
-                    row[j] = (row[j] - b * y) % p
-            elif a == 1:
-                for j, y in nz:
-                    row[j] -= b * y
-            else:
-                row = [a * x for x in row]
-                for j, y in nz:
-                    row[j] -= b * y
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    if not p:
-        for i in range(r):
-            g = gcd(*rows[i])
-            if g > 1:
-                rows[i] = [x // g for x in rows[i]]
-    return pivots
+                w = {j: x * inv % p for j, x in w.items()}
+        else:
+            w = _primitive(w, a)
+        for d, e in index.items():
+            if c in e:
+                r = _combine(p, e, [(-e[c], w, c)])[0]
+                index[d] = r if p else _primitive(r, r[d])
+        index[c] = w
+    return index
+
+
+def _primitive(w, lead):
+    """The int dict w over the gcd of its entries, signed as `lead`, one of
+    them: so that entry comes out positive."""
+    g = gcd(*w.values())
+    if lead < 0:
+        g = -g
+    return w if g == 1 else {j: x // g for j, x in w.items()}
 
 
 class Matrix:
     """Dense matrix over a Field; row-major list-of-lists storage, plus the
-    column-sparse int view the products build on first use."""
+    column-sparse int view the products build on first use.  A matrix of
+    `from_int_columns` starts from its int view and makes `data` on first
+    read."""
 
     __slots__ = ("field", "rows", "cols", "data", "_sparse")
 
@@ -262,6 +296,20 @@ class Matrix:
         for row in self.data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
+
+    def __getattr__(self, name):
+        """`data` unset, as `from_int_columns` leaves it: the canonical
+        entries of the int view, made and kept on first read."""
+        if name != "data":
+            raise AttributeError(name)
+        f = self.field
+        columns, scale = self._sparse
+        data = [[f.zero] * self.cols for _ in range(self.rows)]
+        for j, column in enumerate(columns):
+            for i, x in column:
+                data[i][j] = x if f.characteristic else Fraction(x, scale)
+        self.data = data
+        return data
 
     @classmethod
     def _of(cls, field, data, cols):
@@ -309,10 +357,12 @@ class Matrix:
     @classmethod
     def from_int_columns(cls, field, columns, rows):
         """The rows x len(columns) matrix whose columns are the int rows
-        `columns`: each column made canonical once, and the int view the
-        products use taken from the ints, over the lcm of their
-        denominators."""
-        m = cls.from_columns(field, [field.from_ints(w, den) for w, den in columns], rows=rows)
+        `columns`, held as its int view, over the lcm of their
+        denominators; `data` is made on first read."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = len(columns)
         m._sparse = _int_view(field.characteristic, columns)
         return m
 
@@ -362,40 +412,47 @@ class Matrix:
         """self * v for the int row v, as an int row: touching only the
         nonzero v_j and the nonzeros of their columns."""
         w, den = row
-        if len(w) != self.cols:
-            raise ValueError("length mismatch")
-        p = self.field.characteristic
+        _check_rows((row,), self.cols)
         columns, scale = self._sparse_view()
-        acc = [0] * self.rows
-        _accumulate(acc, columns, [(j, x) for j, x in enumerate(w) if x], 1)
-        return ([x % p for x in acc], 1) if p else (acc, den * scale)
+        acc = {}
+        for j, x in w.items():
+            for i, a in columns[j]:
+                acc[i] = acc.get(i, 0) + a * x
+        p = self.field.characteristic
+        return _nonzero(p, acc), 1 if p else den * scale
 
     def mul_vec(self, v):
         """self * v, on ints (`int_mul_vec`), each entry made canonical once."""
-        return self.field.from_ints(*self.int_mul_vec(self.field.to_ints(v)))
+        if len(v) != self.cols:
+            raise ValueError(f"vector of length {len(v)} for {self.cols} columns")
+        return self.field.from_ints(self.int_mul_vec(self.field.to_ints(v)), self.rows)
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
 
+    def _int_echelon(self):
+        """The echelon {pivot: row} of the rows of the int view."""
+        return _echelon_columns(self.field.characteristic, self._sparse_view()[0])
+
     def rref(self):
         """Reduced row echelon form.  Returns (matrix, rank, pivot_columns)."""
         f = self.field
-        rows, pivots = _echelon_columns(f.characteristic, self._sparse_view()[0])
-        rank = len(pivots)
-        data = [f.from_ints(row, row[c]) for row, c in zip(rows, pivots)]
+        index = self._int_echelon()
+        pivots = sorted(index)
+        data = [f.from_ints((index[c], index[c][c]), self.cols) for c in pivots]
         z = f.zero
-        data += [[z] * self.cols for _ in range(self.rows - rank)]
-        return Matrix._of(f, data, self.cols), rank, pivots
+        data += [[z] * self.cols for _ in range(self.rows - len(pivots))]
+        return Matrix._of(f, data, self.cols), len(pivots), pivots
 
     def rank(self):
-        return len(_echelon_columns(self.field.characteristic, self._sparse_view()[0])[1])
+        return len(self._int_echelon())
 
     def _kernel_rows(self):
-        return _kernel_columns(self.field.characteristic, self._sparse_view()[0])
+        return _kernel_of(self.field.characteristic, self._int_echelon(), self.cols)
 
     def kernel_basis(self):
         """Basis (list of column vectors) of the right null space."""
-        return [self.field.from_ints(w, den) for w, den in self._kernel_rows()]
+        return [self.field.from_ints(row, self.cols) for row in self._kernel_rows()]
 
     def null_space(self):
         """The right null space as a `Subspace`, from the int rows of
@@ -406,46 +463,39 @@ class Matrix:
 def _int_view(p, columns):
     """(columns, scale) of the matrix whose columns are the int rows
     `columns`, as `Matrix._sparse_view` gives it: per column the nonzero
-    (row, value * scale), over the lcm of their denominators in
-    characteristic 0, reduced mod p in characteristic p."""
-    if p:
-        return [[(i, x % p) for i, x in enumerate(w) if x % p] for w, _ in columns], 1
+    (row, value * scale), over the lcm of their denominators (1 in
+    characteristic p)."""
     scale = lcm(*(den for _, den in columns))
-    return [[(i, x * (scale // den)) for i, x in enumerate(w) if x] for w, den in columns], scale
+    out = []
+    for w, (_, den) in zip(_rows_in(p, columns), columns):
+        out.append(list(w.items()) if den == scale else
+                   [(i, x * (scale // den)) for i, x in w.items()])
+    return out, scale
 
 
 def _echelon_columns(p, columns):
-    """(int rows, pivot columns) of `_echelon` on the nonzero rows of the
-    matrix whose int view has the columns `columns`; zero rows are never
-    eliminated."""
-    ncols = len(columns)
+    """`_echelon` of the nonzero rows of the matrix whose int view has the
+    columns `columns`."""
     rows = {}
     for j, column in enumerate(columns):
         for i, x in column:
-            rows.setdefault(i, [0] * ncols)[j] = x
-    rows = [rows[i] for i in sorted(rows)]
-    return rows, _echelon(p, rows, ncols)
+            rows.setdefault(i, {})[j] = x
+    return _echelon(p, [rows[i] for i in sorted(rows)], {})
 
 
-def _kernel_columns(p, columns):
-    """Int rows of the basis of the right null space of the matrix whose
-    int view has the columns `columns`, with a 1 at one non-pivot column
-    each and 0 at the others."""
-    ncols = len(columns)
-    rows, pivots = _echelon_columns(p, columns)
-    den = 1 if p else lcm(*(row[pc] for row, pc in zip(rows, pivots)))
-    pivset = set(pivots)
-    out = []
-    for c in range(ncols):
-        if c in pivset:
-            continue
-        w = [0] * ncols
-        w[c] = den
-        for row, pc in zip(rows, pivots):
-            if row[c]:
-                w[pc] = (-row[c]) % p if p else -row[c] * (den // row[pc])
-        out.append((w, den))
-    return out
+def _kernel_of(p, index, ncols):
+    """Int rows of the basis of the right null space of a matrix with the
+    echelon `index` and ncols columns: one per non-pivot column c, with den
+    at c, 0 at the other non-pivot columns and den over the lcm of the
+    pivot entries."""
+    den = lcm(*(e[c] for c, e in index.items()))
+    out = {c: {c: den} for c in range(ncols) if c not in index}
+    for pc, e in index.items():
+        k = den // e[pc]
+        for c, x in e.items():
+            if c != pc:
+                out[c][pc] = (-x) % p if p else -x * k
+    return [(w, den) for w in out.values()]
 
 
 def int_kernel(f: Field, columns):
@@ -453,19 +503,8 @@ def int_kernel(f: Field, columns):
     `columns`, as the int rows `Matrix.null_space` spans it from (a 1 at one
     non-pivot column each, 0 at the others), with no canonical scalar
     made."""
-    return _kernel_columns(f.characteristic, _int_view(f.characteristic, columns)[0])
-
-
-def _accumulate(acc, columns, nz, factor):
-    """acc += factor * M * w on ints, for M given by the columns of its
-    sparse view and w by the (index, value) pairs nz of its nonzero
-    entries."""
-    for j, x in nz:
-        col = columns[j]
-        if col:
-            x *= factor
-            for i, a in col:
-                acc[i] += a * x
+    p = f.characteristic
+    return _kernel_of(p, _echelon_columns(p, _int_view(p, columns)[0]), len(columns))
 
 
 def combination(f: Field, terms, rows, cols):
@@ -476,17 +515,18 @@ def combination(f: Field, terms, rows, cols):
     terms = [(c, m) for c, m in terms if c]
     if any(m.cols != cols for _, m in terms):
         raise ValueError("length mismatch")
+    p = f.characteristic
     cs, cden = f.to_ints([c for c, _ in terms])
     views = [m._sparse_view() for _, m in terms]
     scale = lcm(*(s for _, s in views))
-    views = [(view, c * (scale // s)) for c, (view, s) in zip(cs, views)]
+    views = [(view, cs[t] * (scale // s)) for t, (view, s) in enumerate(views)]
     columns = []
     for j in range(cols):
-        acc = [0] * rows
-        unit = [(j, 1)]
+        acc = {}
         for view, factor in views:
-            _accumulate(acc, view, unit, factor)
-        columns.append(f.from_ints(acc, cden * scale))
+            for i, a in view[j]:
+                acc[i] = acc.get(i, 0) + a * factor
+        columns.append(f.from_ints((_nonzero(p, acc), cden * scale), rows))
     return Matrix.from_columns(f, columns, rows=rows)
 
 
@@ -494,36 +534,29 @@ class Subspace:
     """Subspace of k^n, the span of the int rows given, held as a reduced
     row echelon basis.
 
-    Inside, the basis is its int echelon (`_echelon`): row r is basis[r]
-    times its pivot entry, primitive with a positive pivot in characteristic
-    0, basis[r] itself in characteristic p; so it is a function of the
-    subspace.  `int_basis` gives these rows as int rows (row, pivot entry),
-    `_rows` their nonzero entries and `_scale` D the lcm of the pivot
-    entries.  The residual v - sum_r v[pivots[r]] * basis[r] of v = w / den
-    is res / (den * D), with res = D w - sum_r w[pivots[r]] (D / pivot
-    entry) row_r: it vanishes on the pivots, and everywhere iff v lies in
-    the subspace (`_residual`).  `int_contains`, `int_coords`,
-    `int_from_coords`, `int_extend` and `QuotientSpace.int_project` work
-    from these rows; `basis` is made canonical on first use."""
+    Inside, the basis is its int echelon (`_echelon`), {pivot: row}: the row
+    at pivot c is basis[r] times its entry at c, primitive with a positive
+    pivot in characteristic 0, basis[r] itself in characteristic p; so it is
+    a function of the subspace.  `int_basis` gives these rows as int rows
+    (row, pivot entry).  The residual of an int row (`_residual`) subtracts
+    the rows at the pivots where it is nonzero, walking its nonzero entries
+    against the pivot index: it vanishes on the pivots, and everywhere iff
+    the row lies in the subspace.  `int_contains`, `int_coords`,
+    `int_from_coords`, `int_extend` and `QuotientSpace.int_project` work from
+    these rows; `basis` is made canonical on first use.  No row of the
+    echelon is ever written in place, so `int_extend` shares them."""
 
     def __init__(self, field: Field, ambient_dim: int, rows=()):
         p = field.characteristic
-        rows = _fresh_rows(p, (w for w, _ in rows), ambient_dim)
-        pivots = _echelon(p, rows, ambient_dim)
-        self._set(field, ambient_dim, [(c, row, None) for c, row in zip(pivots, rows)])
+        rows = [w for w in _rows_in(p, rows, ambient_dim) if w]
+        self._set(field, ambient_dim, _echelon(p, rows, {}))
 
-    def _set(self, field, ambient_dim, echelon):
-        """Hold the (pivot, int row, its nonzero entries or None) of
-        `echelon`, in any order of pivots."""
-        echelon = sorted(echelon, key=lambda e: e[0])
+    def _set(self, field, ambient_dim, index):
+        """Hold the echelon `index` {pivot: row}."""
         self.field = field
         self.ambient_dim = ambient_dim
-        self.pivots = [c for c, _, _ in echelon]
-        self._ech = [row for _, row, _ in echelon]
-        self._rows = [nz if nz is not None else [(j, x) for j, x in enumerate(row) if x]
-                      for _, row, nz in echelon]
-        p = field.characteristic
-        self._scale = 1 if p else lcm(*(row[c] for c, row, _ in echelon))
+        self._index = index
+        self.pivots = sorted(index)
         self._basis = None
 
     @property
@@ -534,89 +567,59 @@ class Subspace:
     def basis(self):
         """The rref basis, as canonical vectors."""
         if self._basis is None:
-            self._basis = [self.field.from_ints(w, den) for w, den in self.int_basis]
+            self._basis = [self.field.from_ints(row, self.ambient_dim) for row in self.int_basis]
         return self._basis
 
     @property
     def int_basis(self):
-        """The rref basis as int rows, sharing the lists of the subspace."""
-        return [(row, row[c]) for row, c in zip(self._ech, self.pivots)]
+        """The rref basis as int rows, sharing the dicts of the subspace."""
+        index = self._index
+        return [(index[c], index[c][c]) for c in self.pivots]
 
     def _residual(self, row):
-        """res on ints for the int row (w, den): res / (den * D) is the
-        residual of w / den, zero on the pivots."""
-        w, _ = row
-        if len(w) != self.ambient_dim:
-            raise ValueError(f"vector of length {len(w)} in a space of dimension {self.ambient_dim}")
-        scale = self._scale
-        res = list(w) if scale == 1 else [x * scale for x in w]
-        for pc, ech, nz in zip(self.pivots, self._ech, self._rows):
-            a = w[pc]
-            if a:
-                a *= scale // ech[pc]
-                for j, b in nz:
-                    res[j] -= a * b
-        return res
-
-    def _inside(self, res):
+        """(w, res, k) for the int row (w, den): w as it comes in
+        (`_rows_in`), and res / (den * k) its residual, as the entries of an
+        int row, zero on the pivots."""
         p = self.field.characteristic
-        return not any([x % p for x in res] if p else res)
+        (w,) = _rows_in(p, (row,), self.ambient_dim)
+        return (w, *_reduce(p, w, self._index))
 
     def int_contains(self, row):
-        return self._inside(self._residual(row))
+        return not self._residual(row)[1]
 
     def int_coords(self, row):
         """Coordinates of an int row in the rref basis, as an int row, or
         None if it lies outside."""
-        if not self._inside(self._residual(row)):
+        w, res, _ = self._residual(row)
+        if res:
             return None
-        w, den = row
-        p = self.field.characteristic
-        return [w[pc] % p if p else w[pc] for pc in self.pivots], den
+        return {r: w[c] for r, c in enumerate(self.pivots) if c in w}, row[1]
 
     def int_from_coords(self, row):
         """The member with the coordinates of the int row `row`, as an int
         row."""
         c, den = row
-        if len(c) != self.dim:
-            raise ValueError(f"{len(c)} coordinates in a subspace of dimension {self.dim}")
-        p, scale = self.field.characteristic, self._scale
-        out = [0] * self.ambient_dim
-        for a, pc, ech, nz in zip(c, self.pivots, self._ech, self._rows):
-            if a:
-                a *= scale // ech[pc]
-                for j, b in nz:
-                    out[j] += a * b
-        return ([x % p for x in out], 1) if p else (out, den * scale)
+        _check_rows((row,), self.dim, "coordinates")
+        pivots, index = self.pivots, self._index
+        w, k = _combine(self.field.characteristic, {},
+                        [(x, index[pivots[r]], pivots[r]) for r, x in c.items()])
+        return w, den * k
 
     def int_extend(self, rows):
         """The span of self and the int rows `rows`, as a new Subspace; self
-        is unchanged.  Only the new rows are reduced, by their residuals
-        against this echelon, which vanish on its pivots; the old rows with
-        a nonzero entry at a new pivot are then reduced by the new rows, and
-        the other old rows are kept as they are."""
+        is unchanged.  Only the new rows are reduced, against a copy of this
+        echelon, whose rows it shares until one is reduced by a new pivot."""
         f, n = self.field, self.ambient_dim
         p = f.characteristic
-        new = _fresh_rows(p, (self._residual(row) for row in rows), n)
-        pivots = _echelon(p, new, n)
-        kept, redo = [], []
-        for c, row, nz in zip(self.pivots, self._ech, self._rows):
-            if any(row[q] for q in pivots):
-                redo.append(row[:])
-            else:
-                kept.append((c, row, nz))
-        new = new[:len(pivots)]
-        if redo:
-            new += redo
-            pivots = _echelon(p, new, n)
         out = Subspace.__new__(Subspace)
-        out._set(f, n, kept + [(c, row, None) for c, row in zip(pivots, new)])
+        rows = [w for w in _rows_in(p, rows, n) if w]
+        out._set(f, n, _echelon(p, rows, dict(self._index)))
         return out
 
     def complement_pivots(self):
         """Standard coordinates not used as pivots; their e_i span a complement."""
-        pivset = set(self.pivots)
-        return [i for i in range(self.ambient_dim) if i not in pivset]
+        index = self._index
+        return [i for i in range(self.ambient_dim) if i not in index]
 
 
 class QuotientSpace:
@@ -630,22 +633,19 @@ class QuotientSpace:
         self.sub = Subspace(field, ambient_dim, relations)
         self.reps = self.sub.complement_pivots()
         self.dim = len(self.reps)
+        self._rep = {i: r for r, i in enumerate(self.reps)}
 
     def int_project(self, row):
         """The class of an int row, as an int row of coordinates in the
-        representative basis: its residual at the representatives."""
-        res = self.sub._residual(row)
-        p = self.field.characteristic
-        return ([res[i] % p for i in self.reps], 1) if p else \
-            ([res[i] for i in self.reps], row[1] * self.sub._scale)
+        representative basis: its residual, which lies on the
+        representatives."""
+        _, res, k = self.sub._residual(row)
+        rep = self._rep
+        return {rep[i]: x for i, x in res.items()}, row[1] * k
 
     def int_lift(self, row):
         """The representative of the class with the coordinates of the int
         row `row`, a combination of the chosen e_i, as an int row."""
-        w, den = row
-        if len(w) != self.dim:
-            raise ValueError(f"{len(w)} coordinates in a quotient of dimension {self.dim}")
-        lift = [0] * self.ambient_dim
-        for x, i in zip(w, self.reps):
-            lift[i] = x
-        return lift, den
+        (w,) = _rows_in(self.field.characteristic, (row,), self.dim, "coordinates")
+        reps = self.reps
+        return {reps[r]: x for r, x in w.items()}, row[1]

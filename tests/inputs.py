@@ -67,7 +67,8 @@ def rebased(a, rng):
     while True:
         rows = [[rng.randrange(f.characteristic) for _ in range(d)] for _ in range(d)]
         # the rref of [P | I] is [I | P^-1] when P is invertible
-        both = Subspace(f, 2 * d, [(row + unit_vector(f, d, i), 1) for i, row in enumerate(rows)])
+        both = Subspace(f, 2 * d, [f.to_ints(row + unit_vector(f, d, i))
+                                   for i, row in enumerate(rows)])
         if both.pivots == list(range(d)):
             break
     inverse = [row[d:] for row in both.basis]
@@ -79,8 +80,8 @@ def rebased(a, rng):
                 y = [f.add(s, f.mul(xk, z)) for s, z in zip(y, inv)]
         return y
 
-    ints = [(row, 1) for row in rows]
-    products = (f.from_ints(*w) for w in a.int_products(ints, ints))
+    ints = [f.to_ints(row) for row in rows]
+    products = (f.from_ints(w, d) for w in a.int_products(ints, ints))
     mult = [[[(k, c) for k, c in enumerate(coords(next(products))) if c] for _ in range(d)]
             for _ in range(d)]
     return FiniteDimAlgebra(f, [f"b{i}" for i in range(d)], mult, coords(a.unit)), rows

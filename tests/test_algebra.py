@@ -51,7 +51,13 @@ def chain_algebra(f):
 def _product(a, u, v):
     """u * v for coefficient vectors, through `int_products`."""
     f = a.field
-    return f.from_ints(*a.int_products([f.to_ints(u)], [f.to_ints(v)])[0])
+    return f.from_ints(a.int_products([f.to_ints(u)], [f.to_ints(v)])[0], a.dim)
+
+
+def _ints(poly):
+    """A polynomial with Fraction coefficients as ints over one denominator."""
+    w, _ = QQ.to_ints(poly)
+    return [w.get(i, 0) for i in range(len(poly))]
 
 
 def _span(f, n, vectors):
@@ -203,7 +209,8 @@ def test_int_products_converted_at_the_edge_equal_the_field_products(char, data)
     product over field scalars, on random structure constants and factors:
     zero factors, entries with different denominators, the rows of
     `Field.to_ints`, and int rows not in lowest terms (mod p, not reduced);
-    mod p the results come over denominator 1."""
+    the results hold their nonzero entries only, mod p reduced into [1, p)
+    and over denominator 1."""
     f = Field(char)
     p = f.characteristic
     scalar = st.integers(0, 3 * p) if p else \
@@ -219,7 +226,8 @@ def test_int_products_converted_at_the_edge_equal_the_field_products(char, data)
     def int_row(v):
         w, den = f.to_ints(v)
         k = data.draw(st.integers(1, 3))
-        return ([x + k * p for x in w], 1) if p else ([x * k for x in w], den * k)
+        return ({i: w.get(i, 0) + k * p for i in range(d)}, 1) if p else \
+            ({i: w.get(i, 0) * k for i in range(d)}, den * k)
 
     def dense(u, v):
         out = [f.zero] * d
@@ -229,12 +237,55 @@ def test_int_products_converted_at_the_edge_equal_the_field_products(char, data)
         return out
 
     expected = [dense(u, v) for u in us for v in vs]
-    rows = a.int_products([f.to_ints(u) for u in us], [f.to_ints(v) for v in vs])
-    assert [f.from_ints(w, den) for w, den in rows] == expected
+    for rows in (a.int_products([f.to_ints(u) for u in us], [f.to_ints(v) for v in vs]),
+                 a.int_products([int_row(u) for u in us], [int_row(v) for v in vs])):
+        assert [f.from_ints(row, d) for row in rows] == expected
+        assert all(0 < x < p if p else x for w, _ in rows for x in w.values())
+        if p:
+            assert all(den == 1 for _, den in rows)
+
+
+_CORPUS_ALGEBRAS = {}
+
+
+@given(st.sampled_from([0, 2, 3, 5]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_int_products_on_corpus_algebras_match_the_dense_product(corpus_items, char, data):
+    """`int_products` on corpus(0) algebras, against the product summed over
+    every pair of basis elements on field scalars: factors with zero,
+    repeated and no rows, not in lowest terms (in characteristic p, not
+    reduced), in characteristic 0 with denominators; the results hold their
+    nonzero entries only, reduced into [1, p) over 1 in characteristic p."""
+    name, c = data.draw(st.sampled_from(corpus_items))
+    if (name, char) not in _CORPUS_ALGEBRAS:
+        _CORPUS_ALGEBRAS[name, char] = algebra_from_category(presentation_of(c).category,
+                                                             Field(char))
+    a = _CORPUS_ALGEBRAS[name, char]
+    f, d, p = a.field, a.dim, char
+    scalar = st.integers(0, p - 1) if p else \
+        st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    vector = st.lists(scalar.map(f.of), min_size=d, max_size=d)
+    us, vs = (data.draw(st.lists(vector, max_size=3)) for _ in range(2))
+    us += data.draw(st.sampled_from([[], [[f.zero] * d], us[:1]]))
+    vs += data.draw(st.sampled_from([[], [[f.zero] * d], vs[:1]]))
+    k = data.draw(st.integers(1, 3))
+
+    def int_row(v):
+        w, den = f.to_ints(v)
+        return ({i: w.get(i, 0) + k * p for i in range(d)}, 1) if p else \
+            ({i: w.get(i, 0) * k for i in range(d)}, den * k)
+
+    def dense(u, v):
+        out = [f.zero] * d
+        for i, j in product(range(d), repeat=2):
+            for t, c in a.mult[i][j]:
+                out[t] = f.add(out[t], f.mul(f.mul(u[i], v[j]), c))
+        return out
+
     rows = a.int_products([int_row(u) for u in us], [int_row(v) for v in vs])
-    assert [f.from_ints(w, den) for w, den in rows] == expected
-    if p:
-        assert all(den == 1 for _, den in rows)
+    assert [f.from_ints(row, d) for row in rows] == [dense(u, v) for u in us for v in vs]
+    assert all(0 <= i < d and (0 < x < p if p else x) for w, _ in rows for i, x in w.items())
+    assert all(den == 1 for _, den in rows) if p else all(den > 0 for _, den in rows)
 
 
 def test_opposite_is_involutive_and_reverses_products():
@@ -273,8 +324,8 @@ def test_int_rows_are_those_of_the_handed_out_vectors():
         for a in (chain_algebra(f), group_algebra(symmetric_group_3(), f)):
             for rows, vectors in ((radical_rows(a), radical(a)),
                                   (idempotent_rows(a), primitive_idempotents(a))):
-                assert [f.from_ints(*r) for r in rows] == vectors
-                assert [f.to_ints(v) for v in vectors] == [(list(w), den) for w, den in rows]
+                assert [f.from_ints(r, a.dim) for r in rows] == vectors
+                assert [f.to_ints(v) for v in vectors] == rows
 
 
 def test_json_roundtrip_with_fractional_scalars():
@@ -493,7 +544,8 @@ def test_left_mult_ints_is_the_action_matrix(corpus_items):
             reg = regular_module(a)
             units = unit_rows(a.dim)
             for b in [*radical(a), [rng.randrange(ch) for _ in range(a.dim)]]:
-                transposed = [a.field.from_ints(*w) for w in a.int_products([(b, 1)], units)]
+                transposed = [a.field.from_ints(w, a.dim)
+                              for w in a.int_products([a.field.to_ints(b)], units)]
                 assert list(map(list, zip(*transposed))) == reg.matrix_of(b).data, (name, ch, b)
 
 
@@ -623,8 +675,8 @@ def test_module_constructions_validate():
 def _module_products(m, us, vs):
     """m.int_products on coefficient vectors, converted at the edge."""
     f = m.algebra.field
-    return [f.from_ints(*w) for w in m.int_products(list(map(f.to_ints, us)),
-                                                    list(map(f.to_ints, vs)))]
+    return [f.from_ints(w, m.dim) for w in m.int_products(list(map(f.to_ints, us)),
+                                                          list(map(f.to_ints, vs)))]
 
 
 def test_matrix_of_columns_are_the_action_on_unit_vectors():
@@ -650,22 +702,27 @@ def test_matrix_of_columns_are_the_action_on_unit_vectors():
 
 
 def test_coefficient_vectors_of_the_wrong_length_are_refused():
+    """Coefficient vectors of the wrong length, and int rows with an index
+    outside [0, n), the sparse form of a wrong length: as a factor of the
+    algebra's, a ModuleRep's or the top's `int_products`, on either side."""
     f = QQ
     a = chain_algebra(f)
     m = regular_module(a)
-    e0 = unit_vector(f, a.dim, 0)
+    e0 = ({0: 1}, 1)
     for avec in ([f.one], a.unit + [f.zero]):
-        for module in (m, top_module(a)):
-            with pytest.raises(ValueError):
-                _module_products(module, [avec], [unit_vector(f, module.dim, 0)])
-            with pytest.raises(ValueError):
-                _module_products(module, [a.unit], [avec])
         with pytest.raises(ValueError):
             m.matrix_of(avec)
-        with pytest.raises(ValueError):
-            _product(a, avec, e0)
-        with pytest.raises(ValueError):
-            _product(a, e0, avec)
+
+    def out_of_range(n):
+        return ({n: 1}, 1), ({-1: 1}, 1), ({0: 1, n + 5: 2}, 3)
+
+    for module in (a, m, top_module(a)):
+        for bad in out_of_range(a.dim):
+            with pytest.raises(ValueError):
+                module.int_products([bad], [e0])
+        for bad in out_of_range(module.dim):
+            with pytest.raises(ValueError):
+                module.int_products([e0], [bad])
 
 
 @pytest.mark.parametrize("char", [0, 2])
@@ -774,7 +831,8 @@ def test_p_power_trace_matches_unbounded_powers():
                     power = [[sum(power[i][t] * m[t][j] for t in range(n)) for j in range(n)]
                              for i in range(n)]
                 expect = sum(power[i][i] for i in range(n)) % (p * q)
-                assert _p_power_trace(m, q, p * q) == expect, (p, q, n)
+                rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+                assert _p_power_trace(rows, q, p * q) == expect, (p, q, n)
 
 
 def _assert_each_level_on_a_basis_and_verified_once(monkeypatch, a, rad_dim, dense):
@@ -842,7 +900,7 @@ def _assert_trace_routes_agree(a, rng):
     p = f.characteristic
     assert not algebra._associators(a)
     vectors = unit_rows(d) + _span(f, d, radical(a)).int_basis
-    vectors += [([rng.randrange(3 * p) for _ in range(d)], 1) for _ in range(3)]
+    vectors += [({i: x for i in range(d) if (x := rng.randrange(3 * p))}, 1) for _ in range(3)]
     for q in (1, p, p * p):
         for b in vectors:
             assert algebra._power_trace(a, b, q) == algebra._dense_trace(a, b, q), (p, q, b)
@@ -943,7 +1001,7 @@ def test_rational_roots_match_a_divisor_scan():
         for _ in range(rng.randint(0, 4)):
             r = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4))
             poly = algebra._poly_mul(QQ, [Fraction(c) for c in poly], [-r, Fraction(1)])
-            poly = QQ.to_ints(poly)[0]
+            poly = _ints(poly)
         zeros = rng.randint(0, 2)
         expect = _divisor_scan_roots(poly) + ([Fraction(0)] if zeros else [])
         got = _rational_roots([Fraction(c) for c in [0] * zeros + poly])
@@ -964,7 +1022,7 @@ def _squarefree_by_euclid(c):
     g, rem = poly, [i * x for i, x in enumerate(poly)][1:]
     while rem:
         g, rem = rem, algebra._poly_divmod(QQ, g, rem)[1]
-    return QQ.to_ints(algebra._poly_divmod(QQ, poly, g)[0])[0]
+    return _ints(algebra._poly_divmod(QQ, poly, g)[0])
 
 
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 6), st.integers(1, 3)), max_size=4),
@@ -979,8 +1037,8 @@ def test_squarefree_part_on_ints_is_the_euclid_one(factors, cofactor, zeros):
     poly = [0] * zeros + cofactor
     for num, den, mult in factors:
         for _ in range(mult):
-            poly = QQ.to_ints(algebra._poly_mul(QQ, [Fraction(x) for x in poly],
-                                                [Fraction(-num, den), Fraction(1)]))[0]
+            poly = _ints(algebra._poly_mul(QQ, [Fraction(x) for x in poly],
+                                           [Fraction(-num, den), Fraction(1)]))
     poly = algebra._poly_normalize(QQ, poly)
     if len(poly) < 2:
         return

@@ -327,7 +327,10 @@ def test_oracle_converts_fixed_bases_once(tmp_path, monkeypatch, capsys):
     bounds leave about a fifth of headroom over the counts before that, and
     an eighth over the rows:
     rebuilding the span for each generator kept, in place of extending it,
-    eliminates 1143."""
+    eliminates 1143.  On sparse int rows, with the covers of
+    `from_int_columns` made canonical only when read, they are 67 to_ints,
+    94 from_ints (248 before), 156, 48, 107 and 737 rows; from_ints keeps a
+    fifth of headroom over that."""
     linalg, algebra = (importlib.import_module(f"eicat.{m}") for m in ("linalg", "algebra"))
     counts = Counter()
     for cls, name in ((linalg.Field, "to_ints"), (linalg.Field, "from_ints"),
@@ -339,16 +342,16 @@ def test_oracle_converts_fixed_bases_once(tmp_path, monkeypatch, capsys):
 
         monkeypatch.setattr(cls, name, counted)
 
-    def counted_echelon(p, rows, ncols, _fn=linalg._echelon):
+    def counted_echelon(p, rows, index, _fn=linalg._echelon):
         counts["rows"] += len(rows)
-        return _fn(p, rows, ncols)
+        return _fn(p, rows, index)
 
     monkeypatch.setattr(linalg, "_echelon", counted_echelon)
     path = write_category(tmp_path, s3_transporter(2))
     assert main(["oracle", path]) == 0
     assert json.loads(capsys.readouterr().out) == \
         {"left": 2, "right": 2, "gldim": 2, "cap": 8, "agrees": True}
-    assert counts["to_ints"] <= 150 and counts["from_ints"] <= 300, counts
+    assert counts["to_ints"] <= 150 and counts["from_ints"] <= 115, counts
     assert counts["int_products"] <= 250 and counts["__init__"] <= 82, counts
     assert counts["_set"] <= 140 and counts["rows"] <= 995, counts
 

@@ -203,6 +203,11 @@ def test_a_redundant_generator_is_caught_and_gives_no_verdict(monkeypatch):
     assert projective_resolution(a, top_module(a), CAP + 2).verify(a)
 
 
+def _summands(data, idxs):
+    """(A·f_idx, start, end) of each summand of ⊕ A·f_idx over idxs."""
+    return homology._stack([data[idx][1] for idx in idxs])
+
+
 @pytest.mark.parametrize("char", [0, 3])
 def test_verify_reads_exactness_from_the_covers(char):
     """`verify` checks exactness on the covers, not on the recorded
@@ -244,9 +249,9 @@ def test_minimality_check_reads_every_column(char):
         data = homology._principal_data(a)
         for i in range(1, len(trace.covers)):
             cover = trace.covers[i]
-            _, lo, hi = homology._blocks(data, trace.gens[i - 1])[0]
+            _, lo, hi = homology._stack([data[idx][1] for idx in trace.gens[i - 1]])[0]
             outside = [f.zero] * cover.rows
-            outside[lo:hi] = f.from_ints(*data[trace.gens[i - 1][0]][2])
+            outside[lo:hi] = f.from_ints(data[trace.gens[i - 1][0]][2], hi - lo)
             for j in range(cover.cols):
                 columns = [cover.column(k) for k in range(cover.cols)]
                 columns[j] = outside
@@ -254,6 +259,32 @@ def test_minimality_check_reads_every_column(char):
                 covers[i] = Matrix.from_columns(f, columns, rows=cover.rows)
                 with pytest.raises(AlgebraError, match=f"degree {i} leaves"):
                     homology._check_minimal(a, replace(trace, covers=covers))
+
+
+def test_covers_are_made_canonical_only_when_read(monkeypatch):
+    """A cover is held as the int view of `Matrix.from_int_columns`, and its
+    canonical entries are made on first read: the oracle on the S3 <= 2
+    skeleton in char 2, whose top resolutions do not finish, reads none;
+    on chain_3 in char 0, whose resolutions finish, `verify` reads each
+    cover it composes through `Matrix.__mul__` once."""
+    built = []
+    getattr_ = Matrix.__getattr__
+
+    def counted(m, name):
+        built.append((id(m), name))
+        return getattr_(m, name)
+
+    monkeypatch.setattr(Matrix, "__getattr__", counted)
+    a = _s3_le2(2)
+    assert is_gorenstein_oracle(a, CAP).left == 2
+    assert not any(homology._top_resolution(b, CAP + 2).finished for b in (a, opposite(a)))
+    assert built == []
+    a = cat_algebra(poset_category(chain_poset(3)), QQ)
+    assert is_gorenstein_oracle(a, CAP).gorenstein
+    traces = [homology._top_resolution(b, CAP + 2) for b in (a, opposite(a))]
+    assert all(tr.finished for tr in traces)
+    composed = [id(c) for tr in traces for c in tr.covers[1:]]
+    assert sorted(built) == sorted((i, "data") for i in composed)
 
 
 def test_radical_submodule_has_expected_projective_dimension():
@@ -577,17 +608,17 @@ def test_sweep_on_more_corpus_seeds(seed):
         _assert_relabelling_invariant(r.algebra, r.verdict, r.gldim, rng)
 
 
-def _minimal_generators_by_the_whole_radical(a, vectors, act, data):
+def _minimal_generators_by_the_whole_radical(a, n, vectors, act, data):
     """The reference for `homology._minimal_generators`: the same greedy
     search, with J·Ω spanned by every rref basis vector of J = rad A times
     every vector, so that it rests on no lemma about generators of J."""
-    span = Subspace(a.field, len(vectors[0][0]), act(radical_rows(a), vectors))
+    span = Subspace(a.field, n, act(radical_rows(a), vectors))
     kept = []
     for x in vectors:
         for idx, v in enumerate(act([e for e, _, _ in data], [x])):
             if span.int_contains(x):
                 break
-            if any(v[0]) and not span.int_contains(v):
+            if v[0] and not span.int_contains(v):
                 columns = act(data[idx][1].int_basis, [v])
                 kept.append((idx, columns))
                 span = span.int_extend(columns)
@@ -638,14 +669,14 @@ def test_the_radical_span_multiplies_by_the_generators_only(monkeypatch):
     first_products = []  # per degree, the (|us|, |vs|) of the first action: that of the span
     minimal_generators = homology._minimal_generators
 
-    def counted(a, vectors, act, data):
+    def counted(a, n, vectors, act, data):
         calls = []
 
         def counted_act(us, vs):
             calls.append((len(us), len(vs)))
             return act(us, vs)
 
-        kept = minimal_generators(a, vectors, counted_act, data)
+        kept = minimal_generators(a, n, vectors, counted_act, data)
         first_products.append((calls[0], len(vectors)))
         return kept
 
@@ -755,10 +786,10 @@ def test_a_hom_image_outside_its_block_is_refused(char):
     cover = trace.covers[1]
     p = trace.gens[1][0]
     l, (_, lo, hi) = next((idx, block) for idx, block in
-                          zip(trace.gens[0], homology._blocks(data, trace.gens[0])) if idx != p)
+                          zip(trace.gens[0], homology._stack([data[idx][1] for idx in trace.gens[0]])) if idx != p)
     outside = [f.zero] * cover.rows
-    outside[lo:hi] = f.from_ints(*data[l][2])
-    gen = f.from_ints(*data[p][2])
+    outside[lo:hi] = f.from_ints(data[l][2], hi - lo)
+    gen = f.from_ints(data[p][2], data[p][1].dim)
     first = next(k for k, x in enumerate(gen) if x)  # the columns of block p come first
     columns = [outside if k == first else [f.zero] * cover.rows
                if k < len(gen) else cover.column(k) for k in range(cover.cols)]
@@ -784,18 +815,19 @@ def _ext_dims_by_coords(a, trace, m, cap):
         if gens[i] and gens[i + 1]:
             boundary = trace.covers[i + 1]
             images = []
-            for idx, (_, lo, hi) in zip(gens[i + 1], homology._blocks(data, gens[i + 1])):
+            for idx, (_, lo, hi) in zip(gens[i + 1], homology._stack([data[idx][1] for idx in gens[i + 1]])):
                 x = [f.zero] * boundary.cols
-                x[lo:hi] = f.from_ints(*data[idx][2])
+                x[lo:hi] = f.from_ints(data[idx][2], hi - lo)
                 images.append(f.to_ints(boundary.mul_vec(x)))
-            for idxl, (sub, lo, hi) in zip(gens[i], homology._blocks(data, gens[i])):
+            for idxl, (sub, lo, hi) in zip(gens[i], homology._stack([data[idx][1] for idx in gens[i]])):
                 for w in homs[idxl].int_basis:
                     column = []
                     for idxp, (v, den) in zip(gens[i + 1], images):
-                        x = sub.int_from_coords((v[lo:hi], den))
+                        segment = {t - lo: y for t, y in v.items() if lo <= t < hi}
+                        x = sub.int_from_coords((segment, den))
                         co = homs[idxp].int_coords(m.int_products([x], [w])[0])
                         assert co is not None
-                        column += f.from_ints(*co)
+                        column += f.from_ints(co, homs[idxp].dim)
                     columns.append(column)
         ranks.append(Matrix.from_columns(f, columns).rank() if columns else 0)
     return [dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cap + 1)]

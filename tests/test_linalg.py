@@ -1,5 +1,6 @@
 import ast
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -110,7 +111,7 @@ def test_kernel_vectors_are_annihilated(fm):
         assert all(x == 0 for x in m.mul_vec(v))
     # the same kernel from the int rows of the columns, zero rows skipped
     columns = [f.to_ints(m.column(j)) for j in range(m.cols)]
-    assert [f.from_ints(*row) for row in int_kernel(f, columns)] == ker
+    assert [f.from_ints(row, m.cols) for row in int_kernel(f, columns)] == ker
 
 
 def test_matrix_multiplication_shapes_and_identity():
@@ -144,24 +145,24 @@ def test_from_entries_adds_repeated_positions(f):
 
 def test_subspace_membership_and_coords():
     f = QQ
-    s = Subspace(f, 3, [([1, 0, 1], 1), ([0, 1, 1], 1)])
+    s = Subspace(f, 3, [({0: 1, 2: 1}, 1), ({1: 1, 2: 1}, 1)])
     assert s.dim == 2
-    assert s.int_contains(([1, 1, 2], 1))
-    assert not s.int_contains(([0, 0, 1], 1))
-    co = s.int_coords(([2, 3, 5], 1))
-    assert f.from_ints(*s.int_from_coords(co)) == [Fraction(2), Fraction(3), Fraction(5)]
+    assert s.int_contains(({0: 1, 1: 1, 2: 2}, 1))
+    assert not s.int_contains(({2: 1}, 1))
+    co = s.int_coords(({0: 2, 1: 3, 2: 5}, 1))
+    assert f.from_ints(s.int_from_coords(co), 3) == [Fraction(2), Fraction(3), Fraction(5)]
 
 
 def test_quotient_space_project_lift_roundtrip():
     f = Field(3)
-    q = QuotientSpace(f, 3, [([1, 1, 0], 1)])
+    q = QuotientSpace(f, 3, [({0: 1, 1: 1}, 1)])
     assert q.dim == 2
     for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, 1]):
-        c = q.int_project((v, 1))
+        c = q.int_project(f.to_ints(v))
         # lift picks a representative of the same class
-        diff = [f.sub(a, b) for a, b in zip(f.from_ints(*q.int_lift(c)), v)]
-        assert q.sub.int_contains((diff, 1)) or all(x == 0 for x in diff)
-    assert f.from_ints(*q.int_project(([1, 1, 0], 1))) == [0, 0]
+        diff = [f.sub(a, b) for a, b in zip(f.from_ints(q.int_lift(c), 3), v)]
+        assert q.sub.int_contains(f.to_ints(diff))
+    assert q.int_project(({0: 1, 1: 1}, 1)) == ({}, 1)
 
 
 def _dense_mul_vec(f, m, v):
@@ -253,31 +254,41 @@ def test_mul_vec_on_a_copy_of_a_multiplied_matrix():
 
 
 def test_subspace_and_quotient_refuse_vectors_of_the_wrong_length():
-    s = Subspace(QQ, 3, [([1, 0, 0], 1)])
-    q = QuotientSpace(QQ, 3, [([1, 0, 0], 1)])
-    for bad in ([1, 0, 0, 5], [1, 0]):
+    """An index outside [0, n) is the sparse form of a wrong length, and is
+    refused wherever an int row comes in."""
+    s = Subspace(QQ, 3, [({0: 1}, 1)])
+    q = QuotientSpace(QQ, 3, [({0: 1}, 1)])
+    for bad in ({0: 1, 3: 5}, {-1: 1}, {7: 2}):
         with pytest.raises(ValueError):
             s.int_coords((bad, 1))
         with pytest.raises(ValueError):
             s.int_contains((bad, 1))
         with pytest.raises(ValueError):
             q.int_project((bad, 1))
-    with pytest.raises(ValueError):
-        s.int_from_coords(([1, 2], 1))
-    with pytest.raises(ValueError):
-        q.int_lift(([1], 1))
-    with pytest.raises(ValueError):
-        Subspace(QQ, 3, [([1, 0, 0, 0], 1)])
-    assert QQ.from_ints(*s.int_coords(([2, 0, 0], 1))) == [2]
-    assert QQ.from_ints(*q.int_project(([1, 2, 3], 1))) == [2, 3]
+        with pytest.raises(ValueError):
+            s.int_extend([(bad, 1)])
+        with pytest.raises(ValueError):
+            Subspace(QQ, 3, [({1: 1}, 1), (bad, 1)])
+        with pytest.raises(ValueError):
+            Matrix.zeros(QQ, 2, 3).int_mul_vec((bad, 1))
+    for bad in ({1: 2}, {-1: 1}):
+        with pytest.raises(ValueError):
+            s.int_from_coords((bad, 1))
+    for bad in ({2: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            q.int_lift((bad, 1))
+    assert QQ.from_ints(s.int_coords(({0: 2}, 1)), 1) == [2]
+    assert QQ.from_ints(q.int_project(({0: 1, 1: 2, 2: 3}, 1)), 2) == [2, 3]
 
 
 def _unreduced(f, v, k):
-    """An int row of the vector v not in lowest terms: scaled by k in
-    characteristic 0, shifted by k * p in characteristic p."""
+    """An int row of the vector v not in lowest terms, with an entry at every
+    index, its zeros too: scaled by k in characteristic 0, shifted by k * p
+    in characteristic p."""
     w, den = f.to_ints(v)
     p = f.characteristic
-    return ([x + k * p for x in w], 1) if p else ([x * k for x in w], den * k)
+    return ({i: w.get(i, 0) + k * p for i in range(len(v))}, 1) if p else \
+        ({i: w.get(i, 0) * k for i in range(len(v))}, den * k)
 
 
 @given(st.sampled_from(FIELDS), st.data())
@@ -294,11 +305,11 @@ def test_subspace_coords_project_and_from_coords_agree(f, data):
     v = [f.of(x) for x in data.draw(entries)]
     row = _unreduced(f, v, k)
     co = s.int_coords(row)
-    assert s.int_contains(row) == (co is not None) == (not any(f.from_ints(*q.int_project(row))))
+    assert s.int_contains(row) == (co is not None) == (not q.int_project(row)[0])
     if co is not None:
-        assert f.from_ints(*s.int_from_coords(co)) == v
+        assert f.from_ints(s.int_from_coords(co), n) == v
     # v minus the lift of its class lies in the subspace
-    lift = f.from_ints(*q.int_lift(q.int_project(row)))
+    lift = f.from_ints(q.int_lift(q.int_project(row)), n)
     assert s.int_contains(f.to_ints([f.sub(x, y) for x, y in zip(v, lift)]))
 
 
@@ -313,10 +324,10 @@ def test_int_extend_equals_the_subspace_of_the_joined_rows(f, data):
     n = data.draw(st.integers(0, 6))
     vector = st.lists(_scalars(f), min_size=n, max_size=n).map(lambda v: [f.of(x) for x in v])
     s = Subspace(f, n, [f.to_ints(v) for v in data.draw(st.lists(vector, max_size=4))])
-    before = (s.basis, s.pivots, [(list(w), den) for w, den in s.int_basis])
+    before = (s.basis, s.pivots, [(dict(w), den) for w, den in s.int_basis])
     coords = st.lists(_scalars(f), min_size=s.dim, max_size=s.dim).map(
         lambda c: [f.of(x) for x in c])
-    member = f.from_ints(*s.int_from_coords(f.to_ints(data.draw(coords))))
+    member = f.from_ints(s.int_from_coords(f.to_ints(data.draw(coords))), n)
     new = data.draw(st.permutations(data.draw(st.lists(vector, max_size=3)) + [member, [f.zero] * n]))
     new = new[:data.draw(st.integers(0, len(new)))]
     rows = [f.to_ints(v) for v in new]
@@ -330,7 +341,171 @@ def test_int_extend_equals_the_subspace_of_the_joined_rows(f, data):
     co = [f.of(x) for x in data.draw(st.lists(_scalars(f), min_size=ext.dim, max_size=ext.dim))]
     assert ext.int_from_coords(f.to_ints(co)) == ref.int_from_coords(f.to_ints(co))
     with pytest.raises(ValueError):
-        s.int_extend([([0] * (n + 1), 1)])
+        s.int_extend([({n: 1}, 1)])
+
+
+# -- the sparse kernel against a dense reference --------------------------------
+
+
+def _dense_rref(f, vectors, n):
+    """Reference: Gauss-Jordan on canonical vectors of length n, by field
+    operations only; (the nonzero rref rows, their pivots)."""
+    rows = [list(v) for v in vectors]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for j, row in enumerate(rows):
+            if j != r and row[c] != 0:
+                rows[j] = [f.sub(x, f.mul(row[c], y)) for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return [[f.of(x) for x in row] for row in rows[:len(pivots)]], pivots
+
+
+def _dense_kernel(f, grid, ncols):
+    """Reference null space of the rows `grid`: per non-pivot column c of its
+    rref, 1 at c and minus the rref entries at the pivots."""
+    rref, pivots = _dense_rref(f, grid, ncols)
+    out = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = [f.zero] * ncols
+            v[c] = f.one
+            for row, pc in zip(rref, pivots):
+                v[pc] = f.neg(row[c])
+            out.append(v)
+    return out
+
+
+def _assert_int_row(f, row, n):
+    """Nonzero entries only, at indices in [0, n); reduced into [1, p) over
+    1 in characteristic p; over a positive denominator in characteristic 0."""
+    w, den = row
+    p = f.characteristic
+    assert all(type(i) is int and 0 <= i < n for i in w), row
+    assert all(type(x) is int and (0 < x < p if p else x) for x in w.values()), row
+    assert den == 1 if p else (type(den) is int and den > 0), row
+
+
+def _vectors(f, n, data, max_size=4):
+    """Canonical vectors of length n: random ones, a zero one, and a repeat."""
+    vector = st.lists(_scalars(f), min_size=n, max_size=n).map(lambda v: [f.of(x) for x in v])
+    vectors = data.draw(st.lists(vector, max_size=max_size))
+    vectors += data.draw(st.sampled_from([[], [[f.zero] * n], vectors[:1]]))
+    return data.draw(st.permutations(vectors))
+
+
+def test_entries_of_zero_or_not_reduced_mod_p_are_taken_as_their_values():
+    """An int row may hold an entry of 0, or in characteristic p one outside
+    [1, p): each entry point takes it as its value, as a dense row was."""
+    f = Field(3)
+    assert Subspace(f, 2, [({0: 1, 1: 3}, 1)]).basis == [[1, 0]]
+    assert Subspace(f, 2, [({0: 4, 1: -1}, 1)]).int_basis == [({0: 1, 1: 2}, 1)]
+    assert Subspace(f, 1, [({0: 3}, 1)]).dim == 0
+    assert Subspace(f, 1).int_contains(({0: 3}, 1))
+    s = Subspace(f, 2, [({1: 1}, 1)])
+    assert s.int_coords(({1: 5}, 1)) == ({0: 2}, 1)
+    assert s.int_extend([({0: 6}, 1), ({0: 0}, 1)]).dim == 1
+    assert s.int_from_coords(({0: 4}, 1)) == ({1: 1}, 1)
+    q = QuotientSpace(f, 2, [({1: 4}, 1)])
+    assert q.int_project(({0: 5, 1: 7}, 1)) == ({0: 2}, 1)
+    assert q.int_lift(({0: 5}, 1)) == ({0: 2}, 1)
+    assert q.int_lift(({0: 3}, 1)) == ({}, 1)
+    assert f.from_ints(({0: 4, 1: 3}, 1), 2) == [1, 0]
+    assert Matrix.from_int_columns(f, [({0: 4, 1: 3}, 1)], 2).data == [[1], [0]]
+    assert int_kernel(f, [({0: 3}, 1), ({0: 5}, 1)]) == [({0: 1}, 1)]
+    assert Matrix.from_entries(f, 1, 1, [(0, 0, 1)]).int_mul_vec(({0: 5}, 1)) == ({0: 2}, 1)
+    assert Subspace(QQ, 2, [({0: 0, 1: -2}, 1)]).int_basis == [({1: 1}, 1)]
+    assert QQ.from_ints(({0: 0, 1: 3}, 2), 2) == [0, Fraction(3, 2)]
+    assert int_kernel(QQ, [({0: 0}, 1)]) == [({0: 1}, 1)]
+
+
+@given(st.sampled_from(FIELDS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_kernel_matches_the_dense_reference(f, data):
+    """`Subspace` pivots and `int_basis`; `int_contains`, `int_coords`,
+    `int_from_coords` and `int_extend`; `QuotientSpace.int_project` and
+    `int_lift`: each against Gauss-Jordan on canonical vectors, over QQ
+    (with denominators, on rows not in lowest terms) and F2/F3/F5, with
+    zero, repeated and no rows."""
+    n = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(1, 3))
+    vectors = _vectors(f, n, data)
+    s = Subspace(f, n, [_unreduced(f, v, k) for v in vectors])
+    rref, pivots = _dense_rref(f, vectors, n)
+    assert (s.pivots, s.basis) == (pivots, rref)
+    p = f.characteristic
+    for (w, den), c, row in zip(s.int_basis, pivots, rref):
+        _assert_int_row(f, (w, den), n)
+        assert min(w) == c and w[c] == den and f.from_ints((w, den), n) == row
+        if p:
+            assert den == 1
+        else:
+            assert gcd(*w.values()) == 1
+    # membership, coordinates and the member with given coordinates
+    for v in _vectors(f, n, data, 2) + [row for row in rref[:1]]:
+        row = _unreduced(f, v, k)
+        inside = len(_dense_rref(f, vectors + [v], n)[1]) == len(pivots)
+        assert s.int_contains(row) == inside
+        co = s.int_coords(row)
+        assert (co is not None) == inside
+        if inside:
+            _assert_int_row(f, co, s.dim)
+            assert f.from_ints(co, s.dim) == [v[c] for c in pivots]
+            got = s.int_from_coords(co)
+            _assert_int_row(f, got, n)
+            assert f.from_ints(got, n) == v
+    # the quotient: the class is the residual at the representatives, and
+    # the lift puts coordinates at them
+    q = QuotientSpace(f, n, [_unreduced(f, v, k) for v in vectors])
+    assert q.reps == [i for i in range(n) if i not in pivots]
+    for v in _vectors(f, n, data, 2):
+        residual = v
+        for row, c in zip(rref, pivots):
+            residual = [f.sub(x, f.mul(v[c], y)) for x, y in zip(residual, row)]
+        got = q.int_project(_unreduced(f, v, k))
+        _assert_int_row(f, got, q.dim)
+        assert f.from_ints(got, q.dim) == [residual[i] for i in q.reps]
+        lift = q.int_lift(got)
+        _assert_int_row(f, lift, n)
+        assert f.from_ints(lift, n) == [residual[i] if i in q.reps else f.zero for i in range(n)]
+    # extending by more rows is the span of all of them
+    more = _vectors(f, n, data, 3)
+    ext = s.int_extend([_unreduced(f, v, k) for v in more])
+    assert (ext.basis, ext.pivots) == _dense_rref(f, vectors + more, n)
+    assert ext.int_basis == Subspace(f, n, s.int_basis + list(map(f.to_ints, more))).int_basis
+    assert (s.pivots, s.basis) == (pivots, rref)
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 5), st.integers(0, 5), st.data())
+@settings(max_examples=120, deadline=None)
+def test_int_kernel_and_int_mul_vec_match_the_dense_reference(f, rows, cols, data):
+    """`int_kernel` of sparse columns and `Matrix.int_mul_vec` of a matrix
+    of `from_int_columns`, against the null space of the dense rref and the
+    schoolbook product; the matrix's canonical entries, made on first read,
+    are those of its columns."""
+    columns = _vectors(f, rows, data, cols) if rows else [[] for _ in range(cols)]
+    grid = [[column[i] for column in columns] for i in range(rows)]
+    ints = [_unreduced(f, column, data.draw(st.integers(1, 3))) for column in columns]
+    kernel = int_kernel(f, ints)
+    for row in kernel:
+        _assert_int_row(f, row, len(columns))
+    assert [f.from_ints(row, len(columns)) for row in kernel] == \
+        _dense_kernel(f, grid, len(columns))
+    m = Matrix.from_int_columns(f, ints, rows)
+    assert (m.rows, m.cols) == (rows, len(columns))
+    for v in _vectors(f, len(columns), data, 2):
+        got = m.int_mul_vec(_unreduced(f, v, 2))
+        _assert_int_row(f, got, rows)
+        assert f.from_ints(got, rows) == _dense_mul_vec(f, Matrix(f, grid) if rows else m, v)
+    assert m.data == grid and m == Matrix.from_columns(f, columns, rows=rows)
+    for row in m.data:
+        _assert_canonical(f, row)
 
 
 # -- cross-check against sympy's DomainMatrix ---------------------------------
@@ -369,6 +544,15 @@ def test_rref_rank_and_kernel_match_sympy(f, rows, cols, data):
     assert pivots == list(spivots)
     assert rank == m.rank() == dm.rank()
     assert len(m.kernel_basis()) == dm.nullspace().shape[0] == cols - rank
+    # the same from sparse input: the Subspace of the rows as int rows, and
+    # the matrix of the columns as int rows
+    s = Subspace(f, cols, [f.to_ints(row) for row in grid])
+    assert s.pivots == list(spivots)
+    assert s.basis == [[theirs(x) for x in row] for row in sR.to_list()[:rank]]
+    columns = [f.to_ints(m.column(j)) for j in range(cols)]
+    sparse = Matrix.from_int_columns(f, columns, rows)
+    assert sparse.rref()[0].data == R.data and sparse.rank() == rank
+    assert len(int_kernel(f, columns)) == dm.nullspace().shape[0]
 
 
 def _assigned(targets):
