@@ -4,7 +4,6 @@ with an exact homological oracle for independent verification."""
 from .algebra import (
     AlgebraError,
     FiniteDimAlgebra,
-    ModuleRep,
     RadicalVerificationFailed,
     algebra_from_category,
     group_algebra,
@@ -48,13 +47,6 @@ from .homology import (
     projective_resolution,
 )
 from .linalg import Field, Matrix, QQ
-from .triangular import (
-    HypothesisViolated,
-    build_i_t,
-    build_j_t,
-    build_m_star,
-    is_mstar_projective,
-    phi_domain_dim,
-)
+from .triangular import phi_domain_dim
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,28 +1,25 @@
-"""Finite-dimensional algebras by structure constants, module representations
-by action matrices, the top A / rad A, and exact radical computation in any
-characteristic.
+"""Finite-dimensional algebras by structure constants, the top A / rad A as
+a module, and exact radical computation in any characteristic.
 
 Elements are sparse int rows (`Field.to_ints`) inside: (w, den) with w a
 dict of the nonzero entries only, reduced into [1, p) in characteristic p.
-Products (`FiniteDimAlgebra.int_products`, `TopModule.int_products`,
-`ModuleRep.int_products`) take and give them, summing over the nonzero
-entries of the factors; the radical's chain and the idempotent splitting
-run on them, with rows kept in lowest terms (`_lowest`) wherever values are
-compared or multiplied again and again.  Field vectors are what the
-structure constants, `radical(a)` and `primitive_idempotents(a)` hold, and
-what `ModuleRep.matrix_of`, `submodule` and `quotient_module` take; the int
-rows the last two were made from are memoised beside them
-(`radical_rows`, `idempotent_rows`)."""
+Products (`FiniteDimAlgebra.int_products`, `TopModule.int_products`) take
+and give them, summing over the nonzero entries of the factors; the
+radical's chain and the idempotent splitting run on them, with rows kept in
+lowest terms (`_lowest`) wherever values are compared or multiplied again
+and again.  Field vectors are what the structure constants, `radical(a)`
+and `primitive_idempotents(a)` hold; the int rows the last two were made
+from are memoised beside them (`radical_rows`, `idempotent_rows`)."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, product
+from itertools import count
 from math import gcd, lcm
 
-from .linalg import QQ, Field, Matrix, QuotientSpace, Subspace, combination, int_kernel, unit_rows
+from .linalg import QQ, Field, QuotientSpace, Subspace, int_kernel, unit_rows
 from .linalg import unit_vector
 from .linalg import _check_rows, _is_prime, _nonzero
 
@@ -907,86 +904,6 @@ def _check_orthogonal_system(a, rows):
         raise AlgebraError("idempotent system does not sum to the unit")
     if any(w for r, (w, _) in enumerate(prods) if r % (n + 1)):
         raise AlgebraError("idempotent system not orthogonal")
-
-
-@dataclass
-class ModuleRep:
-    """A left module over a FiniteDimAlgebra: one action matrix per basis
-    element of the algebra, acting on column vectors."""
-
-    algebra: FiniteDimAlgebra
-    dim: int
-    action: list  # list of Matrix, one per algebra basis element
-
-    def validate(self):  # ModuleRep
-        a, f, n = self.algebra, self.algebra.field, self.dim
-        if len(self.action) != a.dim or any((m.rows, m.cols) != (n, n) for m in self.action):
-            raise AlgebraError(f"a module of dimension {n} needs {a.dim} {n} x {n} matrices")
-        if self.matrix_of(a.unit) != Matrix.identity(f, n):
-            raise AlgebraError("unit does not act as identity")
-        for i, j in product(range(a.dim), repeat=2):
-            if self.action[i] * self.action[j] != combination(
-                    f, ((c, self.action[k]) for k, c in a.mult[i][j]), n, n):
-                raise AlgebraError(f"action incompatible with product ({i}, {j})")
-        return self
-
-    def matrix_of(self, avec) -> Matrix:
-        """The action matrix of the algebra element with coefficient vector
-        avec: column t is avec . e_t."""
-        if len(avec) != self.algebra.dim:
-            raise ValueError(f"coefficient vector of length {len(avec)} "
-                             f"for an algebra of dimension {self.algebra.dim}")
-        return combination(self.algebra.field, zip(avec, self.action), self.dim, self.dim)
-
-    def int_products(self, us, vs):
-        """[u.v for u in us for v in vs] on int rows, u in the algebra and v
-        in the module: one `matrix_of(u)` per u, applied to each v through
-        `Matrix.int_mul_vec`."""
-        f = self.algebra.field
-        mats = [self.matrix_of(f.from_ints(u, self.algebra.dim)) for u in us]
-        return [mat.int_mul_vec(v) for mat in mats for v in vs]
-
-
-def regular_module(a: FiniteDimAlgebra) -> ModuleRep:
-    """A as a ModuleRep: the action matrix of e_i has column j = e_i.e_j."""
-    d = a.dim
-    return ModuleRep(a, d, [Matrix.from_entries(a.field, d, d, ((k, j, c) for j in range(d)
-                                                                for k, c in a.mult[i][j]))
-                            for i in range(d)])
-
-
-def submodule(m: ModuleRep, vectors):
-    """Restriction of m to the invariant subspace spanned by `vectors`.
-
-    Returns (rep, inclusion matrix)."""
-    f = m.algebra.field
-    sub = Subspace(f, m.dim, map(f.to_ints, vectors))
-    incl = Matrix.from_int_columns(f, sub.int_basis, m.dim)
-    action = []
-    for mat in m.action:
-        new_cols = [sub.int_coords(mat.int_mul_vec(v)) for v in sub.int_basis]
-        if None in new_cols:
-            raise AlgebraError("subspace is not invariant")
-        action.append(Matrix.from_int_columns(f, new_cols, sub.dim))
-    return ModuleRep(m.algebra, sub.dim, action), incl
-
-
-def quotient_module(m: ModuleRep, vectors):
-    """Quotient of m by the invariant subspace spanned by `vectors`.
-
-    Returns (rep, projection matrix)."""
-    f = m.algebra.field
-    quo = QuotientSpace(f, m.dim, map(f.to_ints, vectors))
-    units = unit_rows(m.dim)
-    proj = Matrix.from_int_columns(f, [quo.int_project(e) for e in units], quo.dim)
-    action = [Matrix.from_int_columns(f, [quo.int_project(mat.int_mul_vec(units[i]))
-                                          for i in quo.reps], quo.dim) for mat in m.action]
-    return ModuleRep(m.algebra, quo.dim, action), proj
-
-
-def dual_module(m: ModuleRep) -> ModuleRep:
-    """The dual space as a left module over the opposite algebra."""
-    return ModuleRep(opposite(m.algebra), m.dim, [mat.transpose() for mat in m.action])
 
 
 @dataclass

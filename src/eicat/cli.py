@@ -87,9 +87,13 @@ class Comparison:
 
 def compare(c, f: Field, cap: int, limit=None) -> Comparison:
     """Classify c over f, then run the oracle (`_run_oracle`) on the algebra of
-    the skeletal category the classifier's presentation was read from."""
+    the skeletal category the classifier's presentation was read from.  An
+    algebra of dimension above `limit` (one basis element per morphism of
+    the skeleton) is refused before its d x d table is built."""
     report = classify(c, f)
-    alg = algebra_from_category(report.presentation.category, f)
+    skeleton = report.presentation.category
+    _check_limit(len(skeleton.morphisms), limit)
+    alg = algebra_from_category(skeleton, f)
     return Comparison(report, alg, *_run_oracle(alg, cap, limit))
 
 

@@ -10,15 +10,15 @@ spanned by the action of the generators of rad A mod rad² A alone
 A module is anything with `dim` and `int_products(us, vs)`, which returns
 [u.v for u in us for v in vs] for the sparse int rows (`Field.to_ints`: the
 nonzero entries only, reduced mod p in characteristic p) u of the algebra
-and v of the module.  Three things provide it: the algebra itself,
-as its own regular module (`FiniteDimAlgebra.int_products`); a `ModuleRep`,
-through its action matrices (`Matrix.int_mul_vec`); and `top_module(a)`,
-A / rad A acted on by the product.  Vectors are int rows throughout, the
-one vector form of `Subspace` and the products.  A vector of a sum of
-principal projectives is cut into its blocks through a coordinate-to-block
-map (`_segments`), never sliced densely.  The idempotents are the
-int rows the splitting made (`idempotent_rows`), memoised on the algebra
-with the bases of A·f.  The covers of a `ResolutionTrace` are held as int
+and v of the module.  Two things in the package provide it: the algebra
+itself, as its own regular module (`FiniteDimAlgebra.int_products`), and
+`top_module(a)`, A / rad A acted on by the product.  The tests' reference
+modules by action matrices (`tests/modules.py`) provide it too.  Vectors
+are int rows throughout, the one vector form of `Subspace` and the
+products.  A vector of a sum of principal projectives is cut into
+its blocks through a coordinate-to-block map (`_segments`), never sliced
+densely.  The idempotents are the int rows the splitting made
+(`idempotent_rows`), memoised on the algebra with the bases of A·f.  The covers of a `ResolutionTrace` are held as int
 views (`Matrix.from_int_columns`), and Fractions appear only where a cover
 is read, as `verify` composes them, and in the verdicts.  gldim and pd are
 the length of a resolution once it is checked (`_length_verdict`).  So is id
@@ -264,8 +264,8 @@ def _projective_action(a, data, idxs):
 
 
 def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
-    """Projective resolution of the module m (the algebra, a `ModuleRep` or
-    `top_module(a)`; see the module docstring) by principal projectives,
+    """Projective resolution of the module m (the algebra, `top_module(a)`
+    or any other module; see the module docstring) by principal projectives,
     computing P_0 .. P_length.  The generators are searched for in the order
     of the spanning vectors, so the resolution is a function of its input.
 
@@ -315,7 +315,7 @@ def ext_dims(a: FiniteDimAlgebra, n, m, cap: int):
     """dim Ext^i(n, m) for i = 0..cap via the Hom complex of the projective
     resolution of n through P_{cap+1} (`projective_resolution`, whose
     repeated tail gives its Ext ranks by copy); each of n and m is the
-    algebra, a `ModuleRep` or `top_module(a)`."""
+    algebra, `top_module(a)` or any other module."""
     trace = projective_resolution(a, n, cap + 1)
     return ext_dims_from_trace(a, trace, m, cap)
 
@@ -430,7 +430,7 @@ def injective_dimension(a: FiniteDimAlgebra, side: str, cap: int) -> DimensionVe
 
 
 def projective_dimension(a: FiniteDimAlgebra, m, cap: int) -> DimensionVerdict:
-    """pd m (`_length_verdict`); m is the algebra, a `ModuleRep` or the top."""
+    """pd m (`_length_verdict`); m is the algebra, the top or any module."""
     return _length_verdict(a, projective_resolution(a, m, cap + 1), cap)
 
 

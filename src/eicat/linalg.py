@@ -28,9 +28,8 @@ its rref basis, which its methods and `QuotientSpace.int_project` share, and
 `int_extend` grows it in place of a rebuild.  So neither a matrix whose view
 is cached nor a `Subspace.basis` may be written in place.  A matrix is built
 whole and never changed: `Matrix.from_entries` (scattered entries, repeats
-adding up), `Matrix.from_columns`, `Matrix.from_int_columns` and
-`combination` (a sum of c * M) are the constructors, and nothing outside this
-module writes `.data`.
+adding up), `Matrix.from_columns` and `Matrix.from_int_columns` are the
+constructors, and nothing outside this module writes `.data`.
 """
 
 from __future__ import annotations
@@ -134,7 +133,10 @@ class Field:
     def inv(self, a):
         p = self.characteristic
         if p:
-            return pow(a, -1, p)
+            try:
+                return pow(a, -1, p)
+            except ValueError:  # a = 0 mod p, the only non-unit
+                raise ZeroDivisionError("inverse of zero") from None
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
@@ -372,9 +374,6 @@ class Matrix:
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
-    def transpose(self):
-        return Matrix._of(self.field, [self.column(j) for j in range(self.cols)], self.rows)
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -507,29 +506,6 @@ def int_kernel(f: Field, columns):
     return _kernel_of(p, _echelon_columns(p, _int_view(p, columns)[0]), len(columns))
 
 
-def combination(f: Field, terms, rows, cols):
-    """The rows x cols matrix sum c * m over the (c, m) of `terms`: per
-    nonzero c, the columns of m's sparse view and an int factor, all over one
-    lcm of the views' scales; per column, one int accumulator and one
-    conversion to canonical scalars."""
-    terms = [(c, m) for c, m in terms if c]
-    if any(m.cols != cols for _, m in terms):
-        raise ValueError("length mismatch")
-    p = f.characteristic
-    cs, cden = f.to_ints([c for c, _ in terms])
-    views = [m._sparse_view() for _, m in terms]
-    scale = lcm(*(s for _, s in views))
-    views = [(view, cs[t] * (scale // s)) for t, (view, s) in enumerate(views)]
-    columns = []
-    for j in range(cols):
-        acc = {}
-        for view, factor in views:
-            for i, a in view[j]:
-                acc[i] = acc.get(i, 0) + a * factor
-        columns.append(f.from_ints((_nonzero(p, acc), cden * scale), rows))
-    return Matrix.from_columns(f, columns, rows=rows)
-
-
 class Subspace:
     """Subspace of k^n, the span of the int rows given, held as a reduced
     row echelon basis.
@@ -645,7 +621,7 @@ class QuotientSpace:
 
     def int_lift(self, row):
         """The representative of the class with the coordinates of the int
-        row `row`, a combination of the chosen e_i, as an int row."""
+        row `row`, a sum of multiples of the chosen e_i, as an int row."""
         (w,) = _rows_in(self.field.characteristic, (row,), self.dim, "coordinates")
         reps = self.reps
         return {reps[r]: x for r, x in w.items()}, row[1]

@@ -6,16 +6,23 @@ import random
 
 import pytest
 from inputs import permuted
+from modules import (
+    build_i_t,
+    build_j_t,
+    build_m_star,
+    dual_module,
+    dual_vertex_module,
+    is_mstar_projective,
+    quotient_module,
+    regular_module,
+)
 
 from eicat import cli
 from eicat.algebra import (
     algebra_from_category,
-    dual_module,
     group_algebra,
     opposite,
-    quotient_module,
     radical,
-    regular_module,
     top_module,
 )
 from eicat.category import presentation_of
@@ -33,14 +40,7 @@ from eicat.freeness import is_free, ufp_direct
 from eicat.groups import is_projective_over
 from eicat.homology import ext_dims, projective_dimension
 from eicat.linalg import Field
-from eicat.triangular import (
-    build_i_t,
-    build_j_t,
-    build_m_star,
-    dual_vertex_module,
-    is_mstar_projective,
-    mstar_dim,
-)
+from eicat.triangular import mstar_dim
 
 def _verdict_line(n, label, ok):
     print(f"criterion {n} ({label}): {'PASS' if ok else 'FAIL'}")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from inputs import HOSTILE_MATRICES, matrix_raw, rebased, s3_transporter
+from modules import ModuleRep, dual_module, quotient_module, regular_module, submodule
 
 import eicat.algebra as algebra
 from eicat.algebra import (
@@ -23,18 +24,13 @@ from eicat.algebra import (
     _roots_by_splitting,
     _squarefree_ints,
     FiniteDimAlgebra,
-    ModuleRep,
     algebra_from_category,
-    dual_module,
     group_algebra,
     idempotent_rows,
     opposite,
     primitive_idempotents,
-    quotient_module,
     radical,
     radical_rows,
-    regular_module,
-    submodule,
     top_module,
 )
 from eicat.category import presentation_of

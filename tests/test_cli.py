@@ -99,6 +99,20 @@ def test_matrix_export_is_refused_by_size_before_it_is_built(tmp_path, monkeypat
     assert "dimension 65 exceeds limit 64" in capsys.readouterr().err
 
 
+def test_category_oracle_is_refused_by_size_before_the_algebra_is_built(
+        tmp_path, monkeypatch, capsys):
+    """On the category path too, --limit refuses by the number of morphisms
+    of the skeleton before the d x d table of the algebra is built."""
+    def refuse(*args):
+        raise AssertionError("algebra_from_category called")
+
+    monkeypatch.setattr(cli, "algebra_from_category", refuse)
+    names = [f"x{i}" for i in range(65)]
+    path = write_category(tmp_path, poset_category(Poset.from_pairs(names, [])))
+    assert main(["oracle", path]) == 1
+    assert "dimension 65 exceeds limit 64" in capsys.readouterr().err
+
+
 def test_consecutive_calls_share_no_state(chain_file, capsys):
     assert main(["oracle", chain_file, "--cap", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["cap"] == 2

@@ -1,4 +1,5 @@
 import pytest
+from modules import ModuleRep
 
 from eicat.algebra import group_algebra
 from eicat.category import presentation_of
@@ -14,7 +15,6 @@ from eicat.groups import (
 )
 from eicat.homology import ext_dims, top_module
 from eicat.linalg import Field, Matrix
-from eicat.algebra import ModuleRep
 
 
 def test_cyclic_group_axioms():

@@ -2,22 +2,20 @@ import random
 from dataclasses import replace
 from itertools import accumulate
 
+import modules
 import pytest
 from inputs import permuted, rebased, s3_transporter
+from modules import ModuleRep, quotient_module, regular_module, submodule, transpose
 
-from eicat import algebra, cli, homology, linalg
+from eicat import algebra, cli, homology
 from eicat.algebra import (
     AlgebraError,
-    ModuleRep,
     algebra_from_category,
     group_algebra,
     opposite,
     primitive_idempotents,
-    quotient_module,
     radical,
     radical_rows,
-    regular_module,
-    submodule,
     top_module,
 )
 from eicat.category import presentation_of
@@ -432,8 +430,8 @@ def _reference_generators(a, mod, data):
     every basis element of A."""
     f = a.field
     span = Subspace(f, mod.dim, [f.to_ints(col) for r in radical(a)
-                                 for col in mod.matrix_of(r).transpose().data])
-    candidates = [mod.matrix_of(e).transpose().data for e in primitive_idempotents(a)]
+                                 for col in transpose(mod.matrix_of(r)).data])
+    candidates = [transpose(mod.matrix_of(e)).data for e in primitive_idempotents(a)]
     kept = []
     for i, ei in enumerate(unit_rows(mod.dim)):
         for idx, columns in enumerate(candidates):
@@ -551,9 +549,9 @@ def test_resolution_computes_no_degree_after_its_repeat(monkeypatch):
 
 def _count_module_builds(monkeypatch):
     """A list that records each ModuleRep constructed and each
-    `linalg.combination` of action matrices formed from now on."""
+    `combination` of action matrices formed from now on."""
     built = []
-    init, combination = ModuleRep.__init__, linalg.combination
+    init, combination = ModuleRep.__init__, modules.combination
 
     def counted_init(self, *args, **kwargs):
         built.append(self)
@@ -564,8 +562,7 @@ def _count_module_builds(monkeypatch):
         return combination(*args)
 
     monkeypatch.setattr(ModuleRep, "__init__", counted_init)
-    for module in (linalg, algebra):
-        monkeypatch.setattr(module, "combination", counted_combination)
+    monkeypatch.setattr(modules, "combination", counted_combination)
     return built
 
 

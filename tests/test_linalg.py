@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from modules import combination
 
 from eicat.linalg import (
     PRIME_BOUND,
@@ -15,7 +16,6 @@ from eicat.linalg import (
     QuotientSpace,
     Subspace,
     _is_prime,
-    combination,
     int_kernel,
 )
 
@@ -79,6 +79,14 @@ def test_field_arithmetic_mod_p():
     assert f.of(Fraction(1, 2)) == 3
     assert not f.invertible(10)
     assert f.invertible(7)
+
+
+def test_inverse_of_zero_is_a_zero_division_in_every_characteristic():
+    for f in FIELDS:
+        assert f.mul(f.inv(f.of(-1)), f.of(-1)) == f.one
+        for zero in {0, f.characteristic}:  # p itself too, not reduced first
+            with pytest.raises(ZeroDivisionError):
+                f.inv(zero)
 
 
 def test_field_char_zero_is_exact():

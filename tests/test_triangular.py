@@ -4,17 +4,26 @@ from itertools import product
 import pytest
 
 from inputs import s3_transporter
+from modules import (
+    HypothesisViolated,
+    ModuleRep,
+    build_i_t,
+    build_j_t,
+    build_m_star,
+    dual_module,
+    dual_vertex_module,
+    is_mstar_projective,
+    regular_module,
+    tensor_quotient,
+)
 from test_triangular_golden import regular_vertex_module, slot_dims
 
 from eicat import algebra
 from eicat.algebra import (
     AlgebraError,
-    ModuleRep,
     algebra_from_category,
-    dual_module,
     group_algebra,
     opposite,
-    regular_module,
 )
 from eicat.category import full_subcategory, presentation_of
 from eicat.families import (
@@ -28,18 +37,7 @@ from eicat.families import (
 from eicat.groups import cyclic_group, symmetric_group_3
 from eicat.homology import projective_dimension
 from eicat.linalg import QQ, Field, Matrix
-from eicat.triangular import (
-    HypothesisViolated,
-    IndexOutOfRange,
-    build_i_t,
-    build_j_t,
-    build_m_star,
-    dual_vertex_module,
-    is_mstar_projective,
-    mstar_dim,
-    phi_domain_dim,
-    tensor_quotient,
-)
+from eicat.triangular import IndexOutOfRange, mstar_dim, phi_domain_dim
 
 
 F2 = Field(2)
@@ -236,7 +234,8 @@ def test_built_modules_are_over_the_triangular_algebras(chain_p, diamond_p):
 
 def _count_calls(monkeypatch, names):
     """A list that records each call, from now on, of the `eicat.algebra`
-    functions `names`, in every eicat module that binds them."""
+    functions `names`, in every eicat module that binds them and in
+    `modules`, where the builders live."""
     calls = []
     for name in names:
         fn = getattr(algebra, name)
@@ -246,7 +245,8 @@ def _count_calls(monkeypatch, names):
             return _fn(*args)
 
         for modname, mod in list(sys.modules.items()):
-            if modname.startswith("eicat") and getattr(mod, name, None) is fn:
+            if (modname.startswith("eicat") or modname == "modules") \
+                    and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted)
     return calls
 

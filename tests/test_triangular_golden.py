@@ -10,10 +10,11 @@ Regenerate the golden (only when a change of module is intended) with
 import json
 import os
 
-from eicat.algebra import algebra_from_category, group_algebra, regular_module, top_module
+from modules import build_i_t, build_j_t, build_m_star, dual_vertex_module, regular_module
+
+from eicat.algebra import algebra_from_category, group_algebra, top_module
 from eicat.homology import ext_dims
 from eicat.linalg import Field
-from eicat.triangular import build_i_t, build_j_t, build_m_star, dual_vertex_module
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_triangular.json")
 CHARACTERISTICS = (0, 2, 3)
