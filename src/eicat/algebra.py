@@ -7,9 +7,11 @@ Products (`FiniteDimAlgebra.int_products`, `TopModule.int_products`) take
 and give them, summing over the nonzero entries of the factors; the
 radical's chain and the idempotent splitting run on them, with rows kept in
 lowest terms (`_lowest`) wherever values are compared or multiplied again
-and again.  Field vectors are what the structure constants, `radical(a)`
-and `primitive_idempotents(a)` hold; the int rows the last two were made
-from are memoised beside them (`radical_rows`, `idempotent_rows`)."""
+and again.  `radical(a)` and `primitive_idempotents(a)` are int rows too;
+only the structure constants and the unit are field vectors.  Each
+per-algebra result is memoised once, in `_memo`, and no memoised value
+refers back to its algebra, so an algebra and all it memoised are freed
+with its last reference."""
 
 from __future__ import annotations
 
@@ -63,16 +65,6 @@ class FiniteDimAlgebra:
     @property
     def dim(self):
         return len(self.basis)
-
-    def forget(self):
-        """Clear the memo of this algebra and of every algebra held in it
-        (its `opposite`).  Memoised modules point back at their algebra, so
-        until then an algebra and all it memoised wait for the cycle
-        collector instead of being freed with their last reference."""
-        held = [b for b in self._memo.values() if isinstance(b, FiniteDimAlgebra)]
-        self._memo.clear()
-        for b in held:
-            b.forget()
 
     @memoised
     def _int_mult(self):
@@ -307,19 +299,17 @@ def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
     """The opposite algebra: c'_{ij}^k = c_{ji}^k, memoised on `a`.
 
     Its memo is seeded with the radical, its generators mod J² and the
-    orthogonal idempotent system of `a`, and their int rows, each computed
-    and verified once, on `a`: J(A^op) = J(A) as a subspace, since
-    "two-sided nilpotent ideal" reads the same on both sides, so J² =
-    span J·J is the same too; and a decomposition of 1 into orthogonal
-    idempotents of A is one of A^op."""
+    orthogonal idempotent system of `a`, each computed and verified once,
+    on `a`: J(A^op) = J(A) as a subspace, since "two-sided nilpotent
+    ideal" reads the same on both sides, so J² = span J·J is the same too;
+    and a decomposition of 1 into orthogonal idempotents of A is one of
+    A^op."""
     d = a.dim
     mult = [[list(a.mult[j][i]) for j in range(d)] for i in range(d)]
     b = FiniteDimAlgebra(a.field, list(a.basis), mult, list(a.unit))
     b._memo[("radical",)] = radical(a)
-    b._memo[("primitive_idempotents",)] = primitive_idempotents(a)
-    b._memo[("radical_rows",)] = radical_rows(a)
     b._memo[("_radical_generators",)] = _radical_generators(a)
-    b._memo[("idempotent_rows",)] = idempotent_rows(a)
+    b._memo[("primitive_idempotents",)] = primitive_idempotents(a)
     return b
 
 
@@ -371,7 +361,8 @@ def _is_nilpotent_ideal(a, sub):
 
 @memoised
 def radical(a: FiniteDimAlgebra):
-    """Basis of the Jacobson radical, in reduced row echelon form.
+    """Basis of the Jacobson radical, as the int rows of its reduced row
+    echelon form.
 
     Both characteristics start from the kernel of the trace form of the
     regular representation, I_0 = {x : tr(L_{x e_j}) = 0 for every j}.  In
@@ -391,23 +382,16 @@ def radical(a: FiniteDimAlgebra):
         space, square = _radical_mod_p(a, space)
     elif (square := _is_nilpotent_ideal(a, space)) is None:
         raise RadicalVerificationFailed("radical candidate is not a nilpotent ideal")
-    a._memo[("radical_rows",)] = space.int_basis
     a._memo[("_radical_square",)] = square
-    return space.basis
-
-
-def radical_rows(a):
-    """`radical(a)` as the int rows it was made from, memoised beside it."""
-    radical(a)
-    return a._memo[("radical_rows",)]
+    return space.int_basis
 
 
 @memoised
 def _radical_generators(a):
-    """The rows of `radical_rows(a)` that span a complement of J² in J = rad A,
+    """The rows of `radical(a)` that span a complement of J² in J = rad A,
     dim J - dim J² of them, taken greedily against J² = span J·J, as the
     check of the radical formed it (`_is_nilpotent_ideal`)."""
-    rows = radical_rows(a)
+    rows = radical(a)
     span, out = a._memo.pop(("_radical_square",)), []
     for v in rows:
         if not span.int_contains(v):
@@ -779,7 +763,8 @@ def _roots_by_splitting(f, poly):
 
 @memoised
 def primitive_idempotents(a: FiniteDimAlgebra):
-    """A complete set of orthogonal idempotents, refined towards primitivity.
+    """A complete set of orthogonal idempotents, refined towards primitivity,
+    as int rows in lowest terms.
 
     Splitting works in A/rad (semisimple), the space of `top_module`: inside
     each corner e.A.e, elements with a root-reducible minimal polynomial
@@ -790,10 +775,9 @@ def primitive_idempotents(a: FiniteDimAlgebra):
     to the corner of A/rad.  The minimal polynomial of z is the first
     dependency among its powers ebar, z, z^2, ... (`int_kernel` of their
     columns), monic at the last power.  Elements stay int rows in lowest
-    terms; only the seeds, the minimal polynomials and the results are
-    converted.  Corners where no split is found are accepted as-is; the
-    result is always a valid orthogonal decomposition of the unit, merely
-    possibly non-primitive."""
+    terms; only the minimal polynomials are converted.  Corners where no
+    split is found are accepted as-is; the result is always a valid
+    orthogonal decomposition of the unit, merely possibly non-primitive."""
     f = a.field
     p = f.characteristic
     top = top_module(a)
@@ -839,7 +823,7 @@ def primitive_idempotents(a: FiniteDimAlgebra):
             return e1, _int_sum(p, [(1, e), (-1, e1)])
         return None
 
-    stack = [_lowest(p, f.to_ints(e)) for e in _unit_idempotent_seeds(a)]
+    stack = _unit_idempotent_seeds(a)
     prims = []
     while stack:
         e = stack.pop()
@@ -849,26 +833,19 @@ def primitive_idempotents(a: FiniteDimAlgebra):
         else:
             stack.extend(got)
     _check_orthogonal_system(a, prims)
-    a._memo[("idempotent_rows",)] = prims
-    return [f.from_ints(e, a.dim) for e in prims]
-
-
-def idempotent_rows(a):
-    """`primitive_idempotents(a)` as the int rows it was made from, memoised
-    beside it."""
-    primitive_idempotents(a)
-    return a._memo[("idempotent_rows",)]
+    return prims
 
 
 def _unit_idempotent_seeds(a):
     """The unit's support as exact orthogonal idempotents when it decomposes
-    that way (category-algebra identities), else the unit alone."""
+    that way (category-algebra identities), else the unit alone, as int
+    rows in lowest terms."""
     f = a.field
     support = [i for i in range(a.dim) if a.unit[i] != 0]
     if support and all(a.unit[i] == f.one and a.mult[i][i] == [(i, f.one)]
                        and not any(a.mult[i][j] for j in support if j != i) for i in support):
-        return [unit_vector(f, a.dim, i) for i in support]
-    return [list(a.unit)]
+        return [({i: 1}, 1) for i in support]
+    return [_lowest(f.characteristic, f.to_ints(a.unit))]
 
 
 def _lift_idempotent(a, e, e1bar, quo):
@@ -928,6 +905,12 @@ class TopModule:
 
 
 @memoised
+def _top_space(a):
+    """A / rad A as a QuotientSpace of A, memoised on `a`."""
+    return QuotientSpace(a.field, a.dim, radical(a))
+
+
 def top_module(a: FiniteDimAlgebra) -> TopModule:
-    """The left module A / rad(A), memoised on `a`."""
-    return TopModule(a, QuotientSpace(a.field, a.dim, radical_rows(a)))
+    """The left module A / rad(A): a fresh TopModule around the memoised
+    `_top_space(a)`, so that no memoised value refers back to `a`."""
+    return TopModule(a, _top_space(a))

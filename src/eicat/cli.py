@@ -18,7 +18,6 @@ from .classify import ClassificationReport, classify, explain
 from .families import (
     FamilyError,
     Poset,
-    biset_category,
     chain_poset,
     corpus,
     diamond_poset,
@@ -52,15 +51,12 @@ def _check_limit(dim: int, limit=None):
 
 def _run_oracle(alg: FiniteDimAlgebra, cap: int, limit=None):
     """(Gorenstein verdict, global dimension) of alg, checked, up to the cap;
-    an algebra of dimension above `limit` (None: no limit) is refused.  The
-    algebra forgets what it memoised on the way, so that it is freed with
-    its last reference."""
+    an algebra of dimension above `limit` (None: no limit) is refused.  What
+    the oracle memoises on the algebra holds no reference back to it, so
+    it is freed with the algebra's last reference."""
     _check_limit(alg.dim, limit)
-    try:
-        alg.validate()
-        return is_gorenstein_oracle(alg, cap), global_dimension(alg, cap)
-    finally:
-        alg.forget()
+    alg.validate()
+    return is_gorenstein_oracle(alg, cap), global_dimension(alg, cap)
 
 
 @dataclass

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 
 from .category import FiniteCategory, ValidationError, validate
-from .groups import GroupAction, GroupError, GroupTable, cyclic_group, symmetric_group_3
+from .groups import GroupAction, GroupTable, cyclic_group, symmetric_group_3
 from .groups import json_names
 
 

@@ -15,12 +15,13 @@ itself, as its own regular module (`FiniteDimAlgebra.int_products`), and
 `top_module(a)`, A / rad A acted on by the product.  The tests' reference
 modules by action matrices (`tests/modules.py`) provide it too.  Vectors
 are int rows throughout, the one vector form of `Subspace` and the
-products.  A vector of a sum of principal projectives is cut into
-its blocks through a coordinate-to-block map (`_segments`), never sliced
-densely.  The idempotents are the int rows the splitting made
-(`idempotent_rows`), memoised on the algebra with the bases of A·f.  The covers of a `ResolutionTrace` are held as int
-views (`Matrix.from_int_columns`), and Fractions appear only where a cover
-is read, as `verify` composes them, and in the verdicts.  gldim and pd are
+products.  A vector of a sum of principal projectives is cut into its
+blocks through a coordinate-to-block map (`_segments`), never sliced
+densely.  The idempotents are the int rows of `primitive_idempotents(a)`,
+memoised on the algebra with the bases of A·f.  The covers of a
+`ResolutionTrace` are held as int views (`Matrix.from_int_columns`), and
+Fractions appear only where a cover is read, as `verify` composes them,
+and in the verdicts.  gldim and pd are
 the length of a resolution once it is checked (`_length_verdict`).  So is id
 on a side whose top resolution finishes, as gldim A = n < oo gives id = n
 (proved at `injective_dimension`); a side that does not finish reads id from
@@ -36,9 +37,9 @@ from .algebra import (
     AlgebraError,
     FiniteDimAlgebra,
     _radical_generators,
-    idempotent_rows,
     memoised,
     opposite,
+    primitive_idempotents,
     top_module,
 )
 from .linalg import Matrix, Subspace, unit_rows
@@ -82,12 +83,12 @@ class DimensionVerdict:
 
 @memoised
 def _principal_data(a: FiniteDimAlgebra):
-    """Per idempotent f, as the int rows of `idempotent_rows`: (f, A·f as a
-    Subspace of A, coordinates of the generator f itself in it)."""
+    """Per idempotent f of `primitive_idempotents`: (f, A·f as a Subspace
+    of A, coordinates of the generator f itself in it)."""
     f = a.field
     units = unit_rows(a.dim)
     out = []
-    for e in idempotent_rows(a):
+    for e in primitive_idempotents(a):
         sub = Subspace(f, a.dim, a.int_products(units, [e]))
         gen = sub.int_coords(e)
         if gen is None:

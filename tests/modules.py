@@ -8,7 +8,8 @@ algebra; `ModuleRep.matrix_of(v)` is the action of an algebra element, one
 `combination` of the basis actions, and `ModuleRep.int_products` applies it
 to int rows, so `eicat.homology` resolves a `ModuleRep` as it does the
 algebra and its top.  `submodule`, `quotient_module` and `dual_module` make
-new modules from old.
+new modules from old, from coefficient vectors: `field_vectors` converts
+the int rows the package hands out.
 
 The builders read the skeletal presentation x_1..x_n directly: the vertex
 R_i = k Aut(x_i) on the diagonal, the bimodule M_ij = k Hom(x_j, x_i) above
@@ -40,6 +41,12 @@ from eicat.category import SkeletalEIPresentation, full_subcategory
 from eicat.groups import is_projective_over
 from eicat.linalg import Field, Matrix, QuotientSpace, Subspace, _nonzero, unit_rows
 from eicat.triangular import TriangularError, _check_t, mstar_dim, phi_domain_dim
+
+
+def field_vectors(a: FiniteDimAlgebra, rows):
+    """The int rows `rows` of elements of a, such as `radical(a)` and
+    `primitive_idempotents(a)`, as coefficient vectors over a's field."""
+    return [a.field.from_ints(row, a.dim) for row in rows]
 
 
 def transpose(m: Matrix) -> Matrix:

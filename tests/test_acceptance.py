@@ -12,6 +12,7 @@ from modules import (
     build_m_star,
     dual_module,
     dual_vertex_module,
+    field_vectors,
     is_mstar_projective,
     quotient_module,
     regular_module,
@@ -148,7 +149,8 @@ def test_criterion_6_homological_invariants(sweep, presentations):
     p = next(p for n, _, p in presentations if n == "regular_orbit")
     vertex = next(t for t in range(1, p.n + 1) if p.aut_group(t - 1).order == 2)
     k2 = group_algebra(p.aut_group(vertex - 1), f2)
-    bad = quotient_module(regular_module(k2), radical(k2))[0]  # not projective over F2[Z/2]
+    # not projective over F2[Z/2]
+    bad = quotient_module(regular_module(k2), field_vectors(k2, radical(k2)))[0]
     ok = ok and projective_dimension(k2, bad, 0) != 0
     ok = ok and projective_dimension(algebra_from_category(p.category, f2),
                                      build_i_t(p, vertex, bad), 0) != 0

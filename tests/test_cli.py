@@ -275,18 +275,25 @@ def test_oracle_agreement_is_unknown_when_a_gorenstein_verdict_hits_the_cap(
     assert verdict["gldim"] == gldim
 
 
-@pytest.mark.parametrize("export", [False, True])
+@pytest.mark.parametrize("export", [False, True, "compare"])
 def test_oracle_leaves_no_algebra_to_the_cycle_collector(tmp_path, capsys, export):
     """An oracle call frees its algebras, their opposites and all they
     memoised by reference counting: a collection right after it finds none
-    of them among the garbage."""
-    path = write_category(tmp_path, stabilized_alpha_category())
-    if export:
-        assert main(["matrix", path, "--char", "2", "--out", str(tmp_path / "m.json")]) == 0
-        path = str(tmp_path / "m.json")
-    gc.collect()
-    assert main(["oracle", path, "--char", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["left"] == ">8"
+    of them among the garbage.  So does a `Comparison` once dropped
+    ("compare"), though it held its algebra with all that memoised."""
+    if export == "compare":
+        gc.collect()
+        result = cli.compare(stabilized_alpha_category(), Field(2), 8)
+        assert result.verdict.left == ">8" and result.algebra._memo
+        del result
+    else:
+        path = write_category(tmp_path, stabilized_alpha_category())
+        if export:
+            assert main(["matrix", path, "--char", "2", "--out", str(tmp_path / "m.json")]) == 0
+            path = str(tmp_path / "m.json")
+        gc.collect()
+        assert main(["oracle", path, "--char", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["left"] == ">8"
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -300,23 +307,23 @@ def test_oracle_leaves_no_algebra_to_the_cycle_collector(tmp_path, capsys, expor
 
 def test_oracle_builds_one_presentation_and_one_top_module_per_side(
         diamond_file, monkeypatch, capsys):
-    algebra = importlib.import_module("eicat.algebra")
+    linalg = importlib.import_module("eicat.linalg")
     category = importlib.import_module("eicat.category")
-    presentation_of, top_init = category.presentation_of, algebra.TopModule.__init__
+    presentation_of, space_init = category.presentation_of, linalg.QuotientSpace.__init__
     presentations, tops = [], []
 
     def counted_presentation_of(c):
         presentations.append(c)
         return presentation_of(c)
 
-    def counted_top_init(self, a, space):  # one memoised A / rad A per algebra
-        tops.append(a)
-        top_init(self, a, space)
+    def counted_space_init(self, *args):  # one memoised A / rad A per algebra
+        tops.append(self)
+        space_init(self, *args)
 
     for module in ("eicat.classify", "eicat.cli"):
         monkeypatch.setattr(importlib.import_module(module), "presentation_of",
                             counted_presentation_of)
-    monkeypatch.setattr(algebra.TopModule, "__init__", counted_top_init)
+    monkeypatch.setattr(linalg.QuotientSpace, "__init__", counted_space_init)
     assert main(["oracle", diamond_file, "--char", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["agrees"] is True
     assert len(presentations) == 1
@@ -336,15 +343,17 @@ def test_oracle_converts_fixed_bases_once(tmp_path, monkeypatch, capsys):
     (`__init__`), 119 in all (`_set`) and 972 rows.  On int rows, with zero
     rows left out of each elimination, they are 125, 248, 206, 68 (every
     Subspace but those `int_extend` makes), 117 and 884; reading the
-    radical and the idempotents as the int rows they were made from
-    (`radical_rows`, `idempotent_rows`) takes to_ints from 125 to 77.  The
+    radical and the idempotents as the int rows they were made from, kept
+    beside the field vectors handed out, takes to_ints from 125 to 77.  The
     bounds leave about a fifth of headroom over the counts before that, and
     an eighth over the rows:
     rebuilding the span for each generator kept, in place of extending it,
     eliminates 1143.  On sparse int rows, with the covers of
     `from_int_columns` made canonical only when read, they are 67 to_ints,
-    94 from_ints (248 before), 156, 48, 107 and 737 rows; from_ints keeps a
-    fifth of headroom over that."""
+    94 from_ints (248 before), 156, 48, 107 and 737 rows.  With the radical
+    and the idempotents handed out as int rows only, and the seeds of the
+    splitting made as int rows, they are 64 to_ints and 70 from_ints;
+    from_ints keeps a fifth of headroom over that."""
     linalg, algebra = (importlib.import_module(f"eicat.{m}") for m in ("linalg", "algebra"))
     counts = Counter()
     for cls, name in ((linalg.Field, "to_ints"), (linalg.Field, "from_ints"),
@@ -365,7 +374,7 @@ def test_oracle_converts_fixed_bases_once(tmp_path, monkeypatch, capsys):
     assert main(["oracle", path]) == 0
     assert json.loads(capsys.readouterr().out) == \
         {"left": 2, "right": 2, "gldim": 2, "cap": 8, "agrees": True}
-    assert counts["to_ints"] <= 150 and counts["from_ints"] <= 115, counts
+    assert counts["to_ints"] <= 150 and counts["from_ints"] <= 85, counts
     assert counts["int_products"] <= 250 and counts["__init__"] <= 82, counts
     assert counts["_set"] <= 140 and counts["rows"] <= 995, counts
 

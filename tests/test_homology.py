@@ -5,7 +5,14 @@ from itertools import accumulate
 import modules
 import pytest
 from inputs import permuted, rebased, s3_transporter
-from modules import ModuleRep, quotient_module, regular_module, submodule, transpose
+from modules import (
+    ModuleRep,
+    field_vectors,
+    quotient_module,
+    regular_module,
+    submodule,
+    transpose,
+)
 
 from eicat import algebra, cli, homology
 from eicat.algebra import (
@@ -15,7 +22,6 @@ from eicat.algebra import (
     opposite,
     primitive_idempotents,
     radical,
-    radical_rows,
     top_module,
 )
 from eicat.category import presentation_of
@@ -287,7 +293,7 @@ def test_covers_are_made_canonical_only_when_read(monkeypatch):
 
 def test_radical_submodule_has_expected_projective_dimension():
     a = cat_algebra(poset_category(chain_poset(3)), QQ)
-    rad, _ = submodule(regular_module(a), radical(a))
+    rad, _ = submodule(regular_module(a), field_vectors(a, radical(a)))
     # rad of a gldim-1 algebra is projective
     assert projective_dimension(a, rad, 0) == 0
 
@@ -322,8 +328,8 @@ def _assert_relabelling_invariant(a, verdict, gldim, rng):
         tx, ty = (homology._top_resolution(z, CAP + 2) for z in (x, y))
         assert ty.finished or ty.repeat is not None
         differ = differ or tx.gens != ty.gens
-    a.forget()
-    b.forget()
+    a._memo.clear()
+    b._memo.clear()
     return differ
 
 
@@ -350,7 +356,7 @@ def test_oracle_is_invariant_under_a_basis_change_mod_p(sweep):
         assert (v.left, v.right, global_dimension(b, CAP)) == (e.verdict.left, e.verdict.right,
                                                                e.gldim), (name, ch)
         dense += bool(algebra._associators(b))
-        b.forget()
+        b._memo.clear()
     assert dense > 40, dense
 
 
@@ -371,7 +377,7 @@ def test_right_injective_dimension_is_pd_of_the_dual_right_regular(sweep):
         a = entry.algebra
         assert projective_dimension(a, _dual_of_right_regular(a), CAP) == entry.verdict.right, \
             (name, ch)
-        a.forget()
+        a._memo.clear()
 
 
 def test_opposite_oracle_swaps_sides():
@@ -429,9 +435,10 @@ def _reference_generators(a, mod, data):
     submodule generated so far from rad(A).mod, grown by the action of
     every basis element of A."""
     f = a.field
-    span = Subspace(f, mod.dim, [f.to_ints(col) for r in radical(a)
+    span = Subspace(f, mod.dim, [f.to_ints(col) for r in field_vectors(a, radical(a))
                                  for col in transpose(mod.matrix_of(r)).data])
-    candidates = [transpose(mod.matrix_of(e)).data for e in primitive_idempotents(a)]
+    candidates = [transpose(mod.matrix_of(e)).data
+                  for e in field_vectors(a, primitive_idempotents(a))]
     kept = []
     for i, ei in enumerate(unit_rows(mod.dim)):
         for idx, columns in enumerate(candidates):
@@ -481,7 +488,7 @@ def _reference_resolution(a, m, length):
 def _matrix_top(a):
     """A / rad A as a ModuleRep, built through `quotient_module`: the top
     that `_reference_resolution` resolves."""
-    return quotient_module(regular_module(a), radical(a))[0]
+    return quotient_module(regular_module(a), field_vectors(a, radical(a)))[0]
 
 
 def _trace_fields(tr):
@@ -548,28 +555,31 @@ def test_resolution_computes_no_degree_after_its_repeat(monkeypatch):
 
 
 def _count_module_builds(monkeypatch):
-    """A list that records each ModuleRep constructed and each
-    `combination` of action matrices formed from now on."""
+    """A list that records each ModuleRep constructed, each `combination`
+    of action matrices formed, and each Matrix built from scalars by
+    `Matrix.__init__` or `Matrix.from_entries`, as an action matrix is, from
+    now on.  `from_columns`, which `ResolutionTrace.verify` composes covers
+    with, and `from_int_columns`, which makes the covers, are not counted."""
     built = []
-    init, combination = ModuleRep.__init__, modules.combination
 
-    def counted_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+    def counted(fn, wrap=lambda w: w):
+        def record(*args, **kwargs):
+            built.append((fn.__qualname__, args))
+            return fn(*args, **kwargs)
+        return wrap(record)
 
-    def counted_combination(*args):
-        built.append(args)
-        return combination(*args)
-
-    monkeypatch.setattr(ModuleRep, "__init__", counted_init)
-    monkeypatch.setattr(modules, "combination", counted_combination)
+    monkeypatch.setattr(ModuleRep, "__init__", counted(ModuleRep.__init__))
+    monkeypatch.setattr(modules, "combination", counted(modules.combination))
+    monkeypatch.setattr(Matrix, "__init__", counted(Matrix.__init__))
+    monkeypatch.setattr(Matrix, "from_entries",
+                        counted(Matrix.from_entries.__func__, classmethod))
     return built
 
 
 def test_resolution_builds_no_module(monkeypatch):
     """Each syzygy stays a subspace of its projective, acted on through the
     product of the algebra: with the top and the principal projectives
-    memoised, a resolution constructs no ModuleRep."""
+    memoised, a resolution constructs no ModuleRep and no action matrix."""
     a = _s3_le2(2)
     top = top_module(a)
     homology._principal_data(a)
@@ -582,8 +592,8 @@ def test_the_oracle_builds_no_module(monkeypatch):
     """The oracle resolves the top, reads Ext into the algebra and gldim
     from the length of that resolution, with the algebra and the top each
     acted on by the product of the algebra: on fresh algebras,
-    `is_gorenstein_oracle` and `global_dimension` construct no ModuleRep and
-    form no combination of action matrices."""
+    `is_gorenstein_oracle` and `global_dimension` construct no ModuleRep,
+    no action matrix and no combination of action matrices."""
     built = _count_module_builds(monkeypatch)
     for a, ids, gldim in ((_s3_le2(2), 2, ">8"),
                           (cat_algebra(poset_category(chain_poset(5)), QQ), 1, 1)):
@@ -609,7 +619,7 @@ def _minimal_generators_by_the_whole_radical(a, n, vectors, act, data):
     """The reference for `homology._minimal_generators`: the same greedy
     search, with J·Ω spanned by every rref basis vector of J = rad A times
     every vector, so that it rests on no lemma about generators of J."""
-    span = Subspace(a.field, n, act(radical_rows(a), vectors))
+    span = Subspace(a.field, n, act(radical(a), vectors))
     kept = []
     for x in vectors:
         for idx, v in enumerate(act([e for e, _, _ in data], [x])):
@@ -660,8 +670,8 @@ def test_the_radical_span_multiplies_by_the_generators_only(monkeypatch):
     than dim J."""
     a = _s3_le2(2)
     gens = algebra._radical_generators(a)
-    rad = len(radical_rows(a))
-    square = Subspace(a.field, a.dim, a.int_products(radical_rows(a), radical_rows(a))).dim
+    rad = len(radical(a))
+    square = Subspace(a.field, a.dim, a.int_products(radical(a), radical(a))).dim
     assert len(gens) == rad - square < rad
     first_products = []  # per degree, the (|us|, |vs|) of the first action: that of the span
     minimal_generators = homology._minimal_generators
@@ -743,11 +753,11 @@ def test_a_finished_trace_that_fails_verify_gives_no_injective_dimension(char, m
         not_injective = replace(good, covers=[*good.covers[:-1], padded],
                                 kernel_dims=[*good.kernel_dims[:-1], 1])
         for trace, message in ((redundant, "leaves the radical"), (not_injective, "not injective")):
-            a.forget()
+            a._memo.clear()
             a._memo[("_top_resolution", CAP + 2)] = trace
             with pytest.raises(AlgebraError, match=message):
                 injective_dimension(a, "left", CAP)
-        a.forget()
+        a._memo.clear()
         assert injective_dimension(a, "left", CAP) == n
 
 
