@@ -7,6 +7,9 @@ Gorenstein but the oracle stopped at the cap, and "MISMATCH" otherwise; only
 MISMATCH rows count as disagreements.
 
 Usage: python3 scripts/run_corpus.py [--seed N] [--cap N] [--chars 0,2,3,5]
+
+A negative --cap, or a --chars entry that is not 0 or a prime, is refused
+with exit 2 and a one-line message.
 """
 
 import argparse
@@ -18,17 +21,37 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from eicat.cli import sweep
 from eicat.families import corpus
+from eicat.linalg import Field
 
 CHECK = {True: "ok", None: "cap", False: "MISMATCH"}
+
+
+def cap(text):
+    """A cap: an int >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"the cap must be >= 0, got {n}")
+    return n
+
+
+def characteristics(text):
+    """A comma-separated list of characteristics, each 0 or a prime."""
+    chars = []
+    for entry in text.split(","):
+        try:
+            chars.append(Field(int(entry)).characteristic)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{entry!r} is not 0 or a prime") from None
+    return chars
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cap", type=int, default=8)
-    ap.add_argument("--chars", default="0,2,3,5")
+    ap.add_argument("--cap", type=cap, default=8)
+    ap.add_argument("--chars", type=characteristics, default="0,2,3,5")
     args = ap.parse_args()
-    chars = [int(c) for c in args.chars.split(",")]
+    chars = args.chars
 
     t0 = time.time()
     results = sweep(corpus(args.seed), chars, args.cap)

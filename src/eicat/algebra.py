@@ -87,7 +87,8 @@ class FiniteDimAlgebra:
         d = self.dim
         p = modulus or self.field.characteristic
         scale, table = self._int_mult()
-        _check_rows((*us, *vs), d, "factor")
+        _check_rows(us, d, "factor")
+        _check_rows(vs, d, "factor")
         vs = [(v.items(), dv) for v, dv in vs]
         out = []
         for u, du in us:
@@ -170,6 +171,33 @@ class FiniteDimAlgebra:
 
 
 @memoised
+def _cells(a):
+    """The nonempty cells of the int table (`_int_mult`), indexed both ways:
+    (by_row, by_column), by_row[i] the (j, pairs of e_i e_j) and
+    by_column[j] the (i, pairs of e_i e_j) with those pairs nonempty.  Every
+    other product of two basis elements is 0."""
+    _, table = a._int_mult()
+    by_row = [[(j, pairs) for j, pairs in enumerate(row) if pairs] for row in table]
+    by_column = [[] for _ in range(a.dim)]
+    for i, cells in enumerate(by_row):
+        for j, pairs in cells:
+            by_column[j].append((i, pairs))
+    return by_row, by_column
+
+
+def _basis_multiples(a, v, side):
+    """The multiples e_t.v (side "left") or v.e_t ("right") of the int row v,
+    through `int_products`, by the basis elements e_t, in order of t, that
+    meet an index of v in a nonempty cell of the table (`_cells`).  Every
+    other multiple is 0, which lies in every subspace and adds nothing to a
+    span."""
+    by_row, by_column = _cells(a)
+    cells = by_column if side == "left" else by_row
+    units = [({t: 1}, 1) for t in sorted({t for j in v[0] for t, _ in cells[j]})]
+    return a.int_products(units, [v]) if side == "left" else a.int_products([v], units)
+
+
+@memoised
 def _associators(a):
     """{(i, j, t): the gcd of the coefficients of (e_i e_j) e_t - e_i (e_j e_t)}
     over the triples where that associator, on the int structure constants
@@ -179,17 +207,15 @@ def _associators(a):
     (e_i e_j) e_t = sum_k c_ij^k e_k e_t is summed only over the nonzero
     c_ij^k with c_kt != 0 (an index of the (i, j) that produce each k),
     that in e_i (e_j e_t) = sum_l c_jt^l e_i e_l only over the nonzero
-    c_jt^l and c_il (an index of each column of the table), and the two
-    sides are compared as dicts keyed by (i, j, m).  A triple on neither
-    side is 0 on both, so every triple is checked."""
+    c_jt^l and c_il (the columns of `_cells`), and the two sides are
+    compared as dicts keyed by (i, j, m).  A triple on neither side is 0 on
+    both, so every triple is checked."""
     d = a.dim
     _, table = a._int_mult()
+    by_row, columns = _cells(a)
     producers = [[] for _ in range(d)]  # k -> the (i, j, c_ij^k)
-    columns = [[] for _ in range(d)]  # l -> the (i, pairs of e_i e_l) that are nonzero
-    for i, row in enumerate(table):
-        for j, pairs in enumerate(row):
-            if pairs:
-                columns[j].append((i, pairs))
+    for i, cells in enumerate(by_row):
+        for j, pairs in cells:
             for k, c in pairs:
                 producers[k].append((i, j, c))
     out = {}
@@ -298,18 +324,22 @@ def group_algebra(g, f: Field) -> FiniteDimAlgebra:
 def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
     """The opposite algebra: c'_{ij}^k = c_{ji}^k, memoised on `a`.
 
-    Its memo is seeded with the radical, its generators mod J² and the
-    orthogonal idempotent system of `a`, each computed and verified once,
-    on `a`: J(A^op) = J(A) as a subspace, since "two-sided nilpotent
-    ideal" reads the same on both sides, so J² = span J·J is the same too;
-    and a decomposition of 1 into orthogonal idempotents of A is one of
-    A^op."""
+    Its memo is seeded with the radical, its generators mod J², the
+    orthogonal idempotent system of `a` and its one-sided ideals, each
+    computed and verified once, on `a`: J(A^op) = J(A) as a subspace, since
+    "two-sided nilpotent ideal" reads the same on both sides, so J² =
+    span J·J is the same too; a decomposition of 1 into orthogonal
+    idempotents of A is one of A^op; and for each of them, f, A^op·f = f·A
+    and f·A^op = A·f, so `_one_sided_ideals` is seeded with each pair
+    swapped.  None of these refers back to an algebra."""
     d = a.dim
     mult = [[list(a.mult[j][i]) for j in range(d)] for i in range(d)]
     b = FiniteDimAlgebra(a.field, list(a.basis), mult, list(a.unit))
     b._memo[("radical",)] = radical(a)
     b._memo[("_radical_generators",)] = _radical_generators(a)
     b._memo[("primitive_idempotents",)] = primitive_idempotents(a)
+    b._memo[("_one_sided_ideals",)] = [(e, right, left)
+                                        for e, left, right in _one_sided_ideals(a)]
     return b
 
 
@@ -329,8 +359,9 @@ def _is_nilpotent_ideal(a, sub):
 
     The walk over the rref basis of I keeps v in X when v is outside the span
     S of X and A.X so far, checks e_t.v and v.e_t in I for every basis
-    element e_t, and adds v and the e_t.v to S.  At the end S = I, so
-    I = A.X is a left ideal, and I.e_t = A.(X.e_t) lies in I: I is a right
+    element e_t that meets v in a nonempty cell of the table (the others
+    give 0: `_basis_multiples`), and adds v and the e_t.v to S.  At the end
+    S = I, so I = A.X is a left ideal, and I.e_t = A.(X.e_t) lies in I: I is a right
     ideal.  The powers follow as I^(k+1) = I^k.A.X = I^k.X, and the chain
     must fall to 0 strictly; its first step is I².  That is about
     2 d |X| + sum_k |I^k| |X| products, against 2 d |I| + sum_k |I^k| |I|
@@ -338,7 +369,6 @@ def _is_nilpotent_ideal(a, sub):
     which `FiniteDimAlgebra.validate` checks."""
     f = a.field
     d = a.dim
-    units = unit_rows(d)
     gens = []
     span = Subspace(f, d)
     for v in sub.int_basis:
@@ -346,8 +376,8 @@ def _is_nilpotent_ideal(a, sub):
             break
         if span.int_contains(v):
             continue
-        left = [w for w in a.int_products(units, [v]) if w[0]]
-        if not all(sub.int_contains(w) for w in left + a.int_products([v], units)):
+        left = [w for w in _basis_multiples(a, v, "left") if w[0]]
+        if not all(sub.int_contains(w) for w in left + _basis_multiples(a, v, "right")):
             return None
         gens.append(v)
         span = span.int_extend([v, *left])
@@ -834,6 +864,20 @@ def primitive_idempotents(a: FiniteDimAlgebra):
             stack.extend(got)
     _check_orthogonal_system(a, prims)
     return prims
+
+
+@memoised
+def _one_sided_ideals(a):
+    """Per idempotent e of `primitive_idempotents(a)`: (e, A·e, e·A), the
+    left and the right ideal it generates, as Subspaces of A spanned by the
+    multiples of e by the basis (`_basis_multiples`).  A·e is the left
+    side's principal projective and, as e·A^op = Hom(A^op·e, A^op), the
+    right side's Hom target; e·A the other way round.  `opposite` seeds
+    them swapped."""
+    f = a.field
+    return [(e, Subspace(f, a.dim, _basis_multiples(a, e, "left")),
+             Subspace(f, a.dim, _basis_multiples(a, e, "right")))
+            for e in primitive_idempotents(a)]
 
 
 def _unit_idempotent_seeds(a):

@@ -18,8 +18,10 @@ are int rows throughout, the one vector form of `Subspace` and the
 products.  A vector of a sum of principal projectives is cut into its
 blocks through a coordinate-to-block map (`_segments`), never sliced
 densely.  The idempotents are the int rows of `primitive_idempotents(a)`,
-memoised on the algebra with the bases of A·f.  The covers of a
-`ResolutionTrace` are held as int views (`Matrix.from_int_columns`), and
+memoised on the algebra with A·f and f·A (`_one_sided_ideals`): A·f is the
+left side's principal projective and the right side's Hom target, f·A the
+other way round, and the opposite algebra is seeded with them.  The covers
+of a `ResolutionTrace` are held as int views (`Matrix.from_int_columns`), and
 Fractions appear only where a cover is read, as `verify` composes them,
 and in the verdicts.  gldim and pd are
 the length of a resolution once it is checked (`_length_verdict`).  So is id
@@ -36,10 +38,11 @@ from math import lcm
 from .algebra import (
     AlgebraError,
     FiniteDimAlgebra,
+    TopModule,
+    _one_sided_ideals,
     _radical_generators,
     memoised,
     opposite,
-    primitive_idempotents,
     top_module,
 )
 from .linalg import Matrix, Subspace, unit_rows
@@ -84,12 +87,10 @@ class DimensionVerdict:
 @memoised
 def _principal_data(a: FiniteDimAlgebra):
     """Per idempotent f of `primitive_idempotents`: (f, A·f as a Subspace
-    of A, coordinates of the generator f itself in it)."""
-    f = a.field
-    units = unit_rows(a.dim)
+    of A, from `_one_sided_ideals`, coordinates of the generator f itself in
+    it)."""
     out = []
-    for e in primitive_idempotents(a):
-        sub = Subspace(f, a.dim, a.int_products(units, [e]))
+    for e, sub, _ in _one_sided_ideals(a):
         gen = sub.int_coords(e)
         if gen is None:
             raise AlgebraError("idempotent outside its own principal module")
@@ -175,12 +176,14 @@ def _check_minimal(a, trace):
                     raise AlgebraError(f"the boundary of degree {i} leaves the radical")
 
 
-def _minimal_generators(a, n, vectors, act, data):
+def _minimal_generators(a, n, vectors, act, data, semisimple=False):
     """Generators g = f_idx.v of the module Ω spanned by `vectors`, int rows
     of k^n, as (idx, the cover columns w.g over the basis w of A·f_idx);
     `act(us, vs)` is [u.v for u in us for v in vs].  Greedy over the
-    submodule generated so far, starting from J·Ω, J = rad A, so no
-    generator is redundant at the time it is added; as A.g = (A·f_idx).g,
+    submodule generated so far, starting from J·Ω, J = rad A (from 0 when Ω
+    is `semisimple`, as the top A/J is: J·(A/J) = 0, J being a two-sided
+    ideal, which `radical` verifies), so no generator is redundant at the
+    time it is added; as A.g = (A·f_idx).g,
     the columns span what g generates.  Vectors, generators and columns are
     int rows, and one span grows (`Subspace.int_extend`).
 
@@ -188,7 +191,7 @@ def _minimal_generators(a, n, vectors, act, data):
     gives J = span X + X·J + J^k for every k, by putting span X + J² for
     the leftmost factor of J^k, and J^k = 0 for k large; so J = X·A, and
     J·Ω = X·A·Ω = X·Ω, as Ω is a submodule."""
-    span = Subspace(a.field, n, act(_radical_generators(a), vectors))
+    span = Subspace(a.field, n, () if semisimple else act(_radical_generators(a), vectors))
     idempotents = [e for e, _, _ in data]
     kept = []
     for x in vectors:
@@ -284,11 +287,12 @@ def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
     gens, covers, kernel_dims = [], [], []
     finished, repeat = False, None
     seen = {}  # (gens, kernel echelon) of each degree computed -> the degree
+    semisimple = isinstance(m, TopModule) and m.algebra is a
     for deg in range(length + 1):
         if not vectors:  # m is the zero module
             finished = True
             break
-        kept = _minimal_generators(a, n, vectors, act, data)
+        kept = _minimal_generators(a, n, vectors, act, data, semisimple and not deg)
         gens.append([idx for idx, _ in kept])
         cover = Matrix.from_int_columns(a.field, [c for _, columns in kept for c in columns], n)
         covers.append(cover)
@@ -317,6 +321,7 @@ def ext_dims(a: FiniteDimAlgebra, n, m, cap: int):
     resolution of n through P_{cap+1} (`projective_resolution`, whose
     repeated tail gives its Ext ranks by copy); each of n and m is the
     algebra, `top_module(a)` or any other module."""
+    _check_cap(cap)
     trace = projective_resolution(a, n, cap + 1)
     return ext_dims_from_trace(a, trace, m, cap)
 
@@ -384,16 +389,24 @@ def ext_dims_from_trace(a, trace, m, cap):
 
 
 def _hom_spaces(a, m):
-    """Hom(A·f, m) = f·m for each idempotent f, as the span of f times the
-    unit vectors of m."""
+    """Hom(A·f, m) = f·m for each idempotent f: for m = a the f·A of
+    `_one_sided_ideals` (on an opposite, the A·f seeded from its algebra),
+    else the span of f times the unit vectors of m."""
+    if m is a:
+        return [right for _, _, right in _one_sided_ideals(a)]
     units = unit_rows(m.dim)
     return [Subspace(a.field, m.dim, m.int_products([e], units))
-            for e, _, _ in _principal_data(a)]
+            for e, _, _ in _one_sided_ideals(a)]
 
 
 @memoised
 def _top_resolution(a, length):
     return projective_resolution(a, top_module(a), length)
+
+
+def _check_cap(cap):
+    if cap < 0:
+        raise ValueError(f"the cap must be >= 0, got {cap}")
 
 
 def _length_verdict(a, trace, cap):
@@ -422,6 +435,7 @@ def injective_dimension(a: FiniteDimAlgebra, side: str, cap: int) -> DimensionVe
     Ext^n(top, A) != 0."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    _check_cap(cap)
     b = a if side == "left" else opposite(a)
     trace = _top_resolution(b, cap + 2)
     if trace.finished:
@@ -432,6 +446,7 @@ def injective_dimension(a: FiniteDimAlgebra, side: str, cap: int) -> DimensionVe
 
 def projective_dimension(a: FiniteDimAlgebra, m, cap: int) -> DimensionVerdict:
     """pd m (`_length_verdict`); m is the algebra, the top or any module."""
+    _check_cap(cap)
     return _length_verdict(a, projective_resolution(a, m, cap + 1), cap)
 
 
@@ -440,6 +455,7 @@ def global_dimension(a: FiniteDimAlgebra, cap: int) -> DimensionVerdict:
     """pd of the top, which holds every simple (`_length_verdict`), on the
     top resolution that the left `injective_dimension` reads; memoised, so
     that resolution is checked once."""
+    _check_cap(cap)
     return _length_verdict(a, _top_resolution(a, cap + 2), cap)
 
 

@@ -4,13 +4,20 @@ Vectors have one form, the sparse int row (w, den) of `Field.to_ints`: w is
 a dict {index: int} of the nonzero entries only and v = w / den, not
 necessarily in lowest terms; in characteristic p, den is 1 and every entry is
 reduced into [1, p).  In a space of dimension n an index outside [0, n) is
-refused with a ValueError, as a wrong length was.  A row coming in may hold
-an entry of 0, or in characteristic p one outside [1, p): it is taken at its
-value (`_rows_in`), as a dense row was.  Rows are never written in place, so
-echelons and spans share them.  `Subspace`, `QuotientSpace`,
-`Matrix.int_mul_vec`, `Matrix.from_int_columns`, `Matrix.null_space` and
-`int_kernel` take and give int rows.  Canonical scalars, `fractions.Fraction`
-in characteristic 0 and ints in [0, p) in characteristic p, appear only in
+refused with a ValueError, as a wrong length was; every row coming in is
+checked so.  A row coming in may also hold an entry of 0, or in
+characteristic p one outside [1, p): it is taken at its value, as a dense
+row was, wherever such a row could come out as it went in (`_held`): where
+`_reduce` passes it through unchanged, in `_echelon` and
+`Subspace._residual`, and where it is handed back as it came, by
+`Subspace.int_coords`, `QuotientSpace.int_lift`, `Field.from_ints` and the
+int view of `Matrix.from_int_columns`.  Every other row goes through
+`_combine` or a product, which reduce what they make.  Rows are never
+written in place, so echelons and spans share them.  `Subspace`,
+`QuotientSpace`, `Matrix.int_mul_vec`, `Matrix.from_int_columns`,
+`Matrix.null_space` and `int_kernel` take and give int rows.  Canonical
+scalars, `fractions.Fraction` in characteristic 0 and ints in [0, p) in
+characteristic p, appear only in
 `Matrix` entries and in what is handed out: `Subspace.basis`, made canonical
 by `Field.from_ints`, which needs the length n.  Everything is exact; no
 floats anywhere.  `Field.of`, `Matrix(...)` and `FiniteDimAlgebra.from_json`
@@ -159,9 +166,9 @@ class Field:
     def from_ints(self, row, n):
         """The canonical vector of length n with the int row `row`."""
         p = self.characteristic
-        (w,) = _rows_in(p, (row,), n)
+        _check_row(row[0], n)
         v = [0 if p else _ZERO] * n
-        for i, x in w.items():
+        for i, x in _held(p, row[0]).items():
             v[i] = x if p else Fraction(x, row[1])
         return v
 
@@ -186,29 +193,40 @@ def _outside(n, what):
     return ValueError(f"{what} with an index outside [0, {n})")
 
 
+def _check_row(w, n, what="vector"):
+    """Refuse (`_outside`) the entries w of an int row unless every index is
+    in [0, n)."""
+    if w and (min(w) < 0 or max(w) >= n):
+        raise _outside(n, what)
+
+
 def _check_rows(rows, n, what="vector"):
-    """Refuse (`_outside`) the int rows `rows` unless every index is in [0, n)."""
+    """`_check_row` on each of the int rows `rows`."""
     for w, _ in rows:
         if w and (min(w) < 0 or max(w) >= n):
             raise _outside(n, what)
 
 
-def _rows_in(p, rows, n=None, what="vector"):
-    """The entries of the int rows `rows` coming in, held: each w itself
-    when its values are nonzero already (in [1, p) in characteristic p),
-    else `_nonzero` of w.  Given n, refused (`_outside`) unless every index
-    is in [0, n); every residual comes through here, so that check is
-    written out, not a call of `_check_rows`."""
-    out = []
-    for w, _ in rows:
-        if w:
-            if n is not None and (min(w) < 0 or max(w) >= n):
-                raise _outside(n, what)
-            values = w.values()
-            if not ((0 < min(values) and max(values) < p) if p else all(values)):
-                w = _nonzero(p, w)
-        out.append(w)
+def _entries(rows, n):
+    """The entries w of the int rows `rows` that are not empty, as a list
+    (`rows` may be a generator), checked as `_check_row` checks them; their
+    values are left for `_reduce` to take."""
+    out = [w for w, _ in rows if w]
+    for w in out:
+        if min(w) < 0 or max(w) >= n:
+            raise _outside(n, "vector")
     return out
+
+
+def _held(p, w):
+    """The entries w of an int row coming in, as they are held: w itself
+    when its values are nonzero already (in [1, p) in characteristic p),
+    else `_nonzero` of w."""
+    if w:
+        values = w.values()
+        if not ((0 < min(values) and max(values) < p) if p else all(values)):
+            return _nonzero(p, w)
+    return w
 
 
 def _nonzero(p, acc):
@@ -236,17 +254,18 @@ def _combine(p, base, terms):
 def _reduce(p, w, index):
     """(r, k) with r = k * w minus multiples of the rows of the echelon
     `index` {pivot: row}, zero at every pivot (`_combine`).  The rows are
-    zero at each other's pivots, so the multiples are read off w itself."""
+    zero at each other's pivots, so the multiples are read off w itself.  A
+    row that meets no pivot comes back as it is held (`_held`)."""
     if index.keys().isdisjoint(w):
-        return w, 1
+        return _held(p, w), 1
     return _combine(p, w, [(-x, index[c], c) for c, x in w.items() if c in index])
 
 
 def _echelon(p, rows, index):
-    """Gauss-Jordan elimination, sparse: put the nonzero int dicts `rows`,
-    held as `_rows_in` holds them, one by one into the echelon `index`
+    """Gauss-Jordan elimination, sparse: put the int dicts `rows`, with
+    their values as they came in, one by one into the echelon `index`
     {pivot: row}, in place, and return it.  A row is reduced by the
-    echelon (`_reduce`); if anything is left, its least index becomes a
+    echelon (`_reduce`), which takes its values; if anything is left, its least index becomes a
     pivot, the row is normalised there and the other rows are reduced by it.
     So each row is zero at the other pivots and its own pivot is its least
     index: in characteristic p the pivot is 1, and in characteristic 0 the
@@ -411,7 +430,7 @@ class Matrix:
         """self * v for the int row v, as an int row: touching only the
         nonzero v_j and the nonzeros of their columns."""
         w, den = row
-        _check_rows((row,), self.cols)
+        _check_row(w, self.cols)
         columns, scale = self._sparse_view()
         acc = {}
         for j, x in w.items():
@@ -466,7 +485,8 @@ def _int_view(p, columns):
     characteristic p)."""
     scale = lcm(*(den for _, den in columns))
     out = []
-    for w, (_, den) in zip(_rows_in(p, columns), columns):
+    for w, den in columns:
+        w = _held(p, w)
         out.append(list(w.items()) if den == scale else
                    [(i, x * (scale // den)) for i, x in w.items()])
     return out, scale
@@ -523,9 +543,8 @@ class Subspace:
     echelon is ever written in place, so `int_extend` shares them."""
 
     def __init__(self, field: Field, ambient_dim: int, rows=()):
-        p = field.characteristic
-        rows = [w for w in _rows_in(p, rows, ambient_dim) if w]
-        self._set(field, ambient_dim, _echelon(p, rows, {}))
+        self._set(field, ambient_dim,
+                  _echelon(field.characteristic, _entries(rows, ambient_dim), {}))
 
     def _set(self, field, ambient_dim, index):
         """Hold the echelon `index` {pivot: row}."""
@@ -553,12 +572,12 @@ class Subspace:
         return [(index[c], index[c][c]) for c in self.pivots]
 
     def _residual(self, row):
-        """(w, res, k) for the int row (w, den): w as it comes in
-        (`_rows_in`), and res / (den * k) its residual, as the entries of an
-        int row, zero on the pivots."""
-        p = self.field.characteristic
-        (w,) = _rows_in(p, (row,), self.ambient_dim)
-        return (w, *_reduce(p, w, self._index))
+        """(w, res, k) for the int row (w, den): w as it comes in, and
+        res / (den * k) its residual, as the entries of an int row, zero on
+        the pivots."""
+        w = row[0]
+        _check_row(w, self.ambient_dim)
+        return (w, *_reduce(self.field.characteristic, w, self._index))
 
     def int_contains(self, row):
         return not self._residual(row)[1]
@@ -569,13 +588,14 @@ class Subspace:
         w, res, _ = self._residual(row)
         if res:
             return None
-        return {r: w[c] for r, c in enumerate(self.pivots) if c in w}, row[1]
+        coords = {r: w[c] for r, c in enumerate(self.pivots) if c in w}
+        return _held(self.field.characteristic, coords), row[1]
 
     def int_from_coords(self, row):
         """The member with the coordinates of the int row `row`, as an int
         row."""
         c, den = row
-        _check_rows((row,), self.dim, "coordinates")
+        _check_row(c, self.dim, "coordinates")
         pivots, index = self.pivots, self._index
         w, k = _combine(self.field.characteristic, {},
                         [(x, index[pivots[r]], pivots[r]) for r, x in c.items()])
@@ -586,10 +606,8 @@ class Subspace:
         is unchanged.  Only the new rows are reduced, against a copy of this
         echelon, whose rows it shares until one is reduced by a new pivot."""
         f, n = self.field, self.ambient_dim
-        p = f.characteristic
         out = Subspace.__new__(Subspace)
-        rows = [w for w in _rows_in(p, rows, n) if w]
-        out._set(f, n, _echelon(p, rows, dict(self._index)))
+        out._set(f, n, _echelon(f.characteristic, _entries(rows, n), dict(self._index)))
         return out
 
     def complement_pivots(self):
@@ -622,6 +640,7 @@ class QuotientSpace:
     def int_lift(self, row):
         """The representative of the class with the coordinates of the int
         row `row`, a sum of multiples of the chosen e_i, as an int row."""
-        (w,) = _rows_in(self.field.characteristic, (row,), self.dim, "coordinates")
+        w = row[0]
+        _check_row(w, self.dim, "coordinates")
         reps = self.reps
-        return {reps[r]: x for r, x in w.items()}, row[1]
+        return {reps[r]: x for r, x in _held(self.field.characteristic, w).items()}, row[1]

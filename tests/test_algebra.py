@@ -310,16 +310,20 @@ def test_equality_ignores_memoised_results():
 
 def test_memo_returns_the_same_object_and_opposite_reuses_the_radical():
     """Each result is memoised once; a top module is made fresh around the
-    memoised quotient, so no memo value refers back to a."""
+    memoised quotient, so no memo value refers back to a.  The opposite
+    reuses the radical, its generators, the idempotents and the one-sided
+    ideals, these swapped."""
     a = chain_algebra(Field(3))
     for fn in (radical, primitive_idempotents, algebra._top_space):
         assert fn(a) is fn(a)
     assert top_module(a) is not top_module(a) and top_module(a).space is algebra._top_space(a)
     op = opposite(a)
-    assert sorted(op._memo) == [("_radical_generators",), ("primitive_idempotents",),
-                                ("radical",)]
+    assert sorted(op._memo) == [("_one_sided_ideals",), ("_radical_generators",),
+                                ("primitive_idempotents",), ("radical",)]
     assert radical(op) is radical(a)
     assert primitive_idempotents(op) is primitive_idempotents(a)
+    assert [(e, left, right) for e, right, left in algebra._one_sided_ideals(op)] == \
+        algebra._one_sided_ideals(a)
     assert top_module(op).space is not top_module(a).space
 
 

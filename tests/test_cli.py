@@ -9,8 +9,14 @@ import pytest
 from inputs import HOSTILE_CATEGORIES, HOSTILE_MATRICES, matrix_raw, rebased, s3_transporter
 
 from eicat import cli
-from eicat.algebra import FiniteDimAlgebra, _associators
-from eicat.category import category_to_json
+from eicat.algebra import (
+    FiniteDimAlgebra,
+    _associators,
+    _one_sided_ideals,
+    algebra_from_category,
+    opposite,
+)
+from eicat.category import category_to_json, presentation_of
 from eicat.cli import main
 from eicat.families import (
     Poset,
@@ -275,17 +281,26 @@ def test_oracle_agreement_is_unknown_when_a_gorenstein_verdict_hits_the_cap(
     assert verdict["gldim"] == gldim
 
 
-@pytest.mark.parametrize("export", [False, True, "compare"])
+@pytest.mark.parametrize("export", [False, True, "compare", "opposite"])
 def test_oracle_leaves_no_algebra_to_the_cycle_collector(tmp_path, capsys, export):
     """An oracle call frees its algebras, their opposites and all they
     memoised by reference counting: a collection right after it finds none
     of them among the garbage.  So does a `Comparison` once dropped
-    ("compare"), though it held its algebra with all that memoised."""
+    ("compare"), though it held its algebra with all that memoised, and an
+    algebra dropped with its opposite, whose memo was seeded with the
+    radical, the idempotents and the one-sided ideals ("opposite")."""
     if export == "compare":
         gc.collect()
         result = cli.compare(stabilized_alpha_category(), Field(2), 8)
         assert result.verdict.left == ">8" and result.algebra._memo
         del result
+    elif export == "opposite":
+        gc.collect()
+        a = algebra_from_category(presentation_of(stabilized_alpha_category()).category, Field(2))
+        b = opposite(a)
+        assert {("_one_sided_ideals",), ("primitive_idempotents",)} < b._memo.keys()
+        assert _one_sided_ideals(b) == [(e, r, l) for e, l, r in _one_sided_ideals(a)]
+        del a, b
     else:
         path = write_category(tmp_path, stabilized_alpha_category())
         if export:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import accumulate
 
@@ -17,6 +18,7 @@ from modules import (
 from eicat import algebra, cli, homology
 from eicat.algebra import (
     AlgebraError,
+    FiniteDimAlgebra,
     algebra_from_category,
     group_algebra,
     opposite,
@@ -289,6 +291,23 @@ def test_covers_are_made_canonical_only_when_read(monkeypatch):
     assert all(tr.finished for tr in traces)
     composed = [id(c) for tr in traces for c in tr.covers[1:]]
     assert sorted(built) == sorted((i, "data") for i in composed)
+
+
+def test_a_negative_cap_is_refused():
+    """Each dimension that takes a cap refuses a negative one by name, and
+    so does the oracle, which reads them: none reports ">-1"."""
+    a = cat_algebra(poset_category(chain_poset(3)), QQ)
+    calls = [lambda: injective_dimension(a, "left", -1),
+             lambda: injective_dimension(a, "right", -1),
+             lambda: projective_dimension(a, top_module(a), -1),
+             lambda: global_dimension(a, -1),
+             lambda: ext_dims(a, top_module(a), a, -1),
+             lambda: is_gorenstein_oracle(a, -1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="the cap must be >= 0, got -1"):
+            call()
+    assert ("global_dimension", -1) not in a._memo
+    assert global_dimension(a, 1) == 1 and is_gorenstein_oracle(a, 1).gorenstein
 
 
 def test_radical_submodule_has_expected_projective_dimension():
@@ -588,6 +607,73 @@ def test_resolution_builds_no_module(monkeypatch):
     assert tr.repeat == (4, 1) and built == []
 
 
+def _span(sub):
+    """The rref basis of the Subspace sub, a function of its span, hashable."""
+    return sub.ambient_dim, tuple((tuple(sorted(w.items())), den) for w, den in sub.int_basis)
+
+
+@pytest.mark.parametrize("label", ["s3_le2@2", "s3_le2@3", "chain_8@2"])
+def test_each_one_sided_ideal_is_built_once_from_nonzero_multiples(label, monkeypatch):
+    """One oracle call builds each A·f and each f·A once, on the algebra:
+    the opposite is seeded with them swapped, and they equal the ideals
+    built on the opposite itself from the same idempotents.  The multiples
+    of a row by the basis, in the ideals and in the check of the radical,
+    are formed only on the nonempty cells of the table, and no product
+    multiplies a row by the whole basis.  The S3 <= 2 skeleton in chars 2
+    and 3 resolves to the cap on both sides, so each side also reads its
+    Hom targets, which are the ideals of the other side."""
+    name, p = label.split("@")
+    a = (_s3_le2(int(p)) if name == "s3_le2" else
+         cat_algebra(poset_category(chain_poset(8)), Field(int(p))))
+    units = unit_rows(a.dim)
+    built, multiples, whole = [], [], []
+    init, int_products = Subspace.__init__, FiniteDimAlgebra.int_products
+    basis_multiples = algebra._basis_multiples
+
+    def counted_init(self, field, n, rows=()):
+        init(self, field, n, rows)
+        built.append(_span(self))
+
+    def counted_products(c, us, vs, modulus=None):
+        whole.append(units in (us, vs))
+        if multiples and multiples[-1][-1] is None:  # inside `_basis_multiples`
+            side = multiples[-1][2]
+            multiples[-1][-1] = [min(w) for w, _ in (us if side == "left" else vs)]
+        return int_products(c, us, vs, modulus)
+
+    def counted_multiples(c, v, side):
+        multiples.append([c, v, side, None])
+        return basis_multiples(c, v, side)
+
+    monkeypatch.setattr(Subspace, "__init__", counted_init)
+    monkeypatch.setattr(FiniteDimAlgebra, "int_products", counted_products)
+    monkeypatch.setattr(algebra, "_basis_multiples", counted_multiples)
+    verdict = is_gorenstein_oracle(a, CAP)
+    monkeypatch.undo()
+    b = opposite(a)
+    unfinished = name == "s3_le2"
+    assert verdict.gorenstein and not any(whole)
+    assert all(homology._top_resolution(c, CAP + 2).finished is not unfinished for c in (a, b))
+    ideals = algebra._one_sided_ideals(a)
+    assert algebra._one_sided_ideals(b) == [(e, right, left) for e, left, right in ideals]
+    spans = Counter(_span(sub) for _, left, right in ideals for sub in (left, right))
+    assert {span: Counter(built)[span] for span in spans} == spans
+    idempotents = [e for e, _, _ in ideals]
+    formed = [(c, side, e) for c, e, side, _ in multiples if e in idempotents]
+    assert sorted(formed, key=str) == sorted(((a, side, e) for e in idempotents
+                                               for side in ("left", "right")), key=str)
+    for c, (v, _), side, ts in multiples:
+        assert ts and all(any(c.mult[t][j] if side == "left" else c.mult[j][t] for j in v)
+                          for t in ts), (label, side)
+    direct = FiniteDimAlgebra(b.field, b.basis, b.mult, b.unit)
+    direct._memo[("primitive_idempotents",)] = primitive_idempotents(a)
+    assert [(e, _span(left), _span(right)) for e, left, right in algebra._one_sided_ideals(direct)] \
+        == [(e, _span(left), _span(right)) for e, left, right in algebra._one_sided_ideals(b)]
+    if unfinished:
+        assert homology._hom_spaces(a, a) == [right for _, _, right in ideals]
+        assert homology._hom_spaces(b, b) == [left for _, left, _ in ideals]
+
+
 def test_the_oracle_builds_no_module(monkeypatch):
     """The oracle resolves the top, reads Ext into the algebra and gldim
     from the length of that resolution, with the algebra and the top each
@@ -615,10 +701,11 @@ def test_sweep_on_more_corpus_seeds(seed):
         _assert_relabelling_invariant(r.algebra, r.verdict, r.gldim, rng)
 
 
-def _minimal_generators_by_the_whole_radical(a, n, vectors, act, data):
+def _minimal_generators_by_the_whole_radical(a, n, vectors, act, data, semisimple=False):
     """The reference for `homology._minimal_generators`: the same greedy
     search, with J·Ω spanned by every rref basis vector of J = rad A times
-    every vector, so that it rests on no lemma about generators of J."""
+    every vector, the top's included, so that it rests on no lemma about
+    generators of J and no J·top = 0."""
     span = Subspace(a.field, n, act(radical(a), vectors))
     kept = []
     for x in vectors:
@@ -665,33 +752,36 @@ def test_generators_of_the_radical_resolve_as_its_whole_basis(char, monkeypatch)
 
 
 def test_the_radical_span_multiplies_by_the_generators_only(monkeypatch):
-    """On the S3 <= 2 skeleton in char 2 the span of J·Ω at each degree is
-    formed from |X|·dim Ω products, X the generators of J mod J², fewer
-    than dim J."""
+    """On the S3 <= 2 skeleton in char 2 the span of J·Ω at each degree
+    k >= 1 is formed from |X|·dim Ω products, X the generators of J mod J²,
+    fewer than dim J; degree 0, the top, forms none, as J·top = 0, and
+    multiplies only single vectors."""
     a = _s3_le2(2)
     gens = algebra._radical_generators(a)
     rad = len(radical(a))
     square = Subspace(a.field, a.dim, a.int_products(radical(a), radical(a))).dim
     assert len(gens) == rad - square < rad
-    first_products = []  # per degree, the (|us|, |vs|) of the first action: that of the span
+    degrees = []  # per degree: semisimple, the (|us|, |vs|) of each action, dim Ω
     minimal_generators = homology._minimal_generators
 
-    def counted(a, n, vectors, act, data):
+    def counted(a, n, vectors, act, data, semisimple=False):
         calls = []
 
         def counted_act(us, vs):
             calls.append((len(us), len(vs)))
             return act(us, vs)
 
-        kept = minimal_generators(a, n, vectors, counted_act, data)
-        first_products.append((calls[0], len(vectors)))
+        kept = minimal_generators(a, n, vectors, counted_act, data, semisimple)
+        degrees.append((semisimple, calls, len(vectors)))
         return kept
 
     monkeypatch.setattr(homology, "_minimal_generators", counted)
     tr = projective_resolution(a, top_module(a), CAP + 1)
-    assert tr.repeat == (4, 1) and len(first_products) == 5
-    for (us, vs), omega in first_products:
-        assert (us, vs) == (len(gens), omega)
+    assert tr.repeat == (4, 1) and len(degrees) == 5
+    (top, calls, _), *later = degrees
+    assert top and {vs for _, vs in calls} == {1}
+    for semisimple, calls, omega in later:
+        assert not semisimple and calls[0] == (len(gens), omega)
 
 
 def _finished_sides():

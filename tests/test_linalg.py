@@ -410,7 +410,15 @@ def _vectors(f, n, data, max_size=4):
 
 def test_entries_of_zero_or_not_reduced_mod_p_are_taken_as_their_values():
     """An int row may hold an entry of 0, or in characteristic p one outside
-    [1, p): each entry point takes it as its value, as a dense row was."""
+    [1, p): each entry point takes it as its value, as a dense row was.
+
+    A row that meets no pivot of the echelon passes through the reduction
+    unchanged, so its values are taken where it does: with a 0 (or, over
+    F_3, a 3 or a 6) at its least index it is still the row of its value,
+    in `Subspace`, `int_extend`, `int_contains`, `int_coords` and
+    `QuotientSpace.int_project`, over F_3 and Q.  Every row is still checked
+    for its indices, zero values or not, and a generator of rows is read
+    once."""
     f = Field(3)
     assert Subspace(f, 2, [({0: 1, 1: 3}, 1)]).basis == [[1, 0]]
     assert Subspace(f, 2, [({0: 4, 1: -1}, 1)]).int_basis == [({0: 1, 1: 2}, 1)]
@@ -431,6 +439,38 @@ def test_entries_of_zero_or_not_reduced_mod_p_are_taken_as_their_values():
     assert Subspace(QQ, 2, [({0: 0, 1: -2}, 1)]).int_basis == [({1: 1}, 1)]
     assert QQ.from_ints(({0: 0, 1: 3}, 2), 2) == [0, Fraction(3, 2)]
     assert int_kernel(QQ, [({0: 0}, 1)]) == [({0: 1}, 1)]
+    for f in (Field(3), QQ):
+        zero = 3 if f.characteristic else 0
+        assert Subspace(f, 3, [({0: zero, 2: 1}, 1)]).int_basis == [({2: 1}, 1)]
+        assert Subspace(f, 3, [({0: zero}, 1), ({1: zero}, 2)]).dim == 0
+        s = Subspace(f, 3, [({1: 1}, 1)])
+        assert s.int_extend([({0: 2 * zero, 2: 1}, 1)]).int_basis == [({1: 1}, 1), ({2: 1}, 1)]
+        assert s.int_extend([({0: zero}, 1)]).pivots == [1]
+        assert s.int_contains(({0: zero, 2: 0}, 1))
+        assert not s.int_contains(({0: zero, 2: 1}, 1))
+        assert s.int_coords(({0: zero}, 1)) == ({}, 1)
+        assert s.int_coords(({0: zero, 2: 1}, 1)) is None
+        both = Subspace(f, 3, [({0: 1}, 1), ({1: 1}, 1)])
+        assert both.int_coords(({0: zero, 1: 1}, 1)) == ({1: 1}, 1)
+        q = QuotientSpace(f, 3, [({1: 1}, 1)])
+        assert q.int_project(({0: zero, 2: 1}, 1)) == ({1: 1}, 1)
+        assert q.int_project(({0: zero}, 1)) == ({}, 1)
+        if f.characteristic:
+            assert Subspace(f, 2, [({0: 4, 1: 5}, 1)]).int_basis == [({0: 1, 1: 2}, 1)]
+            assert both.int_coords(({0: 4, 1: 6}, 1)) == ({0: 1}, 1)
+            assert q.int_project(({0: 7}, 1)) == ({0: 1}, 1)
+        rows = [({0: 1}, 1), ({1: 2}, 1)]
+        assert Subspace(f, 3, (row for row in rows)).pivots == [0, 1]
+        assert s.int_extend(row for row in rows[:1]).pivots == [0, 1]
+        for bad in (lambda: Subspace(f, 2, [({0: zero, 2: 0}, 1)]),
+                    lambda: s.int_extend([({-1: 0}, 1)]),
+                    lambda: s.int_contains(({3: zero}, 1)),
+                    lambda: s.int_coords(({0: 0, 5: 1}, 1)),
+                    lambda: q.int_project(({3: 0}, 1)),
+                    lambda: q.int_lift(({2: zero}, 1)),
+                    lambda: f.from_ints(({2: 0}, 1), 2)):
+            with pytest.raises(ValueError, match="index outside"):
+                bad()
 
 
 @given(st.sampled_from(FIELDS), st.data())

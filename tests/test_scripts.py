@@ -28,3 +28,22 @@ def test_script_runs_outside_the_repository(tmp_path, script, args, check):
                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     check(run.stdout.splitlines())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--cap", "-1"], "argument --cap: the cap must be >= 0, got -1"),
+    (["--cap", "x"], "argument --cap: invalid cap value: 'x'"),
+    (["--chars", "0,x"], "argument --chars: 'x' is not 0 or a prime"),
+    (["--chars", "4"], "argument --chars: '4' is not 0 or a prime"),
+    (["--chars", "2,,3"], "argument --chars: '' is not 0 or a prime"),
+], ids=["negative_cap", "cap_not_int", "char_not_int", "char_not_prime", "char_empty"])
+def test_run_corpus_refuses_bad_arguments(tmp_path, args, message):
+    """A negative cap or a characteristic that is not 0 or a prime is
+    refused before any sweep: exit 2, no traceback, and the error on one
+    line after the usage."""
+    run = subprocess.run([sys.executable, str(SCRIPTS / "run_corpus.py"), *args],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert lines[0].startswith("usage: run_corpus.py")
+    assert lines[1:] == [f"run_corpus.py: error: {message}"]
