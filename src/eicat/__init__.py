@@ -15,10 +15,8 @@ from .category import (
     CategoryError,
     FiniteCategory,
     NotEI,
-    NotSkeletal,
     SkeletalEIPresentation,
     ValidationError,
-    admissible_order,
     is_ei,
     presentation_of,
     skeletalize,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import chain
 from typing import NamedTuple
 
@@ -22,10 +23,6 @@ class ValidationError(CategoryError):
 
 
 class NotEI(CategoryError):
-    pass
-
-
-class NotSkeletal(CategoryError):
     pass
 
 
@@ -62,13 +59,16 @@ class FiniteCategory:
         """f∘g for src(f) = dst(g)."""
         return self.comp[(f, g)]
 
+    @cached_property
+    def inverses(self):
+        """{f: f⁻¹} over the isomorphisms f, from one scan of Hom(dst f, src f)
+        per morphism (an inverse is unique); computed on first use and kept."""
+        ids = self._identity
+        return {f: g for f, m in self.morphisms.items() for g in self.hom(m.dst, m.src)
+                if (self.comp[(f, g)], self.comp[(g, f)]) == (ids[m.dst], ids[m.src])}
+
     def is_isomorphism(self, f):
-        m = self.morphisms[f]
-        for g in self.hom(m.dst, m.src):
-            if self.comp[(f, g)] == self.identity_of(m.dst) and \
-                    self.comp[(g, f)] == self.identity_of(m.src):
-                return True
-        return False
+        return f in self.inverses
 
     def __len__(self):
         return len(self.morphisms)
@@ -251,13 +251,9 @@ def is_ei(c: FiniteCategory):
     """Every endomorphism is an isomorphism.  Returns (flag, counterexample)."""
     for x in c.objects:
         for f in c.hom(x, x):
-            if not c.is_isomorphism(f):
+            if f not in c.inverses:
                 return False, f
     return True, None
-
-
-def _isomorphic(c, x, y):
-    return x == y or any(c.is_isomorphism(f) for f in c.hom(x, y))
 
 
 def skeletalize(c: FiniteCategory):
@@ -265,16 +261,17 @@ def skeletalize(c: FiniteCategory):
 
     The representative is the earliest object in input order.  Returns
     (skeletal category, object -> representative map); the category is c
-    itself when no two of its objects are isomorphic."""
+    itself when no two of its objects are isomorphic.  Isomorphic objects are
+    joined by an isomorphism, so one pass over `inverses` finds them all."""
     ok, witness = is_ei(c)
     if not ok:
         raise NotEI(f"endomorphism {witness!r} is not an isomorphism")
-    rep = {}
-    for x in c.objects:
-        for y in c.objects:
-            if _isomorphic(c, y, x):
-                rep[x] = y
-                break
+    place = {x: i for i, x in enumerate(c.objects)}
+    rep = {x: x for x in c.objects}
+    for f in c.inverses:
+        m = c.morphisms[f]
+        if place[m.src] < place[rep[m.dst]]:
+            rep[m.dst] = m.src
     if all(rep[x] == x for x in c.objects):
         return c, rep
     return full_subcategory(c, rep.values()), rep
@@ -294,21 +291,21 @@ class Factorizations(NamedTuple):
 
 
 def factorizations(c: FiniteCategory) -> Factorizations:
-    """`Factorizations` of c from one pass over its composition table, with
-    one isomorphism test per morphism (`freeness.is_unfactorizable` is the
-    reference definition of an unfactorizable morphism)."""
-    iso = {m: c.is_isomorphism(m) for m in c.morphisms}
+    """`Factorizations` of c from one pass over its composition table and its
+    `inverses` (`freeness.is_unfactorizable` is the reference definition of
+    an unfactorizable morphism)."""
+    iso = c.inverses
     composites = set()
     steps = {}  # h -> (g, f) with h = f∘g, g a non-isomorphism
     for (f, g), h in c.comp.items():
-        if iso[g]:
+        if g in iso:
             continue
         steps.setdefault(h, []).append((g, f))
-        if not iso[f]:
+        if f not in iso:
             composites.add(h)
-    unf = frozenset(m for m in c.morphisms if not iso[m] and m not in composites)
+    unf = frozenset(m for m in c.morphisms if m not in iso and m not in composites)
     first = {h: tuple(s for s in pairs if s[0] in unf) for h, pairs in steps.items()}
-    return Factorizations(tuple(m for m in c.morphisms if not iso[m]), unf, first)
+    return Factorizations(tuple(m for m in c.morphisms if m not in iso), unf, first)
 
 
 @dataclass
@@ -345,39 +342,37 @@ class SkeletalEIPresentation:
         return self.aut[self.ordering[i]]
 
 
-def admissible_order(c: FiniteCategory) -> SkeletalEIPresentation:
-    """Order the objects so morphisms flow from higher index to lower.
-
-    Topological sort of "x <= y iff Hom(x, y) nonempty", ties broken by input
-    order; requires a skeletal EI category."""
-    ok, witness = is_ei(c)
-    if not ok:
-        raise NotEI(f"endomorphism {witness!r} is not an isomorphism")
-    for x in c.objects:
-        for y in c.objects:
-            if x != y and _isomorphic(c, x, y):
-                raise NotSkeletal(f"{x!r} and {y!r} are isomorphic")
-    return _ordered(c)
-
-
 def _ordered(c: FiniteCategory) -> SkeletalEIPresentation:
-    """`admissible_order` of c, known to be skeletal and EI."""
-    remaining = list(c.objects)
+    """The presentation of c, known to be skeletal and EI: morphisms flow
+    from higher index to lower.  Kahn's sort of "x <= y iff Hom(x, y) is
+    nonempty" places next the earliest object in input order with no
+    morphism into an unplaced one.  Each Aut(x) is read off the table with
+    its `inverses`, not validated again: `validate` proved associativity and
+    the identity laws, endomorphisms compose to endomorphisms, and EI makes
+    each one invertible."""
+    place = {x: i for i, x in enumerate(c.objects)}
+    sources = {x: [] for x in c.objects}  # y -> the x != y with Hom(x, y) nonempty
+    targets = dict.fromkeys(c.objects, 0)  # x -> how many such y are not yet placed
+    for x, y in c._hom:
+        if x != y:
+            sources[y].append(x)
+            targets[x] += 1
+    ready = [place[x] for x in c.objects if not targets[x]]  # sorted, so a heap
     ordering = []
-    while remaining:
-        for x in remaining:
-            if not any(c.hom(x, y) for y in remaining if y != x):
-                ordering.append(x)
-                remaining.remove(x)
-                break
-        else:
-            raise NotEI("cycle among distinct objects")
+    while ready:
+        y = c.objects[heappop(ready)]
+        ordering.append(y)
+        for x in sources[y]:
+            targets[x] -= 1
+            if not targets[x]:
+                heappush(ready, place[x])
 
     aut = {}
     for x in c.objects:
         elems = c.hom(x, x)
         table = {(g, h): c.comp[(g, h)] for g in elems for h in elems}
-        aut[x] = GroupTable(list(elems), table, c.identity_of(x)).validate()
+        aut[x] = GroupTable(list(elems), table, c.identity_of(x),
+                            {g: c.inverses[g] for g in elems})
     return SkeletalEIPresentation(c, ordering, aut)
 
 

@@ -121,8 +121,11 @@ def _load_json(path):
 def _emit(obj, out):
     text = json.dumps(obj, indent=2, sort_keys=False)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise UsageError(f"cannot write {out}: {e}")
     else:
         print(text)
 
@@ -271,12 +274,15 @@ def cmd_gen(args):
         if args.count < 0:
             raise UsageError(f"--count must be >= 0, got {args.count}")
         outdir = args.out or "corpus"
-        os.makedirs(outdir, exist_ok=True)
         items = corpus(seed=args.seed)[:args.count]
-        for name, c in items:
-            with open(os.path.join(outdir, f"{name}.json"), "w") as fh:
-                json.dump(category_to_json(c), fh, indent=2)
-                fh.write("\n")
+        try:
+            os.makedirs(outdir, exist_ok=True)
+            for name, c in items:
+                with open(os.path.join(outdir, f"{name}.json"), "w") as fh:
+                    json.dump(category_to_json(c), fh, indent=2)
+                    fh.write("\n")
+        except OSError as e:
+            raise UsageError(f"cannot write {outdir}: {e}")
         print(f"wrote {len(items)} files to {outdir}")
     else:
         raise UsageError(f"unknown family {fam!r}")

@@ -1,15 +1,15 @@
 import random
+from collections import Counter
+from functools import cached_property
 
 import pytest
-from inputs import HOSTILE_CATEGORIES, s3_transporter
+from inputs import HOSTILE_CATEGORIES, boolean_poset, s3_transporter
 
 import eicat.category as category
 from eicat.category import (
     FiniteCategory,
     NotEI,
-    NotSkeletal,
     ValidationError,
-    admissible_order,
     category_to_json,
     full_subcategory,
     is_ei,
@@ -18,6 +18,7 @@ from eicat.category import (
     validate,
 )
 from eicat.families import chain_poset, corpus, diamond_poset, poset_category
+from eicat.groups import GroupTable
 
 
 def chain_raw():
@@ -219,7 +220,7 @@ def test_is_ei_flags_non_invertible_endomorphism():
     ok, witness = is_ei(c)
     assert not ok and witness == "t"
     with pytest.raises(NotEI):
-        admissible_order(c)
+        presentation_of(c)
 
 
 def two_object_isomorphic_raw():
@@ -240,8 +241,6 @@ def test_skeletalize_collapses_isomorphic_objects():
     sk, rep = skeletalize(c)
     assert len(sk.objects) == 1 and sk.objects[0] == "a"  # earliest in input order
     assert rep == {"a": "a", "b": "a"}
-    with pytest.raises(NotSkeletal):
-        admissible_order(c)
 
 
 def test_presentation_runs_the_ei_check_once_and_keeps_a_skeletal_category(monkeypatch):
@@ -251,18 +250,35 @@ def test_presentation_runs_the_ei_check_once_and_keeps_a_skeletal_category(monke
         calls.append(c)
         return is_ei(c)
 
+    builds = Counter()
+
+    def build_inverses(c, _fn=FiniteCategory.inverses.func):
+        builds[id(c)] += 1
+        return _fn(c)
+
+    counted_inverses = cached_property(build_inverses)
+    counted_inverses.__set_name__(FiniteCategory, "inverses")
+    monkeypatch.setattr(FiniteCategory, "inverses", counted_inverses)
+    group_validations = []
+    monkeypatch.setattr(GroupTable, "validate",
+                        lambda g: group_validations.append(g) or g)
     monkeypatch.setattr(category, "is_ei", counted)
     c = poset_category(diamond_poset())
     assert skeletalize(c)[0] is c
     calls.clear()
     p = presentation_of(c)
     assert p.category is c and len(calls) == 1
-    assert p.ordering == admissible_order(c).ordering
+    assert p.ordering == presentation_of(c).ordering
+    t = s3_transporter(2)  # not skeletal: its skeleton is a second category
+    group_validations.clear()
+    q = presentation_of(t)
+    assert q.category is not t and not group_validations
+    assert builds == {id(c): 1, id(t): 1, id(q.category): 1}
 
 
 def test_admissible_order_on_chain():
     c = poset_category(chain_poset(3, ["x", "y", "z"]))
-    p = admissible_order(c)
+    p = presentation_of(c)
     assert p.ordering == ["z", "y", "x"]  # morphisms flow to lower index
     assert p.hom_set(0, 2) == ["x_to_z"]
     assert p.hom_set(2, 0) == []
@@ -295,3 +311,80 @@ def test_full_subcategory_and_json_roundtrip():
     again = validate(category_to_json(sub))
     assert set(again.morphisms) == set(sub.morphisms)
     assert again.comp == sub.comp
+
+
+def _shuffled(c, rng):
+    """An isomorphic copy of c with new names and its objects, morphisms and
+    composition entries in a random order drawn from rng."""
+    raw = category_to_json(c)
+    objects, morphisms, comp = raw["objects"], raw["morphisms"], raw["composition"]
+    on = {x: f"o{k}" for x, k in zip(objects, rng.sample(range(10 ** 6), len(objects)))}
+    mn = {m["id"]: f"m{k}" for m, k in zip(morphisms, rng.sample(range(10 ** 6), len(morphisms)))}
+    for seq in (objects, morphisms, comp):
+        rng.shuffle(seq)
+    return validate({"objects": [on[x] for x in objects],
+                     "morphisms": [{**m, "id": mn[m["id"]], "src": on[m["src"]],
+                                    "dst": on[m["dst"]]} for m in morphisms],
+                     "composition": [[mn[f], mn[g], mn[h]] for f, g, h in comp]})
+
+
+def _reference_is_isomorphism(c, f):
+    m = c.morphisms[f]
+    return any(c.comp[(f, g)] == c.identity_of(m.dst) and c.comp[(g, f)] == c.identity_of(m.src)
+               for g in c.hom(m.dst, m.src))
+
+
+def _reference_presentation(c):
+    """(EI flag and witness, skeleton map, ordering, Aut groups) by the
+    definitions the table of inverses replaced: an isomorphism test per
+    morphism, a scan of every pair of objects for the skeleton, a rescan of
+    the objects left at each step of the order, and `GroupTable.validate`
+    for each Aut(x)."""
+    witness = next((f for x in c.objects for f in c.hom(x, x)
+                    if not _reference_is_isomorphism(c, f)), None)
+    if witness is not None:
+        return (False, witness), None, None, None
+
+    def isomorphic(x, y):
+        return x == y or any(_reference_is_isomorphism(c, f) for f in c.hom(x, y))
+
+    rep = {x: next(y for y in c.objects if isomorphic(y, x)) for x in c.objects}
+    sk = full_subcategory(c, rep.values())
+    remaining, ordering = list(sk.objects), []
+    while remaining:
+        x = next(x for x in remaining if not any(sk.hom(x, y) for y in remaining if y != x))
+        ordering.append(x)
+        remaining.remove(x)
+    aut = {}
+    for x in sk.objects:
+        elems = sk.hom(x, x)
+        table = {(g, h): sk.comp[(g, h)] for g in elems for h in elems}
+        aut[x] = GroupTable(list(elems), table, sk.identity_of(x)).validate()
+    return (True, None), rep, ordering, aut
+
+
+def _differential_inputs():
+    rng = random.Random(27)
+    named = [c for seed in range(4) for _, c in corpus(seed)]
+    named += [s3_transporter(2), s3_transporter(3), poset_category(boolean_poset(4)),
+              validate(non_ei_raw())]
+    return [c for c0 in named for c in (c0, _shuffled(c0, rng))]
+
+
+def test_inverses_table_matches_the_pair_scans_and_the_group_check():
+    collapsed = Counter()
+    for c in _differential_inputs():
+        ei, rep, ordering, aut = _reference_presentation(c)
+        assert is_ei(c) == ei
+        if not ei[0]:
+            continue
+        assert skeletalize(c)[1] == rep
+        p = presentation_of(c)
+        collapsed[p.category is not c] += 1
+        assert p.ordering == ordering
+        assert p.aut.keys() == aut.keys()
+        for x, g in p.aut.items():
+            ref = aut[x]
+            assert (g.elements, g.table, g.identity) == (ref.elements, ref.table, ref.identity)
+            assert [g.inverse(e) for e in g.elements] == [ref.inverse(e) for e in ref.elements]
+    assert collapsed[True] and collapsed[False], collapsed

@@ -1,9 +1,13 @@
 import gc
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from inputs import HOSTILE_CATEGORIES, HOSTILE_MATRICES, matrix_raw, rebased, s3_transporter
@@ -22,6 +26,7 @@ from eicat.families import (
     Poset,
     chain_poset,
     diamond_poset,
+    group_category,
     poset_category,
     stabilized_alpha_category,
 )
@@ -537,3 +542,39 @@ def test_gen_corpus_rejects_negative_count(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--count must be >= 0" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing_dir", "directory", "corpus_over_file"])
+def test_unwritable_out_is_usage_error(case, chain_file, tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    argv = {"missing_dir": ["classify", chain_file, "--out", str(tmp_path / "no" / "x.json")],
+            "directory": ["classify", chain_file, "--out", str(tmp_path)],
+            "corpus_over_file": ["gen", "corpus", "--out", str(tmp_path / "taken")]}[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write "), err
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", ["discrete_4000_oracle", "z200_classify"])
+def test_front_end_targets_hold_within_five_times_their_bound(case, tmp_path):
+    """A 4000-object discrete category is refused by `--limit`, and the group
+    category of Z_200 is classified in char 2, each in under 5 s (5x the 1 s
+    targets), CLI start-up included."""
+    if case == "discrete_4000_oracle":
+        objects = [f"o{i}" for i in range(4000)]
+        raw = {"objects": objects, "composition": [],
+               "morphisms": [{"id": f"1_{x}", "src": x, "dst": x, "identity": True}
+                             for x in objects]}
+        argv, code, err = ["oracle", "cat.json"], 1, "DimensionLimitExceeded: "
+    else:
+        raw = category_to_json(group_category(cyclic_group(200)))
+        argv, code, err = ["classify", "cat.json", "--char", "2"], 0, ""
+    (tmp_path / "cat.json").write_text(json.dumps(raw))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-m", "eicat.cli", *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert run.returncode == code and run.stderr.startswith(err), run.stderr
+    assert elapsed < 5, elapsed
