@@ -9,7 +9,7 @@ from heapq import heappop, heappush
 from itertools import chain
 from typing import NamedTuple
 
-from .groups import GroupTable
+from .groups import GroupTable, light_associative
 
 
 class CategoryError(Exception):
@@ -90,15 +90,21 @@ def validate(raw) -> FiniteCategory:
     every violation found via ValidationError, malformed JSON shapes
     included.
 
-    Associativity is checked by rows: for each non-identity f, the
-    composites (f∘g)∘h over every composable pair (g, h) of non-identities
-    into src f are compared with the f∘(g∘h) as one list, both read off the
-    rows m∘h of the morphisms m, and walked triple by triple only when the
-    lists differ.  An f is skipped when no hom-set into dst f holds two
-    morphisms; that is sound, as both composites lie in Hom(src h, dst f)
-    once the endpoints are checked.  The NonAssociative messages, and their
-    order, are those of the walk over every triple (f, g, h) of
-    non-identities."""
+    Associativity is checked by Light's test (`groups.light_associative`).
+    Let M be the set of middles s with (f∘s)∘h = f∘(s∘h) for every
+    composable f and h.  If a and b are in M, so is a∘b:
+        (f∘(a∘b))∘h = ((f∘a)∘b)∘h = (f∘a)∘(b∘h) = f∘(a∘(b∘h)) = f∘((a∘b)∘h).
+    The identities are in M by the identity laws, and `light_generators`
+    picks S, endomorphisms first, then the other non-identities in input
+    order, until the closure V <- V ∪ {v∘s} of the identities covers every
+    morphism; V lies in M once S does, with no associativity assumed.  So
+    only the s in S are checked, against the non-identity f and h: an
+    identity f or h passes by the identity laws, and so does an f into an
+    object none of whose hom-sets holds two morphisms, as both composites
+    lie in Hom(src h, dst f).  No triple is checked when no hom-set holds
+    two.  Only when the test fails does `_row_check` run, so the
+    NonAssociative messages, and their order, are those of the walk over
+    every triple (f, g, h) of non-identities."""
     if not isinstance(raw, dict):
         raise ValidationError([f"a category must be a JSON object, not {type(raw).__name__}"])
     errs = []
@@ -158,7 +164,6 @@ def validate(raw) -> FiniteCategory:
     if errs:
         raise ValidationError(errs)
 
-    by_name = {m.name: m for m in morphisms}
     identities = {}
     for m in morphisms:
         if m.identity:
@@ -175,6 +180,7 @@ def validate(raw) -> FiniteCategory:
         raise ValidationError(errs)
 
     comp = {}
+    ends = {m.name: (m.src, m.dst) for m in morphisms}
     after = {m.name: {} for m in morphisms}  # f -> {g: f∘g}, comp by rows
     for k, entry in enumerate(sections["composition"]):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
@@ -182,23 +188,21 @@ def validate(raw) -> FiniteCategory:
             continue
         f, g, h = entry
         try:
-            known = f in by_name and g in by_name and h in by_name
-        except TypeError:  # an unhashable name
-            known = False
-        if not known:
+            (f_src, f_dst), (g_src, g_dst), (h_src, h_dst) = ends[f], ends[g], ends[h]
+        except (KeyError, TypeError):  # an unknown or unhashable name
             errs.append(f"IncompleteComposition: unknown morphism in ({f!r}, {g!r}, {h!r})")
             continue
-        mf, mg, mh = by_name[f], by_name[g], by_name[h]
-        if mf.src != mg.dst:
+        if f_src != g_dst:
             errs.append(f"BadEndpoints: composition {f!r}∘{g!r} with src({f!r}) != dst({g!r})")
             continue
-        if mh.src != mg.src or mh.dst != mf.dst:
+        if h_src != g_src or h_dst != f_dst:
             errs.append(f"BadEndpoints: {f!r}∘{g!r} = {h!r} has wrong endpoints")
             continue
         row = after[f]
-        if g in row and row[g] != h:
+        if row.setdefault(g, h) != h:
             errs.append(f"IncompleteComposition: conflicting entries for ({f!r}, {g!r})")
-        comp[(f, g)] = row[g] = h
+            row[g] = h
+        comp[(f, g)] = h
 
     # infer (and cross-check) compositions with identities
     for m in morphisms:
@@ -210,7 +214,7 @@ def validate(raw) -> FiniteCategory:
             else:
                 comp[pair] = after[pair[0]][pair[1]] = expected
 
-    into = {}  # object -> the morphisms into it, in by_name order
+    into = {}  # object -> the morphisms into it, in input order
     for m in morphisms:
         into.setdefault(m.dst, []).append(m)
     for f in morphisms:  # after[f] holds only morphisms into src f
@@ -220,13 +224,35 @@ def validate(raw) -> FiniteCategory:
     if errs:
         raise ValidationError(errs)
 
-    # A triple with an identity in it is associative by the identity laws
-    # above.  rows[m] lists the m∘h over the proper h into src m (m an
-    # identity too: f∘g is one when g = f⁻¹), block[x] joins the rows of the
-    # proper g into x, in walk order, and left = after[f] gives f∘k for
-    # every k into src f (identities included: g∘h can be one).
     proper = {x: [m.name for m in ms if not m.identity] for x, ms in into.items()}
     multi = {y for y, ms in into.items() if len(ms) > len({m.src for m in ms})}
+    if multi:
+        lefts = {}
+        for m in morphisms:
+            if not m.identity and m.dst in multi:
+                lefts.setdefault(m.src, []).append(m.name)
+        candidates = [m.name for m in morphisms if m.src == m.dst and not m.identity]
+        candidates += [m.name for m in morphisms if m.src != m.dst]
+        if not light_associative(after, ends, candidates, identities.values(), lefts, proper):
+            errs = _row_check(morphisms, after, ends, proper, multi)
+            if errs:
+                raise ValidationError(errs)
+
+    return FiniteCategory(objects, morphisms, comp)
+
+
+def _row_check(morphisms, after, ends, proper, multi):
+    """The NonAssociative messages of a complete table with the identity
+    laws, in the order of the walk over every triple (f, g, h) of
+    non-identities with dst f in `multi` (both composites lie in
+    Hom(src h, dst f), so no other f can fail).  For each such f the list
+    of (f∘g)∘h over the composable pairs (g, h) is compared with that of
+    f∘(g∘h) in one step, and walked triple by triple only when they differ.
+    rows[m] lists the m∘h over the proper h into src m (m an identity too:
+    f∘g is one when g = f⁻¹), block[x] joins the rows of the proper g into
+    x, in walk order, and left = after[f] gives f∘k for every k into src f
+    (identities included: g∘h can be one)."""
+    errs = []
     checked = [f for f in morphisms if not f.identity and f.dst in multi]
     sources = {f.src for f in checked}
     rows = {m.name: list(map(after[m.name].__getitem__, proper[m.src]))
@@ -238,13 +264,10 @@ def validate(raw) -> FiniteCategory:
         fg_h = list(chain.from_iterable(map(rows.__getitem__, map(left.__getitem__, gs))))
         f_gh = list(map(left.__getitem__, block[f.src]))
         if fg_h != f_gh:
-            triples = ((g, h) for g in gs for h in proper[by_name[g].src])
+            triples = ((g, h) for g in gs for h in proper[ends[g][0]])
             errs.extend(f"NonAssociative: ({f.name!r}, {g!r}, {h!r})"
                         for (g, h), a, b in zip(triples, fg_h, f_gh) if a != b)
-    if errs:
-        raise ValidationError(errs)
-
-    return FiniteCategory(objects, morphisms, comp)
+    return errs
 
 
 def is_ei(c: FiniteCategory):
@@ -313,8 +336,9 @@ class SkeletalEIPresentation:
     """A skeletal EI category with the admissible ordering x_1..x_n:
     Hom(x_i, x_j) is empty whenever i < j.
 
-    Assumed immutable once built, like its category; `factorizations` is
-    computed on first use and kept for the presentation's lifetime."""
+    Assumed immutable once built, like its category; `below` and
+    `factorizations` are computed on first use and kept for the
+    presentation's lifetime."""
 
     category: FiniteCategory
     ordering: list  # object names, x_1 first
@@ -327,6 +351,19 @@ class SkeletalEIPresentation:
     def hom_set(self, i, j):
         """Hom(x_j, x_i) for 0-based i <= j (morphisms x_j -> x_i)."""
         return self.category.hom(self.ordering[j], self.ordering[i])
+
+    @cached_property
+    def below(self):
+        """below[j]: the i < j with Hom(x_j, x_i) nonempty, ascending, read
+        off the category's hom index (0-based)."""
+        place = {x: k for k, x in enumerate(self.ordering)}
+        out = [[] for _ in self.ordering]
+        for x, y in self.category._hom:
+            if x != y:
+                out[place[x]].append(place[y])
+        for row in out:
+            row.sort()
+        return out
 
     @cached_property
     def factorizations(self) -> Factorizations:

@@ -160,8 +160,7 @@ def explain(c: FiniteCategory, f: Field, *, report: ClassificationReport | None 
         out["counterexample_decomposition"] = {
             "morphism": alpha, "chain": decompose(p, alpha)}
     for (i, j), homs in unfactorizables(p).items():
-        if homs:
-            out["unfactorizables"][f"{i + 1},{j + 1}"] = list(homs)
+        out["unfactorizables"][f"{i + 1},{j + 1}"] = homs
     if report.projective_over_k:
         for t in range(1, p.n):
             dom = phi_domain_dim(p, t)

@@ -167,8 +167,7 @@ def cmd_freeness(args):
             "morphism": rep.counterexample[0],
             "factorizations": [list(rep.counterexample[1]), list(rep.counterexample[2])],
         },
-        "unfactorizables": {f"{i + 1},{j + 1}": list(v)
-                            for (i, j), v in unfactorizables(p).items() if v},
+        "unfactorizables": {f"{i + 1},{j + 1}": v for (i, j), v in unfactorizables(p).items()},
     }
     _emit(out, args.out)
     return 0

@@ -31,12 +31,14 @@ def is_unfactorizable(c, alpha) -> bool:
 
 def unfactorizables(p: SkeletalEIPresentation):
     """The table (i, j) -> Hom^0(x_j, x_i) of unfactorizable morphisms for
-    0-based i < j, each a list in hom-set order.
+    0-based i < j, each a nonempty list in hom-set order, in (i, j) order;
+    a pair with no unfactorizable morphism is left out.
 
-    Read from the presentation's factorizations, which are computed once;
-    every call returns new lists, so callers may change them freely."""
-    return {(i, j): p.unfactorizable_homs(i, j)
-            for i in range(p.n) for j in range(i + 1, p.n)}
+    Read from the nonempty hom-sets (`SkeletalEIPresentation.below`) and the
+    presentation's factorizations, which are computed once; every call
+    returns new lists, so callers may change them freely."""
+    pairs = sorted((i, j) for j, below in enumerate(p.below) for i in below)
+    return {(i, j): units for i, j in pairs if (units := p.unfactorizable_homs(i, j))}
 
 
 def _chains(p: SkeletalEIPresentation, alpha):

@@ -1,5 +1,6 @@
-"""Finite groups as Cayley tables, group actions, and projectivity of
-permutation modules via the stabilizer-order criterion."""
+"""Finite groups as Cayley tables, group actions, projectivity of
+permutation modules via the stabilizer-order criterion, and Light's
+associativity test, which category validation shares."""
 
 from __future__ import annotations
 
@@ -16,6 +17,54 @@ class UnknownElement(GroupError):
     pass
 
 
+def light_generators(rows, ends, candidates, known):
+    """S for Light's test (`light_associative`), chosen greedily: each
+    candidate, in order, not yet in the closure V joins S, where V starts
+    from the `known` morphisms and grows right-normed, V <- V ∪ {v∘s : v in
+    V, s in S}.  rows[f] = {g: f∘g} over every g into src f, ends[f] =
+    (src f, dst f); every candidate ends up in V."""
+    covered = set()
+    out_of = {}  # object -> the members of V out of it
+    gens, gens_into = [], {}  # S, and object -> the members of S into it
+
+    def close(todo):
+        while todo:
+            v = todo.pop()
+            if v not in covered:
+                covered.add(v)
+                out_of.setdefault(ends[v][0], []).append(v)
+                todo += map(rows[v].__getitem__, gens_into.get(ends[v][0], ()))
+
+    close(list(known))
+    for s in candidates:
+        if s not in covered:
+            gens.append(s)
+            gens_into.setdefault(ends[s][1], []).append(s)
+            close([rows[v][s] for v in out_of.get(ends[s][1], ())] + [s])
+    return gens
+
+
+def light_associative(rows, ends, candidates, known, lefts, rights):
+    """Whether a composition table is associative, by Light's test
+    (Clifford and Preston, The Algebraic Theory of Semigroups I, 1961, §1.2;
+    the lemma and its proof are in `category.validate`): (f∘s)∘h = f∘(s∘h)
+    is checked for the s in S = `light_generators`, the f in lefts[dst s]
+    and the h in rights[src s], which is sound when the f and h left out
+    associate anyway and `known` holds only middles that pass (the
+    identities, once the identity laws hold).  It costs the sum over s in S
+    of |lefts[dst s]|·|rights[src s]| checks; a group is the table of a
+    category with one object."""
+    for s in light_generators(rows, ends, candidates, known):
+        x, y = ends[s]
+        hs = rights.get(x, ())
+        sh = list(map(rows[s].__getitem__, hs))
+        for f in lefts.get(y, ()):
+            row = rows[f]
+            if list(map(rows[row[s]].__getitem__, hs)) != list(map(row.__getitem__, sh)):
+                return False
+    return True
+
+
 @dataclass
 class GroupTable:
     """A finite group given by its full multiplication table."""
@@ -26,6 +75,11 @@ class GroupTable:
     _inverse: dict = field(default_factory=dict, repr=False)
 
     def validate(self):
+        """Check closure, the identity law, associativity and inverses,
+        raising GroupError with every failure found.  Associativity is
+        Light's test (`light_associative`, over S = `light_generators` of the
+        non-identities) once the identity law holds; when that law or the
+        test fails, `_triple_walk` gives the messages."""
         errs = []
         elems = self.elements
         eset = set(elems)
@@ -44,12 +98,11 @@ class GroupTable:
         for g in elems:
             if self.table[(self.identity, g)] != g or self.table[(g, self.identity)] != g:
                 errs.append(f"identity law fails at {g!r}")
-        for g in elems:
-            for h in elems:
-                for t in elems:
-                    if self.table[(self.table[(g, h)], t)] != self.table[(g, self.table[(h, t)])]:
-                        errs.append(f"associativity fails at ({g!r},{h!r},{t!r})")
-                        break
+        rows = {g: {h: self.table[(g, h)] for h in elems} for g in elems}
+        others = [g for g in elems if g != self.identity]
+        if errs or not light_associative(rows, dict.fromkeys(elems, (None, None)), others,
+                                         [self.identity], {None: others}, {None: others}):
+            errs += _triple_walk(self.table, elems)
         for g in elems:
             invs = [h for h in elems
                     if self.table[(g, h)] == self.identity and self.table[(h, g)] == self.identity]
@@ -86,6 +139,19 @@ class GroupTable:
             "identity": self.identity,
             "table": [[g, h, gh] for (g, h), gh in sorted(self.table.items())],
         }
+
+
+def _triple_walk(table, elems):
+    """The associativity failures of a group table: per pair (g, h), the
+    first t in element order with (g*h)*t != g*(h*t)."""
+    errs = []
+    for g in elems:
+        for h in elems:
+            for t in elems:
+                if table[(table[(g, h)], t)] != table[(g, table[(h, t)])]:
+                    errs.append(f"associativity fails at ({g!r},{h!r},{t!r})")
+                    break
+    return errs
 
 
 def json_names(x, what, error, width=0):

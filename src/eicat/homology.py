@@ -374,12 +374,16 @@ def ext_dims_from_trace(a, trace, m, cap):
         places = _places(targets)
         columns = []
         for b, (idxl, (sub, _, _)) in enumerate(zip(gens[i], blocks)):
-            lifts = [sub.int_from_coords((segments.get(b, {}), den)) for segments, den in images]
-            if not all(ideals[idxp].int_contains(x) for idxp, x in zip(gens[i + 1], lifts)):
+            # an image with no segment in block b lifts to 0, whose products
+            # are 0: it needs no lift, no check and no product
+            hits = [(idxp, place, sub.int_from_coords((segments[b], den)))
+                    for idxp, place, (segments, den) in zip(gens[i + 1], places, images)
+                    if b in segments]
+            if not all(ideals[idxp].int_contains(x) for idxp, _, x in hits):
                 raise AlgebraError("Hom differential leaves its block")
-            products = iter(m.int_products(lifts, homs[idxl].int_basis))
+            products = iter(m.int_products([x for _, _, x in hits], homs[idxl].int_basis))
             block = [[] for _ in range(homs[idxl].dim)]
-            for place in places:
+            for _, place, _ in hits:
                 for placed, (w, den) in zip(block, products):
                     placed.append(({place[c]: x for c, x in w.items() if c in place}, den))
             columns += [_merge(placed) for placed in block]

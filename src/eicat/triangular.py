@@ -37,7 +37,8 @@ def _check_t(t, top):
 
 def mstar_dim(p: SkeletalEIPresentation, t: int) -> int:
     """dim M_t^*, the number of morphisms x_{t+1} -> x_i for i = 1..t."""
-    return sum(len(p.hom_set(i, t)) for i in range(t))
+    _check_t(t, p.n - 1)
+    return sum(len(p.hom_set(i, t)) for i in p.below[t])
 
 
 def phi_domain_dim(p: SkeletalEIPresentation, t: int) -> int:
@@ -45,16 +46,17 @@ def phi_domain_dim(p: SkeletalEIPresentation, t: int) -> int:
     (0-based) of dim M_jl (x)_{R_l} k U_l, U_l the unfactorizable morphisms
     x_t -> x_l.  Each term counts the orbits of Hom(x_l, x_j) x_{Aut(x_l)} U_l
     by Burnside's lemma, (1/|G|) sum_h |{m : m h = m}| |{u : h u = u}|; for
-    j = l the group acts freely and the term is |U_l|."""
+    j = l the group acts freely and the term is |U_l|.  Only the nonempty
+    hom-sets (`SkeletalEIPresentation.below`) are visited."""
     _check_t(t, p.n - 1)
     c = p.category
     total = 0
-    for l in range(t):
+    for l in p.below[t]:
         units = p.unfactorizable_homs(l, t)
         if not units:
             continue
         group = p.aut_group(l)
         fixed = [(h, sum(c.compose(h, u) == u for u in units)) for h in group.elements]
         total += sum(k * sum(c.compose(m, h) == m for m in p.hom_set(j, l))
-                     for j in range(l + 1) for h, k in fixed if k) // group.order
+                     for j in (*p.below[l], l) for h, k in fixed if k) // group.order
     return total

@@ -1,11 +1,13 @@
 import random
 from collections import Counter
 from functools import cached_property
+from math import gcd
 
 import pytest
 from inputs import HOSTILE_CATEGORIES, boolean_poset, s3_transporter
 
 import eicat.category as category
+import eicat.groups as groups
 from eicat.category import (
     FiniteCategory,
     NotEI,
@@ -17,8 +19,8 @@ from eicat.category import (
     skeletalize,
     validate,
 )
-from eicat.families import chain_poset, corpus, diamond_poset, poset_category
-from eicat.groups import GroupTable
+from eicat.families import chain_poset, corpus, diamond_poset, group_category, poset_category
+from eicat.groups import GroupTable, cyclic_group
 
 
 def chain_raw():
@@ -48,6 +50,17 @@ def test_validate_rejects_unknown_keys():
     raw["extra"] = []
     with pytest.raises(ValidationError):
         validate(raw)
+
+
+def test_each_conflicting_entry_is_reported_against_the_one_before():
+    """Entries h, h2, h for g∘f are two conflicts: each entry is compared
+    with the last one for its pair."""
+    raw = chain_raw()
+    raw["morphisms"].append({"id": "h2", "src": "x", "dst": "z"})
+    raw["composition"] = [["g", "f", "h"], ["g", "f", "h2"], ["g", "f", "h"]]
+    with pytest.raises(ValidationError) as exc:
+        validate(raw)
+    assert exc.value.violations == ["IncompleteComposition: conflicting entries for ('g', 'f')"] * 2
 
 
 @pytest.mark.parametrize("case", HOSTILE_CATEGORIES)
@@ -202,6 +215,63 @@ def test_row_check_reports_what_the_triple_walk_reports_on_s3_on_singletons():
 def test_row_check_matches_the_triple_walk_on_sampled_corruptions():
     c = s3_transporter(2)
     assert _check_corruptions(c, random.Random(20).sample(_corruptions(c), 150)) > 0
+
+
+def _light_sizes(monkeypatch):
+    """|S| of every Light's test run from now on, in call order."""
+    sizes = []
+    light_generators = groups.light_generators
+
+    def counted(*args):
+        gens = light_generators(*args)
+        sizes.append(len(gens))
+        return gens
+
+    monkeypatch.setattr(groups, "light_generators", counted)
+    return sizes
+
+
+def _relabelled_cyclic(n, rng):
+    """The group category of Z_n under names drawn from rng, its morphisms
+    listed as the powers of a unit u drawn from rng: the first non-identity,
+    u itself, generates, so Light's test checks that one middle alone."""
+    u = rng.choice([k for k in range(2, n) if gcd(k, n) == 1])
+    names = [f"m{k}" for k in rng.sample(range(10 ** 6), n)]
+    power = [names[u * k % n] for k in range(n)]
+    return validate({
+        "objects": ["x"],
+        "morphisms": [{"id": m, "src": "x", "dst": "x", **({"identity": True} if not k else {})}
+                      for k, m in enumerate(power)],
+        "composition": [[power[i], power[j], power[(i + j) % n]]
+                        for i in range(1, n) for j in range(1, n)]})
+
+
+def test_light_test_reports_what_the_triple_walk_reports_on_z12(monkeypatch):
+    """The relabelled group category of Z_12 passes Light's test with |S| = 1,
+    and a corruption of any composite is reported as the triple walk
+    reports it."""
+    sizes = _light_sizes(monkeypatch)
+    c = _relabelled_cyclic(12, random.Random(12))
+    assert sizes == [1]
+    assert _check_corruptions(c, _corruptions(c)) > 0
+
+
+def test_light_test_needs_no_fallback_on_associative_tables(monkeypatch):
+    """Neither `category._row_check` nor `groups._triple_walk` runs on S3 on
+    B_3, B_4 or the group category of Z_200, or on the groups they are built
+    from.  S holds 30 of the 162 morphisms of S3 on B_3 and one of Z_200;
+    B_4 has no hom-set of two morphisms, so it runs no test at all."""
+    walks = []
+    monkeypatch.setattr(category, "_row_check", lambda *args: walks.append(args) or [])
+    monkeypatch.setattr(groups, "_triple_walk", lambda *args: walks.append(args) or [])
+    cats = [(s3_transporter(3), [30]), (poset_category(boolean_poset(4)), []),
+            (group_category(cyclic_group(200)), [1])]
+    sizes = _light_sizes(monkeypatch)
+    for c, expected in cats:
+        sizes.clear()
+        assert validate(category_to_json(c)).comp == c.comp
+        assert sizes == expected, sizes
+    assert walks == []
 
 
 def non_ei_raw():

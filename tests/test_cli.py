@@ -556,20 +556,32 @@ def test_unwritable_out_is_usage_error(case, chain_file, tmp_path, capsys):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("case", ["discrete_4000_oracle", "z200_classify"])
+@pytest.mark.parametrize("case", ["discrete_4000_oracle", "discrete_4000_explain",
+                                  "z200_classify", "z400_validate", "z400_group"])
 def test_front_end_targets_hold_within_five_times_their_bound(case, tmp_path):
-    """A 4000-object discrete category is refused by `--limit`, and the group
-    category of Z_200 is classified in char 2, each in under 5 s (5x the 1 s
-    targets), CLI start-up included."""
-    if case == "discrete_4000_oracle":
+    """A 4000-object discrete category is refused by `--limit` and explained
+    by `classify --explain`, the group category of Z_200 is classified in
+    char 2, and that of Z_400 validated, each in under 5 s (5x the 1 s
+    targets), CLI start-up included; and `cyclic_group(400)` is built,
+    `GroupTable.validate` included, in under 5 s in-process."""
+    if case == "z400_group":
+        start = time.perf_counter()
+        assert cyclic_group(400).order == 400
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5, elapsed
+        return
+    if case.startswith("discrete_4000"):
         objects = [f"o{i}" for i in range(4000)]
         raw = {"objects": objects, "composition": [],
                "morphisms": [{"id": f"1_{x}", "src": x, "dst": x, "identity": True}
                              for x in objects]}
-        argv, code, err = ["oracle", "cat.json"], 1, "DimensionLimitExceeded: "
+        argv, code, err = (["oracle", "cat.json"], 1, "DimensionLimitExceeded: ") \
+            if case == "discrete_4000_oracle" else (["classify", "cat.json", "--explain"], 0, "")
     else:
-        raw = category_to_json(group_category(cyclic_group(200)))
-        argv, code, err = ["classify", "cat.json", "--char", "2"], 0, ""
+        n = 200 if case == "z200_classify" else 400
+        raw = category_to_json(group_category(cyclic_group(n)))
+        argv = ["classify", "cat.json", "--char", "2"] if n == 200 else ["validate", "cat.json"]
+        code, err = 0, ""
     (tmp_path / "cat.json").write_text(json.dumps(raw))
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     start = time.perf_counter()

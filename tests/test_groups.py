@@ -1,6 +1,7 @@
 import pytest
 from modules import ModuleRep
 
+import eicat.groups as groups
 from eicat.algebra import group_algebra
 from eicat.category import presentation_of
 from eicat.groups import (
@@ -36,6 +37,61 @@ def test_group_validation_catches_broken_tables():
     table = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "g"}
     with pytest.raises(GroupError):
         GroupTable(["e", "g"], table, "e").validate()  # g has no inverse
+
+
+def _reference_group_errors(g):
+    """The GroupError message of the walk over every triple, or None: the
+    reference for Light's test in `GroupTable.validate`, on a table with
+    every product present."""
+    elems, table, e = g.elements, g.table, g.identity
+    errs = [f"identity law fails at {x!r}" for x in elems
+            if table[(e, x)] != x or table[(x, e)] != x]
+    for x in elems:
+        for y in elems:
+            for z in elems:
+                if table[(table[(x, y)], z)] != table[(x, table[(y, z)])]:
+                    errs.append(f"associativity fails at ({x!r},{y!r},{z!r})")
+                    break
+    errs += [f"no two-sided inverse for {x!r}" for x in elems
+             if not any(table[(x, y)] == e == table[(y, x)] for y in elems)]
+    return "; ".join(errs) or None
+
+
+@pytest.mark.parametrize("name", ["z6", "s3", "z12"])
+def test_light_test_reports_what_the_triple_walk_reports_on_group_tables(name):
+    """Every table with one product of Z_6, S3 or Z_12 changed to another
+    element gets the message of the walk over every triple."""
+    g = {"z6": lambda: cyclic_group(6), "s3": symmetric_group_3,
+         "z12": lambda: cyclic_group(12)}[name]()
+    rejected = 0
+    for pair in g.table:
+        for other in g.elements:
+            if other == g.table[pair]:
+                continue
+            bad = GroupTable(list(g.elements), {**g.table, pair: other}, g.identity)
+            try:
+                bad.validate()
+                message = None
+            except GroupError as exc:
+                message = str(exc)
+            assert message == _reference_group_errors(bad), (pair, other)
+            rejected += message is not None
+    assert rejected == len(g.table) * (g.order - 1)
+
+
+def test_light_generators_close_on_the_right_only():
+    """In the table with a*a = b, b*a = b and a*b = c, the right-normed
+    closure of {a} is {e, a, b}, so c joins S; a closure that also took the
+    products s*v would hold c = a*b and stop at S = [a].  Both closures are
+    sound (the lemma needs no associativity); this pins the documented one.
+    The table is not associative: (a*a)*a = b, a*(a*a) = c."""
+    elems = ["e", "a", "b", "c"]
+    rows = {x: {y: y if x == "e" else x if y == "e" else "e" for y in elems} for x in elems}
+    rows["a"]["a"], rows["b"]["a"], rows["a"]["b"] = "b", "b", "c"
+    ends = dict.fromkeys(elems, (None, None))
+    others = {None: elems[1:]}
+    assert groups.light_generators(rows, ends, elems[1:], ["e"]) == ["a", "c"]
+    assert not groups.light_associative(rows, ends, elems[1:], ["e"], others, others)
 
 
 def test_group_json_roundtrip_rejects_unknown_keys():

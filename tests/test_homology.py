@@ -951,6 +951,30 @@ def test_ext_on_unfinished_sides_equals_the_reference_by_coords():
     assert unfinished == 46 + 4, unfinished  # the corpus, then S3 in chars 2/3
 
 
+@pytest.mark.parametrize("label", ["s3_le2@2", "s3_le2@3"])
+def test_ext_lifts_and_multiplies_only_nonzero_segments(label, monkeypatch):
+    """Ext into A lifts, checks and multiplies an image only in the blocks
+    where it has a segment: on the unfinished sides of the S3 <= 2 skeleton
+    in chars 2 and 3, no lift handed to `int_products` is zero, and the
+    dimensions equal the reference by coordinates."""
+    a = _s3_le2(int(label.split("@")[1]))
+    for b in (a, opposite(a)):
+        trace = homology._top_resolution(b, CAP + 2)
+        homology._principal_data(b), homology._hom_spaces(b, b)
+        lifts = []
+        int_products = FiniteDimAlgebra.int_products
+
+        def counted(c, us, vs, modulus=None):
+            lifts.extend(w for w, _ in us)
+            return int_products(c, us, vs, modulus)
+
+        monkeypatch.setattr(FiniteDimAlgebra, "int_products", counted)
+        dims = ext_dims_from_trace(b, trace, b, CAP + 1)
+        monkeypatch.undo()
+        assert not trace.finished and lifts and all(lifts), label
+        assert dims == _ext_dims_by_coords(b, trace, b, CAP + 1), label
+
+
 def test_a_left_right_mismatch_raises_zaks_violation(monkeypatch):
     """The two sides are read independently and compared: a finished right
     side whose length reads 2 against a left id of 1 (chain_3), and an
