@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Print the homological verdicts for the hand-picked named instances.
 
-These are the numbers frozen into the test suite; rerun this script after
-touching the resolution or Ext code to confirm nothing drifted."""
+These are the numbers frozen into the test suite (`tests/golden_oracle.json`,
+checked line by line in `tests/test_scripts.py`); rerun this script after
+touching the resolution or Ext code to confirm nothing drifted.  Each
+algebra goes through the CLI's oracle pipeline (`cli._run_oracle`), which
+validates it first."""
 
 import os
 import sys
@@ -11,6 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from eicat.algebra import algebra_from_category, group_algebra
 from eicat.category import presentation_of
+from eicat.cli import _run_oracle
 from eicat.families import (
     chain_poset,
     diamond_poset,
@@ -19,7 +23,6 @@ from eicat.families import (
     stabilized_alpha_category,
 )
 from eicat.groups import cyclic_group
-from eicat.homology import global_dimension, is_gorenstein_oracle
 from eicat.linalg import Field
 
 CAP = 8
@@ -42,8 +45,7 @@ CASES = [
 def main():
     for label, build in CASES:
         a = build()
-        v = is_gorenstein_oracle(a, CAP)
-        g = global_dimension(a, CAP)
+        v, g = _run_oracle(a, CAP)
         print(f"{label:28s} dim={a.dim:2d}  id_left={v.left.value!s:3}  "
               f"id_right={v.right.value!s:3}  gldim={g.value!s:3}  "
               f"gorenstein={v.gorenstein}")

@@ -1,6 +1,6 @@
-"""Finite groups as Cayley tables, group actions, projectivity of
-permutation modules via the stabilizer-order criterion, and Light's
-associativity test, which category validation shares."""
+"""Finite groups as Cayley tables, group actions, the stabilizer orders of
+the morphisms of an EI category and the projectivity criterion on them, and
+Light's associativity test, which category validation shares."""
 
 from __future__ import annotations
 
@@ -10,10 +10,6 @@ from .linalg import Field
 
 
 class GroupError(Exception):
-    pass
-
-
-class UnknownElement(GroupError):
     pass
 
 
@@ -210,28 +206,6 @@ class GroupAction:
     def apply(self, g, x):
         return self.act[(g, x)]
 
-    def orbit(self, x):
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in self.group.elements:
-                z = self.act[(g, y)]
-                if z not in seen:
-                    seen.add(z)
-                    frontier.append(z)
-        return [y for y in self.set if y in seen]
-
-    def orbits(self):
-        out = []
-        seen = set()
-        for x in self.set:
-            if x not in seen:
-                orb = self.orbit(x)
-                seen.update(orb)
-                out.append(orb)
-        return out
-
     @classmethod
     def from_json(cls, obj):
         _check_keys(obj, {"group", "set", "act"}, "action")
@@ -245,12 +219,6 @@ class GroupAction:
             "set": list(self.set),
             "act": [[g, x, gx] for (g, x), gx in sorted(self.act.items())],
         }
-
-
-def stabilizer_order(a: GroupAction, x) -> int:
-    if x not in set(a.set):
-        raise UnknownElement(repr(x))
-    return sum(1 for g in a.group.elements if a.act[(g, x)] == x)
 
 
 def morphism_stabilizers(p, alpha):

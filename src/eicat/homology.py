@@ -10,24 +10,26 @@ spanned by the action of the generators of rad A mod rad² A alone
 A module is anything with `dim` and `int_products(us, vs)`, which returns
 [u.v for u in us for v in vs] for the sparse int rows (`Field.to_ints`: the
 nonzero entries only, reduced mod p in characteristic p) u of the algebra
-and v of the module.  Two things in the package provide it: the algebra
-itself, as its own regular module (`FiniteDimAlgebra.int_products`), and
-`top_module(a)`, A / rad A acted on by the product.  The tests' reference
+and v of the module.  Three things in the package provide it: the algebra
+itself, as its own regular module (`FiniteDimAlgebra.int_products`);
+`top_module(a)`, A / rad A acted on by the product; and each projective
+P_k = ⊕ A·f of a resolution, a `_Sum` of left ideals.  The tests' reference
 modules by action matrices (`tests/modules.py`) provide it too.  Vectors
 are int rows throughout, the one vector form of `Subspace` and the
-products.  A vector of a sum of principal projectives is cut into its
-blocks through a coordinate-to-block map (`_segments`), never sliced
-densely.  The idempotents are the int rows of `primitive_idempotents(a)`,
-memoised on the algebra with A·f and f·A (`_one_sided_ideals`): A·f is the
-left side's principal projective and the right side's Hom target, f·A the
-other way round, and the opposite algebra is seeded with them.  The covers
-of a `ResolutionTrace` are held as int views (`Matrix.from_int_columns`), and
+products.  A vector of a direct sum is cut into its parts (`_Sum.cut`),
+never sliced densely, and put back (`_Sum.put`) in one place, for the
+action, the minimality check and the Hom complex alike.  The idempotents
+are the int rows of `primitive_idempotents(a)`, memoised on the algebra
+with A·f and f·A (`_one_sided_ideals`): A·f is the left side's principal
+projective and the right side's Hom target, f·A the other way round, and
+the opposite algebra is seeded with them.  The covers of a
+`ResolutionTrace` are held as int views (`Matrix.from_int_columns`), and
 Fractions appear only where a cover is read, as `verify` composes them,
-and in the verdicts.  gldim and pd are
-the length of a resolution once it is checked (`_length_verdict`).  So is id
-on a side whose top resolution finishes, as gldim A = n < oo gives id = n
-(proved at `injective_dimension`); a side that does not finish reads id from
-Ext into the algebra.  The oracle builds no action matrix."""
+and in the verdicts.  gldim and pd are the length of a resolution once it
+is checked (`_length_verdict`).  So is id on a side whose top resolution
+finishes, as gldim A = n < oo gives id = n (proved at
+`injective_dimension`); a side that does not finish reads id from Ext into
+the algebra.  The oracle builds no action matrix."""
 
 from __future__ import annotations
 
@@ -98,18 +100,6 @@ def _principal_data(a: FiniteDimAlgebra):
     return out
 
 
-def _merge(parts):
-    """One int row from the int rows `parts`, whose entries lie at disjoint
-    indices: over the lcm of their denominators."""
-    if len(parts) == 1:
-        return parts[0]
-    den = lcm(*(d for _, d in parts))
-    row = {}
-    for w, d in parts:
-        row.update(w if d == den else {i: x * (den // d) for i, x in w.items()})
-    return row, den
-
-
 @dataclass
 class ResolutionTrace:
     """A projective resolution ... -> P_1 -> P_0 -> M -> 0 up to a cap.
@@ -160,20 +150,18 @@ class ResolutionTrace:
 
 
 def _check_minimal(a, trace):
-    """Raise unless each boundary lands in the radical: every column of
-    covers[i], i >= 1, cut into the blocks A·f of P_{i-1} and lifted to A,
-    lies in radical(a).  Degrees past a repeat are copies, so not walked.
-    Hom(P, top) then has zero differentials, and pd is the length.  The
-    columns are read from the int view of the cover."""
+    """Raise unless each boundary lands in the radical: each part in A of
+    each column of covers[i], i >= 1, cut along the summands A·f of P_{i-1}
+    (`_Sum.cut`), lies in radical(a).  Degrees past a repeat are copies,
+    so not walked.  Hom(P, top) then has zero differentials, and pd is the
+    length.  The columns are read from the int view of the cover."""
     data, rad = _principal_data(a), top_module(a).space.sub
     for i in range(1, trace.repeat[0] + 1 if trace.repeat else len(trace.covers)):
-        blocks = _stack([data[idx][1] for idx in trace.gens[i - 1]])
-        owner = _owner(blocks)
+        total = _Sum(a, [data[idx][1] for idx in trace.gens[i - 1]])
         columns, scale = trace.covers[i]._sparse_view()
         for nonzeros in columns:
-            for b, segment in _segments(owner, nonzeros).items():
-                if not rad.int_contains(blocks[b][0].int_from_coords((segment, scale))):
-                    raise AlgebraError(f"the boundary of degree {i} leaves the radical")
+            if not all(map(rad.int_contains, total.cut(nonzeros, scale).values())):
+                raise AlgebraError(f"the boundary of degree {i} leaves the radical")
 
 
 def _minimal_generators(a, n, vectors, act, data, semisimple=False):
@@ -210,61 +198,55 @@ def _minimal_generators(a, n, vectors, act, data, semisimple=False):
     return kept
 
 
-def _stack(subs):
-    """(sub, start, end) of each summand of the direct sum of the subspaces
-    `subs`, in their coordinates: ⊕ A·f_idx is that of the data[idx][1]."""
-    offsets = [0, *accumulate(sub.dim for sub in subs)]
-    return list(zip(subs, offsets, offsets[1:]))
+class _Sum:
+    """The direct sum of the subspaces `subs` of a module of a, in summand
+    coordinates: those of the rref basis of each summand in turn (`_owner`
+    gives the summand of each).  A vector of the sum is `cut` into its
+    parts, each lifted to the module, and parts are `put` back, read at
+    their summand's pivots (`_places`).  A sum of left ideals A·f is a
+    module like the algebra and the top (`int_products`)."""
 
+    def __init__(self, a, subs):
+        self.algebra, self.subs = a, subs
+        self._owner = [(b, j) for b, sub in enumerate(subs) for j in range(sub.dim)]
+        self.dim = len(self._owner)
+        starts = accumulate((sub.dim for sub in subs), initial=0)
+        self._places = [{c: lo + r for r, c in enumerate(sub.pivots)}
+                        for sub, lo in zip(subs, starts)]
 
-def _owner(blocks):
-    """Per coordinate of the sum of `blocks`: (its block, its coordinate there)."""
-    return [(b, j) for b, (sub, _, _) in enumerate(blocks) for j in range(sub.dim)]
+    def cut(self, entries, den):
+        """{summand: its part, lifted to an int row of the module} of the
+        vector of the sum with the nonzero (coordinate, value) `entries`
+        over `den`; a summand where the vector is zero is left out."""
+        owner, parts = self._owner, {}
+        for i, x in entries:
+            b, j = owner[i]
+            parts.setdefault(b, {})[j] = x
+        return {b: self.subs[b].int_from_coords((w, den)) for b, w in parts.items()}
 
+    def put(self, parts):
+        """The vector of the sum with the parts {summand: an int row of the
+        module in it}, each read at its summand's pivots, over the lcm of
+        their denominators; a single part keeps its own, and a zero one is
+        returned as it is."""
+        if len(parts) == 1:
+            ((b, (w, den)),) = parts.items()
+            place = self._places[b]
+            return ({place[c]: x for c, x in w.items() if c in place} if w else w), den
+        den, row = lcm(*(d for _, d in parts.values())), {}
+        for b, (w, d) in parts.items():
+            place, k = self._places[b], den // d
+            row.update({place[c]: x * k for c, x in w.items() if c in place})
+        return row, den
 
-def _places(blocks):
-    """Per block of the sum of `blocks`, where an element of its subspace,
-    read at its pivots, goes: {pivot c: its start + the place of c among them}."""
-    return [{c: lo + r for r, c in enumerate(sub.pivots)} for sub, lo, _ in blocks]
-
-
-def _segments(owner, entries):
-    """{block: the entries of its segment} for the (coordinate, value)
-    `entries` of a row of the sum, cut along `owner` (`_owner`); a block
-    where the row is zero is left out."""
-    out = {}
-    for i, x in entries:
-        b, j = owner[i]
-        out.setdefault(b, {})[j] = x
-    return out
-
-
-def _projective_action(a, data, idxs):
-    """act(us, vs) = [u.v for u in us for v in vs] on ⊕ A·f_idx over idxs, in
-    summand coordinates, on int rows: the nonzero segments of vs, each as an
-    element of A, go through one `FiniteDimAlgebra.int_products` call, and
-    each product is read back at the pivots of its left ideal A·f_idx, put
-    in place and merged (`_merge`); a zero segment stays zero."""
-    summands = _stack([data[idx][1] for idx in idxs])
-    owner, places = _owner(summands), _places(summands)
-
-    def act(us, vs):
-        lifted, cells = [], []  # the nonzero segments, and (j, block) of each
-        for j, (w, den) in enumerate(vs):
-            for b, segment in _segments(owner, w.items()).items():
-                lifted.append(summands[b][0].int_from_coords((segment, den)))
-                cells.append((j, b))
-        products = iter(a.int_products(us, lifted))
-        out = []
-        for _ in us:
-            placed = [[] for _ in vs]
-            for (j, b), (w, den) in zip(cells, products):
-                place = places[b]
-                placed[j].append(({place[c]: x for c, x in w.items() if c in place}, den))
-            out += [_merge(p) for p in placed]
-        return out
-
-    return act
+    def int_products(self, us, vs):
+        """[u.v for u in us for v in vs] on int rows, u in A and v in a sum
+        of left ideals A·f: the nonzero parts of vs go through one
+        `FiniteDimAlgebra.int_products` call and each product is put back in
+        its summand; a zero part stays zero, unmultiplied."""
+        parts = [self.cut(w.items(), den) for w, den in vs]
+        products = iter(self.algebra.int_products(us, [x for p in parts for x in p.values()]))
+        return [self.put(dict(zip(p, products))) for _ in us for p in parts]
 
 
 def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
@@ -274,9 +256,9 @@ def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
     of the spanning vectors, so the resolution is a function of its input.
 
     Ω^{k+1} is the rref basis of the kernel of the cover of degree k, inside
-    P_k = ⊕ A·f over gens[k] (`_projective_action`), so each cover of
-    degree k >= 1 is the boundary P_k -> P_{k-1}.  That basis and gens[k]
-    fix all that follows.  So when they equal those of an earlier degree i,
+    the module P_k = ⊕ A·f over gens[k] (`_Sum.int_products`), so each
+    cover of degree k >= 1 is the boundary P_k -> P_{k-1}.  That basis and
+    gens[k] fix all that follows.  So when they equal those of an earlier degree i,
     every degree after k repeats the one period = k - i before it: those are
     copied, and the trace records repeat = (k, period).  Only the states'
     keys are kept."""
@@ -307,7 +289,7 @@ def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
             repeat = (deg, deg - seen[key])
             break
         seen[key] = deg
-        act = _projective_action(a, data, gens[-1])
+        act = _Sum(a, [data[idx][1] for idx in gens[-1]]).int_products
     if repeat is not None:
         for deg in range(repeat[0] + 1, length + 1):
             for seq in (gens, covers, kernel_dims):
@@ -333,9 +315,13 @@ def ext_dims_from_trace(a, trace, m, cap):
     f·m, the span of f times the unit vectors of m.  When the trace
     repeats from degree k with some period, the differential
     Hom(P_i, m) -> Hom(P_{i+1}, m) for i >= k is the one `period` degrees
-    before it, so its rank is copied, not computed.  The image x in block l
-    of a generator f_p lies in f_p·A, as x = f_p.x, checked once per pair of
-    blocks; so each x.w lies in f_p·m and is read at the pivots of f_p·m."""
+    before it, so its rank is copied, not computed.  The image of the
+    generator f_p of P_{i+1} is cut along the summands of P_i (`_Sum.cut`).
+    Its part x in summand l lies in f_p·A, as x = f_p.x, checked once per
+    pair of summands; so each x.w, w in the basis of f_l·m, lies in f_p·m,
+    and column (l, w) is put in ⊕ f_p·m (`_Sum.put`).  An image with no
+    part in l gets no lift, no check and no product there, and a summand l
+    where no image has a part gives only zero columns, which are left out."""
     f, data = a.field, _principal_data(a)
     gens = list(trace.gens)
     if not trace.finished and len(gens) < cap + 2:
@@ -350,44 +336,29 @@ def ext_dims_from_trace(a, trace, m, cap):
     hom_dims = [sum(homs[idx].dim for idx in gens[i]) for i in range(cap + 2)]
     start, period = trace.repeat or (cap + 1, 0)
 
-    ranks = []
+    ranks, sources = [], _Sum(a, [data[idx][1] for idx in gens[0]])
     for i in range(cap + 1):
         if i >= start:  # d^i lies in the repeated tail
             ranks.append(ranks[i - period])
             continue
-        if not gens[i] or not gens[i + 1]:
-            ranks.append(0)
-            continue
-        boundary = trace.covers[i + 1]
-        # the image in P_i of the generator f of each block of P_{i+1}, cut
-        # into its segments in the blocks of P_i
-        blocks = _stack([data[idx][1] for idx in gens[i]])
-        owner = _owner(blocks)
+        targets, sources = sources, _Sum(a, [data[idx][1] for idx in gens[i + 1]])
         images = []
-        for idxp, (_, plo, _) in zip(gens[i + 1], _stack([data[idx][1] for idx in gens[i + 1]])):
-            gen, den = data[idxp][2]
-            v, den = boundary.int_mul_vec(({plo + r: x for r, x in gen.items()}, den))
-            images.append((_segments(owner, v.items()), den))
-        # column (l, w) of the differential, one segment per block of rows:
-        # the images lifted to A in block l, times the basis w of f_l·m
-        targets = _stack([homs[idxp] for idxp in gens[i + 1]])
-        places = _places(targets)
+        for p, idx in enumerate(gens[i + 1]):
+            v, den = trace.covers[i + 1].int_mul_vec(sources.put({p: data[idx][0]}))
+            images.append(targets.cut(v.items(), den))
+        homs_sum = _Sum(a, [homs[idx] for idx in gens[i + 1]])
         columns = []
-        for b, (idxl, (sub, _, _)) in enumerate(zip(gens[i], blocks)):
-            # an image with no segment in block b lifts to 0, whose products
-            # are 0: it needs no lift, no check and no product
-            hits = [(idxp, place, sub.int_from_coords((segments[b], den)))
-                    for idxp, place, (segments, den) in zip(gens[i + 1], places, images)
-                    if b in segments]
-            if not all(ideals[idxp].int_contains(x) for idxp, _, x in hits):
+        for l, idxl in enumerate(gens[i]):
+            hits = {p: parts[l] for p, parts in enumerate(images) if l in parts}
+            if not hits:
+                continue
+            if not all(ideals[gens[i + 1][p]].int_contains(x) for p, x in hits.items()):
                 raise AlgebraError("Hom differential leaves its block")
-            products = iter(m.int_products([x for _, _, x in hits], homs[idxl].int_basis))
-            block = [[] for _ in range(homs[idxl].dim)]
-            for _, place, _ in hits:
-                for placed, (w, den) in zip(block, products):
-                    placed.append(({place[c]: x for c, x in w.items() if c in place}, den))
-            columns += [_merge(placed) for placed in block]
-        ranks.append(Subspace(f, targets[-1][2], columns).dim)
+            basis = homs[idxl].int_basis
+            products = m.int_products(list(hits.values()), basis)
+            columns += [homs_sum.put(dict(zip(hits, products[t::len(basis)])))
+                        for t in range(len(basis))]
+        ranks.append(Subspace(f, homs_sum.dim, columns).dim)
 
     return [hom_dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cap + 1)]
 

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import accumulate
 
 import modules
@@ -210,8 +211,62 @@ def test_a_redundant_generator_is_caught_and_gives_no_verdict(monkeypatch):
 
 
 def _summands(data, idxs):
-    """(A·f_idx, start, end) of each summand of ⊕ A·f_idx over idxs."""
-    return homology._stack([data[idx][1] for idx in idxs])
+    """(A·f_idx, start, end) of each summand of ⊕ A·f_idx over idxs, in
+    summand coordinates: the rref basis of each A·f_idx in turn."""
+    ends = list(accumulate(data[idx][1].dim for idx in idxs))
+    return [(data[idx][1], end - data[idx][1].dim, end) for idx, end in zip(idxs, ends)]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_sum_cuts_puts_and_acts_in_summand_coordinates(char):
+    """`homology._Sum` on ⊕ A·f over the principal projectives of each
+    corpus(0) algebra, each taken twice, against a dense reference that
+    slices a row at the summand offsets: every part `cut` gives lies in its
+    summand and is the slice lifted to A, a zero slice giving no part; `put`
+    of the parts, also over unequal denominators, has the value of the row
+    (its int row may be rescaled);
+    and `int_products` equals the product of each u with each lift, put in
+    its summand by `Subspace.int_coords`."""
+    f = Field(char)
+    rng = random.Random(char)
+    for _, c in corpus(0):
+        a = cat_algebra(c, f)
+        data = homology._principal_data(a)
+        idxs = [*range(len(data))] * 2
+        total = homology._Sum(a, [data[idx][1] for idx in idxs])
+        summands = _summands(data, idxs)
+        assert total.dim == summands[-1][2]
+        rows = [f.to_ints([f.of(Fraction(rng.randint(-2, 2), rng.randint(1, 3) if not char else 1))
+                           if rng.random() < 0.3 else f.zero for _ in range(total.dim)])
+                for _ in range(6)] + [({}, 1)]
+        us = [e for e, _, _ in data] + unit_rows(a.dim)
+        products = iter(total.int_products(us, rows))
+        for w, den in rows:
+            value = f.from_ints((w, den), total.dim)
+            parts = total.cut(w.items(), den)
+            for b, (sub, lo, hi) in enumerate(summands):
+                if not any(value[lo:hi]):
+                    assert b not in parts
+                    continue
+                assert sub.int_contains(parts[b])
+                lift = f.from_ints(sub.int_from_coords(f.to_ints(value[lo:hi])), a.dim)
+                assert f.from_ints(parts[b], a.dim) == lift
+            assert f.from_ints(total.put(parts), total.dim) == value
+            if not char:  # parts over other denominators are put over their lcm
+                scaled = {b: ({i: x * (b + 1) for i, x in w.items()}, d * (b + 1))
+                          for b, (w, d) in parts.items()}
+                assert f.from_ints(total.put(scaled), total.dim) == value
+        for u in us:
+            for w, den in rows:
+                value = f.from_ints((w, den), total.dim)
+                product = [f.zero] * total.dim
+                for sub, lo, hi in summands:
+                    if any(value[lo:hi]):
+                        x = sub.int_from_coords(f.to_ints(value[lo:hi]))
+                        co = sub.int_coords(a.int_products([u], [x])[0])
+                        product[lo:hi] = f.from_ints(co, hi - lo)
+                assert f.from_ints(next(products), total.dim) == product
+        assert next(products, None) is None
 
 
 @pytest.mark.parametrize("char", [0, 3])
@@ -255,7 +310,7 @@ def test_minimality_check_reads_every_column(char):
         data = homology._principal_data(a)
         for i in range(1, len(trace.covers)):
             cover = trace.covers[i]
-            _, lo, hi = homology._stack([data[idx][1] for idx in trace.gens[i - 1]])[0]
+            _, lo, hi = _summands(data, trace.gens[i - 1])[0]
             outside = [f.zero] * cover.rows
             outside[lo:hi] = f.from_ints(data[trace.gens[i - 1][0]][2], hi - lo)
             for j in range(cover.cols):
@@ -883,7 +938,7 @@ def test_a_hom_image_outside_its_block_is_refused(char):
     cover = trace.covers[1]
     p = trace.gens[1][0]
     l, (_, lo, hi) = next((idx, block) for idx, block in
-                          zip(trace.gens[0], homology._stack([data[idx][1] for idx in trace.gens[0]])) if idx != p)
+                          zip(trace.gens[0], _summands(data, trace.gens[0])) if idx != p)
     outside = [f.zero] * cover.rows
     outside[lo:hi] = f.from_ints(data[l][2], hi - lo)
     gen = f.from_ints(data[p][2], data[p][1].dim)
@@ -912,11 +967,11 @@ def _ext_dims_by_coords(a, trace, m, cap):
         if gens[i] and gens[i + 1]:
             boundary = trace.covers[i + 1]
             images = []
-            for idx, (_, lo, hi) in zip(gens[i + 1], homology._stack([data[idx][1] for idx in gens[i + 1]])):
+            for idx, (_, lo, hi) in zip(gens[i + 1], _summands(data, gens[i + 1])):
                 x = [f.zero] * boundary.cols
                 x[lo:hi] = f.from_ints(data[idx][2], hi - lo)
                 images.append(f.to_ints(boundary.mul_vec(x)))
-            for idxl, (sub, lo, hi) in zip(gens[i], homology._stack([data[idx][1] for idx in gens[i]])):
+            for idxl, (sub, lo, hi) in zip(gens[i], _summands(data, gens[i])):
                 for w in homs[idxl].int_basis:
                     column = []
                     for idxp, (v, den) in zip(gens[i + 1], images):

@@ -1,6 +1,8 @@
 """The scripts find the package from their own location, so they run from
 any working directory."""
 
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +12,28 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+# the row of tests/golden_oracle.json that each line of named_goldens.py
+# reproduces; F2[Z/2] is the algebra of the one-object category group_z2
+NAMED_GOLDENS = [("chain_a3 / char 0", "chain_a3@0"), ("diamond / char 0", "diamond@0"),
+                 ("F2[Z/2]", "group_z2@2"), ("regular_orbit / char 2", "regular_orbit@2"),
+                 ("stabilized_alpha / char 2", "stabilized_alpha@2"),
+                 ("stabilized_alpha / char 3", "stabilized_alpha@3")]
+
+
 def _named_goldens_output(lines):
-    assert len(lines) == 6
-    assert lines[0].startswith("chain_a3 / char 0") and "gorenstein=True" in lines[0]
+    """Each line gives the verdicts of its row of the oracle goldens: id on
+    each side, gldim, and Gorenstein exactly when both ids are finite."""
+    golden = json.loads((SCRIPTS.parent / "tests" / "golden_oracle.json").read_text())
+    assert len(lines) == len(NAMED_GOLDENS)
+    for line, (label, key) in zip(lines, NAMED_GOLDENS):
+        assert line.startswith(label + " "), line
+        fields = dict(re.findall(r"(\w+)=\s*(\S+)", line[len(label):]))
+        row = golden[key]
+        assert fields["id_left"] == str(row["left"]), line
+        assert fields["id_right"] == str(row["right"]), line
+        assert fields["gldim"] == str(row["gldim"]), line
+        gorenstein = isinstance(row["left"], int) and isinstance(row["right"], int)
+        assert fields["gorenstein"] == str(gorenstein), line
 
 
 def _corpus_output(lines):
