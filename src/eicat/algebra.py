@@ -517,22 +517,13 @@ def _power_trace(a, b, q):
     Their Z-span is then a ring A~ with A~/pA~ = A, whose left
     multiplications L~ are int matrices with L~_x L~_y = L~_{xy}; so
     L~_b^q = L~_{b^q}, and tr(L~_y) = sum_k y_k tau_k is Z-linear in y,
-    with tau = `_trace_vector`.  b^q is taken by repeated squaring through
-    `int_products`, reduced mod p*q after each product, which the ring map
-    A~ -> A~/p*q A~ allows.  L~_b is an int lift of L_b, so by the lift
-    lemma of `_radical_mod_p` the value equals `_dense_trace`'s."""
+    with tau = `_trace_vector`.  b^q is taken by repeated squaring
+    (`_power`) through `int_products`, reduced mod p*q after each product,
+    which the ring map A~ -> A~/p*q A~ allows.  L~_b is an int lift of
+    L_b, so by the lift lemma of `_radical_mod_p` the value equals
+    `_dense_trace`'s."""
     modulus = a.field.characteristic * q
-
-    def mul(x, y):
-        return a.int_products([x], [y], modulus)[0]
-
-    power, base, e = None, b, q
-    while e:
-        if e & 1:
-            power = base if power is None else mul(power, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
+    power = _power(lambda x, y: a.int_products([x], [y], modulus)[0], b, q)
     tau = _trace_vector(a)
     return sum(x * tau[k] for k, x in power[0].items()) % modulus
 
@@ -549,19 +540,29 @@ def _has_non_nilpotent(a, rows):
     """Whether some x among the int rows `rows` has x^(2^j) != 0 for the
     first 2^j > dim A.  A nilpotent x has x^(dim A) = 0, so such an x proves
     that no ideal containing it is nilpotent: a cheap certificate, by
-    repeated squaring in lowest terms, that spares the full
+    repeated squaring in lowest terms (`_power`), that spares the full
     `_is_nilpotent_ideal` on most members of the chain that are not the
-    radical."""
-    p = a.field.characteristic
-    for x in rows:
-        e = 1
-        x = _lowest(p, x)
-        while e <= a.dim and x[0]:
-            x = _lowest(p, a.int_products([x], [x])[0])
-            e *= 2
-        if x[0]:
-            return True
-    return False
+    radical.  A power that reaches 0 stays 0 without another product."""
+    p, e = a.field.characteristic, 1 << a.dim.bit_length()
+
+    def mul(x, y):
+        return _lowest(p, a.int_products([x], [y])[0]) if x[0] else x
+
+    return any(_power(mul, _lowest(p, x), e)[0] for x in rows)
+
+
+def _power(mul, x, e):
+    """x^e for e >= 1 by square-and-multiply with the product `mul`.  The
+    order of the products does not change the value, as the powers of one
+    element of an associative ring commute."""
+    power = None
+    while True:
+        if e & 1:
+            power = x if power is None else mul(power, x)
+        e >>= 1
+        if not e:
+            return power
+        x = mul(x, x)
 
 
 def _p_power_trace(m, q, modulus):
@@ -572,14 +573,7 @@ def _p_power_trace(m, q, modulus):
     if q == 1:
         return sum(row.get(i, 0) for i, row in enumerate(m)) % modulus
     # tr(M^q) = tr(H K) with H = M^(q//2), K = M^(q - q//2): no last product
-    half = None
-    base, e = m, q // 2
-    while e:
-        if e & 1:
-            half = base if half is None else _int_matmul(half, base, modulus)
-        e >>= 1
-        if e:
-            base = _int_matmul(base, base, modulus)
+    half = _power(lambda x, y: _int_matmul(x, y, modulus), m, q // 2)
     other = half if q % 2 == 0 else _int_matmul(half, m, modulus)
     # tr(H K) = sum H[i][j] K[j][i], over the nonzero H[i][j] only
     return sum(x * other[j].get(i, 0) for i, hrow in enumerate(half)
@@ -740,16 +734,9 @@ def _squarefree_ints(c):
 
 
 def _poly_powmod(f, base, e, modulus):
-    """base^e mod `modulus`, by repeated squaring."""
-    result = [f.one]
-    base = _poly_divmod(f, base, modulus)[1]
-    while e:
-        if e & 1:
-            result = _poly_divmod(f, _poly_mul(f, result, base), modulus)[1]
-        e >>= 1
-        if e:
-            base = _poly_divmod(f, _poly_mul(f, base, base), modulus)[1]
-    return result
+    """base^e mod `modulus` for e >= 1, by repeated squaring (`_power`)."""
+    return _power(lambda x, y: _poly_divmod(f, _poly_mul(f, x, y), modulus)[1],
+                  _poly_divmod(f, base, modulus)[1], e)
 
 
 def _field_roots(f, poly):
@@ -868,16 +855,21 @@ def primitive_idempotents(a: FiniteDimAlgebra):
 
 @memoised
 def _one_sided_ideals(a):
-    """Per idempotent e of `primitive_idempotents(a)`: (e, A·e, e·A), the
-    left and the right ideal it generates, as Subspaces of A spanned by the
-    multiples of e by the basis (`_basis_multiples`).  A·e is the left
-    side's principal projective and, as e·A^op = Hom(A^op·e, A^op), the
-    right side's Hom target; e·A the other way round.  `opposite` seeds
-    them swapped."""
-    f = a.field
-    return [(e, Subspace(f, a.dim, _basis_multiples(a, e, "left")),
-             Subspace(f, a.dim, _basis_multiples(a, e, "right")))
-            for e in primitive_idempotents(a)]
+    """The oracle's one table of principal projectives: per idempotent e of
+    `primitive_idempotents(a)`, (e, A·e, e·A), the left and the right ideal
+    it generates, as Subspaces of A spanned by the multiples of e by the
+    basis (`_basis_multiples`), e checked to lie in both.  A·e is the left
+    side's principal projective and, as Hom(A·e, A) = e·A, its Hom target
+    into the algebra; on the right side the two swap, and `opposite` seeds
+    its table with each pair swapped, checked here for both sides."""
+    f, out = a.field, []
+    for e in primitive_idempotents(a):
+        left, right = (Subspace(f, a.dim, _basis_multiples(a, e, side))
+                       for side in ("left", "right"))
+        if not (left.int_contains(e) and right.int_contains(e)):
+            raise AlgebraError("idempotent outside its own principal module")
+        out.append((e, left, right))
+    return out
 
 
 def _unit_idempotent_seeds(a):

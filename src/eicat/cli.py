@@ -49,12 +49,11 @@ def _check_limit(dim: int, limit=None):
         raise DimensionLimitExceeded(f"algebra dimension {dim} exceeds limit {limit}")
 
 
-def _run_oracle(alg: FiniteDimAlgebra, cap: int, limit=None):
-    """(Gorenstein verdict, global dimension) of alg, checked, up to the cap;
-    an algebra of dimension above `limit` (None: no limit) is refused.  What
-    the oracle memoises on the algebra holds no reference back to it, so
-    it is freed with the algebra's last reference."""
-    _check_limit(alg.dim, limit)
+def _run_oracle(alg: FiniteDimAlgebra, cap: int):
+    """(Gorenstein verdict, global dimension) of alg, checked, up to the cap.
+    Its callers apply `--limit` before the table is built.  What the oracle
+    memoises on the algebra holds no reference back to it, so it is freed
+    with the algebra's last reference."""
     alg.validate()
     return is_gorenstein_oracle(alg, cap), global_dimension(alg, cap)
 
@@ -90,7 +89,7 @@ def compare(c, f: Field, cap: int, limit=None) -> Comparison:
     skeleton = report.presentation.category
     _check_limit(len(skeleton.morphisms), limit)
     alg = algebra_from_category(skeleton, f)
-    return Comparison(report, alg, *_run_oracle(alg, cap, limit))
+    return Comparison(report, alg, *_run_oracle(alg, cap))
 
 
 def sweep(items, chars, cap: int) -> dict:
@@ -210,7 +209,7 @@ def cmd_oracle(args):
         raw = {k: v for k, v in raw.items() if k != "mstar_dims"}
         if isinstance(raw["basis"], list):  # before from_json builds the d x d table
             _check_limit(len(raw["basis"]), args.limit)
-        verdict, gldim = _run_oracle(FiniteDimAlgebra.from_json(raw, f), args.cap, args.limit)
+        verdict, gldim = _run_oracle(FiniteDimAlgebra.from_json(raw, f), args.cap)
         extra = {}
     else:
         r = compare(validate(raw), f, args.cap, args.limit)

@@ -73,19 +73,16 @@ class Poset:
 
 
 def poset_category(p: Poset) -> FiniteCategory:
-    """Hom(x, y) a singleton iff x <= y; composition forced."""
-    morphisms = []
-    for x, y in sorted(p.leq, key=lambda t: (p.elements.index(t[0]), p.elements.index(t[1]))):
-        if x == y:
-            morphisms.append({"id": f"id_{x}", "src": x, "dst": x, "identity": True})
-        else:
-            morphisms.append({"id": f"{x}_to_{y}", "src": x, "dst": y})
-    name = {(x, y): (f"id_{x}" if x == y else f"{x}_to_{y}") for (x, y) in p.leq}
-    comp = []
-    for (x, y) in p.leq:
-        for (y2, z) in p.leq:
-            if y == y2 and x != y and y != z:
-                comp.append([name[(y, z)], name[(x, y)], name[(x, z)]])
+    """Hom(x, y) a singleton iff x <= y; composition forced.  Morphisms and
+    compositions follow the pairs x <= y in element order, never the order
+    of the set `p.leq`, which follows the string-hash seed."""
+    index = {x: i for i, x in enumerate(p.elements)}
+    pairs = sorted(p.leq, key=lambda t: (index[t[0]], index[t[1]]))
+    name = {(x, y): (f"id_{x}" if x == y else f"{x}_to_{y}") for x, y in pairs}
+    morphisms = [{"id": name[x, y], "src": x, "dst": y, **({"identity": True} if x == y else {})}
+                 for x, y in pairs]
+    comp = [[name[y, z], name[x, y], name[x, z]]
+            for x, y in pairs for y2, z in pairs if y == y2 and x != y and y != z]
     return validate({"objects": list(p.elements), "morphisms": morphisms,
                      "composition": comp})
 

@@ -2,7 +2,11 @@
 dimensions, self-injective and global dimension with explicit cap semantics.
 
 Resolutions cover by sums of principal projectives A·f over
-`primitive_idempotents(a)`.  A syzygy stays a subspace of its projective,
+`primitive_idempotents(a)`, read from one table, `_one_sided_ideals(a)`:
+(f, A·f, f·A) per idempotent f, memoised on the algebra.  A·f is the left
+side's principal projective and f·A = Hom(A·f, A) its Hom target into the
+algebra; the opposite algebra is seeded with each pair swapped, so its
+table gives the right side's.  A syzygy stays a subspace of its projective,
 acted on by the product of the algebra.  Its radical part rad(A)·Ω is
 spanned by the action of the generators of rad A mod rad² A alone
 (`_minimal_generators`).
@@ -18,11 +22,7 @@ modules by action matrices (`tests/modules.py`) provide it too.  Vectors
 are int rows throughout, the one vector form of `Subspace` and the
 products.  A vector of a direct sum is cut into its parts (`_Sum.cut`),
 never sliced densely, and put back (`_Sum.put`) in one place, for the
-action, the minimality check and the Hom complex alike.  The idempotents
-are the int rows of `primitive_idempotents(a)`, memoised on the algebra
-with A·f and f·A (`_one_sided_ideals`): A·f is the left side's principal
-projective and the right side's Hom target, f·A the other way round, and
-the opposite algebra is seeded with them.  The covers of a
+action, the minimality check and the Hom complex alike.  The covers of a
 `ResolutionTrace` are held as int views (`Matrix.from_int_columns`), and
 Fractions appear only where a cover is read, as `verify` composes them,
 and in the verdicts.  gldim and pd are the length of a resolution once it
@@ -86,20 +86,6 @@ class DimensionVerdict:
         return cls(n if n <= cap else ">%d" % cap, cap)
 
 
-@memoised
-def _principal_data(a: FiniteDimAlgebra):
-    """Per idempotent f of `primitive_idempotents`: (f, A·f as a Subspace
-    of A, from `_one_sided_ideals`, coordinates of the generator f itself in
-    it)."""
-    out = []
-    for e, sub, _ in _one_sided_ideals(a):
-        gen = sub.int_coords(e)
-        if gen is None:
-            raise AlgebraError("idempotent outside its own principal module")
-        out.append((e, sub, gen))
-    return out
-
-
 @dataclass
 class ResolutionTrace:
     """A projective resolution ... -> P_1 -> P_0 -> M -> 0 up to a cap.
@@ -152,12 +138,13 @@ class ResolutionTrace:
 def _check_minimal(a, trace):
     """Raise unless each boundary lands in the radical: each part in A of
     each column of covers[i], i >= 1, cut along the summands A·f of P_{i-1}
-    (`_Sum.cut`), lies in radical(a).  Degrees past a repeat are copies,
-    so not walked.  Hom(P, top) then has zero differentials, and pd is the
-    length.  The columns are read from the int view of the cover."""
-    data, rad = _principal_data(a), top_module(a).space.sub
+    (`_Sum.cut`), each A·f read from `_one_sided_ideals`, lies in
+    radical(a).  Degrees past a repeat are copies, so not walked.  Hom(P,
+    top) then has zero differentials, and pd is the length.  The columns are
+    read from the int view of the cover."""
+    ideals, rad = _one_sided_ideals(a), top_module(a).space.sub
     for i in range(1, trace.repeat[0] + 1 if trace.repeat else len(trace.covers)):
-        total = _Sum(a, [data[idx][1] for idx in trace.gens[i - 1]])
+        total = _Sum(a, [ideals[idx][1] for idx in trace.gens[i - 1]])
         columns, scale = trace.covers[i]._sparse_view()
         for nonzeros in columns:
             if not all(map(rad.int_contains, total.cut(nonzeros, scale).values())):
@@ -167,7 +154,8 @@ def _check_minimal(a, trace):
 def _minimal_generators(a, n, vectors, act, data, semisimple=False):
     """Generators g = f_idx.v of the module Ω spanned by `vectors`, int rows
     of k^n, as (idx, the cover columns w.g over the basis w of A·f_idx);
-    `act(us, vs)` is [u.v for u in us for v in vs].  Greedy over the
+    `act(us, vs)` is [u.v for u in us for v in vs], and `data` is the
+    table (f, A·f, f·A) of `_one_sided_ideals(a)`.  Greedy over the
     submodule generated so far, starting from J·Ω, J = rad A (from 0 when Ω
     is `semisimple`, as the top A/J is: J·(A/J) = 0, J being a two-sided
     ideal, which `radical` verifies), so no generator is redundant at the
@@ -251,9 +239,10 @@ class _Sum:
 
 def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
     """Projective resolution of the module m (the algebra, `top_module(a)`
-    or any other module; see the module docstring) by principal projectives,
-    computing P_0 .. P_length.  The generators are searched for in the order
-    of the spanning vectors, so the resolution is a function of its input.
+    or any other module; see the module docstring) by the principal
+    projectives A·f of `_one_sided_ideals`, computing P_0 .. P_length.  The
+    generators are searched for in the order of the spanning vectors, so the
+    resolution is a function of its input.
 
     Ω^{k+1} is the rref basis of the kernel of the cover of degree k, inside
     the module P_k = ⊕ A·f over gens[k] (`_Sum.int_products`), so each
@@ -262,7 +251,7 @@ def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
     every degree after k repeats the one period = k - i before it: those are
     copied, and the trace records repeat = (k, period).  Only the states'
     keys are kept."""
-    data = _principal_data(a)
+    data = _one_sided_ideals(a)
     n = m.dim
     vectors = unit_rows(n)
     act = m.int_products
@@ -312,17 +301,19 @@ def ext_dims_from_trace(a, trace, m, cap):
     """dim Ext^i(M, m) for i = 0..cap from a resolution of M through
     P_{cap+1}: P = 0 past the end of a finished trace, and a shorter
     unfinished one is extended by its repeat or refused.  Hom(A·f, m) is
-    f·m, the span of f times the unit vectors of m.  When the trace
-    repeats from degree k with some period, the differential
-    Hom(P_i, m) -> Hom(P_{i+1}, m) for i >= k is the one `period` degrees
-    before it, so its rank is copied, not computed.  The image of the
-    generator f_p of P_{i+1} is cut along the summands of P_i (`_Sum.cut`).
-    Its part x in summand l lies in f_p·A, as x = f_p.x, checked once per
-    pair of summands; so each x.w, w in the basis of f_l·m, lies in f_p·m,
-    and column (l, w) is put in ⊕ f_p·m (`_Sum.put`).  An image with no
-    part in l gets no lift, no check and no product there, and a summand l
-    where no image has a part gives only zero columns, which are left out."""
-    f, data = a.field, _principal_data(a)
+    f·m: for m the algebra, the f·A of `_one_sided_ideals`, the table that
+    also gives each A·f; for any other m, the span of f times the unit
+    vectors of m.  When the trace repeats from degree k with some period,
+    the differential Hom(P_i, m) -> Hom(P_{i+1}, m) for i >= k is the one
+    `period` degrees before it, so its rank is copied, not computed.  The
+    image of the generator f_p of P_{i+1} is cut along the summands of P_i
+    (`_Sum.cut`).  Its part x in summand l lies in f_p·A, as x = f_p.x,
+    checked once per pair of summands; so each x.w, w in the basis of
+    f_l·m, lies in f_p·m, and column (l, w) is put in ⊕ f_p·m
+    (`_Sum.put`).  An image with no part in l gets no lift, no check and no
+    product there, and a summand l where no image has a part gives only
+    zero columns, which are left out."""
+    f, data = a.field, _one_sided_ideals(a)
     gens = list(trace.gens)
     if not trace.finished and len(gens) < cap + 2:
         if trace.repeat is None:
@@ -331,8 +322,8 @@ def ext_dims_from_trace(a, trace, m, cap):
         while len(gens) < cap + 2:
             gens.append(gens[-trace.repeat[1]])
     gens += [[] for _ in range(cap + 2 - len(gens))]
-    ideals = _hom_spaces(a, a)  # f·A, also Hom(A·f, m) for m = a
-    homs = ideals if m is a else _hom_spaces(a, m)
+    homs = [right if m is a else Subspace(f, m.dim, m.int_products([e], unit_rows(m.dim)))
+            for e, _, right in data]
     hom_dims = [sum(homs[idx].dim for idx in gens[i]) for i in range(cap + 2)]
     start, period = trace.repeat or (cap + 1, 0)
 
@@ -352,7 +343,7 @@ def ext_dims_from_trace(a, trace, m, cap):
             hits = {p: parts[l] for p, parts in enumerate(images) if l in parts}
             if not hits:
                 continue
-            if not all(ideals[gens[i + 1][p]].int_contains(x) for p, x in hits.items()):
+            if not all(data[gens[i + 1][p]][2].int_contains(x) for p, x in hits.items()):
                 raise AlgebraError("Hom differential leaves its block")
             basis = homs[idxl].int_basis
             products = m.int_products(list(hits.values()), basis)
@@ -361,17 +352,6 @@ def ext_dims_from_trace(a, trace, m, cap):
         ranks.append(Subspace(f, homs_sum.dim, columns).dim)
 
     return [hom_dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cap + 1)]
-
-
-def _hom_spaces(a, m):
-    """Hom(A·f, m) = f·m for each idempotent f: for m = a the f·A of
-    `_one_sided_ideals` (on an opposite, the A·f seeded from its algebra),
-    else the span of f times the unit vectors of m."""
-    if m is a:
-        return [right for _, _, right in _one_sided_ideals(a)]
-    units = unit_rows(m.dim)
-    return [Subspace(a.field, m.dim, m.int_products([e], units))
-            for e, _, _ in _one_sided_ideals(a)]
 
 
 @memoised
@@ -440,10 +420,6 @@ class GorensteinVerdict:
     left: DimensionVerdict
     right: DimensionVerdict
     cap: int
-
-    def to_json(self):
-        return {"gorenstein": self.gorenstein, "left": self.left.to_json(),
-                "right": self.right.to_json(), "cap": self.cap}
 
 
 def is_gorenstein_oracle(a: FiniteDimAlgebra, cap: int) -> GorensteinVerdict:

@@ -327,6 +327,30 @@ def test_memo_returns_the_same_object_and_opposite_reuses_the_radical():
     assert top_module(op).space is not top_module(a).space
 
 
+def test_the_table_of_principal_projectives_holds_each_idempotent():
+    """`_one_sided_ideals` checks that each idempotent f lies in its own
+    A·f and in f·A, the principal module of the opposite, whose table is
+    seeded from it.  On tables whose unit law fails: with the zero product
+    the one basis element given as an idempotent has A·f = 0; with u.u = 0,
+    x.u = u and every other product 0, A·u holds u but u·A = 0.  Both are
+    refused, on the algebra and on its opposite."""
+    message = "idempotent outside its own principal module"
+    zero = FiniteDimAlgebra(QQ, ["x"], [[[]]], [QQ.one])
+    one_sided = FiniteDimAlgebra(QQ, ["u", "x"], [[[], []], [[(0, QQ.one)], []]],
+                                 [QQ.one, QQ.zero])
+    for a in (zero, one_sided):
+        a._memo[("primitive_idempotents",)] = [({0: 1}, 1)]
+        with pytest.raises(AlgebraError, match=message):
+            algebra._one_sided_ideals(a)
+        with pytest.raises(AlgebraError, match=message):
+            opposite(a)
+    left = Subspace(QQ, 2, algebra._basis_multiples(one_sided, ({0: 1}, 1), "left"))
+    assert left.int_contains(({0: 1}, 1))
+    b = chain_algebra(QQ)
+    assert all(left.int_contains(e) and right.int_contains(e)
+               for e, left, right in algebra._one_sided_ideals(b))
+
+
 def test_json_roundtrip_with_fractional_scalars():
     f = QQ
     half = Fraction(1, 2)
@@ -832,6 +856,20 @@ def test_p_power_trace_matches_unbounded_powers():
                 expect = sum(power[i][i] for i in range(n)) % (p * q)
                 rows = [{j: x for j, x in enumerate(row) if x} for row in m]
                 assert _p_power_trace(rows, q, p * q) == expect, (p, q, n)
+
+
+def test_power_squares_and_multiplies():
+    """`algebra._power` gives x^e for every e >= 1 with e.bit_length() - 1
+    squarings and one product per further set bit of e."""
+    for e in range(1, 70):
+        calls = []
+
+        def mul(x, y):
+            calls.append((x, y))
+            return x * y
+
+        assert algebra._power(mul, 3, e) == 3 ** e
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
 
 
 def _assert_each_level_on_a_basis_and_verified_once(monkeypatch, a, rad_dim, dense):

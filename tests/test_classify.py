@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import eicat
 from eicat.category import NotEI, category_to_json, validate
 from eicat.classify import classify, explain, gorenstein_bound
 from eicat.families import (
@@ -194,3 +200,35 @@ def test_explain_contents():
     out2 = explain(stabilized_alpha_category(), Field(2))
     assert out2["stabilizer_orders"]["alpha"] == {"left": 1, "right": 2}
     assert out2["mstar_ledger"] == {}  # hypothesis fails, no ledger
+
+
+_CORPUS_DIGEST = """
+import hashlib, json
+from eicat.classify import classify, explain
+from eicat.families import corpus
+from eicat.linalg import Field
+rows = []
+for name, c in corpus(0):
+    for ch in (0, 2):
+        report = classify(c, Field(ch))
+        rows.append([name, ch, report.to_json(), explain(c, Field(ch), report=report)])
+print(hashlib.sha256(json.dumps(rows).encode()).hexdigest())
+"""
+
+
+def test_classify_witnesses_do_not_depend_on_the_hash_seed():
+    """In-process `classify` and `explain` of the corpus(0) categories in
+    chars 0 and 2 give the same JSON, witnesses and list order included,
+    under the string-hash seeds 0 and 4: `poset_category` builds its
+    morphisms and compositions in element order, not in the order of a set
+    of strings (the diamond's counterexample listed y1 or y2 first by
+    seed)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(eicat.__file__).resolve().parents[1])}
+    digests = []
+    for seed in ("0", "4"):
+        run = subprocess.run([sys.executable, "-c", _CORPUS_DIGEST],
+                             env={**env, "PYTHONHASHSEED": seed},
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1], digests

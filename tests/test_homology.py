@@ -231,7 +231,7 @@ def test_sum_cuts_puts_and_acts_in_summand_coordinates(char):
     rng = random.Random(char)
     for _, c in corpus(0):
         a = cat_algebra(c, f)
-        data = homology._principal_data(a)
+        data = algebra._one_sided_ideals(a)
         idxs = [*range(len(data))] * 2
         total = homology._Sum(a, [data[idx][1] for idx in idxs])
         summands = _summands(data, idxs)
@@ -307,12 +307,12 @@ def test_minimality_check_reads_every_column(char):
         a = cat_algebra(c, f)
         trace = projective_resolution(a, top_module(a), CAP + 2)
         assert trace.finished and homology._check_minimal(a, trace) is None
-        data = homology._principal_data(a)
+        data = algebra._one_sided_ideals(a)
         for i in range(1, len(trace.covers)):
             cover = trace.covers[i]
-            _, lo, hi = _summands(data, trace.gens[i - 1])[0]
+            sub, lo, hi = _summands(data, trace.gens[i - 1])[0]
             outside = [f.zero] * cover.rows
-            outside[lo:hi] = f.from_ints(data[trace.gens[i - 1][0]][2], hi - lo)
+            outside[lo:hi] = f.from_ints(sub.int_coords(data[trace.gens[i - 1][0]][0]), hi - lo)
             for j in range(cover.cols):
                 columns = [cover.column(k) for k in range(cover.cols)]
                 columns[j] = outside
@@ -533,7 +533,7 @@ def _reference_resolution(a, m, length):
     (`submodule`) from the block-diagonal sum of the principal projectives,
     and each boundary its cover composed with the inclusion of the syzygy.
     What `projective_resolution` must reproduce."""
-    data = homology._principal_data(a)
+    data = algebra._one_sided_ideals(a)
     principal = [submodule(regular_module(a), sub.basis)[0] for _, sub, _ in data]
     current, incl = m, None
     gens, covers, kernel_dims = [], [], []
@@ -656,7 +656,7 @@ def test_resolution_builds_no_module(monkeypatch):
     memoised, a resolution constructs no ModuleRep and no action matrix."""
     a = _s3_le2(2)
     top = top_module(a)
-    homology._principal_data(a)
+    algebra._one_sided_ideals(a)
     built = _count_module_builds(monkeypatch)
     tr = projective_resolution(a, top, CAP + 1)
     assert tr.repeat == (4, 1) and built == []
@@ -724,9 +724,11 @@ def test_each_one_sided_ideal_is_built_once_from_nonzero_multiples(label, monkey
     direct._memo[("primitive_idempotents",)] = primitive_idempotents(a)
     assert [(e, _span(left), _span(right)) for e, left, right in algebra._one_sided_ideals(direct)] \
         == [(e, _span(left), _span(right)) for e, left, right in algebra._one_sided_ideals(b)]
-    if unfinished:
-        assert homology._hom_spaces(a, a) == [right for _, _, right in ideals]
-        assert homology._hom_spaces(b, b) == [left for _, left, _ in ideals]
+    if unfinished:  # the Hom targets into A, f·A, are the span of f times A's unit rows
+        for c in (a, b):
+            assert [_span(right) for _, _, right in algebra._one_sided_ideals(c)] == \
+                [_span(Subspace(c.field, c.dim, c.int_products([e], unit_rows(c.dim))))
+                 for e, _, _ in algebra._one_sided_ideals(c)]
 
 
 def test_the_oracle_builds_no_module(monkeypatch):
@@ -934,14 +936,14 @@ def test_a_hom_image_outside_its_block_is_refused(char):
     f = Field(char)
     a = cat_algebra(poset_category(chain_poset(3)), f)
     trace = projective_resolution(a, top_module(a), CAP + 2)
-    data = homology._principal_data(a)
+    data = algebra._one_sided_ideals(a)
     cover = trace.covers[1]
     p = trace.gens[1][0]
     l, (_, lo, hi) = next((idx, block) for idx, block in
                           zip(trace.gens[0], _summands(data, trace.gens[0])) if idx != p)
     outside = [f.zero] * cover.rows
-    outside[lo:hi] = f.from_ints(data[l][2], hi - lo)
-    gen = f.from_ints(data[p][2], data[p][1].dim)
+    outside[lo:hi] = f.from_ints(data[l][1].int_coords(data[l][0]), hi - lo)
+    gen = f.from_ints(data[p][1].int_coords(data[p][0]), data[p][1].dim)
     first = next(k for k, x in enumerate(gen) if x)  # the columns of block p come first
     columns = [outside if k == first else [f.zero] * cover.rows
                if k < len(gen) else cover.column(k) for k in range(cover.cols)]
@@ -957,8 +959,9 @@ def _ext_dims_by_coords(a, trace, m, cap):
     every differential computed, none copied; the image of each generator
     by the field-form `Matrix.mul_vec`, and each product x.w put in f_p·m by
     `Subspace.int_coords`."""
-    f, data = a.field, homology._principal_data(a)
-    homs = homology._hom_spaces(a, m)
+    f, data = a.field, algebra._one_sided_ideals(a)
+    homs = [right if m is a else Subspace(f, m.dim, m.int_products([e], unit_rows(m.dim)))
+            for e, _, right in data]
     gens = trace.gens + [[] for _ in range(cap + 2 - len(trace.gens))]
     dims = [sum(homs[idx].dim for idx in g) for g in gens]
     ranks = []
@@ -969,7 +972,7 @@ def _ext_dims_by_coords(a, trace, m, cap):
             images = []
             for idx, (_, lo, hi) in zip(gens[i + 1], _summands(data, gens[i + 1])):
                 x = [f.zero] * boundary.cols
-                x[lo:hi] = f.from_ints(data[idx][2], hi - lo)
+                x[lo:hi] = f.from_ints(data[idx][1].int_coords(data[idx][0]), hi - lo)
                 images.append(f.to_ints(boundary.mul_vec(x)))
             for idxl, (sub, lo, hi) in zip(gens[i], _summands(data, gens[i])):
                 for w in homs[idxl].int_basis:
@@ -1015,7 +1018,7 @@ def test_ext_lifts_and_multiplies_only_nonzero_segments(label, monkeypatch):
     a = _s3_le2(int(label.split("@")[1]))
     for b in (a, opposite(a)):
         trace = homology._top_resolution(b, CAP + 2)
-        homology._principal_data(b), homology._hom_spaces(b, b)
+        algebra._one_sided_ideals(b)
         lifts = []
         int_products = FiniteDimAlgebra.int_products
 
