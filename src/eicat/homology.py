@@ -7,9 +7,9 @@ Resolutions cover by sums of principal projectives A·f over
 side's principal projective and f·A = Hom(A·f, A) its Hom target into the
 algebra; the opposite algebra is seeded with each pair swapped, so its
 table gives the right side's.  A syzygy stays a subspace of its projective,
-acted on by the product of the algebra.  Its radical part rad(A)·Ω is
-spanned by the action of the generators of rad A mod rad² A alone
-(`_minimal_generators`).
+acted on through the action tables of its summands.  Its radical part
+rad(A)·Ω is spanned by the action of the generators of rad A mod rad² A
+alone (`_minimal_generators`).
 
 A module is anything with `dim` and `int_products(us, vs)`, which returns
 [u.v for u in us for v in vs] for the sparse int rows (`Field.to_ints`: the
@@ -17,37 +17,42 @@ nonzero entries only, reduced mod p in characteristic p) u of the algebra
 and v of the module.  Three things in the package provide it: the algebra
 itself, as its own regular module (`FiniteDimAlgebra.int_products`);
 `top_module(a)`, A / rad A acted on by the product; and each projective
-P_k = ⊕ A·f of a resolution, a `_Sum` of left ideals.  The tests' reference
-modules by action matrices (`tests/modules.py`) provide it too.  Vectors
-are int rows throughout, the one vector form of `Subspace` and the
-products.  A vector of a direct sum is cut into its parts (`_Sum.cut`),
-never sliced densely, and put back (`_Sum.put`) in one place, for the
-action, the minimality check and the Hom complex alike.  The covers of a
+P_k = ⊕ A·f of a resolution, a `_Sum`.  The tests' reference modules by
+action matrices (`tests/modules.py`) provide it too.  Vectors are int rows
+throughout, the one vector form of `Subspace` and the products.  A vector
+of P_k stays in summand coordinates, those of the rref basis b_r of each
+A·f: each A·f has one memoised coordinate action table (`_projectives`),
+e_t·b_r as a combination of the b_s, so the action, the minimality check
+and the Hom complex never lift a part of a vector to A.  The covers of a
 `ResolutionTrace` are held as int views (`Matrix.from_int_columns`), and
 Fractions appear only where a cover is read, as `verify` composes them,
 and in the verdicts.  gldim and pd are the length of a resolution once it
 is checked (`_length_verdict`).  So is id on a side whose top resolution
 finishes, as gldim A = n < oo gives id = n (proved at
 `injective_dimension`); a side that does not finish reads id from Ext into
-the algebra.  The oracle builds no action matrix."""
+the algebra.  The oracle builds no module by action matrices; its only
+tables are those of the A·f."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraError,
     FiniteDimAlgebra,
     TopModule,
+    _cells,
+    _lowest,
     _one_sided_ideals,
     _radical_generators,
     memoised,
     opposite,
     top_module,
 )
-from .linalg import Matrix, Subspace, unit_rows
+from .linalg import Matrix, Subspace, _nonzero, unit_rows
 
 
 class ZaksViolation(AlgebraError):
@@ -136,18 +141,23 @@ class ResolutionTrace:
 
 
 def _check_minimal(a, trace):
-    """Raise unless each boundary lands in the radical: each part in A of
-    each column of covers[i], i >= 1, cut along the summands A·f of P_{i-1}
-    (`_Sum.cut`), each A·f read from `_one_sided_ideals`, lies in
-    radical(a).  Degrees past a repeat are copies, so not walked.  Hom(P,
-    top) then has zero differentials, and pd is the length.  The columns are
-    read from the int view of the cover."""
-    ideals, rad = _one_sided_ideals(a), top_module(a).space.sub
+    """Raise unless each boundary lands in the radical: each column of
+    covers[i], i >= 1, read from its int view, has each part sum c_r·b_r in
+    a summand A·f of P_{i-1} inside radical(a), that is sum c_r·proj(b_r)
+    = 0 in the top, with proj(b_r) memoised per idempotent
+    (`_projectives`).  Degrees past a repeat are copies, so not walked.
+    Hom(P, top) then has zero differentials, and pd is the length."""
+    p = a.field.characteristic
     for i in range(1, trace.repeat[0] + 1 if trace.repeat else len(trace.covers)):
-        total = _Sum(a, [ideals[idx][1] for idx in trace.gens[i - 1]])
-        columns, scale = trace.covers[i]._sparse_view()
-        for nonzeros in columns:
-            if not all(map(rad.int_contains, total.cut(nonzeros, scale).values())):
+        total = _Sum(a, trace.gens[i - 1])
+        columns, _ = trace.covers[i]._sparse_view()
+        for column in columns:
+            acc = {}
+            for j, x in column:
+                b, r = total.owner[j]
+                for t, y in total.blocks[b].tops.get(r, {}).items():
+                    acc[b, t] = acc.get((b, t), 0) + x * y
+            if _nonzero(p, acc):
                 raise AlgebraError(f"the boundary of degree {i} leaves the radical")
 
 
@@ -186,55 +196,102 @@ def _minimal_generators(a, n, vectors, act, data, semisimple=False):
     return kept
 
 
+class _Projective(NamedTuple):
+    """A·f in the coordinates of its rref basis b_0, b_1, ... (`_projectives`)."""
+
+    rows: list  # rows[r]: {t: [(s, c)]}, e_t·b_r = sum c·b_s / den, for e_t·b_r != 0
+    den: int
+    gen: tuple  # f itself, as an int row of these coordinates
+    tops: dict  # {r: q}: the b_r outside the radical, proj(b_r) = q over one denominator
+
+
+@memoised
+def _projectives(a):
+    """Per idempotent f of `_one_sided_ideals(a)`, its principal projective
+    A·f in summand coordinates (`_Projective`).  The action table is built
+    from the nonempty cells of the table of A (`_cells`): e_t·b_r lies in
+    the left ideal A·f, so its coordinates are its entries at A·f's pivots,
+    and only those are read.  For a basis idempotent, such as an identity
+    with a trivial Aut(x), the b_r are unit rows and the table is an index
+    map.  proj(b_r) is the class of b_r in the top, `int_project`.  The
+    opposite builds its own, from its own table, and nothing here refers
+    back to the algebra."""
+    p = a.field.characteristic
+    scale, _ = a._int_mult()
+    _, by_column = _cells(a)
+    top = top_module(a).space
+    out = []
+    for e, left, _ in _one_sided_ideals(a):
+        basis, place = left.int_basis, {c: s for s, c in enumerate(left.pivots)}
+        den = lcm(*(d for _, d in basis))
+        rows = []
+        for w, d in basis:
+            acc, row = {}, {}  # acc: (t, s) -> c
+            for j, x in w.items():
+                x *= den // d
+                for t, pairs in by_column[j]:
+                    for k, c in pairs:
+                        if (s := place.get(k)) is not None:
+                            acc[t, s] = acc.get((t, s), 0) + x * c
+            for (t, s), c in _nonzero(p, acc).items():
+                row.setdefault(t, []).append((s, c))
+            rows.append(row)
+        classes = [top.int_project(b) for b in basis]
+        k = lcm(*(d for _, d in classes))
+        tops = {r: {i: x * (k // d) for i, x in q.items()} for r, (q, d) in enumerate(classes) if q}
+        out.append(_Projective(rows, den * scale, left.int_coords(e), tops))
+    return out
+
+
 class _Sum:
-    """The direct sum of the subspaces `subs` of a module of a, in summand
-    coordinates: those of the rref basis of each summand in turn (`_owner`
-    gives the summand of each).  A vector of the sum is `cut` into its
-    parts, each lifted to the module, and parts are `put` back, read at
-    their summand's pivots (`_places`).  A sum of left ideals A·f is a
-    module like the algebra and the top (`int_products`)."""
+    """The direct sum P = ⊕ A·f over the idempotent indices `idxs` (of
+    `_one_sided_ideals`), in summand coordinates: those of the rref basis
+    of each A·f in turn, coordinate j being row r of summand b
+    (`owner[j] = (b, r)`).  A module like the algebra and the top
+    (`int_products`), acted on through each summand's table
+    (`_projectives`)."""
 
-    def __init__(self, a, subs):
-        self.algebra, self.subs = a, subs
-        self._owner = [(b, j) for b, sub in enumerate(subs) for j in range(sub.dim)]
-        self.dim = len(self._owner)
-        starts = accumulate((sub.dim for sub in subs), initial=0)
-        self._places = [{c: lo + r for r, c in enumerate(sub.pivots)}
-                        for sub, lo in zip(subs, starts)]
-
-    def cut(self, entries, den):
-        """{summand: its part, lifted to an int row of the module} of the
-        vector of the sum with the nonzero (coordinate, value) `entries`
-        over `den`; a summand where the vector is zero is left out."""
-        owner, parts = self._owner, {}
-        for i, x in entries:
-            b, j = owner[i]
-            parts.setdefault(b, {})[j] = x
-        return {b: self.subs[b].int_from_coords((w, den)) for b, w in parts.items()}
-
-    def put(self, parts):
-        """The vector of the sum with the parts {summand: an int row of the
-        module in it}, each read at its summand's pivots, over the lcm of
-        their denominators; a single part keeps its own, and a zero one is
-        returned as it is."""
-        if len(parts) == 1:
-            ((b, (w, den)),) = parts.items()
-            place = self._places[b]
-            return ({place[c]: x for c, x in w.items() if c in place} if w else w), den
-        den, row = lcm(*(d for _, d in parts.values())), {}
-        for b, (w, d) in parts.items():
-            place, k = self._places[b], den // d
-            row.update({place[c]: x * k for c, x in w.items() if c in place})
-        return row, den
+    def __init__(self, a, idxs):
+        projectives = _projectives(a)
+        self.blocks = [projectives[idx] for idx in idxs]
+        self.p = a.field.characteristic
+        self.den = lcm(*(block.den for block in self.blocks))
+        self.starts = list(accumulate((len(block.rows) for block in self.blocks), initial=0))
+        self.owner = [(b, r) for b, block in enumerate(self.blocks) for r in range(len(block.rows))]
+        self._rows = [(row, lo, self.den // block.den)
+                      for block, lo in zip(self.blocks, self.starts) for row in block.rows]
+        self.dim = len(self.owner)
 
     def int_products(self, us, vs):
-        """[u.v for u in us for v in vs] on int rows, u in A and v in a sum
-        of left ideals A·f: the nonzero parts of vs go through one
-        `FiniteDimAlgebra.int_products` call and each product is put back in
-        its summand; a zero part stays zero, unmultiplied."""
-        parts = [self.cut(w.items(), den) for w, den in vs]
-        products = iter(self.algebra.int_products(us, [x for p in parts for x in p.values()]))
-        return [self.put(dict(zip(p, products))) for _ in us for p in parts]
+        """[u.v for u in us for v in vs] on int rows, u in A and v in the
+        sum, over den du * dv * `den` (1 in characteristic p).  The us are
+        indexed by their support once; each nonzero coordinate of v, row r
+        of a summand, walks only the (t, e_t·b_r) of its table row that
+        some u meets, so no part is lifted to A, and a product the tables
+        prove zero is never formed."""
+        p, rows = self.p, self._rows
+        index = {}  # t -> [(n, the entry of us[n] at t)]
+        for n, (u, _) in enumerate(us):
+            for t, y in u.items():
+                index.setdefault(t, []).append((n, y))
+        out = []  # per v, the products u.v in the order of the us
+        for v, dv in vs:
+            accs = {}  # n -> the entries of us[n].v
+            for i, x in v.items():
+                row, lo, k = rows[i]
+                x *= k
+                for t in row.keys() & index.keys():
+                    entries = row[t]
+                    for n, y in index[t]:
+                        if (acc := accs.get(n)) is None:
+                            acc = accs[n] = {}
+                        xy = x * y
+                        for s, c in entries:
+                            acc[lo + s] = acc.get(lo + s, 0) + xy * c
+            den = dv * self.den
+            out.append([(_nonzero(p, accs[n]) if n in accs else {}, 1 if p else du * den)
+                        for n, (_, du) in enumerate(us)])
+        return [products[n] for n in range(len(us)) for products in out]
 
 
 def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
@@ -278,7 +335,7 @@ def projective_resolution(a: FiniteDimAlgebra, m, length) -> ResolutionTrace:
             repeat = (deg, deg - seen[key])
             break
         seen[key] = deg
-        act = _Sum(a, [data[idx][1] for idx in gens[-1]]).int_products
+        act = _Sum(a, gens[-1]).int_products
     if repeat is not None:
         for deg in range(repeat[0] + 1, length + 1):
             for seq in (gens, covers, kernel_dims):
@@ -305,15 +362,18 @@ def ext_dims_from_trace(a, trace, m, cap):
     also gives each A·f; for any other m, the span of f times the unit
     vectors of m.  When the trace repeats from degree k with some period,
     the differential Hom(P_i, m) -> Hom(P_{i+1}, m) for i >= k is the one
-    `period` degrees before it, so its rank is copied, not computed.  The
-    image of the generator f_p of P_{i+1} is cut along the summands of P_i
-    (`_Sum.cut`).  Its part x in summand l lies in f_p·A, as x = f_p.x,
-    checked once per pair of summands; so each x.w, w in the basis of
-    f_l·m, lies in f_p·m, and column (l, w) is put in ⊕ f_p·m
-    (`_Sum.put`).  An image with no part in l gets no lift, no check and no
-    product there, and a summand l where no image has a part gives only
-    zero columns, which are left out."""
+    `period` degrees before it, so its rank is copied, not computed.
+
+    The image of the generator f_p of P_{i+1} is a vector of P_i in summand
+    coordinates, checked to satisfy f_p.x = x through the action tables
+    (`_Sum.int_products`), so that its part sum c_r·b_r in each summand l
+    lies in f_p·A.  Column (l, w), w in the basis of f_l·m, holds at p
+    sum c_r·(b_r.w), read at the pivots of f_p·m: the products b_r.w are
+    formed once per call for each idempotent, and no part is lifted to A.
+    A summand l where no image has a part gives only zero columns, which
+    are left out."""
     f, data = a.field, _one_sided_ideals(a)
+    p = f.characteristic
     gens = list(trace.gens)
     if not trace.finished and len(gens) < cap + 2:
         if trace.repeat is None:
@@ -324,32 +384,58 @@ def ext_dims_from_trace(a, trace, m, cap):
     gens += [[] for _ in range(cap + 2 - len(gens))]
     homs = [right if m is a else Subspace(f, m.dim, m.int_products([e], unit_rows(m.dim)))
             for e, _, right in data]
+    places = [{c: s for s, c in enumerate(hom.pivots)} for hom in homs]
     hom_dims = [sum(homs[idx].dim for idx in gens[i]) for i in range(cap + 2)]
     start, period = trace.repeat or (cap + 1, 0)
 
-    ranks, sources = [], _Sum(a, [data[idx][1] for idx in gens[0]])
+    products, restricted = {}, {}
+
+    def products_of(l, q):
+        """Per b_r of A·f_l and basis w of f_l·m, b_r.w at the pivots of
+        f_q·m, as (coordinate, value) over one denominator: b_r.w is formed
+        once per l, and read at the pivots once per (l, q)."""
+        if l not in products:
+            basis = homs[l].int_basis
+            rows = m.int_products(data[l][1].int_basis, basis)
+            k = lcm(*(d for _, d in rows))
+            rows = [{j: x * (k // d) for j, x in w.items()} for w, d in rows]
+            products[l] = [rows[r:r + len(basis)] for r in range(0, len(rows), len(basis))]
+        if (l, q) not in restricted:
+            place = places[q]
+            restricted[l, q] = [[[(t, y) for j, y in w.items() if (t := place.get(j)) is not None]
+                                 for w in row] for row in products[l]]
+        return restricted[l, q]
+
+    ranks, sources = [], _Sum(a, gens[0])
     for i in range(cap + 1):
         if i >= start:  # d^i lies in the repeated tail
             ranks.append(ranks[i - period])
             continue
-        targets, sources = sources, _Sum(a, [data[idx][1] for idx in gens[i + 1]])
-        images = []
-        for p, idx in enumerate(gens[i + 1]):
-            v, den = trace.covers[i + 1].int_mul_vec(sources.put({p: data[idx][0]}))
-            images.append(targets.cut(v.items(), den))
-        homs_sum = _Sum(a, [homs[idx] for idx in gens[i + 1]])
-        columns = []
-        for l, idxl in enumerate(gens[i]):
-            hits = {p: parts[l] for p, parts in enumerate(images) if l in parts}
-            if not hits:
-                continue
-            if not all(data[gens[i + 1][p]][2].int_contains(x) for p, x in hits.items()):
+        targets, sources = sources, _Sum(a, gens[i + 1])
+        # only the rank is read: so each image keeps its own den, which
+        # scales the rows of f_q·m alike in every column, and each column
+        # is taken over den 1
+        parts = {}  # l -> {q: {r: c}}, the part of the image of f_q in summand l
+        for q, (idx, lo) in enumerate(zip(gens[i + 1], sources.starts)):
+            w, den = sources.blocks[q].gen
+            image = trace.covers[i + 1].int_mul_vec(({lo + r: x for r, x in w.items()}, den))
+            if _lowest(p, targets.int_products([data[idx][0]], [image])[0]) != _lowest(p, image):
                 raise AlgebraError("Hom differential leaves its block")
-            basis = homs[idxl].int_basis
-            products = m.int_products(list(hits.values()), basis)
-            columns += [homs_sum.put(dict(zip(hits, products[t::len(basis)])))
-                        for t in range(len(basis))]
-        ranks.append(Subspace(f, homs_sum.dim, columns).dim)
+            for j, x in image[0].items():
+                l, r = targets.owner[j]
+                parts.setdefault(l, {}).setdefault(q, {})[r] = x
+        starts = list(accumulate((homs[idx].dim for idx in gens[i + 1]), initial=0))
+        columns = []
+        for l, hits in parts.items():
+            accs = [{} for _ in range(homs[gens[i][l]].dim)]
+            for q, part in hits.items():
+                prods, lo = products_of(gens[i][l], gens[i + 1][q]), starts[q]
+                for r, c in part.items():
+                    for acc, entries in zip(accs, prods[r]):
+                        for t, y in entries:
+                            acc[lo + t] = acc.get(lo + t, 0) + c * y
+            columns += [(_nonzero(p, acc), 1) for acc in accs]
+        ranks.append(Subspace(f, hom_dims[i + 1], columns).dim)
 
     return [hom_dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cap + 1)]
 

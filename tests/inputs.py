@@ -7,6 +7,7 @@ exports.  Collects no tests itself."""
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from eicat.algebra import FiniteDimAlgebra
 from eicat.families import Poset, transporter_category
@@ -57,15 +58,21 @@ def permuted(a, rng):
 
 
 def rebased(a, rng):
-    """The algebra a over F_p in a random basis drawn from rng: new basis
-    element i is the row P[i] of a random invertible P over F_p, and the
-    structure constants and the unit are their coordinates in the rows of P.
-    Its constants, read as ints in [0, p), are mostly not associative over
-    Z.  Returns the algebra and P, so that the element with coordinates v
-    in the new basis is sum_i v_i P[i] in the old one."""
+    """The algebra a in a random basis drawn from rng: new basis element i is
+    the row P[i] of a random invertible P, and the structure constants and
+    the unit are their coordinates in the rows of P.  Over F_p, P is any
+    invertible matrix, and the constants, read as ints in [0, p), are
+    mostly not associative over Z.  Over Q, P is unit lower triangular with
+    a fifth of the entries below the diagonal n/d, d in 1..3, so that the
+    constants, the idempotents and the rref rows of the ideals have unequal
+    denominators.  Returns the algebra and P, so that the element with
+    coordinates v in the new basis is sum_i v_i P[i] in the old one."""
     f, d = a.field, a.dim
     while True:
-        rows = [[rng.randrange(f.characteristic) for _ in range(d)] for _ in range(d)]
+        rows = [[rng.randrange(f.characteristic) for _ in range(d)] for _ in range(d)] \
+            if f.characteristic else \
+            [[f.one if i == j else f.of(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+              if j < i and rng.random() < 0.2 else f.zero for j in range(d)] for i in range(d)]
         # the rref of [P | I] is [I | P^-1] when P is invertible
         both = Subspace(f, 2 * d, [f.to_ints(row + unit_vector(f, d, i))
                                    for i, row in enumerate(rows)])

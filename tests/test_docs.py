@@ -1,7 +1,7 @@
-"""The README names only what exists: every backticked `Class.attr` in it
-is an attribute, or a dataclass field, of a class of that name in eicat,
-and every backticked `name(` is a function, class or method defined in an
-eicat module."""
+"""The README names only what exists: every backticked `Class.attr` or
+private `_Class.attr` in it is an attribute, or a dataclass field, of a
+class of that name in eicat, and every backticked `name(` is a function,
+class or method defined in an eicat module."""
 
 import dataclasses
 import importlib
@@ -47,8 +47,23 @@ def _callable_names():
     return names
 
 
+def _class_attribute_refs(text):
+    """The (class, attribute) of each backticked `Class.attr` or
+    `_Class.attr` in text."""
+    return set(re.findall(r"`(_?[A-Z]\w*)\.(\w+)", text))
+
+
+def test_the_scan_resolves_private_class_attributes():
+    text = "`Subspace.int_extend`, `_Sum.int_products`, `_Sum.cut` and `_cells(a)`"
+    refs = _class_attribute_refs(text)
+    assert refs == {("Subspace", "int_extend"), ("_Sum", "int_products"), ("_Sum", "cut")}
+    classes = _eicat_classes()
+    assert [ref for ref in sorted(refs) if ref[1] not in _attributes(classes[ref[0]])] == \
+        [("_Sum", "cut")]
+
+
 def test_readme_names_only_existing_class_attributes():
-    refs = set(re.findall(r"`([A-Z]\w*)\.(\w+)", README.read_text()))
+    refs = _class_attribute_refs(README.read_text())
     assert len(refs) >= 10, refs
     classes = _eicat_classes()
     missing = sorted(f"{c}.{a}" for c, a in refs

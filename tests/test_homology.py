@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from fractions import Fraction
 from itertools import accumulate
 
 import modules
@@ -217,45 +216,51 @@ def _summands(data, idxs):
     return [(data[idx][1], end - data[idx][1].dim, end) for idx, end in zip(idxs, ends)]
 
 
+def _unit_basis(sub):
+    """Whether the rref basis of the Subspace sub is unit rows, as that of
+    A·f is for a basis idempotent f."""
+    return all(len(w) == 1 for w, _ in sub.int_basis)
+
+
 @pytest.mark.parametrize("char", [0, 2, 3])
-def test_sum_cuts_puts_and_acts_in_summand_coordinates(char):
-    """`homology._Sum` on ⊕ A·f over the principal projectives of each
-    corpus(0) algebra, each taken twice, against a dense reference that
-    slices a row at the summand offsets: every part `cut` gives lies in its
-    summand and is the slice lifted to A, a zero slice giving no part; `put`
-    of the parts, also over unequal denominators, has the value of the row
-    (its int row may be rescaled);
-    and `int_products` equals the product of each u with each lift, put in
-    its summand by `Subspace.int_coords`."""
+def test_sum_acts_in_summand_coordinates(char):
+    """`homology._Sum.int_products` on ⊕ A·f over the principal projectives
+    of corpus(0) and the S3 <= 2 skeleton, each A·f taken twice, equals the
+    product through A: each slice of a row lifted to A by
+    `Subspace.int_from_coords`, multiplied by `FiniteDimAlgebra.int_products`
+    and read back by `Subspace.int_coords`.  The us are the generators of
+    the radical, the idempotents and the rref rows of every A·f; the rows
+    are random, in char 0 over unequal denominators, and in char 0 three of
+    the algebras are also rebased over Q (`inputs.rebased`), so that their
+    tables have unequal denominators too.  In chars 0 and 3, group_s3 and
+    the transporters have summands whose rref basis is not unit rows; where
+    it is, the action table is an index map."""
     f = Field(char)
     rng = random.Random(char)
-    for _, c in corpus(0):
-        a = cat_algebra(c, f)
+    algebras = [(name, cat_algebra(c, f)) for name, c in corpus(0)] + [("s3_le2", _s3_le2(char))]
+    if not char:  # rebased over Q: the rows of A·f, and the A·f, have unequal denominators
+        algebras += [(f"{name} rebased", rebased(a, rng)[0]) for name, a in algebras
+                     if name in ("group_s3", "transporter_0", "s3_le2")]
+    non_unit = set()
+    for name, a in algebras:
         data = algebra._one_sided_ideals(a)
         idxs = [*range(len(data))] * 2
-        total = homology._Sum(a, [data[idx][1] for idx in idxs])
+        total = homology._Sum(a, idxs)
         summands = _summands(data, idxs)
         assert total.dim == summands[-1][2]
-        rows = [f.to_ints([f.of(Fraction(rng.randint(-2, 2), rng.randint(1, 3) if not char else 1))
-                           if rng.random() < 0.3 else f.zero for _ in range(total.dim)])
-                for _ in range(6)] + [({}, 1)]
-        us = [e for e, _, _ in data] + unit_rows(a.dim)
+        for (_, sub, _), block in zip(data, homology._projectives(a)):
+            if _unit_basis(sub):
+                assert all(len(entries) == 1 for row in block.rows for entries in row.values())
+            else:
+                non_unit.add(name)
+        rows = [({}, 1)]
+        for k in range(2, 8):  # in char 0, row k is over k times the lcm of its entries
+            w, den = f.to_ints([f.of(rng.randint(-3, 3)) if rng.random() < 0.3 else f.zero
+                                for _ in range(total.dim)])
+            rows.append((w, den if char else den * k))
+        us = (algebra._radical_generators(a) + [e for e, _, _ in data]
+              + [w for _, sub, _ in data for w in sub.int_basis])
         products = iter(total.int_products(us, rows))
-        for w, den in rows:
-            value = f.from_ints((w, den), total.dim)
-            parts = total.cut(w.items(), den)
-            for b, (sub, lo, hi) in enumerate(summands):
-                if not any(value[lo:hi]):
-                    assert b not in parts
-                    continue
-                assert sub.int_contains(parts[b])
-                lift = f.from_ints(sub.int_from_coords(f.to_ints(value[lo:hi])), a.dim)
-                assert f.from_ints(parts[b], a.dim) == lift
-            assert f.from_ints(total.put(parts), total.dim) == value
-            if not char:  # parts over other denominators are put over their lcm
-                scaled = {b: ({i: x * (b + 1) for i, x in w.items()}, d * (b + 1))
-                          for b, (w, d) in parts.items()}
-                assert f.from_ints(total.put(scaled), total.dim) == value
         for u in us:
             for w, den in rows:
                 value = f.from_ints((w, den), total.dim)
@@ -265,8 +270,10 @@ def test_sum_cuts_puts_and_acts_in_summand_coordinates(char):
                         x = sub.int_from_coords(f.to_ints(value[lo:hi]))
                         co = sub.int_coords(a.int_products([u], [x])[0])
                         product[lo:hi] = f.from_ints(co, hi - lo)
-                assert f.from_ints(next(products), total.dim) == product
+                assert f.from_ints(next(products), total.dim) == product, name
         assert next(products, None) is None
+    if char in (0, 3):
+        assert {"group_s3", "s3_le2"} <= non_unit and any("transporter" in n for n in non_unit)
 
 
 @pytest.mark.parametrize("char", [0, 3])
@@ -676,7 +683,9 @@ def test_each_one_sided_ideal_is_built_once_from_nonzero_multiples(label, monkey
     are formed only on the nonempty cells of the table, and no product
     multiplies a row by the whole basis.  The S3 <= 2 skeleton in chars 2
     and 3 resolves to the cap on both sides, so each side also reads its
-    Hom targets, which are the ideals of the other side."""
+    Hom targets, which are the ideals of the other side.  The opposite's
+    action tables (`homology._projectives`) are built on it, and equal
+    those built on a copy of its table."""
     name, p = label.split("@")
     a = (_s3_le2(int(p)) if name == "s3_le2" else
          cat_algebra(poset_category(chain_poset(8)), Field(int(p))))
@@ -724,6 +733,7 @@ def test_each_one_sided_ideal_is_built_once_from_nonzero_multiples(label, monkey
     direct._memo[("primitive_idempotents",)] = primitive_idempotents(a)
     assert [(e, _span(left), _span(right)) for e, left, right in algebra._one_sided_ideals(direct)] \
         == [(e, _span(left), _span(right)) for e, left, right in algebra._one_sided_ideals(b)]
+    assert homology._projectives(direct) == homology._projectives(b)
     if unfinished:  # the Hom targets into A, f·A, are the span of f times A's unit rows
         for c in (a, b):
             assert [_span(right) for _, _, right in algebra._one_sided_ideals(c)] == \
@@ -954,6 +964,79 @@ def test_a_hom_image_outside_its_block_is_refused(char):
         ext_dims_from_trace(a, broken, a, 2)
 
 
+def _non_unit_instances():
+    """(label, algebra) with summands A·f whose rref basis is not unit rows
+    in every P_k: group_s3 in char 3, the S3 <= 2 skeleton in chars 0 and
+    3, and that skeleton rebased over Q, whose rows have unequal
+    denominators (`inputs.rebased`)."""
+    yield "group_s3@3", cat_algebra(dict(corpus(0))["group_s3"], Field(3))
+    for char in (0, 3):
+        yield f"s3_le2@{char}", _s3_le2(char)
+    yield "s3_le2@0 rebased", rebased(_s3_le2(0), random.Random(0))[0]
+
+
+def _with_column(cover, j, column):
+    """cover with its column j replaced by `column`, field scalars."""
+    columns = [cover.column(k) for k in range(cover.cols)]
+    columns[j] = column
+    return Matrix.from_columns(cover.field, columns, rows=cover.rows)
+
+
+def test_a_column_pushed_out_of_the_radical_is_refused_on_non_unit_summands():
+    """`_check_minimal` reads a part in summand coordinates through the top
+    classes of the rref rows: on summands whose basis is not unit rows,
+    adding the generator f of a summand of P_{i-1}, outside the radical, to
+    any column of covers[i] is refused at degree i."""
+    for label, a in _non_unit_instances():
+        f = a.field
+        trace = projective_resolution(a, top_module(a), CAP + 2)
+        assert homology._check_minimal(a, trace) is None
+        data = algebra._one_sided_ideals(a)
+        for i in range(1, min(len(trace.covers), 4)):
+            cover = trace.covers[i]
+            idx, (sub, lo, hi) = next((idx, block) for idx, block in
+                                      zip(trace.gens[i - 1], _summands(data, trace.gens[i - 1]))
+                                      if not _unit_basis(block[0]))
+            gen = f.from_ints(sub.int_coords(data[idx][0]), hi - lo)
+            for j in range(cover.cols):
+                column = cover.column(j)
+                column[lo:hi] = [f.add(x, y) for x, y in zip(column[lo:hi], gen)]
+                covers = list(trace.covers)
+                covers[i] = _with_column(cover, j, column)
+                with pytest.raises(AlgebraError, match=f"degree {i} leaves the radical"):
+                    homology._check_minimal(a, replace(trace, covers=covers))
+
+
+def test_an_image_moved_out_of_its_block_is_refused_on_non_unit_summands():
+    """The block check of `ext_dims_from_trace` runs through the action
+    tables: on summands whose basis is not unit rows, adding the generator
+    f_l of a summand of P_0 with another idempotent to the image of the
+    generator f_p of P_1 moves it out of f_p·A, as f_p·f_l = 0, and is
+    refused."""
+    for label, a in _non_unit_instances():
+        f = a.field
+        trace = projective_resolution(a, top_module(a), CAP + 2)
+        data = algebra._one_sided_ideals(a)
+        ext = ext_dims_from_trace(a, trace, a, 2)
+        sources, targets = (_summands(data, trace.gens[k]) for k in (1, 0))
+        (p, (sub, lo, hi)), (l, (subl, lol, hil)) = next(
+            ((p, bp), (l, bl)) for p, bp in zip(trace.gens[1], sources)
+            for l, bl in zip(trace.gens[0], targets)
+            if l != p and not (_unit_basis(bp[0]) and _unit_basis(bl[0])))
+        gen = f.from_ints(sub.int_coords(data[p][0]), hi - lo)
+        first = next(k for k, x in enumerate(gen) if x)
+        cover = trace.covers[1]
+        column = cover.column(lo + first)
+        outside = f.from_ints(subl.int_coords(data[l][0]), hil - lol)
+        column[lol:hil] = [f.add(x, f.mul(y, f.inv(gen[first])))
+                           for x, y in zip(column[lol:hil], outside)]
+        broken = replace(trace, covers=[trace.covers[0], _with_column(cover, lo + first, column),
+                                        *trace.covers[2:]])
+        assert ext == _ext_dims_by_coords(a, trace, a, 2), label
+        with pytest.raises(AlgebraError, match="Hom differential leaves its block"):
+            ext_dims_from_trace(a, broken, a, 2)
+
+
 def _ext_dims_by_coords(a, trace, m, cap):
     """Reference for `ext_dims_from_trace` on a trace through P_{cap+1}:
     every differential computed, none copied; the image of each generator
@@ -1011,25 +1094,30 @@ def test_ext_on_unfinished_sides_equals_the_reference_by_coords():
 
 @pytest.mark.parametrize("label", ["s3_le2@2", "s3_le2@3"])
 def test_ext_lifts_and_multiplies_only_nonzero_segments(label, monkeypatch):
-    """Ext into A lifts, checks and multiplies an image only in the blocks
-    where it has a segment: on the unfinished sides of the S3 <= 2 skeleton
-    in chars 2 and 3, no lift handed to `int_products` is zero, and the
-    dimensions equal the reference by coordinates."""
+    """Ext into A lifts no part of an image to A: on the unfinished sides of
+    the S3 <= 2 skeleton in chars 2 and 3, the only products it forms in A
+    are the rref rows b_r of A·f times the basis of f·A, for the
+    idempotents f of summands where some image has a part, each f once;
+    no row handed to `int_products` is zero, and the dimensions equal the
+    reference by coordinates."""
     a = _s3_le2(int(label.split("@")[1]))
     for b in (a, opposite(a)):
         trace = homology._top_resolution(b, CAP + 2)
-        algebra._one_sided_ideals(b)
-        lifts = []
+        data = algebra._one_sided_ideals(b)
+        calls = []
         int_products = FiniteDimAlgebra.int_products
 
         def counted(c, us, vs, modulus=None):
-            lifts.extend(w for w, _ in us)
+            calls.append((us, vs))
             return int_products(c, us, vs, modulus)
 
         monkeypatch.setattr(FiniteDimAlgebra, "int_products", counted)
         dims = ext_dims_from_trace(b, trace, b, CAP + 1)
         monkeypatch.undo()
-        assert not trace.finished and lifts and all(lifts), label
+        formed = [next(idx for idx, (_, left, right) in enumerate(data)
+                       if (us, vs) == (left.int_basis, right.int_basis)) for us, vs in calls]
+        assert not trace.finished and formed and len(set(formed)) == len(formed), label
+        assert all(w for us, _ in calls for w, _ in us), label
         assert dims == _ext_dims_by_coords(b, trace, b, CAP + 1), label
 
 

@@ -68,3 +68,25 @@ def test_run_corpus_refuses_bad_arguments(tmp_path, args, message):
     lines = run.stderr.splitlines()
     assert lines[0].startswith("usage: run_corpus.py")
     assert lines[1:] == [f"run_corpus.py: error: {message}"]
+
+
+def test_ladder_prints_one_json_line_per_row(tmp_path):
+    """`ladder.py` on one small row, outside the repository: one JSON line
+    with the wall time of every stage, their sum, the oracle's share and
+    the verdicts; a row that is not on the ladder is refused with exit 2."""
+    run = subprocess.run([sys.executable, str(SCRIPTS / "ladder.py"), "--rows", "s3_le2@2",
+                          "--cap", "3"], cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    (line,) = run.stdout.splitlines()
+    row = json.loads(line)
+    stages = ["build", "validate", "radical", "idempotents", "ideals", "left", "right", "gldim"]
+    assert list(row) == ["row", "dim", *(f"{s}_s" for s in stages), "total_s", "oracle_s",
+                         "left", "right", "gldim"]
+    assert (row["row"], row["dim"], row["left"], row["right"], row["gldim"]) == \
+        ("s3_le2@2", 26, 2, 2, ">3")
+    assert all(row[f"{s}_s"] >= 0 for s in stages)
+    assert row["oracle_s"] == pytest.approx(row["left_s"] + row["right_s"] + row["gldim_s"],
+                                            abs=1e-3)
+    bad = subprocess.run([sys.executable, str(SCRIPTS / "ladder.py"), "--rows", "chain_99@0"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2 and "is not a ladder row" in bad.stderr
